@@ -8,6 +8,14 @@ largest third-nearest-neighbor distance must fall strictly below the
 smallest fourth-nearest-neighbor distance, which is how the search is
 evaluated (one vectorized pass instead of a cutoff loop).
 
+Cage detection tests many unions of shells, and most of them fail that
+gap test.  It therefore keeps, per call, a table of the four smallest
+squared distances from every point of one shell into another, filled in
+lazily for the shell pairs that some union reaches.  A union's third- and
+fourth-nearest distances are merged from its shells' rows, bit-identical
+to the dense search's, and only a union whose merged rows pass the gap
+test goes on to the full search and face tracing.
+
 Faces are traced from the rotation system: neighbors ordered by angle in
 each vertex's tangent plane, with the Euler characteristic as the guard
 against a band that is not a topological sphere.
@@ -105,9 +113,16 @@ class CageGraph:
                 f"{self.edge_count} edges, cutoff={self.cutoff:.6f})")
 
 
-def _pairwise_squared(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
+def _pairwise_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances from every point of `a` to every point of `b`."""
+    diff = a[:, None, :] - b[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _separated(c2: float, floor4: float) -> bool:
+    # the largest third-nearest distance lies strictly below the smallest
+    # fourth-nearest, by more than float noise
+    return floor4 - c2 > _RESOLUTION * max(1.0, c2)
 
 
 def trivalence_threshold_search(points) -> CageGraph | None:
@@ -120,7 +135,7 @@ def trivalence_threshold_search(points) -> CageGraph | None:
     n = len(coords)
     if n < 4:
         return None
-    d2 = _pairwise_squared(coords)
+    d2 = _pairwise_squared(coords, coords)
     np.fill_diagonal(d2, np.inf)
     third = np.partition(d2, 2, axis=1)[:, 2]
     if n >= 5:
@@ -129,7 +144,7 @@ def trivalence_threshold_search(points) -> CageGraph | None:
         fourth = np.full(n, np.inf)
     c2 = float(third.max())
     floor4 = float(fourth.min())
-    if not floor4 - c2 > _RESOLUTION * max(1.0, c2):
+    if not _separated(c2, floor4):
         return None
     threshold = (c2 + min(floor4, 4.0 * c2)) / 2.0
     pairs = np.argwhere(np.triu(d2 <= threshold, k=1))
@@ -277,6 +292,68 @@ def _validate_union(shell_groups, chosen: tuple[int, ...],
     return CageFinding(graph, census, chosen, dropped)
 
 
+class _NearestTable:
+    """The four smallest squared distances from each shell into each shell.
+
+    Row i of `rows(a, b)` holds the four smallest squared distances from
+    point i of shell a to the points of shell b, with a point's distance
+    to itself left out and `inf` filling in when there are fewer than
+    four.  Every union's four nearest neighbours of a point lie among its
+    shells' rows, and the values come from `_pairwise_squared`, so the
+    gap test on merged rows sees exactly the floats of the dense search.
+    """
+
+    def __init__(self, groups) -> None:
+        self.groups = groups
+        self._coords: dict[int, np.ndarray] = {}
+        self._rows: dict[tuple[int, int], np.ndarray] = {}
+
+    def _coords_of(self, index: int) -> np.ndarray:
+        if index not in self._coords:
+            self._coords[index] = as_coords(self.groups[index])
+        return self._coords[index]
+
+    def rows(self, a: int, b: int) -> np.ndarray:
+        if (a, b) not in self._rows:
+            d2 = _pairwise_squared(self._coords_of(a), self._coords_of(b))
+            if a == b:
+                np.fill_diagonal(d2, np.inf)
+            if d2.shape[1] < 4:
+                d2 = np.hstack([d2, np.full((len(d2), 4 - d2.shape[1]),
+                                            np.inf)])
+            self._rows[(a, b)] = np.partition(d2, 3, axis=1)[:, :4]
+        return self._rows[(a, b)]
+
+    def separated(self, chosen: tuple[int, ...]) -> bool:
+        """The union's gap test, as `trivalence_threshold_search` makes it."""
+        members = [i for i in chosen if len(self.groups[i])]
+        c2, floor4 = -math.inf, math.inf
+        for a in members:
+            merged = np.partition(
+                np.hstack([self.rows(a, b) for b in members]), (2, 3),
+                axis=1)
+            c2 = max(c2, float(merged[:, 2].max()))
+            floor4 = min(floor4, float(merged[:, 3].min()))
+        return _separated(c2, floor4)
+
+
+def _candidate_unions(sizes: list[int]):
+    """(shell indices, dropped index) of every union to try, in order."""
+    n = len(sizes)
+    for k in range(_CAGE_MIN_SHELLS, n + 1):
+        chosen = tuple(range(n - k, n))
+        if sum(sizes[i] for i in chosen) > _CAGE_POINT_CAP:
+            break
+        yield chosen, None
+    for k in range(_CAGE_MIN_SHELLS + 1, n + 1):
+        window = list(range(n - k, n))
+        if (sum(sizes[i] for i in window)
+                - max(sizes[i] for i in window[1:-1])) > _CAGE_POINT_CAP:
+            break
+        for drop in window[1:-1]:
+            yield tuple(i for i in window if i != drop), drop
+
+
 def detect_cage(shell_groups,
                 max_ratio: float = _CAGE_MAX_EDGE_RATIO) -> CageFinding | None:
     """Find the outermost cage in a radius-ascending list of shells.
@@ -288,31 +365,28 @@ def detect_cage(shell_groups,
     sphere, windows with exactly one interior shell removed are tried as
     a fallback, again smallest first.
 
+    Each candidate of 20 to `_CAGE_POINT_CAP` points first takes the gap
+    test on a `_NearestTable` shared by all candidates of this call, at
+    O(4kN) for a union of k shells instead of an N x N matrix.  Only a union
+    that passes is confirmed by the full threshold search, the edge-ratio
+    check and face tracing.
+
     `shell_groups` is a sequence of point sequences ordered by ascending
     radius.  Returns the first union that is trivalent at a global cutoff,
     has edge ratio below `max_ratio`, and traces into a valid sphere
     (V - E + F = 2); None when no candidate qualifies.
     """
     groups = [tuple(g) for g in shell_groups]
-    n = len(groups)
     sizes = [len(g) for g in groups]
-    for k in range(_CAGE_MIN_SHELLS, n + 1):
-        chosen = tuple(range(n - k, n))
-        if sum(sizes[i] for i in chosen) > _CAGE_POINT_CAP:
-            break
-        finding = _validate_union(groups, chosen, None, max_ratio)
+    table = _NearestTable(groups)
+    for chosen, dropped in _candidate_unions(sizes):
+        if not 20 <= sum(sizes[i] for i in chosen) <= _CAGE_POINT_CAP:
+            continue
+        if not table.separated(chosen):
+            continue
+        finding = _validate_union(groups, chosen, dropped, max_ratio)
         if finding is not None:
             return finding
-    for k in range(_CAGE_MIN_SHELLS + 1, n + 1):
-        window = list(range(n - k, n))
-        if (sum(sizes[i] for i in window)
-                - max(sizes[i] for i in window[1:-1])) > _CAGE_POINT_CAP:
-            break
-        for drop in window[1:-1]:
-            chosen = tuple(i for i in window if i != drop)
-            finding = _validate_union(groups, chosen, drop, max_ratio)
-            if finding is not None:
-                return finding
     return None
 
 

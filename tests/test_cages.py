@@ -1,8 +1,11 @@
 """Bond-graph thresholds, face tracing, and cage detection."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from icofold import cages
 from icofold.cages import (
     EulerError,
     detect_cage,
@@ -12,7 +15,7 @@ from icofold.cages import (
     similar_up_to_scale,
     trivalence_threshold_search,
 )
-from icofold.configs import builtin
+from icofold.configs import StartConfig, builtin
 from icofold.engine import generate_array, make_translation, outer_cage
 from icofold.golden import parse_field_expr
 
@@ -180,6 +183,179 @@ def test_detect_cage_none_cases():
     assert detect_cage([ico, ico * 1.5]) is None  # concentric, not trivalent
     tet = two_tetrahedra()[:4]
     assert detect_cage([tet, tet * 2.0]) is None  # under 20 points
+
+
+# --- detect_cage against the dense search it replaces -------------------
+
+def dense_gap(coords):
+    """The gap test of the dense search: the whole N x N matrix at once."""
+    n = len(coords)
+    if n < 4:
+        return False
+    d2 = cages._pairwise_squared(coords, coords)
+    np.fill_diagonal(d2, np.inf)
+    c2 = float(np.partition(d2, 2, axis=1)[:, 2].max())
+    floor4 = float(np.partition(d2, 3, axis=1)[:, 3].min()) if n >= 5 \
+        else np.inf
+    return floor4 - c2 > cages._RESOLUTION * max(1.0, c2)
+
+
+def union_coords(groups, chosen):
+    return cages.as_coords(tuple(p for i in chosen for p in groups[i]))
+
+
+def dense_detect_cage(shell_groups, max_ratio=cages._CAGE_MAX_EDGE_RATIO):
+    """The detector as first written: every union goes through the full
+    search, each one on its own N x N matrix.  Also checks the nearest-
+    distance table's gap verdict against the dense one on every union."""
+    groups = [tuple(g) for g in shell_groups]
+    table = cages._NearestTable(groups)
+
+    def attempt(chosen, dropped):
+        if 20 <= sum(sizes[i] for i in chosen) <= cages._CAGE_POINT_CAP:
+            assert table.separated(chosen) == dense_gap(
+                union_coords(groups, chosen)), chosen
+        return cages._validate_union(groups, chosen, dropped, max_ratio)
+
+    n = len(groups)
+    sizes = [len(g) for g in groups]
+    for k in range(cages._CAGE_MIN_SHELLS, n + 1):
+        chosen = tuple(range(n - k, n))
+        if sum(sizes[i] for i in chosen) > cages._CAGE_POINT_CAP:
+            break
+        finding = attempt(chosen, None)
+        if finding is not None:
+            return finding
+    for k in range(cages._CAGE_MIN_SHELLS + 1, n + 1):
+        window = list(range(n - k, n))
+        if (sum(sizes[i] for i in window)
+                - max(sizes[i] for i in window[1:-1])) > cages._CAGE_POINT_CAP:
+            break
+        for drop in window[1:-1]:
+            chosen = tuple(i for i in window if i != drop)
+            finding = attempt(chosen, drop)
+            if finding is not None:
+                return finding
+    return None
+
+
+def assert_same_finding(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.shell_indices == want.shell_indices
+    assert got.dropped_index == want.dropped_index
+    assert got.graph.edges == want.graph.edges
+    assert got.census.faces == want.census.faces
+    assert got.census.counts == want.census.counts
+
+
+def onion_arrays(name, expr, iterations=2):
+    """The arrays `build_onion` reads its cages off, iteration by iteration,
+    stepping forward on the dense detector's findings."""
+    start = builtin(name)
+    t = make_translation(start.symmetry, 5, parse_field_expr(expr))
+    working, arrays = start, []
+    for j in range(1, iterations + 1):
+        array = generate_array(working, t, 1)
+        arrays.append(array)
+        finding = dense_detect_cage([s.points for s in array.shells])
+        working = StartConfig(f"{name}.onion{j}", finding.graph.points,
+                              start.symmetry, check_invariance=False)
+    return arrays
+
+
+def catalog_arrays():
+    cases = (("c60", 5, "3"), ("dodecahedron", 3, "tau^2"),
+             ("dodecahedron", 3, "tau^-2"), ("dodecahedron", 5, "tau"),
+             ("dodecahedron", 5, "1"), ("icosahedron", 3, "1"),
+             ("icosahedron", 3, "tau-1"))
+    arrays = []
+    for name, fold, expr in cases:
+        start = builtin(name)
+        t = make_translation(start.symmetry, fold, parse_field_expr(expr))
+        arrays.append(generate_array(start, t, 1))
+    return arrays
+
+
+def test_detect_cage_matches_dense_search_on_arrays():
+    arrays = (onion_arrays("c60", "3") + onion_arrays("c80", "2")
+              + catalog_arrays())
+    dropped = 0
+    for array in arrays:
+        groups = [shell.points for shell in array.shells]
+        want = dense_detect_cage(groups)
+        assert want is not None
+        assert_same_finding(detect_cage(groups), want)
+        dropped += want.dropped_index is not None
+    assert dropped >= 1  # the c80 onion's second member drops a shell
+
+
+def test_detect_cage_matches_dense_search_on_small_inputs():
+    ico = coords_of(builtin("icosahedron").vertices)
+    tet = two_tetrahedra()[:4]
+    for groups in ([ico], [ico, ico * 1.5], [tet, tet * 2.0]):
+        assert detect_cage(groups) is None
+        assert dense_detect_cage(groups) is None
+    # an empty shell inside the only union that reaches 20 points
+    dod = coords_of(builtin("dodecahedron").vertices)
+    groups = [dod[:10], dod[:0], dod[10:]]
+    want = dense_detect_cage(groups)
+    assert want is not None and want.shell_indices == (0, 1, 2)
+    assert_same_finding(detect_cage(groups), want)
+
+
+def assert_table_matches_dense(groups):
+    """Every non-empty union of the shells, not only the ones detect_cage
+    would try, gets the dense verdict from the table."""
+    table = cages._NearestTable([tuple(g) for g in groups])
+    verdicts = set()
+    for k in range(1, len(groups) + 1):
+        for chosen in combinations(range(len(groups)), k):
+            dense = dense_gap(union_coords(groups, chosen))
+            assert table.separated(chosen) == dense, chosen
+            verdicts.add(dense)
+    return verdicts
+
+
+def test_table_one_point_shell_at_origin():
+    dod = coords_of(builtin("dodecahedron").vertices)
+    origin = np.zeros((1, 3))
+    assert assert_table_matches_dense([origin, dod[:8], dod[8:]]) == {
+        True, False}
+
+
+def test_table_shells_under_four_points():
+    dod = coords_of(builtin("dodecahedron").vertices)
+    groups = [dod[:1], dod[1:3], dod[3:6], dod[6:10], dod[10:]]
+    assert assert_table_matches_dense(groups) == {True, False}
+    tets = two_tetrahedra()
+    assert assert_table_matches_dense(
+        [tets[:1], tets[1:3], tets[3:4], tets[4:]]) == {True, False}
+
+
+def test_table_takes_array_and_point_shells():
+    ico = coords_of(builtin("icosahedron").vertices)
+    dod = builtin("dodecahedron").vertices
+    # ndarray shells, Vec3E shells, and both in one union
+    assert assert_table_matches_dense([ico, ico * 1.5]) == {False}
+    assert assert_table_matches_dense([dod[:10], dod[10:]]) == {True, False}
+    assert assert_table_matches_dense(
+        [coords_of(dod[:10]), dod[10:], ico * 3.0]) == {True, False}
+
+
+def test_table_mixes_a_shell_with_itself_and_others():
+    # a repeated shell puts zero distances between shells, not on the
+    # diagonal; the table must count them as the dense matrix does
+    dod = coords_of(builtin("dodecahedron").vertices)
+    groups = [dod, dod, dod + (0, 0, 10.0), dod[:3]]
+    assert assert_table_matches_dense(groups) == {True, False}
+    table = cages._NearestTable([tuple(g) for g in groups])
+    assert not table.separated((0, 1))
+    assert table.separated((0, 2))
+    assert table.rows(0, 0).shape == (20, 4)
+    assert np.isinf(table.rows(3, 3)).sum() == 3 * 2  # 2 others, 2 pads
 
 
 # --- kustov_allowable ------------------------------------------------------
