@@ -371,12 +371,14 @@ def detect_cage(shell_groups,
     that passes is confirmed by the full threshold search, the edge-ratio
     check and face tracing.
 
-    `shell_groups` is a sequence of point sequences ordered by ascending
-    radius.  Returns the first union that is trivalent at a global cutoff,
-    has edge ratio below `max_ratio`, and traces into a valid sphere
-    (V - E + F = 2); None when no candidate qualifies.
+    `shell_groups` is a sequence of point sequences (or float (N, 3)
+    coordinate arrays) ordered by ascending radius.  Returns the first
+    union that is trivalent at a global cutoff, has edge ratio below
+    `max_ratio`, and traces into a valid sphere (V - E + F = 2); None when
+    no candidate qualifies.
     """
-    groups = [tuple(g) for g in shell_groups]
+    groups = [g if isinstance(g, np.ndarray) else tuple(g)
+              for g in shell_groups]
     sizes = [len(g) for g in groups]
     table = _NearestTable(groups)
     for chosen, dropped in _candidate_unions(sizes):

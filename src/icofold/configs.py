@@ -1,11 +1,11 @@
 """Start configurations: exact seed polyhedra for affine extension.
 
 Every configuration is a full-group-invariant vertex set with exact
-Q(tau) coordinates, stored in the radical-free workspace (radicand 1)
-and rebased into an axis workspace when arrays are generated.  Builtins
-cover the classical icosahedral solids plus the C60 and C80 cages;
-custom sets load from a simple text format, optionally closing a few
-seed points into full orbits.
+Q(tau) coordinates, stored in the radical-free workspace (radicand 1);
+exact array points are built in an axis workspace when asked for.
+Builtins cover the classical icosahedral solids plus the C60 and C80
+cages; custom sets load from a simple text format, optionally closing a
+few seed points into full orbits.
 """
 
 from __future__ import annotations

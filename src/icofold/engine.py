@@ -12,6 +12,13 @@ Translation steps are lambda times the golden base vector of each axis
 base-vector steps land back in the golden lattice the start points live
 in, so only they can produce coinciding points at all.
 
+Every start vertex and every such step lies in Q(tau)^3, so arrays are
+generated on an integer point kernel: each point is six Python ints
+(a, b per coordinate, value (a + b*tau)/den) over one shared denominator.
+Translation is integer addition, dedup is a set of integer rows, and the
+exact squared radius is an integer pair.  Shells carry float coordinates
+for the cage searches and build exact Vec3E points only when asked.
+
 Shells partition an array by exact squared radius; bands cluster shells
 whose float radii sit within a relative gap.  The cage surfaces the bands
 approximate are detected separately (cages.detect_cage) because no single
@@ -21,12 +28,16 @@ gap value reproduces every known surface.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+from functools import cached_property
+from math import gcd, lcm
+
+import numpy as np
 
 from . import cages
 from .configs import StartConfig
-from .geometry import Vec3E, norm2
-from .golden import ExtNumber, GoldenNumber, TAU, format_golden
+from .geometry import Vec3E
+from .golden import (_TAU_FLOAT, ExtNumber, GoldenNumber,
+                     RadicandMismatchError, format_golden)
 from .groups import FOLD_RADICANDS, PointGroup
 
 __all__ = [
@@ -37,7 +48,6 @@ __all__ = [
     "Band",
     "make_translation",
     "generate_array",
-    "shells",
     "bands",
     "outer_cage",
     "generic_cardinality",
@@ -58,6 +68,11 @@ __all__ = [
 # why cage detection does not reuse the band split.
 DEFAULT_BAND_GAP = 0.11
 DEFAULT_POINT_CAP = 10 ** 6
+# The outer band's threshold search holds an N x N x 3 float64 difference
+# tensor plus the N x N squared distances, 32*N^2 bytes.  256 MiB allows
+# N up to 2896 points; the largest outer band that `verify`, the test
+# suite and the benchmark reach has 930 points (27.7 MB).
+_BAND_PAIR_BYTES_CAP = 2 ** 28
 
 
 class PointBudgetError(RuntimeError):
@@ -97,29 +112,44 @@ def make_translation(group: PointGroup, fold: int,
 
 
 class Shell:
-    """All array points at one exact squared radius."""
+    """All array points at one exact squared radius.
 
-    __slots__ = ("radius2", "points")
+    Points are integer rows (a_x, b_x, a_y, b_y, a_z, b_z) over the shared
+    denominator `den`, coordinate c being (a_c + b_c*tau)/den.  `coords`
+    holds their floats, bit-identical to `as_coords(points)`; the exact
+    `points` are built in the radius' workspace on first access.
+    """
 
-    def __init__(self, radius2: ExtNumber, points: tuple[Vec3E, ...]) -> None:
+    def __init__(self, radius2: ExtNumber, rows: tuple[tuple[int, ...], ...],
+                 den: int, coords: np.ndarray) -> None:
         self.radius2 = radius2
-        self.points = points
+        self.rows = rows
+        self.den = den
+        self.coords = coords
+
+    @cached_property
+    def points(self) -> tuple[Vec3E, ...]:
+        k, den = self.radius2.k, self.den
+        return tuple(
+            Vec3E(ExtNumber._make(ax, bx, 0, 0, den, k),
+                  ExtNumber._make(ay, by, 0, 0, den, k),
+                  ExtNumber._make(az, bz, 0, 0, den, k))
+            for ax, bx, ay, by, az, bz in self.rows
+        )
 
     @property
     def radius(self) -> float:
         return math.sqrt(float(self.radius2))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.rows)
 
     def __repr__(self) -> str:
-        return f"Shell(r2={self.radius2}, {len(self.points)} points)"
+        return f"Shell(r2={self.radius2}, {len(self.rows)} points)"
 
 
 class Band:
     """Consecutive shells whose float radii cluster within the gap."""
-
-    __slots__ = ("shells",)
 
     def __init__(self, shell_group: tuple[Shell, ...]) -> None:
         self.shells = shell_group
@@ -132,12 +162,13 @@ class Band:
     def rmax(self) -> float:
         return self.shells[-1].radius
 
-    @property
+    @cached_property
     def points(self) -> tuple[Vec3E, ...]:
-        out: list[Vec3E] = []
-        for shell in self.shells:
-            out.extend(shell.points)
-        return tuple(out)
+        return tuple(p for shell in self.shells for p in shell.points)
+
+    @property
+    def coords(self) -> np.ndarray:
+        return np.concatenate([shell.coords for shell in self.shells])
 
     def __len__(self) -> int:
         return sum(len(shell) for shell in self.shells)
@@ -157,12 +188,9 @@ class PointArray:
         self.depth = depth
         self.shells = shell_list
 
-    @property
+    @cached_property
     def points(self) -> tuple[Vec3E, ...]:
-        out: list[Vec3E] = []
-        for shell in self.shells:
-            out.extend(shell.points)
-        return tuple(out)
+        return tuple(p for shell in self.shells for p in shell.points)
 
     def __len__(self) -> int:
         return sum(len(shell) for shell in self.shells)
@@ -172,65 +200,125 @@ class PointArray:
                 f"depth {self.depth}, {len(self)} points)")
 
 
-def build_shells(points) -> tuple[Shell, ...]:
-    """Group points by exact squared radius, ascending.
+def _integer_rows(*vector_sets) -> tuple[int, list[list[tuple[int, ...]]]]:
+    """One shared denominator and each vector's six numerators over it.
 
-    Points inside a shell are ordered by float coordinates (exact key as
-    final tie-break) so output is deterministic.
+    A coordinate with a radical part raises RadicandMismatchError, as
+    moving it into another workspace would.
     """
-    by_radius: dict[tuple, list[Vec3E]] = {}
-    radii: dict[tuple, ExtNumber] = {}
-    for p in points:
-        r2 = norm2(p)
-        key = r2.key()
-        by_radius.setdefault(key, []).append(p)
-        radii.setdefault(key, r2)
-    ordered = sorted(radii.values())
+    den = 1
+    for vectors in vector_sets:
+        for v in vectors:
+            for c in v:
+                if not c.is_golden():
+                    raise RadicandMismatchError(
+                        "cannot change the radicand of a value with a "
+                        "radical part"
+                    )
+                den = lcm(den, c.den)
     out = []
-    for r2 in ordered:
-        members = by_radius[r2.key()]
-        members.sort(key=lambda p: (p.as_floats(), p.key()))
-        out.append(Shell(r2, tuple(members)))
+    for vectors in vector_sets:
+        rows = []
+        for v in vectors:
+            row: list[int] = []
+            for c in v:
+                scale = den // c.den
+                row += (c.pa * scale, c.pb * scale)
+            rows.append(tuple(row))
+        out.append(rows)
+    return den, out
+
+
+def build_shells(rows, den: int, radicand: GoldenNumber) -> tuple[Shell, ...]:
+    """Group integer point rows over `den` by exact squared radius, ascending.
+
+    The squared radius of (a + b*tau)/den per coordinate is
+    (sum a^2+b^2 + (sum (2a+b)b)*tau)/den^2.  Points inside a shell are
+    ordered by float coordinates, exact reduced triples breaking ties: the
+    order of (Vec3E.as_floats(), Vec3E.key()), so output is deterministic.
+    """
+    # (float, reduced (a, b, den) triple) per coordinate numerator pair,
+    # the float by ExtNumber.__float__'s own arithmetic on the triple
+    values: dict[tuple[int, int], tuple[float, tuple[int, int, int]]] = {}
+
+    def value(a: int, b: int) -> tuple[float, tuple[int, int, int]]:
+        g = gcd(a, b, den)
+        ra, rb, d = a // g, b // g, den // g
+        out = values[a, b] = ((ra + rb * _TAU_FLOAT) / d, (ra, rb, d))
+        return out
+
+    by_radius: dict[tuple[int, int], list] = {}
+    for row in rows:
+        ax, bx, ay, by, az, bz = row
+        key = (ax * ax + bx * bx + ay * ay + by * by + az * az + bz * bz,
+               (2 * ax + bx) * bx + (2 * ay + by) * by + (2 * az + bz) * bz)
+        fx, tx = values.get((ax, bx)) or value(ax, bx)
+        fy, ty = values.get((ay, by)) or value(ay, by)
+        fz, tz = values.get((az, bz)) or value(az, bz)
+        by_radius.setdefault(key, []).append(
+            ((fx, fy, fz, tx, ty, tz), row))
+    den2 = den * den
+    radii = {key: ExtNumber._make(key[0], key[1], 0, 0, den2, radicand)
+             for key in by_radius}
+    out = []
+    for key in sorted(radii, key=radii.__getitem__):
+        ordered = sorted(by_radius[key])
+        coords = np.array([sort_key[:3] for sort_key, _ in ordered],
+                          dtype=float)
+        out.append(Shell(radii[key], tuple(row for _, row in ordered), den,
+                         coords))
     return tuple(out)
 
 
-def _offsets(translation: AffineTranslation, depth: int) -> list[Vec3E]:
-    # all sums of up to `depth` translation vectors (multisets), exact dedup
-    zero = Vec3E.from_golden(0, 0, 0, GoldenNumber(1, 0)).rebase(
-        translation.radicand
-    )
-    seen: dict[tuple, Vec3E] = {zero.key(): zero}
-    for j in range(1, depth + 1):
-        for combo in combinations_with_replacement(translation.vectors, j):
-            total = combo[0]
-            for v in combo[1:]:
-                total = total + v
-            seen.setdefault(total.key(), total)
-    return list(seen.values())
+def _offsets(steps: list[tuple[int, ...]], depth: int, n_start: int,
+             cap: int) -> set[tuple[int, ...]]:
+    """All sums of at most `depth` steps, level by level.
+
+    S_0 = {0} and S_j = S_{j-1} | (S_{j-1} + steps); only the sums new at
+    level j-1 need extending.  The point budget n_start * |S_j| is checked
+    at every level, so an oversized request stops before its last level.
+    """
+    zero = (0,) * 6
+    seen = {zero}
+    frontier = [zero]
+    for j in range(depth + 1):
+        if j:
+            fresh = []
+            for s0, s1, s2, s3, s4, s5 in frontier:
+                for v0, v1, v2, v3, v4, v5 in steps:
+                    total = (s0 + v0, s1 + v1, s2 + v2, s3 + v3, s4 + v4,
+                             s5 + v5)
+                    if total not in seen:
+                        seen.add(total)
+                        fresh.append(total)
+            frontier = fresh
+        budget = n_start * len(seen)
+        if budget > cap:
+            raise PointBudgetError(
+                f"{budget} candidate points exceed the cap of {cap}"
+            )
+    return seen
 
 
 def generate_array(start: StartConfig, translation: AffineTranslation,
                    depth: int, cap: int = DEFAULT_POINT_CAP) -> PointArray:
-    """Collect {x + (sum of at most `depth` translation vectors)} exactly."""
+    """Collect {x + (sum of at most `depth` translation vectors)} exactly.
+
+    Every start vertex and translation vector lies in Q(tau)^3, so the
+    work runs on six Python ints per point over one shared denominator:
+    translation is integer addition and dedup is a set of integer rows.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    offsets = _offsets(translation, depth)
-    budget = len(start.vertices) * len(offsets)
-    if budget > cap:
-        raise PointBudgetError(
-            f"{budget} candidate points exceed the cap of {cap}"
-        )
-    base = [v.rebase(translation.radicand) for v in start.vertices]
-    seen: dict[tuple, Vec3E] = {}
-    for offset in offsets:
-        for x in base:
-            p = x + offset
-            seen.setdefault(p.key(), p)
-    return PointArray(start, translation, depth, build_shells(seen.values()))
-
-
-def shells(array: PointArray) -> tuple[Shell, ...]:
-    return array.shells
+    den, (base, steps) = _integer_rows(start.vertices, translation.vectors)
+    offsets = _offsets(steps, depth, len(base), cap)
+    rows = {
+        (x0 + s0, x1 + s1, x2 + s2, x3 + s3, x4 + s4, x5 + s5)
+        for s0, s1, s2, s3, s4, s5 in offsets
+        for x0, x1, x2, x3, x4, x5 in base
+    }
+    return PointArray(start, translation, depth,
+                      build_shells(rows, den, translation.radicand))
 
 
 def bands(array_or_shells, gap: float = DEFAULT_BAND_GAP) -> tuple[Band, ...]:
@@ -256,8 +344,17 @@ def bands(array_or_shells, gap: float = DEFAULT_BAND_GAP) -> tuple[Band, ...]:
 
 
 def outer_cage(array: PointArray) -> cages.CageFinding | None:
-    """Detect the outermost cage surface of an array, if there is one."""
-    return cages.detect_cage([shell.points for shell in array.shells])
+    """Detect the outermost cage surface of an array, if there is one.
+
+    The search runs on the shells' float coordinates; only the winning
+    union's exact points are built, for `CageGraph.points`.
+    """
+    finding = cages.detect_cage([shell.coords for shell in array.shells])
+    if finding is not None:
+        finding.graph.points = tuple(
+            p for i in finding.shell_indices for p in array.shells[i].points
+        )
+    return finding
 
 
 def _multiset_count(n_directions: int, depth: int) -> int:
@@ -371,7 +468,16 @@ def _band_report(band: Band, is_outer: bool) -> dict:
         "count": len(band),
         "trivalent": False,
     }
-    cage = cages.trivalence_threshold_search(band.points) if is_outer else None
+    cage = None
+    if is_outer:
+        pair_bytes = 32 * len(band) ** 2
+        if pair_bytes > _BAND_PAIR_BYTES_CAP:
+            raise PointBudgetError(
+                f"outer band of {len(band)} points needs {pair_bytes} bytes "
+                f"of pairwise distances, over the cap of "
+                f"{_BAND_PAIR_BYTES_CAP}"
+            )
+        cage = cages.trivalence_threshold_search(band.coords)
     if cage is not None:
         entry["trivalent"] = True
         entry["edge_ratio"] = round(cage.edge_ratio, 9)

@@ -280,6 +280,19 @@ def test_budget_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis,length,depth", [
+    ("5", "3", "12"),  # the offsets pass the point cap at level 7 of 12
+    ("2", "1", "4"),   # 235,700-point outer band: 1.8 TB of pair distances
+])
+def test_oversized_requests_exit_4_without_traceback(capsys, axis, length,
+                                                     depth):
+    code = cli.run(["extend", "--config", "c60", "--axis", axis,
+                    "--length", length, "--depth", depth])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_depth_zero_is_usage_error(capsys):
     code = cli.run(["extend", "--config", "c60", "--axis", "5",
                     "--length", "3", "--depth", "0"])

@@ -2,19 +2,22 @@
 
 import math
 import random
+from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
+
+from icofold.cages import as_coords
 
 from icofold.configs import StartConfig, builtin
 from icofold.engine import (DEFAULT_BAND_GAP, DEFAULT_SCAN_SPEC,
                             PointBudgetError, ScanSpec, bands,
                             classify_length, classify_scan, generate_array,
                             generic_cardinality, is_nontrivial,
-                            make_translation, outer_cage, parse_scan_spec,
-                            shells)
+                            make_translation, outer_cage, parse_scan_spec)
 from icofold.geometry import Vec3E, mat_apply, norm2
 from icofold.golden import (ExtNumber, GoldenNumber, ONE, TAU,
-                            parse_field_expr)
+                            RadicandMismatchError, parse_field_expr)
 from icofold.groups import K_FIVEFOLD, K_THREEFOLD, K_TWOFOLD
 
 
@@ -163,6 +166,110 @@ def test_deterministic_ordering():
     assert radii == sorted(radii)
 
 
+# --- the integer kernel against a Vec3E reference ----------------------
+
+def vec3e_shells(start, translation, depth):
+    """Reference shells, (radius2, points) each, in exact Vec3E arithmetic.
+
+    Offsets are every multiset of at most `depth` translation vectors,
+    points are deduplicated by exact key, and shells are sorted by exact
+    squared radius, points by (float coordinates, exact key).
+    """
+    k = translation.radicand
+    zero = Vec3E.from_golden(0, 0, 0, ONE).rebase(k)
+    offsets = {zero.key(): zero}
+    for j in range(1, depth + 1):
+        for combo in combinations_with_replacement(translation.vectors, j):
+            total = combo[0]
+            for v in combo[1:]:
+                total = total + v
+            offsets.setdefault(total.key(), total)
+    base = [v.rebase(k) for v in start.vertices]
+    seen = {}
+    for offset in offsets.values():
+        for x in base:
+            p = x + offset
+            seen.setdefault(p.key(), p)
+    by_radius = {}
+    for p in seen.values():
+        by_radius.setdefault(norm2(p).key(), []).append(p)
+    out = []
+    for members in by_radius.values():
+        members.sort(key=lambda p: (p.as_floats(), p.key()))
+        out.append((norm2(members[0]), members))
+    return sorted(out, key=lambda shell: shell[0])
+
+
+def assert_same_shells(start, translation, depth):
+    array = generate_array(start, translation, depth)
+    want = vec3e_shells(start, translation, depth)
+    assert len(array.shells) == len(want)
+    for shell, (radius2, points) in zip(array.shells, want):
+        assert shell.radius2 == radius2
+        assert shell.radius2.key() == radius2.key()
+        assert [p.key() for p in shell.points] == [p.key() for p in points]
+        assert shell.coords.dtype == np.float64
+        assert shell.coords.tobytes() == as_coords(shell.points).tobytes()
+    return array
+
+
+@pytest.mark.parametrize("name", ["icosahedron", "dodecahedron",
+                                  "icosidodecahedron", "c60", "c80"])
+def test_kernel_matches_vec3e_path_on_catalog_lengths(name):
+    start = builtin(name)
+    for fold in (2, 3, 5):
+        for expr in ("3", "1", "tau^2", "(7+tau)/5"):
+            assert_same_shells(start, translation(start, fold, expr), 1)
+
+
+@pytest.mark.parametrize("name,fold,expr", [
+    ("dodecahedron", 5, "1"),
+    ("dodecahedron", 3, "tau^2"),
+    ("c80", 5, "2"),
+])
+def test_kernel_matches_vec3e_path_at_depth_2(name, fold, expr):
+    start = builtin(name)
+    assert_same_shells(start, translation(start, fold, expr), 2)
+
+
+def test_kernel_matches_vec3e_path_on_onion_working_config():
+    start = builtin("c60")
+    t = translation(start, 5, "3")
+    finding = outer_cage(generate_array(start, t, 1))
+    working = StartConfig("c60.onion1", finding.graph.points,
+                          start.symmetry, check_invariance=False)
+    assert working.vertices[0].radicand == K_FIVEFOLD
+    assert_same_shells(working, t, 1)
+
+
+def test_kernel_matches_vec3e_path_past_int64():
+    start = builtin("dodecahedron")
+    array = assert_same_shells(start, translation(start, 5, "tau^60"), 2)
+    assert max(abs(a) for shell in array.shells
+               for row in shell.rows for a in row) ** 2 > 2 ** 63
+
+
+def test_start_vertex_with_radical_part_is_rejected():
+    start = builtin("dodecahedron")
+    t = translation(start, 5, "1")
+    k = t.radicand
+    radical = Vec3E(ExtNumber(0, 1, k), ExtNumber(0, 0, k),
+                    ExtNumber(0, 0, k))
+    bad = StartConfig("radical", (radical,), start.symmetry,
+                      check_invariance=False)
+    with pytest.raises(RadicandMismatchError):
+        generate_array(bad, t, 1)
+
+
+def test_points_are_built_once():
+    start = builtin("dodecahedron")
+    array = generate_array(start, translation(start, 5, "1"), 1)
+    assert array.points is array.points
+    band = bands(array)[-1]
+    assert band.points is band.points
+    assert band.coords.tobytes() == as_coords(band.points).tobytes()
+
+
 # --- cardinality oracles ----------------------------------------------
 
 def test_generic_cardinality_counting_argument():
@@ -188,7 +295,7 @@ def test_shells_partition_exactly():
     t = translation(start, 5, "tau")
     array = generate_array(start, t, 1)
     total = 0
-    for shell in shells(array):
+    for shell in array.shells:
         total += len(shell.points)
         for p in shell.points:
             assert norm2(p) == shell.radius2
