@@ -1,8 +1,8 @@
 """Command-line interface for the exact icosahedral extension toolkit.
 
-Exit codes: 0 success; 1 usage error; 2 expression or file parse error;
-3 no trivalent cage found where one was requested; 4 resource cap
-exceeded.  Every run writes a machine-readable result to stdout unless
+Exit codes: 0 success; 1 usage error; 2 expression or file parse error,
+out-of-range literals included; 3 no trivalent cage found where one was
+requested; 4 resource cap exceeded.  Every run writes a machine-readable result to stdout unless
 --out redirects it to a file, and identical argument vectors produce
 byte-identical stdout.
 """
@@ -24,7 +24,7 @@ from .engine import (DEFAULT_BAND_GAP, DEFAULT_SCAN_SPEC, PointBudgetError,
 from .export import (ExportError, ExportOptions, canonical_json, export_csv,
                      export_off, export_xyz, provenance_comment)
 from .golden import (FieldParseError, GoldenNumber, RadicandMismatchError,
-                     format_ext, format_golden, parse_field_expr)
+                     format_golden, parse_field_expr, within_magnitude)
 from .groups import ClosureBoundError, full_group, rotation_group
 from .onion import build_onion
 from .pentagon import pentagon_array
@@ -122,8 +122,6 @@ def _build_parser() -> _Parser:
                         "b in -6..6, c in 1..5, max = 2x start radius)")
     p.add_argument("--band-gap", type=float, default=DEFAULT_BAND_GAP,
                    metavar="G", help="relative radial band gap")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="worker threads; any N produces identical output")
     _out_flag(p)
 
     p = add("onion", "iterate one translation into a family of nested "
@@ -207,6 +205,9 @@ def _parse_length(text: str) -> GoldenNumber:
     length = parse_field_expr(text)
     if length.sign() <= 0:
         raise UsageError(f"translation length must be positive, got {text}")
+    if not within_magnitude(length):
+        raise ParseFailure(
+            f"translation length {text} is outside 2^-32 <= |x| <= 2^32")
     return length
 
 
@@ -246,7 +247,8 @@ def _config_summary(config: StartConfig) -> dict:
     return {
         "name": config.name,
         "vertices": len(config.vertices),
-        "radius2_spectrum": [format_ext(r) for r in config.radius2_spectrum],
+        "radius2_spectrum": [format_golden(r)
+                             for r in config.radius2_spectrum],
         "radius_outer": round(math.sqrt(float(config.radius2)), 9),
         "trivalent": graph is not None,
     }
@@ -333,11 +335,8 @@ def _cmd_classify(args) -> int:
             raise ParseFailure(str(exc)) from exc
     else:
         spec = DEFAULT_SCAN_SPEC
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
     folds = (args.axis,) if args.axis else (2, 3, 5)
-    rows = classify_scan(start, folds, spec, args.band_gap,
-                         threads=args.threads)
+    rows = classify_scan(start, folds, spec, args.band_gap)
     payload = {
         "start": start.name,
         "rows": rows,

@@ -1,8 +1,7 @@
 """Start configurations: exact seed polyhedra for affine extension.
 
-Every configuration is a full-group-invariant vertex set with exact
-Q(tau) coordinates, stored in the radical-free workspace (radicand 1);
-exact array points are built in an axis workspace when asked for.
+Every configuration is a full-group-invariant vertex set of golden
+vectors: exact Q(tau) coordinates, with squared radii in Q(tau) too.
 Builtins cover the classical icosahedral solids plus the C60 and C80
 cages; custom sets load from a simple text format, optionally closing a
 few seed points into full orbits.
@@ -15,12 +14,11 @@ from fractions import Fraction
 
 from .geometry import Vec3E, mat_apply, norm2
 from .golden import (
-    ExtNumber,
     FieldParseError,
     GoldenNumber,
-    K_TWOFOLD,
     TAU,
     parse_field_expr,
+    within_magnitude,
 )
 from .groups import PointGroup, full_group
 
@@ -53,11 +51,12 @@ class StartConfig:
         self.symmetry = symmetry
         if check_invariance:
             self._check_invariance()
-        spectrum: dict[tuple, ExtNumber] = {}
+        spectrum: dict[tuple, GoldenNumber] = {}
         for v in self.vertices:
             r2 = norm2(v)
             spectrum.setdefault(r2.key(), r2)
-        self.radius2_spectrum: tuple[ExtNumber, ...] = tuple(sorted(spectrum.values()))
+        self.radius2_spectrum: tuple[GoldenNumber, ...] = tuple(
+            sorted(spectrum.values()))
 
     def _check_invariance(self) -> None:
         keys = {v.key() for v in self.vertices}
@@ -73,7 +72,7 @@ class StartConfig:
         return len(self.vertices)
 
     @property
-    def radius2(self) -> ExtNumber:
+    def radius2(self) -> GoldenNumber:
         """Largest exact squared radius in the set."""
         return self.radius2_spectrum[-1]
 
@@ -81,12 +80,8 @@ class StartConfig:
         return f"StartConfig({self.name!r}, {len(self.vertices)} vertices)"
 
 
-def _vec(x, y, z) -> Vec3E:
-    return Vec3E.from_golden(x, y, z, K_TWOFOLD)
-
-
 def _cyclic(x, y, z) -> list[Vec3E]:
-    return [_vec(x, y, z), _vec(z, x, y), _vec(y, z, x)]
+    return [Vec3E(x, y, z), Vec3E(z, x, y), Vec3E(y, z, x)]
 
 
 def _signed_cyclic(x, y, z) -> list[Vec3E]:
@@ -108,7 +103,7 @@ def _dodecahedron_vertices() -> list[Vec3E]:
     # chirality fixed by the group generators
     one = GoldenNumber(1, 0)
     cube = [
-        _vec(sx, sy, sz)
+        Vec3E(sx, sy, sz)
         for sx in (one, -one)
         for sy in (one, -one)
         for sz in (one, -one)
@@ -147,8 +142,8 @@ def _c80_vertices(group: PointGroup) -> list[Vec3E]:
     # C80_EQUAL_RADIUS_SEED for the single-sphere parametrisation this
     # replaces, and the catalog notes in the README).
     two_tau = GoldenNumber(0, 2)
-    corner = _vec(two_tau, two_tau, two_tau)
-    seed = _vec(GoldenNumber(2, 0), GoldenNumber(4, 0), GoldenNumber(2, 2))
+    corner = Vec3E(two_tau, two_tau, two_tau)
+    seed = Vec3E(GoldenNumber(2, 0), GoldenNumber(4, 0), GoldenNumber(2, 2))
     return list(group.orbit(corner)) + list(group.orbit(seed))
 
 
@@ -157,7 +152,7 @@ def _c80_vertices(group: PointGroup) -> list[Vec3E]:
 # the 20 corners.  Its orbit passes the orbit-size and radius checks but
 # the 80 points admit no trivalent cutoff, so the catalog uses the
 # two-radius vertices above; kept for the verification report.
-C80_EQUAL_RADIUS_SEED = _vec(
+C80_EQUAL_RADIUS_SEED = Vec3E(
     GoldenNumber(Fraction(4, 5), Fraction(2, 5)),
     GoldenNumber(Fraction(12, 5), Fraction(6, 5)),
     GoldenNumber(0, 2),
@@ -188,9 +183,10 @@ def builtin(name: str) -> StartConfig:
 def load_custom(path: str) -> StartConfig:
     """Load a configuration from a seed file.
 
-    Format: one point per line as "x,y,z" with field-literal components;
-    '#' starts a comment; a "@closure on|off" line (default off) selects
-    whether the points are seeds to orbit or already a complete set.
+    Format: one point per line as "x,y,z" with field-literal components,
+    each zero or within 2^-32 <= |x| <= 2^32; '#' starts a comment; a
+    "@closure on|off" line (default off) selects whether the points are
+    seeds to orbit or already a complete set.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -217,7 +213,13 @@ def load_custom(path: str) -> StartConfig:
             x, y, z = (parse_field_expr(part) for part in parts)
         except FieldParseError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        points.append(_vec(x, y, z))
+        for part, c in zip(parts, (x, y, z)):
+            if c and not within_magnitude(c):
+                raise ConfigError(
+                    f"{path}:{lineno}: coordinate '{part.strip()}' is "
+                    f"outside 2^-32 <= |x| <= 2^32"
+                )
+        points.append(Vec3E(x, y, z))
     if not points:
         raise ConfigError(f"{path}: no points found")
     group = full_group()

@@ -17,7 +17,8 @@ generated on an integer point kernel: each point is six Python ints
 (a, b per coordinate, value (a + b*tau)/den) over one shared denominator.
 Translation is integer addition, dedup is a set of integer rows, and the
 exact squared radius is an integer pair.  Shells carry float coordinates
-for the cage searches and build exact Vec3E points only when asked.
+for the cage searches and build exact Vec3E points, golden vectors like
+every other 3D point, only when asked.
 
 Shells partition an array by exact squared radius; bands cluster shells
 whose float radii sit within a relative gap.  The cage surfaces the bands
@@ -36,9 +37,8 @@ import numpy as np
 from . import cages
 from .configs import StartConfig
 from .geometry import Vec3E
-from .golden import (_TAU_FLOAT, ExtNumber, GoldenNumber,
-                     RadicandMismatchError, format_golden)
-from .groups import FOLD_RADICANDS, PointGroup
+from .golden import _TAU_FLOAT, GoldenNumber, format_golden
+from .groups import PointGroup
 
 __all__ = [
     "PointBudgetError",
@@ -91,10 +91,6 @@ class AffineTranslation:
             d.scale(length) for d in directions
         )
 
-    @property
-    def radicand(self) -> GoldenNumber:
-        return self.directions[0].radicand
-
     def __repr__(self) -> str:
         return (f"AffineTranslation(fold={self.fold}, "
                 f"length={format_golden(self.length)}, "
@@ -104,7 +100,7 @@ class AffineTranslation:
 def make_translation(group: PointGroup, fold: int,
                      length: GoldenNumber) -> AffineTranslation:
     """Attach a positive exact length to the base-vector orbit of a fold."""
-    if fold not in FOLD_RADICANDS:
+    if fold not in (2, 3, 5):
         raise ValueError(f"unsupported fold {fold}; expected 2, 3, or 5")
     if length.sign() <= 0:
         raise ValueError("translation length must be positive")
@@ -117,11 +113,12 @@ class Shell:
     Points are integer rows (a_x, b_x, a_y, b_y, a_z, b_z) over the shared
     denominator `den`, coordinate c being (a_c + b_c*tau)/den.  `coords`
     holds their floats, bit-identical to `as_coords(points)`; the exact
-    `points` are built in the radius' workspace on first access.
+    `points` are built on first access.
     """
 
-    def __init__(self, radius2: ExtNumber, rows: tuple[tuple[int, ...], ...],
-                 den: int, coords: np.ndarray) -> None:
+    def __init__(self, radius2: GoldenNumber,
+                 rows: tuple[tuple[int, ...], ...], den: int,
+                 coords: np.ndarray) -> None:
         self.radius2 = radius2
         self.rows = rows
         self.den = den
@@ -129,11 +126,11 @@ class Shell:
 
     @cached_property
     def points(self) -> tuple[Vec3E, ...]:
-        k, den = self.radius2.k, self.den
+        den = self.den
         return tuple(
-            Vec3E(ExtNumber._make(ax, bx, 0, 0, den, k),
-                  ExtNumber._make(ay, by, 0, 0, den, k),
-                  ExtNumber._make(az, bz, 0, 0, den, k))
+            Vec3E(GoldenNumber._make(ax, bx, den),
+                  GoldenNumber._make(ay, by, den),
+                  GoldenNumber._make(az, bz, den))
             for ax, bx, ay, by, az, bz in self.rows
         )
 
@@ -201,20 +198,11 @@ class PointArray:
 
 
 def _integer_rows(*vector_sets) -> tuple[int, list[list[tuple[int, ...]]]]:
-    """One shared denominator and each vector's six numerators over it.
-
-    A coordinate with a radical part raises RadicandMismatchError, as
-    moving it into another workspace would.
-    """
+    """One shared denominator and each vector's six numerators over it."""
     den = 1
     for vectors in vector_sets:
         for v in vectors:
             for c in v:
-                if not c.is_golden():
-                    raise RadicandMismatchError(
-                        "cannot change the radicand of a value with a "
-                        "radical part"
-                    )
                 den = lcm(den, c.den)
     out = []
     for vectors in vector_sets:
@@ -223,13 +211,13 @@ def _integer_rows(*vector_sets) -> tuple[int, list[list[tuple[int, ...]]]]:
             row: list[int] = []
             for c in v:
                 scale = den // c.den
-                row += (c.pa * scale, c.pb * scale)
+                row += (c.an * scale, c.bn * scale)
             rows.append(tuple(row))
         out.append(rows)
     return den, out
 
 
-def build_shells(rows, den: int, radicand: GoldenNumber) -> tuple[Shell, ...]:
+def build_shells(rows, den: int) -> tuple[Shell, ...]:
     """Group integer point rows over `den` by exact squared radius, ascending.
 
     The squared radius of (a + b*tau)/den per coordinate is
@@ -238,7 +226,7 @@ def build_shells(rows, den: int, radicand: GoldenNumber) -> tuple[Shell, ...]:
     order of (Vec3E.as_floats(), Vec3E.key()), so output is deterministic.
     """
     # (float, reduced (a, b, den) triple) per coordinate numerator pair,
-    # the float by ExtNumber.__float__'s own arithmetic on the triple
+    # the float by GoldenNumber.__float__'s own arithmetic on the triple
     values: dict[tuple[int, int], tuple[float, tuple[int, int, int]]] = {}
 
     def value(a: int, b: int) -> tuple[float, tuple[int, int, int]]:
@@ -258,7 +246,7 @@ def build_shells(rows, den: int, radicand: GoldenNumber) -> tuple[Shell, ...]:
         by_radius.setdefault(key, []).append(
             ((fx, fy, fz, tx, ty, tz), row))
     den2 = den * den
-    radii = {key: ExtNumber._make(key[0], key[1], 0, 0, den2, radicand)
+    radii = {key: GoldenNumber._make(key[0], key[1], den2)
              for key in by_radius}
     out = []
     for key in sorted(radii, key=radii.__getitem__):
@@ -317,8 +305,7 @@ def generate_array(start: StartConfig, translation: AffineTranslation,
         for s0, s1, s2, s3, s4, s5 in offsets
         for x0, x1, x2, x3, x4, x5 in base
     }
-    return PointArray(start, translation, depth,
-                      build_shells(rows, den, translation.radicand))
+    return PointArray(start, translation, depth, build_shells(rows, den))
 
 
 def bands(array_or_shells, gap: float = DEFAULT_BAND_GAP) -> tuple[Band, ...]:
@@ -555,12 +542,11 @@ def classify_length(start: StartConfig, translation: AffineTranslation,
 
 def classify_scan(start: StartConfig, folds, spec: ScanSpec,
                   band_gap: float = DEFAULT_BAND_GAP,
-                  cap: int = DEFAULT_POINT_CAP, threads: int = 1) -> list[dict]:
+                  cap: int = DEFAULT_POINT_CAP) -> list[dict]:
     """Classify every scan length along every requested fold.
 
-    Rows are ordered by (fold, float length, exact key): deterministic for
-    a fixed spec regardless of how the work is scheduled, so any worker
-    count produces identical output.
+    Rows are ordered by (fold, float length, exact key), so a fixed spec
+    always produces the same rows in the same order.
     """
     cutoff = spec.cutoff
     if cutoff is None:
@@ -568,16 +554,8 @@ def classify_scan(start: StartConfig, folds, spec: ScanSpec,
     lengths = spec.lengths(cutoff)
     if not lengths:
         raise ValueError("scan produced no candidate lengths")
-    tasks = [(fold, length) for fold in sorted(folds) for length in lengths]
-
-    def one_row(task) -> dict:
-        fold, length = task
-        translation = make_translation(start.symmetry, fold, length)
-        return classify_length(start, translation, 1, band_gap, cap,
-                               with_cage=False)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one_row, tasks))
-    return [one_row(task) for task in tasks]
+    return [
+        classify_length(start, make_translation(start.symmetry, fold, length),
+                        1, band_gap, cap, with_cage=False)
+        for fold in sorted(folds) for length in lengths
+    ]

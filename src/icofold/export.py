@@ -5,7 +5,9 @@ Two coordinate channels with different guarantees:
 * XYZ and OFF carry floats at fixed precision for chemistry/geometry
   viewers (lossy but portable).
 * CSV carries the exact field literals, so a written file parses back to
-  the identical point set (lossless round-trip).
+  the identical point set (lossless round-trip).  Its "# radicand:" header
+  is 1 for 3D points, which lie in Q(tau); plane points carry the
+  pentagon's sqrt(2+tau).
 
 All writers emit identical bytes for identical inputs and options:
 points are sorted into a canonical order, faces are canonicalized, and
@@ -19,7 +21,8 @@ import math
 
 from . import cages
 from .geometry import Vec3E
-from .golden import GoldenNumber, format_ext, format_golden, parse_ext_expr
+from .golden import (GoldenNumber, format_ext, format_golden, parse_ext_expr,
+                     parse_field_expr)
 from .pentagon import Vec2E
 
 __all__ = [
@@ -192,21 +195,24 @@ def export_csv(points) -> str:
     pts = list(points)
     if not pts:
         raise ExportError("nothing to export")
-    three_d = hasattr(pts[0], "z")
-    radicand = pts[0].radicand if three_d else pts[0].x.k
-    lines = [f"# radicand: {format_golden(radicand)}",
-             "x,y,z" if three_d else "x,y"]
-    for i in _canonical_indices(pts):
-        p = pts[i]
-        cells = [format_ext(p.x), format_ext(p.y)]
-        if three_d:
-            cells.append(format_ext(p.z))
-        lines.append(",".join(cells))
+    if isinstance(pts[0], Vec3E):
+        lines = ["# radicand: 1", "x,y,z"]
+        for i in _canonical_indices(pts):
+            lines.append(",".join(format_golden(c) for c in pts[i]))
+    else:
+        lines = [f"# radicand: {format_golden(pts[0].x.k)}", "x,y"]
+        for i in _canonical_indices(pts):
+            lines.append(f"{format_ext(pts[i].x)},{format_ext(pts[i].y)}")
     return "\n".join(lines) + "\n"
 
 
 def read_csv(text: str) -> list:
-    """Parse an exact-literal CSV back into vectors."""
+    """Parse an exact-literal CSV back into vectors.
+
+    3D cells are Q(tau) literals; a cell with a nonzero radical part
+    raises ExportError.  Files that name another radicand in their header
+    still read, as long as their 3D cells are radical-free.
+    """
     radicand: GoldenNumber | None = None
     points: list = []
     expected: int | None = None
@@ -217,7 +223,6 @@ def read_csv(text: str) -> list:
         if line.startswith("#"):
             tag, _, value = line[1:].partition(":")
             if tag.strip() == "radicand":
-                from .golden import parse_field_expr
                 radicand = parse_field_expr(value.strip())
             continue
         cells = [c.strip() for c in line.split(",")]
@@ -230,7 +235,12 @@ def read_csv(text: str) -> list:
             raise ExportError(f"expected {expected} columns, got {len(cells)}")
         parts = [parse_ext_expr(cell, radicand) for cell in cells]
         if len(parts) == 3:
-            points.append(Vec3E(*parts))
+            if not all(part.is_golden() for part in parts):
+                raise ExportError(
+                    f"3D coordinates lie in Q(tau); '{line}' has a radical "
+                    f"part"
+                )
+            points.append(Vec3E(*(part.p for part in parts)))
         elif len(parts) == 2:
             points.append(Vec2E(*parts))
         else:

@@ -1,16 +1,16 @@
 """Exact 3-vectors and 3x3 matrices for symmetry-group point geometry.
 
-Vectors carry ExtNumber components sharing one workspace radicand, so
-squared norms and distances are exact field elements.  Matrices carry
-GoldenNumber entries only: every icosahedral rotation has entries in
-(1/2)Q(tau), so group closure never leaves the golden field.  Applying a
-matrix to a vector mixes the two via scalar multiplication, which keeps
-the vector's radicand.
+Vectors and matrices both carry GoldenNumber entries.  Every icosahedral
+rotation has entries in (1/2)Q(tau), and every start vertex and
+translation step ((0,1,tau), (1,1,1), (tau,0,0) times a Q(tau) length)
+lies in Q(tau)^3, so points, squared norms and distances never leave the
+golden field.  The radicals sqrt(3) and sqrt(2+tau) that unit axis
+vectors would need never appear in a coordinate.
 """
 
 from __future__ import annotations
 
-from .golden import ExtNumber, GoldenNumber
+from .golden import ONE, GoldenNumber, RadicandMismatchError
 
 __all__ = [
     "Vec3E",
@@ -25,38 +25,42 @@ __all__ = [
 
 
 class Vec3E:
-    """An exact point or direction (x, y, z) with a shared radicand."""
+    """An exact point or direction (x, y, z) in Q(tau)^3."""
 
     __slots__ = ("x", "y", "z", "_hash")
 
-    def __init__(self, x: ExtNumber, y: ExtNumber, z: ExtNumber) -> None:
-        x._same_k(y)
-        x._same_k(z)
+    def __init__(self, x: GoldenNumber, y: GoldenNumber,
+                 z: GoldenNumber) -> None:
+        if not (isinstance(x, GoldenNumber) and isinstance(y, GoldenNumber)
+                and isinstance(z, GoldenNumber)):
+            raise TypeError("Vec3E coordinates must be GoldenNumbers")
         self.x = x
         self.y = y
         self.z = z
         self._hash = -1
 
     @classmethod
-    def from_golden(cls, x, y, z, k: GoldenNumber) -> "Vec3E":
-        """Build from radical-free coordinates in the workspace of k."""
+    def from_golden(cls, x, y, z, k: GoldenNumber = ONE) -> "Vec3E":
+        """Build from GoldenNumber, int, or Fraction coordinates.
+
+        `k` names the radicand of the coordinates' field; only 1, Q(tau)
+        itself, is accepted.
+        """
+        if k != ONE:
+            raise RadicandMismatchError(
+                f"3D coordinates lie in Q(tau); radicand {k} is not 1"
+            )
         gx = GoldenNumber._lift(x)
         gy = GoldenNumber._lift(y)
         gz = GoldenNumber._lift(z)
         if gx is None or gy is None or gz is None:
             raise TypeError("coordinates must be GoldenNumber, int, or Fraction")
-        return cls(
-            ExtNumber.from_golden(gx, k),
-            ExtNumber.from_golden(gy, k),
-            ExtNumber.from_golden(gz, k),
-        )
+        return cls(gx, gy, gz)
 
-    @property
-    def radicand(self) -> GoldenNumber:
-        return self.x.k
-
-    def key(self) -> tuple:
-        return (self.x.key(), self.y.key(), self.z.key())
+    def key(self) -> tuple[int, ...]:
+        """The coordinates' canonical triples, flattened."""
+        x, y, z = self.x, self.y, self.z
+        return (x.an, x.bn, x.den, y.an, y.bn, y.den, z.an, z.bn, z.den)
 
     def __add__(self, other: "Vec3E") -> "Vec3E":
         return Vec3E(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -68,19 +72,11 @@ class Vec3E:
         return Vec3E(-self.x, -self.y, -self.z)
 
     def scale(self, s) -> "Vec3E":
-        """Multiply by an ExtNumber or Q(tau) scalar."""
-        if isinstance(s, GoldenNumber):
-            return Vec3E(
-                self.x.mul_golden(s), self.y.mul_golden(s), self.z.mul_golden(s)
-            )
+        """Multiply by a Q(tau) scalar (GoldenNumber, int, or Fraction)."""
         return Vec3E(self.x * s, self.y * s, self.z * s)
 
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero() and self.z.is_zero()
-
-    def rebase(self, k: GoldenNumber) -> "Vec3E":
-        """Re-embed radical-free coordinates into another workspace."""
-        return Vec3E(self.x.rebase(k), self.y.rebase(k), self.z.rebase(k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vec3E):
@@ -164,15 +160,15 @@ class Mat3G:
         return f"Mat3G([{body}])"
 
 
-def dot(u: Vec3E, v: Vec3E) -> ExtNumber:
+def dot(u: Vec3E, v: Vec3E) -> GoldenNumber:
     return u.x * v.x + u.y * v.y + u.z * v.z
 
 
-def norm2(v: Vec3E) -> ExtNumber:
+def norm2(v: Vec3E) -> GoldenNumber:
     return dot(v, v)
 
 
-def dist2(u: Vec3E, v: Vec3E) -> ExtNumber:
+def dist2(u: Vec3E, v: Vec3E) -> GoldenNumber:
     return norm2(u - v)
 
 
@@ -180,9 +176,9 @@ def mat_apply(m: Mat3G, v: Vec3E) -> Vec3E:
     r = m.rows
     x, y, z = v.x, v.y, v.z
     return Vec3E(
-        x.mul_golden(r[0][0]) + y.mul_golden(r[0][1]) + z.mul_golden(r[0][2]),
-        x.mul_golden(r[1][0]) + y.mul_golden(r[1][1]) + z.mul_golden(r[1][2]),
-        x.mul_golden(r[2][0]) + y.mul_golden(r[2][1]) + z.mul_golden(r[2][2]),
+        x * r[0][0] + y * r[0][1] + z * r[0][2],
+        x * r[1][0] + y * r[1][1] + z * r[1][2],
+        x * r[2][0] + y * r[2][1] + z * r[2][2],
     )
 
 

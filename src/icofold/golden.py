@@ -1,11 +1,12 @@
 """Exact arithmetic in the golden field Q(tau) and its quadratic extensions.
 
 tau = (1 + sqrt 5)/2 satisfies tau^2 = tau + 1, so the numbers a + b*tau
-with rational a, b form a field, closed under all four operations.  Point
-coordinates additionally need one square root: sqrt 3 for directions along
-3-fold axes and sqrt(2+tau) along 5-fold axes (2-fold directions stay in
-Q(tau) itself).  ExtNumber represents p + q*sqrt(k) for one fixed radicand
-k per workspace; combining values with different radicands is an error
+with rational a, b form a field, closed under all four operations.  Every
+3D point, squared radius and group-matrix entry lies in Q(tau) itself and
+is a GoldenNumber.  ExtNumber represents p + q*sqrt(k) for one fixed
+radicand k; it is needed only where a square root is real: the planar
+pentagon, whose sin 72 is sqrt(2+tau)/2, and extension literals such as
+2D CSV cells.  Combining values with different radicands is an error
 rather than a tower extension.
 
 Everything is stored as arbitrary-precision integer numerators over a
@@ -29,11 +30,10 @@ __all__ = [
     "ZERO",
     "ONE",
     "TAU",
-    "K_TWOFOLD",
-    "K_THREEFOLD",
     "K_FIVEFOLD",
     "parse_field_expr",
     "parse_ext_expr",
+    "within_magnitude",
 ]
 
 _TAU_FLOAT = (1.0 + math.sqrt(5.0)) / 2.0
@@ -293,9 +293,7 @@ ZERO = GoldenNumber(0, 0)
 ONE = GoldenNumber(1, 0)
 TAU = GoldenNumber(0, 1)
 
-# Workspace radicands, one per symmetry-axis family.
-K_TWOFOLD = ONE
-K_THREEFOLD = GoldenNumber(3, 0)
+# The radicand of the planar pentagon: sin 72 = sqrt(2+tau)/2.
 K_FIVEFOLD = GoldenNumber(2, 1)
 
 
@@ -371,10 +369,6 @@ class ExtNumber:
     @property
     def q(self) -> GoldenNumber:
         return GoldenNumber._make(self.qa, self.qb, self.den)
-
-    @property
-    def radicand(self) -> GoldenNumber:
-        return self.k
 
     def key(self) -> tuple:
         """Canonical integer tuple (includes the radicand's triple)."""
@@ -536,14 +530,6 @@ class ExtNumber:
         """True when the radical part vanishes (value lies in Q(tau))."""
         return self.qa == 0 and self.qb == 0
 
-    def rebase(self, k: GoldenNumber) -> "ExtNumber":
-        """Re-embed a radical-free value into another workspace."""
-        if not self.is_golden():
-            raise RadicandMismatchError(
-                "cannot change the radicand of a value with a radical part"
-            )
-        return ExtNumber._make(self.pa, self.pb, 0, 0, self.den, k)
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -612,9 +598,27 @@ class ExtNumber:
 #   atom   := INT | 'tau' | '(' expr ')' | 'sqrt' '(' expr ')'
 #
 # 'sqrt' is accepted only when parsing extension literals, and its argument
-# must equal the workspace radicand.  Formatting emits the same grammar,
-# normalized, e.g. "(7+1*tau)/5" prints back as "7/5+1/5*tau".
+# must equal the literal's radicand.  A power x^n is refused when |n| times
+# the bit length of x's largest numerator or denominator passes
+# _MAX_POWER_BITS, so no power builds a number much longer than that
+# (tau^60 counts 60 bits and passes; tau^1000000 would take seconds).
+# Formatting emits the same grammar, normalized, e.g. "(7+1*tau)/5" prints
+# back as "7/5+1/5*tau".
 # ---------------------------------------------------------------------------
+
+_MAX_POWER_BITS = 4096
+
+# Translation lengths and nonzero seed coordinates must lie within
+# 2^-32 <= |x| <= 2^32, far past every catalogued value.  The power bound
+# alone admits values such as tau^1400, whose floats overflow.
+_MAGNITUDE_MAX = GoldenNumber(2 ** 32)
+_MAGNITUDE_MIN = GoldenNumber(Fraction(1, 2 ** 32))
+
+
+def within_magnitude(x: GoldenNumber) -> bool:
+    """True when 2^-32 <= |x| <= 2^32, decided exactly."""
+    size = x if x.sign() >= 0 else -x
+    return _MAGNITUDE_MIN <= size <= _MAGNITUDE_MAX
 
 
 def _fmt_fraction(n: int, d: int) -> str:
@@ -713,6 +717,12 @@ class _Parser:
             exponent = self.signed_int()
             if exponent < 0 and value.is_zero():
                 raise self.error("division by zero")
+            bits = max(abs(n).bit_length() for n in (
+                value.pa, value.pb, value.qa, value.qb, value.den))
+            if abs(exponent) * bits > _MAX_POWER_BITS:
+                raise self.error(
+                    f"power too large: exponent {exponent} on a "
+                    f"{bits}-bit value passes {_MAX_POWER_BITS} bits")
             value = value ** exponent
         return value
 

@@ -6,9 +6,10 @@ adjoining -identity gives the full group I_h (order 120).  Closure is a
 breadth-first product walk with exact dedup, so group order, axis counts,
 orbits, and stabilizers are all certified in integer arithmetic.
 
-Axes are found by orbiting one canonical representative per fold (a
-5-fold axis through an icosahedron vertex, a 3-fold axis through (1,1,1),
-a 2-fold axis through (1,0,0)) rather than by eigendecomposition.
+Axes are found by orbiting one golden base vector per fold (an
+icosahedron vertex (0,1,tau) for fold 5, a dodecahedron vertex (1,1,1)
+for fold 3, an icosidodecahedron vertex (tau,0,0) for fold 2) rather than
+by eigendecomposition; the same orbits are the translation steps.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .geometry import Mat3G, Vec3E, mat_apply, mat_det, mat_mul
-from .golden import (
-    K_FIVEFOLD,
-    K_THREEFOLD,
-    K_TWOFOLD,
-    ExtNumber,
-    GoldenNumber,
-    ONE,
-    TAU,
-    ZERO,
-)
+from .golden import GoldenNumber, ONE, TAU
 
 __all__ = [
     "ClosureBoundError",
@@ -36,7 +28,6 @@ __all__ = [
     "full_group",
     "GEN_R3",
     "GEN_B5",
-    "FOLD_RADICANDS",
 ]
 
 HALF = Fraction(1, 2)
@@ -51,12 +42,6 @@ GEN_B5 = Mat3G([
     [GoldenNumber(-HALF, 0), GoldenNumber(-HALF, HALF), GoldenNumber(0, HALF)],
 ])
 
-FOLD_RADICANDS: dict[int, GoldenNumber] = {
-    2: K_TWOFOLD,
-    3: K_THREEFOLD,
-    5: K_FIVEFOLD,
-}
-
 
 class ClosureBoundError(ValueError):
     """Closure exceeded its element bound (wrong generators, most likely)."""
@@ -64,27 +49,6 @@ class ClosureBoundError(ValueError):
 
 class NonOrthogonalGeneratorError(ValueError):
     """A generator fails the exact orthogonality check."""
-
-
-def _unit_axis_seed(fold: int) -> Vec3E:
-    # Canonical unit vector along one axis of the given fold, expressed in
-    # that fold's workspace radicand so translated points stay exact.
-    if fold == 5:
-        k = K_FIVEFOLD
-        inv = k.inverse()  # 1/sqrt(k) = (1/k)*sqrt(k)
-        return Vec3E(
-            ExtNumber(ZERO, ZERO, k),
-            ExtNumber(ZERO, inv, k),
-            ExtNumber(ZERO, TAU * inv, k),
-        )
-    if fold == 3:
-        k = K_THREEFOLD
-        third = GoldenNumber(Fraction(1, 3), 0)
-        c = ExtNumber(ZERO, third, k)
-        return Vec3E(c, c, c)
-    if fold == 2:
-        return Vec3E.from_golden(1, 0, 0, K_TWOFOLD)
-    raise ValueError(f"unsupported fold {fold}; expected 2, 3, or 5")
 
 
 def _base_axis_seed(fold: int) -> Vec3E:
@@ -96,11 +60,11 @@ def _base_axis_seed(fold: int) -> Vec3E:
     # a unit-length step would add pure-radical coordinates that no golden
     # start point can ever cancel.
     if fold == 5:
-        return Vec3E.from_golden(0, 1, TAU, K_FIVEFOLD)
+        return Vec3E.from_golden(0, 1, TAU)
     if fold == 3:
-        return Vec3E.from_golden(1, 1, 1, K_THREEFOLD)
+        return Vec3E.from_golden(1, 1, 1)
     if fold == 2:
-        return Vec3E.from_golden(TAU, 0, 0, K_TWOFOLD)
+        return Vec3E.from_golden(TAU, 0, 0)
     raise ValueError(f"unsupported fold {fold}; expected 2, 3, or 5")
 
 
@@ -120,7 +84,6 @@ class PointGroup:
     def __init__(self, name: str, elements: tuple[Mat3G, ...]) -> None:
         self.name = name
         self.elements = elements
-        self._direction_cache: dict[int, tuple[Vec3E, ...]] = {}
         self._translation_cache: dict[int, tuple[Vec3E, ...]] = {}
         self._axes_cache: dict[int, tuple[Vec3E, ...]] = {}
 
@@ -137,17 +100,6 @@ class PointGroup:
     def __contains__(self, m: Mat3G) -> bool:
         return any(m == e for e in self.elements)
 
-    def direction_orbit(self, fold: int) -> tuple[Vec3E, ...]:
-        """All unit vectors along axes of this fold (antipodes distinct).
-
-        12 directions for fold 5, 20 for fold 3, 30 for fold 2.
-        """
-        cached = self._direction_cache.get(fold)
-        if cached is None:
-            cached = self.orbit(_unit_axis_seed(fold))
-            self._direction_cache[fold] = cached
-        return cached
-
     def translation_orbit(self, fold: int) -> tuple[Vec3E, ...]:
         """Golden base vectors along every axis of this fold.
 
@@ -162,11 +114,15 @@ class PointGroup:
         return cached
 
     def axes(self, fold: int) -> tuple[Vec3E, ...]:
-        """One unit representative per axis, antipodal pairs merged."""
+        """One base vector per axis, antipodal pairs merged.
+
+        The positive representatives of translation_orbit(fold): 6, 10,
+        or 15 axes for fold 5, 3, or 2.
+        """
         cached = self._axes_cache.get(fold)
         if cached is None:
             seen: dict[tuple, Vec3E] = {}
-            for v in self.direction_orbit(fold):
+            for v in self.translation_orbit(fold):
                 rep = _positive_representative(v)
                 seen.setdefault(rep.key(), rep)
             cached = tuple(sorted(seen.values(), key=Vec3E.key))

@@ -27,7 +27,7 @@ __all__ = [
     "pentagon_array",
 ]
 
-# sin 72 lives in sqrt(2+tau), the fold-5 workspace radicand
+# sin 72 = sqrt(2+tau)/2, so the plane lives in Q(tau)(sqrt(2+tau))
 PENTAGON_RADICAND = K_FIVEFOLD
 
 _HALF = Fraction(1, 2)

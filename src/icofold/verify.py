@@ -18,8 +18,7 @@ from fractions import Fraction
 from . import cages
 from .configs import C80_EQUAL_RADIUS_SEED, StartConfig, builtin
 from .engine import (DEFAULT_SCAN_SPEC, classify_length, classify_scan,
-                     generate_array, make_translation, outer_cage,
-                     parse_scan_spec)
+                     generate_array, make_translation, outer_cage)
 from .geometry import Vec3E, mat_apply, norm2
 from .golden import ExtNumber, GoldenNumber, ONE, TAU, parse_field_expr
 from .groups import full_group, rotation_group
@@ -219,12 +218,11 @@ def _check_onion_c80(rec: _Recorder) -> None:
     seed_orbit = group.orbit(C80_EQUAL_RADIUS_SEED)
     rec.expect_eq(len(seed_orbit), 60, "single-sphere seed orbit size")
     rec.expect(
-        norm2(C80_EQUAL_RADIUS_SEED)
-        == ExtNumber.from_golden(GoldenNumber(12, 12), ONE),
+        norm2(C80_EQUAL_RADIUS_SEED) == GoldenNumber(12, 12),
         "single-sphere seed radius^2 = 12+12*tau",
     )
-    corners = group.orbit(Vec3E.from_golden(
-        GoldenNumber(0, 2), GoldenNumber(0, 2), GoldenNumber(0, 2), ONE))
+    corners = group.orbit(Vec3E(
+        GoldenNumber(0, 2), GoldenNumber(0, 2), GoldenNumber(0, 2)))
     rec.expect_eq(len(corners), 20, "corner orbit size")
     single_sphere = corners + seed_orbit
     rec.expect(
@@ -352,11 +350,10 @@ def _suite_orbit_stabilizer(rng: random.Random, cases: int) -> int:
             scale = GoldenNumber(rng.randint(1, 3), rng.randint(0, 2))
             seed = seed.scale(scale)
         else:
-            seed = Vec3E.from_golden(
+            seed = Vec3E(
                 GoldenNumber(rng.randint(-2, 2), rng.randint(-2, 2)),
                 GoldenNumber(rng.randint(-2, 2), rng.randint(-2, 2)),
                 GoldenNumber(rng.randint(-2, 2), rng.randint(-2, 2)),
-                ONE,
             )
             if seed.is_zero():
                 continue
@@ -413,11 +410,10 @@ def _suite_dedup(rng: random.Random, cases: int) -> int:
     failures = 0
     for _ in range(cases):
         pool = [
-            Vec3E.from_golden(
+            Vec3E(
                 GoldenNumber(rng.randint(-2, 2), rng.randint(-2, 2)),
                 GoldenNumber(rng.randint(-2, 2), rng.randint(-2, 2)),
                 GoldenNumber(rng.randint(-2, 2), rng.randint(-2, 2)),
-                ONE,
             )
             for _ in range(rng.randint(1, 8))
         ]

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: payloads, files, and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -124,13 +125,21 @@ def test_classify_small_scan(capsys):
 
 
 def test_classify_is_deterministic_across_threads(capsys):
+    # the scan runs on one thread; repeated runs give identical bytes
     argv = ["classify", "--config", "dodecahedron", "--axis", "5",
             "--scan", "a=1..2,b=0..1,c=1..1,max=30"]
     outputs = []
-    for extra in ([], [], ["--threads", "3"]):
-        assert cli.run(argv + extra) == 0
+    for _ in range(2):
+        assert cli.run(argv) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
+
+
+def test_threads_flag_is_unknown(capsys):
+    code = cli.run(["classify", "--config", "c60", "--threads", "2",
+                    "--scan", "a=1..1,b=0..0,c=1..1,max=20"])
+    assert code == 1
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_classify_bad_scan_spec(capsys):
@@ -300,11 +309,33 @@ def test_depth_zero_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_threads_zero_is_usage_error(capsys):
-    code = cli.run(["classify", "--config", "c60", "--threads", "0",
-                    "--scan", "a=1..1,b=0..0,c=1..1,max=20"])
-    assert code == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("length", [
+    "tau^20000",   # refused by the grammar's power bound
+    "tau^-20000",
+    "tau^1400",    # parses, but lies outside 2^-32 <= |x| <= 2^32
+    "10^400",
+    "tau^-60",
+])
+def test_out_of_range_length_exits_2_without_traceback(capsys, length):
+    code = cli.run(["extend", "--config", "dodecahedron", "--axis", "5",
+                    "--length", length])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["configs"],
+    ["extend", "--axis", "5", "--length", "1"],
+])
+def test_out_of_range_seed_coordinate_exits_2_without_traceback(
+        tmp_path, capsys, command):
+    seed = tmp_path / "huge.txt"
+    seed.write_text("@closure on\n0,1,tau^1400\n", encoding="utf-8")
+    code = cli.run([command[0], "--config", str(seed), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "huge.txt:2" in err and "Traceback" not in err
 
 
 def test_help_exits_zero():
@@ -328,3 +359,56 @@ def test_identical_invocations_are_byte_identical(capsys):
     first = capsys.readouterr().out
     assert cli.run(argv) == 0
     assert capsys.readouterr().out == first
+
+
+# --- stdout bytes -------------------------------------------------------------------
+
+# sha256 of stdout.  The json/xyz/off, group-info, configs, classify and
+# onion digests were recorded before 3D points became golden vectors and
+# are unchanged by it.  The csv digests were recorded after: since then a
+# 3D CSV header always reads "# radicand: 1" (before, fold-3 and fold-5
+# extensions said "3" and "2+tau"; every cell was already radical-free).
+PINNED_STDOUT = [
+    (["group-info"],
+     "2a4974a70c8f4e51ff58b358edfb6d29412eb2b9cfe659b9382685f7788c46dc"),
+    (["configs"],
+     "8b29444ea9761c5edbc6f4f590d3e5bd8f8c8a33e499629da22d7b6ba48cebe1"),
+    (["extend", "--config", "c60", "--axis", "5", "--length", "3",
+      "--emit", "json"],
+     "c04a0f7dcadada3048c5889948fd0a70f9d8b219d62284eb8cceb40033ef8e80"),
+    (["extend", "--config", "c60", "--axis", "5", "--length", "3",
+      "--emit", "xyz"],
+     "e29bdf3177951756d9e8e0c34301269e30ce5ed938e559fc7a61c965c035c0dd"),
+    (["extend", "--config", "c60", "--axis", "5", "--length", "3",
+      "--emit", "off"],
+     "bb826e42ebdb2ad06eb474122d0e568b2975c75f97a1303391804f9be38bb10e"),
+    (["extend", "--config", "c60", "--axis", "5", "--length", "3",
+      "--emit", "csv"],
+     "2eb2de0e53b3f7fd95dcf4d8b93317887d8fd25af74bbd832f2b723320e462d3"),
+    (["extend", "--config", "dodecahedron", "--axis", "3", "--length",
+      "tau^2", "--emit", "json"],
+     "b4d62035d0c18868504badee30e2ce2cf36ea714436cd1e086f200d5c0ddc861"),
+    (["extend", "--config", "dodecahedron", "--axis", "3", "--length",
+      "tau^2", "--emit", "xyz"],
+     "f6604936880acf66b2a24d0539d8b336f7e6593bf88abaa820bdd152193f2fdf"),
+    (["extend", "--config", "dodecahedron", "--axis", "3", "--length",
+      "tau^2", "--emit", "off"],
+     "d8c946ec95a55066a5464edc68cba4236671bb897016bc384b40ed4623eb5df5"),
+    (["extend", "--config", "dodecahedron", "--axis", "3", "--length",
+      "tau^2", "--emit", "csv"],
+     "424f9006443491ed0754e5531852df59f785c9483d9c0f0058d7334d05ad3452"),
+    (["classify", "--config", "dodecahedron", "--axis", "5",
+      "--scan", "a=1..2,b=0..1,c=1..1,max=30"],
+     "d1b8963c5261b3ad8e286468c461b0086d92f33ba79ff2708da4571c5303b809"),
+    (["onion", "--config", "c80", "--axis", "5", "--length", "2",
+      "--depth", "2"],
+     "26cf7f8b709dd8448661f7e5802d8f7d05efe0ee5dd607d8991083f5b6b8c614"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in PINNED_STDOUT])
+def test_stdout_bytes_are_pinned(capsys, argv, digest):
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

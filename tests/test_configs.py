@@ -4,24 +4,16 @@ import pytest
 
 from icofold.configs import BUILTIN_NAMES, ConfigError, StartConfig, builtin, load_custom
 from icofold.geometry import Vec3E, dist2, mat_apply, norm2
-from icofold.golden import ExtNumber, GoldenNumber, K_TWOFOLD, TAU
+from icofold.golden import GoldenNumber, TAU
 from icofold.groups import full_group
 
 
-def golden_ext(a, b=0) -> ExtNumber:
-    return ExtNumber.from_golden(GoldenNumber(a, b), K_TWOFOLD)
-
-
-def norm2_is(v: Vec3E, value: GoldenNumber) -> bool:
-    return norm2(v) == ExtNumber.from_golden(value, v.radicand)
-
-
 CATALOG = {
-    "icosahedron": (12, (golden_ext(2, 1),)),
-    "dodecahedron": (20, (golden_ext(3),)),
-    "icosidodecahedron": (30, (golden_ext(1, 1),)),  # tau^2 = 1 + tau
-    "c60": (60, (golden_ext(10, 9),)),
-    "c80": (80, (golden_ext(12, 12), golden_ext(28, 12))),
+    "icosahedron": (12, (GoldenNumber(2, 1),)),
+    "dodecahedron": (20, (GoldenNumber(3),)),
+    "icosidodecahedron": (30, (GoldenNumber(1, 1),)),  # tau^2 = 1 + tau
+    "c60": (60, (GoldenNumber(10, 9),)),
+    "c80": (80, (GoldenNumber(12, 12), GoldenNumber(28, 12))),
 }
 
 
@@ -50,7 +42,7 @@ class TestBuiltins:
     def test_c60_is_equilateral_and_trivalent_by_exact_distance(self):
         config = builtin("c60")
         vertices = config.vertices
-        four = golden_ext(4)
+        four = GoldenNumber(4)
         for v in vertices:
             gaps = [dist2(v, w) for w in vertices if w is not v]
             at_edge = sum(1 for d in gaps if d == four)
@@ -59,13 +51,13 @@ class TestBuiltins:
 
     def test_c80_contains_scaled_cube_corner(self):
         config = builtin("c80")
-        corner = Vec3E.from_golden(2 * TAU, 2 * TAU, 2 * TAU, K_TWOFOLD)
+        corner = Vec3E.from_golden(2 * TAU, 2 * TAU, 2 * TAU)
         assert corner.key() in {v.key() for v in config.vertices}
 
     def test_c80_orbit_split_is_20_plus_60(self):
         config = builtin("c80")
-        inner = [v for v in config.vertices if norm2_is(v, GoldenNumber(12, 12))]
-        outer = [v for v in config.vertices if norm2_is(v, GoldenNumber(28, 12))]
+        inner = [v for v in config.vertices if norm2(v) == GoldenNumber(12, 12)]
+        outer = [v for v in config.vertices if norm2(v) == GoldenNumber(28, 12)]
         assert len(inner) == 20 and len(outer) == 60
 
     def test_c80_seed_lies_on_mirror_plane(self):
@@ -73,15 +65,13 @@ class TestBuiltins:
         # exactly, and is one fold-5 base step from the corner 2*(1,1,1)
         seed = Vec3E.from_golden(
             GoldenNumber(2, 0), GoldenNumber(4, 0), GoldenNumber(2, 2),
-            K_TWOFOLD,
         )
-        value = seed.x - seed.y.mul_golden(TAU * TAU) + seed.z.mul_golden(TAU)
+        value = seed.x - seed.y * (TAU * TAU) + seed.z * TAU
         assert value.is_zero()
         assert seed.key() in {v.key() for v in builtin("c80").vertices}
-        step = seed + (-Vec3E.from_golden(2, 2, 2, K_TWOFOLD))
+        step = seed + (-Vec3E.from_golden(2, 2, 2))
         assert step == Vec3E.from_golden(
             GoldenNumber(0, 0), GoldenNumber(2, 0), GoldenNumber(0, 2),
-            K_TWOFOLD,
         )
 
     def test_c80_is_a_trivalent_cage_with_small_edge_spread(self):
@@ -99,14 +89,14 @@ class TestBuiltins:
         keys = {v.key() for v in config.vertices}
         assert C80_EQUAL_RADIUS_SEED.key() not in keys
         # it does share the corner sphere...
-        assert norm2_is(C80_EQUAL_RADIUS_SEED, GoldenNumber(12, 12))
+        assert norm2(C80_EQUAL_RADIUS_SEED) == GoldenNumber(12, 12)
         # ...but 20 corners + its 60-orbit admit no trivalent cutoff
         from icofold.cages import trivalence_threshold_search
         from icofold.groups import full_group
 
         group = full_group()
         corners = group.orbit(
-            Vec3E.from_golden(2 * TAU, 2 * TAU, 2 * TAU, K_TWOFOLD)
+            Vec3E.from_golden(2 * TAU, 2 * TAU, 2 * TAU)
         )
         orbit = group.orbit(C80_EQUAL_RADIUS_SEED)
         assert len(orbit) == 60
@@ -126,7 +116,7 @@ class TestCustomSeeds:
         path.write_text("@closure on\n0,1,tau\n")
         config = load_custom(str(path))
         assert len(config) == 12
-        assert config.radius2_spectrum == (golden_ext(2, 1),)
+        assert config.radius2_spectrum == (GoldenNumber(2, 1),)
         assert config.name == "ico"
 
     def test_cube_corner_seed_closes_to_dodecahedron(self, tmp_path):

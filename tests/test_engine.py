@@ -17,8 +17,8 @@ from icofold.engine import (DEFAULT_BAND_GAP, DEFAULT_SCAN_SPEC,
                             make_translation, outer_cage, parse_scan_spec)
 from icofold.geometry import Vec3E, mat_apply, norm2
 from icofold.golden import (ExtNumber, GoldenNumber, ONE, TAU,
-                            RadicandMismatchError, parse_field_expr)
-from icofold.groups import K_FIVEFOLD, K_THREEFOLD, K_TWOFOLD
+                            RadicandMismatchError, format_ext, format_golden,
+                            parse_field_expr)
 
 
 def translation(config, fold, expr):
@@ -44,7 +44,7 @@ def test_direction_counts_and_exact_lengths(fold, n_vectors, base_norm2):
     t = translation(start, fold, "3")
     assert len(t.vectors) == n_vectors
     lam = GoldenNumber(3, 0)
-    want = ExtNumber.from_golden(lam * lam * base_norm2, t.radicand)
+    want = lam * lam * base_norm2
     for v in t.vectors:
         assert norm2(v) == want
 
@@ -84,10 +84,10 @@ def test_depth1_equals_brute_force_word_enumeration():
     for g in group.elements:  # g2 ranges over the group: g2(X) = X
         assert keyset(mat_apply(g, x) for x in start.vertices) == start_keys
 
-    oracle = keyset(x.rebase(t.radicand) for x in start.vertices)
+    oracle = keyset(start.vertices)
     for g1 in group.elements:
         for x in start.vertices:
-            oracle.add(mat_apply(g1, x.rebase(t.radicand) + step).key())
+            oracle.add(mat_apply(g1, x + step).key())
 
     array = generate_array(start, t, 1)
     assert keyset(array.points) == oracle
@@ -96,9 +96,9 @@ def test_depth1_equals_brute_force_word_enumeration():
 def test_depth1_identity_start_union_translates():
     start = builtin("dodecahedron")
     t = translation(start, 3, "2")
-    naive = keyset(x.rebase(t.radicand) for x in start.vertices)
+    naive = keyset(start.vertices)
     for vec in t.vectors:
-        naive |= keyset(x.rebase(t.radicand) + vec for x in start.vertices)
+        naive |= keyset(x + vec for x in start.vertices)
     array = generate_array(start, t, 1)
     assert keyset(array.points) == naive
 
@@ -132,9 +132,7 @@ def test_depth_monotonicity_and_start_containment():
     t = translation(start, 5, "1")
     shallow = generate_array(start, t, 1)
     deep = generate_array(start, t, 2)
-    assert keyset(v.rebase(t.radicand) for v in start.vertices) <= keyset(
-        shallow.points
-    )
+    assert keyset(start.vertices) <= keyset(shallow.points)
     assert keyset(shallow.points) <= keyset(deep.points)
     assert len(shallow) < len(deep)
 
@@ -166,37 +164,87 @@ def test_deterministic_ordering():
     assert radii == sorted(radii)
 
 
-# --- the integer kernel against a Vec3E reference ----------------------
+# --- the golden path against the ExtNumber path it replaced ------------
+#
+# 3D points used to carry ExtNumber coordinates in a per-fold workspace
+# (radicand 1, 3 or 2+tau for folds 2, 3, 5) whose radical part was always
+# zero.  The helpers below redo that arithmetic on tuples of ExtNumbers:
+# translation steps as base-vector orbits scaled by the length, arrays as
+# every multiset of at most `depth` steps added to every start vertex,
+# keys, norms and floats as the old Vec3E computed them.
+
+OLD_RADICANDS = {2: ONE, 3: GoldenNumber(3, 0), 5: GoldenNumber(2, 1)}
+BASE_SEEDS = {2: (TAU, 0, 0), 3: (1, 1, 1), 5: (0, 1, TAU)}
+
+
+def ext_vec(coords, k):
+    return tuple(ExtNumber.from_golden(GoldenNumber._lift(c), k)
+                 for c in coords)
+
+
+def ext_key(u):
+    """The old Vec3E.key(): the full ExtNumber key of each coordinate."""
+    return tuple(c.key() for c in u)
+
+
+def golden_key(u):
+    """Vec3E.key() of the same point: radical-free coordinates' triples."""
+    assert all(c.is_golden() for c in u)
+    return tuple(n for c in u for n in (c.pa, c.pb, c.den))
+
+
+def ext_norm2(u):
+    return u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+
+
+def ext_floats(u):
+    return tuple(float(c) for c in u)
+
+
+def ext_orbit(group, u):
+    """The old PointGroup.orbit: images deduplicated and sorted by key."""
+    seen = {}
+    for m in group.elements:
+        image = tuple(u[0].mul_golden(a) + u[1].mul_golden(b)
+                      + u[2].mul_golden(c) for a, b, c in m.rows)
+        seen.setdefault(ext_key(image), image)
+    return [seen[key] for key in sorted(seen)]
+
 
 def vec3e_shells(start, translation, depth):
-    """Reference shells, (radius2, points) each, in exact Vec3E arithmetic.
+    """Reference shells, (radius2, points) each, in ExtNumber arithmetic.
 
     Offsets are every multiset of at most `depth` translation vectors,
     points are deduplicated by exact key, and shells are sorted by exact
     squared radius, points by (float coordinates, exact key).
     """
-    k = translation.radicand
-    zero = Vec3E.from_golden(0, 0, 0, ONE).rebase(k)
-    offsets = {zero.key(): zero}
+    k = OLD_RADICANDS[translation.fold]
+    steps = [tuple(c.mul_golden(translation.length) for c in d)
+             for d in ext_orbit(start.symmetry,
+                                ext_vec(BASE_SEEDS[translation.fold], k))]
+    assert [golden_key(v) for v in steps] \
+        == [v.key() for v in translation.vectors]
+    zero = ext_vec((0, 0, 0), k)
+    offsets = {ext_key(zero): zero}
     for j in range(1, depth + 1):
-        for combo in combinations_with_replacement(translation.vectors, j):
+        for combo in combinations_with_replacement(steps, j):
             total = combo[0]
             for v in combo[1:]:
-                total = total + v
-            offsets.setdefault(total.key(), total)
-    base = [v.rebase(k) for v in start.vertices]
+                total = tuple(a + b for a, b in zip(total, v))
+            offsets.setdefault(ext_key(total), total)
+    base = [ext_vec(v, k) for v in start.vertices]
     seen = {}
     for offset in offsets.values():
         for x in base:
-            p = x + offset
-            seen.setdefault(p.key(), p)
+            p = tuple(a + b for a, b in zip(x, offset))
+            seen.setdefault(ext_key(p), p)
     by_radius = {}
     for p in seen.values():
-        by_radius.setdefault(norm2(p).key(), []).append(p)
+        by_radius.setdefault(ext_norm2(p).key(), []).append(p)
     out = []
     for members in by_radius.values():
-        members.sort(key=lambda p: (p.as_floats(), p.key()))
-        out.append((norm2(members[0]), members))
+        members.sort(key=lambda p: (ext_floats(p), ext_key(p)))
+        out.append((ext_norm2(members[0]), members))
     return sorted(out, key=lambda shell: shell[0])
 
 
@@ -206,17 +254,46 @@ def assert_same_shells(start, translation, depth):
     assert len(array.shells) == len(want)
     for shell, (radius2, points) in zip(array.shells, want):
         assert shell.radius2 == radius2
-        assert shell.radius2.key() == radius2.key()
-        assert [p.key() for p in shell.points] == [p.key() for p in points]
+        assert format_golden(shell.radius2) == format_ext(radius2)
+        assert [p.key() for p in shell.points] \
+            == [golden_key(p) for p in points]
         assert shell.coords.dtype == np.float64
+        assert shell.coords.tobytes() == np.array(
+            [ext_floats(p) for p in points], dtype=float).tobytes()
         assert shell.coords.tobytes() == as_coords(shell.points).tobytes()
     return array
+
+
+def assert_same_config(config):
+    """Vertex order, orbit order and printed radii match the old path.
+
+    Start configurations lived in the radicand-1 workspace; orbits are
+    compared in every old workspace, for one vertex per squared radius.
+    """
+    old = [ext_vec(v, ONE) for v in config.vertices]
+    assert [golden_key(u) for u in sorted(old, key=ext_key)] \
+        == [v.key() for v in config.vertices]
+    spectrum = {}
+    for u in old:
+        spectrum.setdefault(ext_norm2(u).key(), ext_norm2(u))
+    assert [format_golden(r) for r in config.radius2_spectrum] \
+        == [format_ext(r) for r in sorted(spectrum.values())]
+    firsts = {}
+    for v in config.vertices:
+        firsts.setdefault(norm2(v).key(), v)
+    group = config.symmetry
+    for v in firsts.values():
+        orbit = [p.key() for p in group.orbit(v)]
+        for k in OLD_RADICANDS.values():
+            assert [golden_key(u) for u in ext_orbit(group, ext_vec(v, k))] \
+                == orbit
 
 
 @pytest.mark.parametrize("name", ["icosahedron", "dodecahedron",
                                   "icosidodecahedron", "c60", "c80"])
 def test_kernel_matches_vec3e_path_on_catalog_lengths(name):
     start = builtin(name)
+    assert_same_config(start)
     for fold in (2, 3, 5):
         for expr in ("3", "1", "tau^2", "(7+tau)/5"):
             assert_same_shells(start, translation(start, fold, expr), 1)
@@ -233,13 +310,15 @@ def test_kernel_matches_vec3e_path_at_depth_2(name, fold, expr):
 
 
 def test_kernel_matches_vec3e_path_on_onion_working_config():
-    start = builtin("c60")
-    t = translation(start, 5, "3")
-    finding = outer_cage(generate_array(start, t, 1))
-    working = StartConfig("c60.onion1", finding.graph.points,
-                          start.symmetry, check_invariance=False)
-    assert working.vertices[0].radicand == K_FIVEFOLD
-    assert_same_shells(working, t, 1)
+    # the start of each onion's second iteration: its first cage
+    for name, expr in (("c60", "3"), ("c80", "2")):
+        start = builtin(name)
+        t = translation(start, 5, expr)
+        finding = outer_cage(generate_array(start, t, 1))
+        working = StartConfig(f"{name}.onion1", finding.graph.points,
+                              start.symmetry, check_invariance=False)
+        assert_same_config(working)
+        assert_same_shells(working, t, 1)
 
 
 def test_kernel_matches_vec3e_path_past_int64():
@@ -250,15 +329,12 @@ def test_kernel_matches_vec3e_path_past_int64():
 
 
 def test_start_vertex_with_radical_part_is_rejected():
-    start = builtin("dodecahedron")
-    t = translation(start, 5, "1")
-    k = t.radicand
-    radical = Vec3E(ExtNumber(0, 1, k), ExtNumber(0, 0, k),
-                    ExtNumber(0, 0, k))
-    bad = StartConfig("radical", (radical,), start.symmetry,
-                      check_invariance=False)
+    # 3D points are golden vectors: a radical coordinate cannot be built
+    k = GoldenNumber(2, 1)
+    with pytest.raises(TypeError):
+        Vec3E(ExtNumber(0, 1, k), ExtNumber(0, 0, k), ExtNumber(0, 0, k))
     with pytest.raises(RadicandMismatchError):
-        generate_array(bad, t, 1)
+        Vec3E.from_golden(0, 0, 0, k)
 
 
 def test_points_are_built_once():
@@ -391,14 +467,6 @@ def test_classify_interior_bands_never_flagged():
     flags = [band["trivalent"] for band in row["bands"]]
     assert not any(flags[:-1])
     assert flags[-1] is True
-
-
-def test_classify_scan_threads_agree():
-    start = builtin("icosahedron")
-    spec = parse_scan_spec("a=0..2,b=0..1,c=1..2")
-    serial = classify_scan(start, (3, 5), spec)
-    threaded = classify_scan(start, (3, 5), spec, threads=3)
-    assert serial == threaded
 
 
 def test_classify_scan_rejects_empty():

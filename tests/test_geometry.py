@@ -8,7 +8,7 @@ import pytest
 
 from icofold.golden import (
     K_FIVEFOLD,
-    K_THREEFOLD,
+    ONE,
     ExtNumber,
     GoldenNumber,
     RadicandMismatchError,
@@ -18,13 +18,10 @@ from icofold.geometry import Mat3G, Vec3E, dist2, dot, mat_apply, mat_det, mat_m
 from icofold.groups import GEN_B5, GEN_R3
 
 
-def rand_vec(rng: random.Random, k: GoldenNumber) -> Vec3E:
-    def component() -> ExtNumber:
-        return ExtNumber(
-            GoldenNumber(rng.randint(-9, 9), rng.randint(-9, 9)),
-            GoldenNumber(rng.randint(-9, 9), rng.randint(-9, 9)),
-            k,
-        )
+def rand_vec(rng: random.Random) -> Vec3E:
+    def component() -> GoldenNumber:
+        return GoldenNumber(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
     return Vec3E(component(), component(), component())
 
 
@@ -37,59 +34,65 @@ def rand_mat(rng: random.Random) -> Mat3G:
 
 class TestVec3E:
     def test_norm2_of_icosahedron_vertex_scaled(self):
-        v = Vec3E.from_golden(0, 1, 3 * TAU, K_FIVEFOLD)
+        v = Vec3E.from_golden(0, 1, 3 * TAU)
         # 1 + 9*tau^2 = 1 + 9(1+tau)
-        assert norm2(v) == ExtNumber.from_golden(GoldenNumber(10, 9), K_FIVEFOLD)
+        assert norm2(v) == GoldenNumber(10, 9)
 
     def test_norm2_of_cube_vertex(self):
-        v = Vec3E.from_golden(1, 1, 1, K_THREEFOLD)
-        assert norm2(v) == ExtNumber.from_golden(GoldenNumber(3, 0), K_THREEFOLD)
+        v = Vec3E.from_golden(1, 1, 1)
+        assert norm2(v) == GoldenNumber(3, 0)
 
     def test_dist2_between_mirror_pair(self):
-        u = Vec3E.from_golden(0, 1, 3 * TAU, K_FIVEFOLD)
-        v = Vec3E.from_golden(0, -1, 3 * TAU, K_FIVEFOLD)
-        assert dist2(u, v) == ExtNumber.from_golden(GoldenNumber(4, 0), K_FIVEFOLD)
+        u = Vec3E.from_golden(0, 1, 3 * TAU)
+        v = Vec3E.from_golden(0, -1, 3 * TAU)
+        assert dist2(u, v) == GoldenNumber(4, 0)
 
     def test_dist2_symmetry_and_self(self):
         rng = random.Random(420)
         for _ in range(200):
-            u = rand_vec(rng, K_FIVEFOLD)
-            v = rand_vec(rng, K_FIVEFOLD)
+            u = rand_vec(rng)
+            v = rand_vec(rng)
             assert dist2(u, v) == dist2(v, u)
             assert dist2(u, u).is_zero()
             assert dist2(u, v) == norm2(u - v)
 
     def test_radicand_mismatch_rejected(self):
-        u = Vec3E.from_golden(1, 0, 0, K_FIVEFOLD)
-        v = Vec3E.from_golden(1, 0, 0, K_THREEFOLD)
+        # 3D coordinates lie in Q(tau): radicand 1 only, no radical parts
+        assert Vec3E.from_golden(1, 0, 0, ONE) == Vec3E.from_golden(1, 0, 0)
         with pytest.raises(RadicandMismatchError):
-            dot(u, v)
+            Vec3E.from_golden(1, 0, 0, K_FIVEFOLD)
         with pytest.raises(RadicandMismatchError):
-            Vec3E(u.x, u.y, v.z)
+            Vec3E.from_golden(1, 0, 0, GoldenNumber(3, 0))
+        radical = ExtNumber.sqrt_of(K_FIVEFOLD)
+        with pytest.raises(TypeError):
+            Vec3E(radical, ONE, ONE)
+        with pytest.raises(TypeError):
+            Vec3E.from_golden(radical, 0, 0)
 
     def test_vector_space_identities(self):
         rng = random.Random(421)
         for _ in range(200):
-            u = rand_vec(rng, K_THREEFOLD)
-            v = rand_vec(rng, K_THREEFOLD)
+            u = rand_vec(rng)
+            v = rand_vec(rng)
             s = GoldenNumber(rng.randint(-6, 6), rng.randint(-6, 6))
             assert u + v == v + u
             assert (u - v) + v == u
             assert u.scale(s) + v.scale(s) == (u + v).scale(s)
-            assert dot(u.scale(s), v) == dot(u, v).mul_golden(s)
+            assert dot(u.scale(s), v) == dot(u, v) * s
+            assert norm2(u.scale(s)) == norm2(u) * s * s
             assert -(-u) == u
 
     def test_float_embedding(self):
-        v = Vec3E.from_golden(0, 1, TAU, K_FIVEFOLD)
+        v = Vec3E.from_golden(0, 1, TAU)
         fx, fy, fz = v.as_floats()
         assert fx == 0.0 and fy == 1.0
         assert math.isclose(fz, 1.6180339887498949)
 
     def test_scale_by_ext_scalar(self):
-        root = ExtNumber.sqrt_of(K_FIVEFOLD)
-        v = Vec3E.from_golden(0, 1, TAU, K_FIVEFOLD)
-        w = v.scale(root)
-        assert norm2(w) == norm2(v) * ExtNumber.from_golden(K_FIVEFOLD, K_FIVEFOLD)
+        v = Vec3E.from_golden(0, 1, TAU)
+        assert v.scale(TAU) == Vec3E.from_golden(0, TAU, TAU + 1)
+        with pytest.raises(TypeError):
+            v.scale(ExtNumber.sqrt_of(K_FIVEFOLD))
 
 
 class TestMat3G:
@@ -97,7 +100,7 @@ class TestMat3G:
         rng = random.Random(422)
         identity = Mat3G.identity()
         for _ in range(50):
-            v = rand_vec(rng, K_FIVEFOLD)
+            v = rand_vec(rng)
             assert mat_apply(identity, v) == v
 
     def test_cyclic_permutation_determinant(self):
@@ -125,8 +128,8 @@ class TestMat3G:
         rng = random.Random(424)
         for _ in range(100):
             a, b = rand_mat(rng), rand_mat(rng)
-            u = rand_vec(rng, K_THREEFOLD)
-            v = rand_vec(rng, K_THREEFOLD)
+            u = rand_vec(rng)
+            v = rand_vec(rng)
             assert mat_apply(a, u + v) == mat_apply(a, u) + mat_apply(a, v)
             assert mat_apply(mat_mul(a, b), u) == mat_apply(a, mat_apply(b, u))
 
@@ -139,7 +142,7 @@ class TestMat3G:
     def test_orthogonal_apply_preserves_norm(self):
         rng = random.Random(426)
         for _ in range(100):
-            v = rand_vec(rng, K_FIVEFOLD)
+            v = rand_vec(rng)
             assert norm2(mat_apply(GEN_B5, v)) == norm2(v)
             assert norm2(mat_apply(GEN_R3, v)) == norm2(v)
 
@@ -151,5 +154,5 @@ class TestMat3G:
 
     def test_entries_accept_fractions(self):
         half = Mat3G([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
-        v = Vec3E.from_golden(2, 0, 0, K_THREEFOLD)
-        assert mat_apply(half, v) == Vec3E.from_golden(1, 0, 0, K_THREEFOLD)
+        v = Vec3E.from_golden(2, 0, 0)
+        assert mat_apply(half, v) == Vec3E.from_golden(1, 0, 0)

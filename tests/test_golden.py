@@ -9,8 +9,6 @@ import pytest
 
 from icofold.golden import (
     K_FIVEFOLD,
-    K_THREEFOLD,
-    K_TWOFOLD,
     ONE,
     TAU,
     ZERO,
@@ -22,7 +20,11 @@ from icofold.golden import (
     format_golden,
     parse_ext_expr,
     parse_field_expr,
+    within_magnitude,
 )
+
+# ExtNumber takes any positive radicand; sqrt(3) exercises a second one
+K_THREE = GoldenNumber(3, 0)
 
 getcontext().prec = 80
 TAU_DEC = (1 + Decimal(5).sqrt()) / 2
@@ -186,36 +188,29 @@ class TestGoldenAlgebra:
 
 class TestExtNumber:
     def test_sqrt_squares_back_to_radicand(self):
-        for k in (K_FIVEFOLD, K_THREEFOLD):
+        for k in (K_FIVEFOLD, K_THREE):
             root = ExtNumber.sqrt_of(k)
             assert (root * root).is_golden()
             assert root * root == ExtNumber.from_golden(k, k)
             assert root.sign() == 1
 
     def test_unit_radicand_folds_into_golden_part(self):
-        x = ExtNumber(GoldenNumber(2, 1), GoldenNumber(3, 0), K_TWOFOLD)
+        x = ExtNumber(GoldenNumber(2, 1), GoldenNumber(3, 0), ONE)
         assert x.is_golden()
         assert x.p == GoldenNumber(5, 1)
-        assert x == ExtNumber.from_golden(GoldenNumber(5, 1), K_TWOFOLD)
+        assert x == ExtNumber.from_golden(GoldenNumber(5, 1), ONE)
 
     def test_radicand_mismatch_raises(self):
         a = ExtNumber(ONE, ONE, K_FIVEFOLD)
-        b = ExtNumber(ONE, ONE, K_THREEFOLD)
+        b = ExtNumber(ONE, ONE, K_THREE)
         with pytest.raises(RadicandMismatchError):
             a + b
         with pytest.raises(RadicandMismatchError):
             a * b
 
-    def test_rebase_requires_vanishing_radical_part(self):
-        plain = ExtNumber(TAU, ZERO, K_THREEFOLD)
-        moved = plain.rebase(K_FIVEFOLD)
-        assert moved.k == K_FIVEFOLD and moved.p == TAU
-        with pytest.raises(RadicandMismatchError):
-            ExtNumber(ZERO, ONE, K_THREEFOLD).rebase(K_FIVEFOLD)
-
     def test_field_axioms_on_random_values(self):
         rng = random.Random(407)
-        for k in (K_FIVEFOLD, K_THREEFOLD):
+        for k in (K_FIVEFOLD, K_THREE):
             for _ in range(700):
                 x = rand_ext(rng, k)
                 y = rand_ext(rng, k)
@@ -231,7 +226,7 @@ class TestExtNumber:
 
     def test_arithmetic_matches_decimal_oracle(self):
         rng = random.Random(408)
-        for k in (K_FIVEFOLD, K_THREEFOLD):
+        for k in (K_FIVEFOLD, K_THREE):
             for _ in range(700):
                 x = rand_ext(rng, k)
                 y = rand_ext(rng, k)
@@ -240,7 +235,7 @@ class TestExtNumber:
 
     def test_sign_matches_decimal_oracle(self):
         rng = random.Random(409)
-        for k in (K_FIVEFOLD, K_THREEFOLD):
+        for k in (K_FIVEFOLD, K_THREE):
             for _ in range(3000):
                 x = rand_ext(rng, k)
                 d = ext_dec(x)
@@ -253,7 +248,7 @@ class TestExtNumber:
         assert (2 - root5).sign() == 1
         assert (ExtNumber.from_golden(TAU, K_FIVEFOLD) - root5).sign() == -1
         assert (root5 * root5 - GoldenNumber(2, 1)).sign() == 0
-        root3 = ExtNumber.sqrt_of(K_THREEFOLD)
+        root3 = ExtNumber.sqrt_of(K_THREE)
         assert (root3 - 1).sign() == 1
         assert (root3 - 2).sign() == -1
         assert (root3 - TAU).sign() == 1  # sqrt(3) ~ 1.732 > tau ~ 1.618
@@ -266,17 +261,17 @@ class TestExtNumber:
             assert x.mul_golden(g) == x * ExtNumber.from_golden(g, K_FIVEFOLD)
 
     def test_powers(self):
-        root = ExtNumber.sqrt_of(K_THREEFOLD)
-        assert root ** 2 == ExtNumber.from_golden(K_THREEFOLD, K_THREEFOLD)
-        assert root ** 4 == ExtNumber.from_golden(GoldenNumber(9, 0), K_THREEFOLD)
-        x = ExtNumber(TAU, ONE, K_THREEFOLD)
+        root = ExtNumber.sqrt_of(K_THREE)
+        assert root ** 2 == ExtNumber.from_golden(K_THREE, K_THREE)
+        assert root ** 4 == ExtNumber.from_golden(GoldenNumber(9, 0), K_THREE)
+        x = ExtNumber(TAU, ONE, K_THREE)
         assert x ** -1 == x.inverse()
         assert x ** 3 == x * x * x
 
     def test_float_embedding(self):
         root = ExtNumber.sqrt_of(K_FIVEFOLD)
         assert math.isclose(float(root), math.sqrt(2 + float(TAU)), rel_tol=1e-12)
-        x = ExtNumber(GoldenNumber(1, 1), GoldenNumber(0, -1), K_THREEFOLD)
+        x = ExtNumber(GoldenNumber(1, 1), GoldenNumber(0, -1), K_THREE)
         want = (1 + float(TAU)) - float(TAU) * math.sqrt(3)
         assert math.isclose(float(x), want, rel_tol=1e-12)
 
@@ -306,6 +301,25 @@ class TestParsing:
             assert info.value.position >= 0
             assert "position" in str(info.value)
 
+    def test_power_bound(self):
+        assert parse_field_expr("tau^60") == TAU ** 60
+        assert parse_field_expr("tau^-4096") == TAU ** -4096
+        for text in ["tau^4097", "tau^-20000", "2^2048*(2^2048)^2",
+                     "((2^64)^64)^64", "1^1000000"]:
+            with pytest.raises(FieldParseError, match="power too large"):
+                parse_field_expr(text)
+
+    def test_magnitude_bounds_are_exact(self):
+        big = GoldenNumber(2 ** 32)
+        small = GoldenNumber(Fraction(1, 2 ** 32))
+        tiny = (TAU - 1) * GoldenNumber(Fraction(1, 2 ** 70))  # > 0
+        inside = [ONE, -TAU, big, -big, small, -small, big - tiny,
+                  small + tiny, TAU ** 46, TAU ** -46]
+        outside = [ZERO, big + tiny, -(big + tiny), small - tiny,
+                   TAU ** 47, TAU ** -47, GoldenNumber(10) ** 400]
+        assert all(within_magnitude(x) for x in inside)
+        assert not any(within_magnitude(x) for x in outside)
+
     def test_sqrt_rejected_in_plain_context(self):
         with pytest.raises(FieldParseError):
             parse_field_expr("sqrt(3)")
@@ -313,12 +327,12 @@ class TestParsing:
     def test_ext_literals(self):
         root = parse_ext_expr("sqrt(2+tau)", K_FIVEFOLD)
         assert root == ExtNumber.sqrt_of(K_FIVEFOLD)
-        x = parse_ext_expr("1/2 + (3/2)*sqrt(3)", K_THREEFOLD)
-        assert x == ExtNumber(Fraction(1, 2), Fraction(3, 2), K_THREEFOLD)
+        x = parse_ext_expr("1/2 + (3/2)*sqrt(3)", K_THREE)
+        assert x == ExtNumber(Fraction(1, 2), Fraction(3, 2), K_THREE)
         with pytest.raises(FieldParseError):
             parse_ext_expr("sqrt(3)", K_FIVEFOLD)  # wrong radicand
         with pytest.raises(FieldParseError):
-            parse_ext_expr("sqrt(sqrt(3))", K_THREEFOLD)
+            parse_ext_expr("sqrt(sqrt(3))", K_THREE)
 
     def test_format_examples(self):
         assert format_golden(GoldenNumber(Fraction(7, 5), Fraction(1, 5))) == "7/5+1/5*tau"
@@ -328,9 +342,9 @@ class TestParsing:
         assert format_golden(GoldenNumber(0, -1)) == "-tau"
         assert format_golden(GoldenNumber(0, -2)) == "-2*tau"
         assert format_golden(ZERO) == "0"
-        root = ExtNumber.sqrt_of(K_THREEFOLD)
+        root = ExtNumber.sqrt_of(K_THREE)
         assert format_ext(root) == "(1)*sqrt(3)"
-        assert format_ext(ExtNumber.from_golden(TAU, K_THREEFOLD)) == "tau"
+        assert format_ext(ExtNumber.from_golden(TAU, K_THREE)) == "tau"
 
     def test_golden_round_trip(self):
         rng = random.Random(411)
@@ -341,7 +355,7 @@ class TestParsing:
 
     def test_ext_round_trip(self):
         rng = random.Random(412)
-        for k in (K_FIVEFOLD, K_THREEFOLD, K_TWOFOLD):
+        for k in (K_FIVEFOLD, K_THREE, ONE):
             samples = [ExtNumber(0, 0, k), ExtNumber.from_golden(TAU, k)]
             samples += [rand_ext(rng, k) for _ in range(300)]
             for x in samples:

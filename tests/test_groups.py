@@ -6,15 +6,7 @@ from fractions import Fraction
 import pytest
 
 from icofold.geometry import Mat3G, Vec3E, mat_apply, mat_det, mat_mul, norm2
-from icofold.golden import (
-    K_FIVEFOLD,
-    K_THREEFOLD,
-    K_TWOFOLD,
-    ExtNumber,
-    GoldenNumber,
-    ONE,
-    TAU,
-)
+from icofold.golden import GoldenNumber, ONE, TAU
 from icofold.groups import (
     ClosureBoundError,
     GEN_B5,
@@ -31,7 +23,6 @@ def rand_point(rng: random.Random) -> Vec3E:
         GoldenNumber(rng.randint(-8, 8), rng.randint(-8, 8)),
         GoldenNumber(rng.randint(-8, 8), rng.randint(-8, 8)),
         GoldenNumber(rng.randint(-8, 8), rng.randint(-8, 8)),
-        K_TWOFOLD,
     )
 
 
@@ -92,10 +83,11 @@ class TestClosure:
 
 class TestAxes:
     def test_direction_orbit_sizes(self):
+        # one base vector per axis direction, antipodes distinct
         group = full_group()
-        assert len(group.direction_orbit(5)) == 12
-        assert len(group.direction_orbit(3)) == 20
-        assert len(group.direction_orbit(2)) == 30
+        assert len(group.translation_orbit(5)) == 12
+        assert len(group.translation_orbit(3)) == 20
+        assert len(group.translation_orbit(2)) == 30
 
     def test_axis_counts(self):
         group = full_group()
@@ -109,12 +101,13 @@ class TestAxes:
         assert len(group.axes(3)) == 10
         assert len(group.axes(2)) == 15
 
-    def test_directions_are_unit_vectors(self):
+    def test_directions_have_base_lengths(self):
+        # |(tau,0,0)|^2 = tau^2, |(1,1,1)|^2 = 3, |(0,1,tau)|^2 = 2+tau
         group = full_group()
-        for fold in (2, 3, 5):
-            one = ExtNumber.from_golden(ONE, group.direction_orbit(fold)[0].radicand)
-            for d in group.direction_orbit(fold):
-                assert norm2(d) == one
+        for fold, want in ((2, GoldenNumber(1, 1)), (3, GoldenNumber(3, 0)),
+                           (5, GoldenNumber(2, 1))):
+            for d in group.translation_orbit(fold):
+                assert norm2(d) == want
 
     def test_antipodal_pairs_merged(self):
         group = full_group()
@@ -124,19 +117,24 @@ class TestAxes:
             keys = {a.key() for a in axes}
             for a in axes:
                 assert (-a).key() not in keys
+            orbit = {v.key() for v in group.translation_orbit(fold)}
+            assert {a.key() for a in axes} | {(-a).key() for a in axes} \
+                == orbit
 
     def test_unsupported_fold_raises(self):
         with pytest.raises(ValueError):
-            full_group().direction_orbit(4)
+            full_group().translation_orbit(4)
+        with pytest.raises(ValueError):
+            full_group().axes(4)
 
 
 class TestOrbits:
     def test_cube_vertex_orbit_is_dodecahedral(self):
-        v = Vec3E.from_golden(1, 1, 1, K_TWOFOLD)
+        v = Vec3E.from_golden(1, 1, 1)
         assert len(full_group().orbit(v)) == 20
 
     def test_scaled_cube_vertex_keeps_orbit_and_stabilizer(self):
-        v = Vec3E.from_golden(2 * TAU, 2 * TAU, 2 * TAU, K_TWOFOLD)
+        v = Vec3E.from_golden(2 * TAU, 2 * TAU, 2 * TAU)
         group = full_group()
         assert len(group.orbit(v)) == 20
         assert group.stabilizer_order(v) == 6
@@ -146,7 +144,6 @@ class TestOrbits:
             GoldenNumber(Fraction(4, 5), Fraction(2, 5)),
             GoldenNumber(Fraction(12, 5), Fraction(6, 5)),
             GoldenNumber(0, 2),
-            K_TWOFOLD,
         )
         group = full_group()
         assert len(group.orbit(seed)) == 60
@@ -156,10 +153,10 @@ class TestOrbits:
         rng = random.Random(431)
         group = full_group()
         special = [
-            Vec3E.from_golden(1, 1, 1, K_TWOFOLD),
-            Vec3E.from_golden(1, 0, 0, K_TWOFOLD),
-            Vec3E.from_golden(0, 1, TAU, K_TWOFOLD),
-            Vec3E.from_golden(0, 0, 0, K_TWOFOLD),
+            Vec3E.from_golden(1, 1, 1),
+            Vec3E.from_golden(1, 0, 0),
+            Vec3E.from_golden(0, 1, TAU),
+            Vec3E.from_golden(0, 0, 0),
         ]
         points = special + [rand_point(rng) for _ in range(100)]
         for v in points:
@@ -176,8 +173,8 @@ class TestOrbits:
 
     def test_orbit_of_set_unions(self):
         group = full_group()
-        a = Vec3E.from_golden(1, 1, 1, K_TWOFOLD)
-        b = Vec3E.from_golden(1, 0, 0, K_TWOFOLD)
+        a = Vec3E.from_golden(1, 1, 1)
+        b = Vec3E.from_golden(1, 0, 0)
         combined = group.orbit_of_set([a, b])
         # 20 cube vertices plus the 30 two-fold directions (orbit of (1,0,0))
         assert len(combined) == 20 + 30

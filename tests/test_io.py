@@ -187,6 +187,27 @@ def test_csv_roundtrip_after_translation():
     assert {p.key() for p in read_csv(text)} == {p.key() for p in array.points}
 
 
+def test_csv_3d_header_is_one_and_old_headers_still_read():
+    start = builtin("c60")
+    t = make_translation(start.symmetry, 5, parse_field_expr("3"))
+    points = outer_cage(generate_array(start, t, 1)).graph.points
+    text = export_csv(points)
+    assert text.startswith("# radicand: 1\nx,y,z\n")
+    want = {p.key() for p in points}
+    # fold-3 and fold-5 files used to name their workspace radicand
+    for header in ("# radicand: 3", "# radicand: 2+tau"):
+        old = text.replace("# radicand: 1", header, 1)
+        assert {p.key() for p in read_csv(old)} == want
+
+
+def test_csv_radical_3d_cell_is_rejected():
+    text = "# radicand: 3\nx,y,z\n1,tau,sqrt(3)\n"
+    with pytest.raises(ExportError, match="radical"):
+        read_csv(text)
+    assert read_csv("# radicand: 3\nx,y,z\n1,tau,0\n")[0].as_floats() \
+        == (1.0, float(parse_field_expr("tau")), 0.0)
+
+
 def test_csv_missing_radicand_header():
     with pytest.raises(ExportError, match="radicand"):
         read_csv("x,y,z\n1,2,3\n")

@@ -110,11 +110,10 @@ def test_rejected_equal_radius_seed_is_not_a_cage():
     the equal-radius 60-orbit) admit no trivalent cutoff, which is why the
     catalog uses the two-radius c80 instead."""
     from icofold.geometry import Vec3E
-    from icofold.groups import K_TWOFOLD
 
     group = builtin("c80").symmetry
     two_tau = GoldenNumber(0, 2)
-    corner = Vec3E.from_golden(two_tau, two_tau, two_tau, K_TWOFOLD)
+    corner = Vec3E.from_golden(two_tau, two_tau, two_tau)
     corners = list(group.orbit(corner))
     assert len(corners) == 20
     equal = list(group.orbit(C80_EQUAL_RADIUS_SEED))
@@ -130,13 +129,12 @@ def test_perturbed_seed_breaks_the_family():
     """Moving the 60-orbit seed by one unit in its last coordinate loses
     the mirror stabilizer (orbit 120, not 60) and the family with it."""
     from icofold.geometry import Vec3E
-    from icofold.groups import K_TWOFOLD
 
     group = builtin("c80").symmetry
     two_tau = GoldenNumber(0, 2)
-    corner = Vec3E.from_golden(two_tau, two_tau, two_tau, K_TWOFOLD)
+    corner = Vec3E.from_golden(two_tau, two_tau, two_tau)
     bad = Vec3E.from_golden(GoldenNumber(2, 0), GoldenNumber(4, 0),
-                            GoldenNumber(2, 1), K_TWOFOLD)
+                            GoldenNumber(2, 1))
     points = list(group.orbit(corner)) + list(group.orbit(bad))
     assert len(points) == 140
     config = StartConfig("c80-perturbed", points, group)
