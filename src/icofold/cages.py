@@ -8,13 +8,14 @@ largest third-nearest-neighbor distance must fall strictly below the
 smallest fourth-nearest-neighbor distance, which is how the search is
 evaluated (one vectorized pass instead of a cutoff loop).
 
-Cage detection tests many unions of shells, and most of them fail that
-gap test.  It therefore keeps, per call, a table of the four smallest
-squared distances from every point of one shell into another, filled in
-lazily for the shell pairs that some union reaches.  A union's third- and
-fourth-nearest distances are merged from its shells' rows, bit-identical
-to the dense search's, and only a union whose merged rows pass the gap
-test goes on to the full search and face tracing.
+One table makes that decision and gives the bonds, for a single point
+set as for the many unions of shells cage detection tries: for every
+pair of shells it keeps the four smallest squared distances from each
+point of one into the other, with their indices, filled in lazily for
+the shell pairs that some union reaches.  A union's third- and
+fourth-nearest distances are merged from its shells' rows, and once the
+gap holds, the merged entries within the cutoff are exactly each point's
+three bonds, so no union needs an N x N matrix.
 
 Faces are traced from the rotation system: neighbors ordered by angle in
 each vertex's tangent plane, with the Euler characteristic as the guard
@@ -119,10 +120,91 @@ def _pairwise_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _separated(c2: float, floor4: float) -> bool:
-    # the largest third-nearest distance lies strictly below the smallest
-    # fourth-nearest, by more than float noise
-    return floor4 - c2 > _RESOLUTION * max(1.0, c2)
+def _four_nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the four smallest entries of `d2` and their columns."""
+    if d2.shape[1] < 4:
+        # padding columns are inf and never bond
+        d2 = np.hstack([d2, np.full((len(d2), 4 - d2.shape[1]), np.inf)])
+    # a copy, so the full index matrix is not kept alive
+    index = np.argpartition(d2, 3, axis=1)[:, :4].copy()
+    return np.take_along_axis(d2, index, axis=1), index
+
+
+class _NearestTable:
+    """The four nearest points from each shell into each shell.
+
+    `nearest(a, b)` holds, for each point i of shell a, the four smallest
+    squared distances to the points of shell b and their indices in b,
+    with a point's distance to itself left out and `inf` filling in when
+    there are fewer than four.  Every union's four nearest neighbours of
+    a point lie among its shells' rows, and the values come from
+    `_pairwise_squared` (a block of two shells serves both orders), so
+    merged rows see exactly the floats of the union's full distance
+    matrix.
+    """
+
+    def __init__(self, groups) -> None:
+        self.groups = [g if isinstance(g, np.ndarray) else tuple(g)
+                       for g in groups]
+        self.coords = [as_coords(g) for g in self.groups]
+        self._nearest: dict[tuple[int, int],
+                            tuple[np.ndarray, np.ndarray]] = {}
+
+    def nearest(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        if (a, b) not in self._nearest:
+            d2 = _pairwise_squared(self.coords[a], self.coords[b])
+            if a == b:
+                np.fill_diagonal(d2, np.inf)
+            else:
+                # b - a rounds to exactly -(a - b), so the transpose is the
+                # (b, a) block bit for bit, and every union needs both
+                self._nearest[(b, a)] = _four_nearest(d2.T)
+            self._nearest[(a, b)] = _four_nearest(d2)
+        return self._nearest[(a, b)]
+
+    def graph(self, chosen: tuple[int, ...]) -> CageGraph | None:
+        """The union's bond graph at the trivalence cutoff, or None.
+
+        Union indices follow the shells of `chosen` in order, as in the
+        concatenation of their points.
+        """
+        members = [i for i in chosen if len(self.groups[i])]
+        if not members:
+            return None
+        rows = [np.hstack([self.nearest(a, b)[0] for b in members])
+                for a in members]
+        c2, floor4 = -math.inf, math.inf
+        for row in rows:
+            merged = np.partition(row, (2, 3), axis=1)
+            c2 = max(c2, float(merged[:, 2].max()))
+            floor4 = min(floor4, float(merged[:, 3].min()))
+        # the largest third-nearest distance must lie strictly below the
+        # smallest fourth-nearest, by more than float noise
+        if not floor4 - c2 > _RESOLUTION * max(1.0, c2):
+            return None
+        values = np.vstack(rows)
+        # the threshold lies below every fourth-nearest distance, so each
+        # row's entries within it are exactly that point's three bonds;
+        # a bond shows in both of its rows and is kept from the lower one
+        threshold = (c2 + min(floor4, 4.0 * c2)) / 2.0
+        offsets = np.cumsum([0] + [len(self.groups[i]) for i in members])
+        targets = np.vstack([
+            np.hstack([self.nearest(a, b)[1] + offsets[k]
+                       for k, b in enumerate(members)])
+            for a in members
+        ])
+        bonds = ((values <= threshold)
+                 & (np.arange(len(values))[:, None] < targets))
+        source, column = np.nonzero(bonds)
+        target = targets[source, column]
+        order = np.lexsort((target, source))
+        edges = tuple(zip(source[order].tolist(), target[order].tolist()))
+        points = None
+        if not all(isinstance(self.groups[i], np.ndarray) for i in members):
+            points = tuple(p for i in members for p in self.groups[i])
+        graph = CageGraph(np.vstack([self.coords[i] for i in members]),
+                          edges, math.sqrt(c2), points=points)
+        return graph if graph.trivalent else None
 
 
 def trivalence_threshold_search(points) -> CageGraph | None:
@@ -131,29 +213,7 @@ def trivalence_threshold_search(points) -> CageGraph | None:
     Returns the graph at the smallest such cutoff, or None when degrees
     cannot all reach 3 before one of them passes 3.
     """
-    coords = as_coords(points)
-    n = len(coords)
-    if n < 4:
-        return None
-    d2 = _pairwise_squared(coords, coords)
-    np.fill_diagonal(d2, np.inf)
-    third = np.partition(d2, 2, axis=1)[:, 2]
-    if n >= 5:
-        fourth = np.partition(d2, 3, axis=1)[:, 3]
-    else:
-        fourth = np.full(n, np.inf)
-    c2 = float(third.max())
-    floor4 = float(fourth.min())
-    if not _separated(c2, floor4):
-        return None
-    threshold = (c2 + min(floor4, 4.0 * c2)) / 2.0
-    pairs = np.argwhere(np.triu(d2 <= threshold, k=1))
-    edges = tuple(sorted((int(i), int(j)) for i, j in pairs))
-    graph = CageGraph(
-        coords, edges, math.sqrt(c2),
-        points=points if not isinstance(points, np.ndarray) else None,
-    )
-    return graph if graph.trivalent else None
+    return _NearestTable([points]).graph((0,))
 
 
 class FaceCensus:
@@ -177,6 +237,11 @@ class FaceCensus:
     @property
     def other_count(self) -> int:
         return sum(c for size, c in self.counts.items() if size not in (5, 6))
+
+    def as_dict(self) -> dict[str, int]:
+        """Pentagon, hexagon and other face counts, as reports print them."""
+        return {"5": self.pentagons, "6": self.hexagons,
+                "other": self.other_count}
 
     def __repr__(self) -> str:
         return f"FaceCensus({self.counts})"
@@ -275,68 +340,6 @@ _CAGE_MAX_EDGE_RATIO = 1.5
 _CAGE_POINT_CAP = 2000
 
 
-def _validate_union(shell_groups, chosen: tuple[int, ...],
-                    dropped: int | None, max_ratio: float):
-    points: list = []
-    for index in chosen:
-        points.extend(shell_groups[index])
-    if not 20 <= len(points) <= _CAGE_POINT_CAP:
-        return None
-    graph = trivalence_threshold_search(tuple(points))
-    if graph is None or graph.edge_ratio >= max_ratio:
-        return None
-    try:
-        census = face_census(graph)
-    except EulerError:
-        return None
-    return CageFinding(graph, census, chosen, dropped)
-
-
-class _NearestTable:
-    """The four smallest squared distances from each shell into each shell.
-
-    Row i of `rows(a, b)` holds the four smallest squared distances from
-    point i of shell a to the points of shell b, with a point's distance
-    to itself left out and `inf` filling in when there are fewer than
-    four.  Every union's four nearest neighbours of a point lie among its
-    shells' rows, and the values come from `_pairwise_squared`, so the
-    gap test on merged rows sees exactly the floats of the dense search.
-    """
-
-    def __init__(self, groups) -> None:
-        self.groups = groups
-        self._coords: dict[int, np.ndarray] = {}
-        self._rows: dict[tuple[int, int], np.ndarray] = {}
-
-    def _coords_of(self, index: int) -> np.ndarray:
-        if index not in self._coords:
-            self._coords[index] = as_coords(self.groups[index])
-        return self._coords[index]
-
-    def rows(self, a: int, b: int) -> np.ndarray:
-        if (a, b) not in self._rows:
-            d2 = _pairwise_squared(self._coords_of(a), self._coords_of(b))
-            if a == b:
-                np.fill_diagonal(d2, np.inf)
-            if d2.shape[1] < 4:
-                d2 = np.hstack([d2, np.full((len(d2), 4 - d2.shape[1]),
-                                            np.inf)])
-            self._rows[(a, b)] = np.partition(d2, 3, axis=1)[:, :4]
-        return self._rows[(a, b)]
-
-    def separated(self, chosen: tuple[int, ...]) -> bool:
-        """The union's gap test, as `trivalence_threshold_search` makes it."""
-        members = [i for i in chosen if len(self.groups[i])]
-        c2, floor4 = -math.inf, math.inf
-        for a in members:
-            merged = np.partition(
-                np.hstack([self.rows(a, b) for b in members]), (2, 3),
-                axis=1)
-            c2 = max(c2, float(merged[:, 2].max()))
-            floor4 = min(floor4, float(merged[:, 3].min()))
-        return _separated(c2, floor4)
-
-
 def _candidate_unions(sizes: list[int]):
     """(shell indices, dropped index) of every union to try, in order."""
     n = len(sizes)
@@ -365,11 +368,11 @@ def detect_cage(shell_groups,
     sphere, windows with exactly one interior shell removed are tried as
     a fallback, again smallest first.
 
-    Each candidate of 20 to `_CAGE_POINT_CAP` points first takes the gap
-    test on a `_NearestTable` shared by all candidates of this call, at
-    O(4kN) for a union of k shells instead of an N x N matrix.  Only a union
-    that passes is confirmed by the full threshold search, the edge-ratio
-    check and face tracing.
+    Each candidate of 20 to `_CAGE_POINT_CAP` points takes its bond graph
+    from a `_NearestTable` shared by all candidates of this call, at
+    O(4kN) for a union of k shells instead of an N x N matrix.  A union
+    whose graph is trivalent is then held to the edge-ratio check and
+    face tracing.
 
     `shell_groups` is a sequence of point sequences (or float (N, 3)
     coordinate arrays) ordered by ascending radius.  Returns the first
@@ -377,18 +380,19 @@ def detect_cage(shell_groups,
     `max_ratio`, and traces into a valid sphere (V - E + F = 2); None when
     no candidate qualifies.
     """
-    groups = [g if isinstance(g, np.ndarray) else tuple(g)
-              for g in shell_groups]
-    sizes = [len(g) for g in groups]
-    table = _NearestTable(groups)
+    table = _NearestTable(shell_groups)
+    sizes = [len(g) for g in table.groups]
     for chosen, dropped in _candidate_unions(sizes):
         if not 20 <= sum(sizes[i] for i in chosen) <= _CAGE_POINT_CAP:
             continue
-        if not table.separated(chosen):
+        graph = table.graph(chosen)
+        if graph is None or graph.edge_ratio >= max_ratio:
             continue
-        finding = _validate_union(groups, chosen, dropped, max_ratio)
-        if finding is not None:
-            return finding
+        try:
+            census = face_census(graph)
+        except EulerError:
+            continue
+        return CageFinding(graph, census, chosen, dropped)
     return None
 
 

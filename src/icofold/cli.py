@@ -207,7 +207,8 @@ def _parse_length(text: str) -> GoldenNumber:
         raise UsageError(f"translation length must be positive, got {text}")
     if not within_magnitude(length):
         raise ParseFailure(
-            f"translation length {text} is outside 2^-32 <= |x| <= 2^32")
+            f"translation length {text} is outside 2^-32 <= |x| <= 2^32 "
+            "or has terms past 256 bits")
     return length
 
 

@@ -184,7 +184,8 @@ def load_custom(path: str) -> StartConfig:
     """Load a configuration from a seed file.
 
     Format: one point per line as "x,y,z" with field-literal components,
-    each zero or within 2^-32 <= |x| <= 2^32; '#' starts a comment; a
+    each zero or within 2^-32 <= |x| <= 2^32 with reduced terms of at
+    most 256 bits; '#' starts a comment; a
     "@closure on|off" line (default off) selects whether the points are
     seeds to orbit or already a complete set.
     """
@@ -217,7 +218,8 @@ def load_custom(path: str) -> StartConfig:
             if c and not within_magnitude(c):
                 raise ConfigError(
                     f"{path}:{lineno}: coordinate '{part.strip()}' is "
-                    f"outside 2^-32 <= |x| <= 2^32"
+                    f"outside 2^-32 <= |x| <= 2^32 or has terms past "
+                    "256 bits"
                 )
         points.append(Vec3E(x, y, z))
     if not points:

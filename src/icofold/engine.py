@@ -473,11 +473,7 @@ def _band_report(band: Band, is_outer: bool) -> dict:
         except cages.EulerError:
             entry["faces"] = None
         else:
-            entry["faces"] = {
-                "5": census.counts.get(5, 0),
-                "6": census.counts.get(6, 0),
-                "other": census.other_count,
-            }
+            entry["faces"] = census.as_dict()
     return entry
 
 
@@ -499,11 +495,7 @@ def cage_report(finding: cages.CageFinding | None,
         ),
         "edges": finding.graph.edge_count,
         "edge_ratio": round(finding.graph.edge_ratio, 9),
-        "faces": {
-            "5": finding.census.pentagons,
-            "6": finding.census.hexagons,
-            "other": finding.census.other_count,
-        },
+        "faces": finding.census.as_dict(),
         "pentagon_contact": cages.pentagon_contact_signature(finding.census),
     }
 

@@ -609,14 +609,20 @@ class ExtNumber:
 _MAX_POWER_BITS = 4096
 
 # Translation lengths and nonzero seed coordinates must lie within
-# 2^-32 <= |x| <= 2^32, far past every catalogued value.  The power bound
-# alone admits values such as tau^1400, whose floats overflow.
+# 2^-32 <= |x| <= 2^32, far past every catalogued value, and their reduced
+# numerators and denominator may not pass _MAX_LITERAL_BITS bits.  The
+# power bound alone admits values such as tau^1400 or (2^2000+1)/2^2000,
+# whose float terms overflow.
 _MAGNITUDE_MAX = GoldenNumber(2 ** 32)
 _MAGNITUDE_MIN = GoldenNumber(Fraction(1, 2 ** 32))
+_MAX_LITERAL_BITS = 256
 
 
 def within_magnitude(x: GoldenNumber) -> bool:
-    """True when 2^-32 <= |x| <= 2^32, decided exactly."""
+    """True when 2^-32 <= |x| <= 2^32 and no reduced term of x passes
+    256 bits, decided exactly."""
+    if max(abs(x.an), abs(x.bn), x.den).bit_length() > _MAX_LITERAL_BITS:
+        return False
     size = x if x.sign() >= 0 else -x
     return _MAGNITUDE_MIN <= size <= _MAGNITUDE_MAX
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import Mat3G, Vec3E, mat_apply, mat_det, mat_mul
-from .golden import GoldenNumber, ONE, TAU
+from .geometry import Mat3G, Vec3E, mat_apply, mat_mul
+from .golden import GoldenNumber, TAU
 
 __all__ = [
     "ClosureBoundError",
@@ -97,9 +97,6 @@ class PointGroup:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, m: Mat3G) -> bool:
-        return any(m == e for e in self.elements)
-
     def translation_orbit(self, fold: int) -> tuple[Vec3E, ...]:
         """Golden base vectors along every axis of this fold.
 
@@ -166,10 +163,6 @@ class PointGroup:
             n = self.element_order(m)
             histogram[n] = histogram.get(n, 0) + 1
         return dict(sorted(histogram.items()))
-
-    def rotation_count(self) -> int:
-        one = ONE
-        return sum(1 for m in self.elements if mat_det(m) == one)
 
 
 def generate_closure(

@@ -64,8 +64,8 @@ def _formula_member(count: int) -> dict[str, int]:
 class OnionShell:
     """One cage of the family: iteration, size, radius, bonding."""
 
-    __slots__ = ("iteration", "count", "outer_radius", "trivalent",
-                 "census", "edge_ratio", "pentagon_contact", "points")
+    __slots__ = ("iteration", "count", "outer_radius", "census",
+                 "edge_ratio", "pentagon_contact", "points")
 
     def __init__(self, iteration: int, count: int, outer_radius: float,
                  census: cages.FaceCensus, edge_ratio: float,
@@ -73,7 +73,6 @@ class OnionShell:
         self.iteration = iteration
         self.count = count
         self.outer_radius = outer_radius
-        self.trivalent = True
         self.census = census
         self.edge_ratio = edge_ratio
         self.pentagon_contact = pentagon_contact
@@ -141,14 +140,10 @@ class OnionReport:
                           else None),
                     "count": shell.count,
                     "outer_radius": round(shell.outer_radius, 9),
-                    "trivalent": shell.trivalent,
+                    "trivalent": True,
                     "edges": 3 * shell.count // 2,
                     "edge_ratio": round(shell.edge_ratio, 9),
-                    "faces": {
-                        "5": shell.census.pentagons,
-                        "6": shell.census.hexagons,
-                        "other": shell.census.other_count,
-                    },
+                    "faces": shell.census.as_dict(),
                     "pentagon_contact": shell.pentagon_contact,
                 }
                 for i, shell in enumerate(self.family)

@@ -1,5 +1,6 @@
 """Bond-graph thresholds, face tracing, and cage detection."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +16,7 @@ from icofold.cages import (
     similar_up_to_scale,
     trivalence_threshold_search,
 )
-from icofold.configs import StartConfig, builtin
+from icofold.configs import BUILTIN_NAMES, StartConfig, builtin
 from icofold.engine import generate_array, make_translation, outer_cage
 from icofold.golden import parse_field_expr
 
@@ -185,37 +186,71 @@ def test_detect_cage_none_cases():
     assert detect_cage([tet, tet * 2.0]) is None  # under 20 points
 
 
-# --- detect_cage against the dense search it replaces -------------------
+# --- the nearest-neighbour table against the dense search it replaces ----
 
-def dense_gap(coords):
-    """The gap test of the dense search: the whole N x N matrix at once."""
+def dense_threshold_search(points):
+    """The threshold search as first written: one N x N matrix, the
+    third- and fourth-nearest distances by two full partitions, and the
+    edges read off its upper triangle."""
+    coords = cages.as_coords(points)
     n = len(coords)
     if n < 4:
-        return False
+        return None
     d2 = cages._pairwise_squared(coords, coords)
     np.fill_diagonal(d2, np.inf)
-    c2 = float(np.partition(d2, 2, axis=1)[:, 2].max())
-    floor4 = float(np.partition(d2, 3, axis=1)[:, 3].min()) if n >= 5 \
-        else np.inf
-    return floor4 - c2 > cages._RESOLUTION * max(1.0, c2)
+    third = np.partition(d2, 2, axis=1)[:, 2]
+    if n >= 5:
+        fourth = np.partition(d2, 3, axis=1)[:, 3]
+    else:
+        fourth = np.full(n, np.inf)
+    c2 = float(third.max())
+    floor4 = float(fourth.min())
+    if not floor4 - c2 > cages._RESOLUTION * max(1.0, c2):
+        return None
+    threshold = (c2 + min(floor4, 4.0 * c2)) / 2.0
+    pairs = np.argwhere(np.triu(d2 <= threshold, k=1))
+    edges = tuple(sorted((int(i), int(j)) for i, j in pairs))
+    graph = cages.CageGraph(
+        coords, edges, math.sqrt(c2),
+        points=points if not isinstance(points, np.ndarray) else None,
+    )
+    return graph if graph.trivalent else None
 
 
-def union_coords(groups, chosen):
-    return cages.as_coords(tuple(p for i in chosen for p in groups[i]))
+def union_points(groups, chosen):
+    return tuple(p for i in chosen for p in groups[i])
+
+
+def assert_same_graph(got, want, context=None):
+    assert (got is None) == (want is None), context
+    if want is None:
+        return
+    assert got.edges == want.edges, context
+    assert got.cutoff.hex() == want.cutoff.hex(), context
+    assert got.edge_ratio == want.edge_ratio, context
+    assert np.array_equal(got.coords, want.coords), context
 
 
 def dense_detect_cage(shell_groups, max_ratio=cages._CAGE_MAX_EDGE_RATIO):
-    """The detector as first written: every union goes through the full
-    search, each one on its own N x N matrix.  Also checks the nearest-
-    distance table's gap verdict against the dense one on every union."""
+    """The detector as first written: every union goes through the dense
+    search, each one on its own N x N matrix.  Also checks the table's
+    graph against the dense one on every union tried."""
     groups = [tuple(g) for g in shell_groups]
     table = cages._NearestTable(groups)
 
     def attempt(chosen, dropped):
-        if 20 <= sum(sizes[i] for i in chosen) <= cages._CAGE_POINT_CAP:
-            assert table.separated(chosen) == dense_gap(
-                union_coords(groups, chosen)), chosen
-        return cages._validate_union(groups, chosen, dropped, max_ratio)
+        points = union_points(groups, chosen)
+        if not 20 <= len(points) <= cages._CAGE_POINT_CAP:
+            return None
+        graph = dense_threshold_search(points)
+        assert_same_graph(table.graph(chosen), graph, chosen)
+        if graph is None or graph.edge_ratio >= max_ratio:
+            return None
+        try:
+            census = face_census(graph)
+        except EulerError:
+            return None
+        return cages.CageFinding(graph, census, chosen, dropped)
 
     n = len(groups)
     sizes = [len(g) for g in groups]
@@ -279,11 +314,15 @@ def catalog_arrays():
     return arrays
 
 
-def test_detect_cage_matches_dense_search_on_arrays():
-    arrays = (onion_arrays("c60", "3") + onion_arrays("c80", "2")
-              + catalog_arrays())
+@pytest.fixture(scope="module")
+def differential_arrays():
+    return (onion_arrays("c60", "3") + onion_arrays("c80", "2")
+            + catalog_arrays())
+
+
+def test_detect_cage_matches_dense_search_on_arrays(differential_arrays):
     dropped = 0
-    for array in arrays:
+    for array in differential_arrays:
         groups = [shell.points for shell in array.shells]
         want = dense_detect_cage(groups)
         assert want is not None
@@ -306,16 +345,50 @@ def test_detect_cage_matches_dense_search_on_small_inputs():
     assert_same_finding(detect_cage(groups), want)
 
 
+def test_threshold_search_matches_dense_search_on_point_sets():
+    sets = [builtin(name).vertices for name in BUILTIN_NAMES]
+    sets += [np.zeros((0, 3)), (), two_tetrahedra()[:3],
+             two_tetrahedra()[:4], two_tetrahedra(),
+             coords_of(builtin("icosahedron").vertices)]
+    found = 0
+    for points in sets:
+        want = dense_threshold_search(points)
+        assert_same_graph(trivalence_threshold_search(points), want, points)
+        found += want is not None
+    assert found == 5  # dodecahedron, c60, c80, one and two tetrahedra
+
+
+def test_table_matches_dense_search_on_trailing_unions(differential_arrays):
+    """Every trailing union of up to 1500 points, merged from the shells'
+    rows and searched as one point set, bonds as the dense search does."""
+    unions = found = 0
+    for array in differential_arrays:
+        groups = [shell.coords for shell in array.shells]
+        table = cages._NearestTable(groups)
+        for k in range(1, len(groups) + 1):
+            chosen = tuple(range(len(groups) - k, len(groups)))
+            coords = np.vstack([groups[i] for i in chosen])
+            if len(coords) > 1500:
+                break
+            want = dense_threshold_search(coords)
+            assert_same_graph(table.graph(chosen), want, chosen)
+            assert_same_graph(trivalence_threshold_search(coords), want,
+                              chosen)
+            unions += 1
+            found += want is not None
+    assert unions >= 50 and found >= 10
+
+
 def assert_table_matches_dense(groups):
     """Every non-empty union of the shells, not only the ones detect_cage
-    would try, gets the dense verdict from the table."""
-    table = cages._NearestTable([tuple(g) for g in groups])
+    would try, gets the dense search's graph from the table."""
+    table = cages._NearestTable(groups)
     verdicts = set()
     for k in range(1, len(groups) + 1):
         for chosen in combinations(range(len(groups)), k):
-            dense = dense_gap(union_coords(groups, chosen))
-            assert table.separated(chosen) == dense, chosen
-            verdicts.add(dense)
+            want = dense_threshold_search(union_points(groups, chosen))
+            assert_same_graph(table.graph(chosen), want, chosen)
+            verdicts.add(want is not None)
     return verdicts
 
 
@@ -343,6 +416,8 @@ def test_table_takes_array_and_point_shells():
     assert assert_table_matches_dense([dod[:10], dod[10:]]) == {True, False}
     assert assert_table_matches_dense(
         [coords_of(dod[:10]), dod[10:], ico * 3.0]) == {True, False}
+    graph = cages._NearestTable([dod[:10], dod[10:]]).graph((0, 1))
+    assert graph.points == tuple(dod)
 
 
 def test_table_mixes_a_shell_with_itself_and_others():
@@ -351,11 +426,21 @@ def test_table_mixes_a_shell_with_itself_and_others():
     dod = coords_of(builtin("dodecahedron").vertices)
     groups = [dod, dod, dod + (0, 0, 10.0), dod[:3]]
     assert assert_table_matches_dense(groups) == {True, False}
-    table = cages._NearestTable([tuple(g) for g in groups])
-    assert not table.separated((0, 1))
-    assert table.separated((0, 2))
-    assert table.rows(0, 0).shape == (20, 4)
-    assert np.isinf(table.rows(3, 3)).sum() == 3 * 2  # 2 others, 2 pads
+    table = cages._NearestTable(groups)
+    assert table.graph((0, 1)) is None
+    assert table.graph((0, 2)) is not None
+    values, index = table.nearest(0, 0)
+    assert values.shape == index.shape == (20, 4)
+    assert np.isinf(table.nearest(3, 3)[0]).sum() == 3 * 2  # 2 others, 2 pads
+
+
+def test_table_bonds_coincident_points():
+    # four copies of a point set: each point's three nearest are its
+    # copies at distance 0, so the cutoff is 0 and bonds sit exactly on it
+    dod = coords_of(builtin("dodecahedron").vertices)
+    assert assert_table_matches_dense([dod] * 4) == {True, False}
+    graph = cages._NearestTable([dod] * 4).graph((0, 1, 2, 3))
+    assert graph.cutoff == 0.0 and graph.edge_count == 120
 
 
 # --- kustov_allowable ------------------------------------------------------

@@ -315,6 +315,7 @@ def test_depth_zero_is_usage_error(capsys):
     "tau^1400",    # parses, but lies outside 2^-32 <= |x| <= 2^32
     "10^400",
     "tau^-60",
+    "(2^2000+1)/2^2000",  # close to 1, but its terms pass 256 bits
 ])
 def test_out_of_range_length_exits_2_without_traceback(capsys, length):
     code = cli.run(["extend", "--config", "dodecahedron", "--axis", "5",
@@ -336,6 +337,23 @@ def test_out_of_range_seed_coordinate_exits_2_without_traceback(
     err = capsys.readouterr().err
     assert code == 2
     assert "huge.txt:2" in err and "Traceback" not in err
+
+
+def test_long_pentagon_length_exits_2_without_traceback(capsys):
+    code = cli.run(["pentagon", "--length", "(2^2000+1)/2^2000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_long_seed_coordinate_exits_2_without_traceback(tmp_path, capsys):
+    seed = tmp_path / "long.txt"
+    seed.write_text("@closure on\n0,1,(2^2000+1)/2^2000\n",
+                    encoding="utf-8")
+    code = cli.run(["configs", "--config", str(seed)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "long.txt:2" in err and "Traceback" not in err
 
 
 def test_help_exits_zero():
@@ -403,6 +421,13 @@ PINNED_STDOUT = [
     (["onion", "--config", "c80", "--axis", "5", "--length", "2",
       "--depth", "2"],
      "26cf7f8b709dd8448661f7e5802d8f7d05efe0ee5dd607d8991083f5b6b8c614"),
+    # single-shell threshold search edges and the depth-1 catalog findings
+    (["export", "--config", "c80", "--emit", "off"],
+     "8cb9a234e1a93dcf7f6504428d1a16011bf3c39db83bf2a5785c64bb9eb2d01c"),
+    (["export", "--config", "dodecahedron", "--emit", "off"],
+     "1d15d7d6dd641519ba753538a3c9576f93542d4a9aadd1351e82695f98dde8a2"),
+    (["verify", "--only", "shells"],
+     "4d8276a202dbef411a2c331e00a1d78141ec7dbbd3d8aa00f0072893e71089e7"),
 ]
 
 

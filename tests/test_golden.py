@@ -313,10 +313,14 @@ class TestParsing:
         big = GoldenNumber(2 ** 32)
         small = GoldenNumber(Fraction(1, 2 ** 32))
         tiny = (TAU - 1) * GoldenNumber(Fraction(1, 2 ** 70))  # > 0
+        # reduced terms of up to 256 bits pass, longer ones do not
+        long_256 = GoldenNumber(Fraction(2 ** 255 + 1, 2 ** 255))
+        long_257 = GoldenNumber(Fraction(2 ** 256 + 1, 2 ** 256))
         inside = [ONE, -TAU, big, -big, small, -small, big - tiny,
-                  small + tiny, TAU ** 46, TAU ** -46]
+                  small + tiny, TAU ** 46, TAU ** -46, long_256]
         outside = [ZERO, big + tiny, -(big + tiny), small - tiny,
-                   TAU ** 47, TAU ** -47, GoldenNumber(10) ** 400]
+                   TAU ** 47, TAU ** -47, GoldenNumber(10) ** 400,
+                   long_257, -long_257, long_257 * TAU]
         assert all(within_magnitude(x) for x in inside)
         assert not any(within_magnitude(x) for x in outside)
 
