@@ -9,11 +9,8 @@ from .golden import (
     ONE,
     TAU,
     ZERO,
-    ExtNumber,
     FieldParseError,
     GoldenNumber,
-    RadicandMismatchError,
-    parse_ext_expr,
     parse_field_expr,
 )
 
@@ -21,11 +18,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GoldenNumber",
-    "ExtNumber",
     "FieldParseError",
-    "RadicandMismatchError",
     "parse_field_expr",
-    "parse_ext_expr",
     "ZERO",
     "ONE",
     "TAU",

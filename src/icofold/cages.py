@@ -58,7 +58,7 @@ def as_coords(points) -> np.ndarray:
         p.as_floats() if hasattr(p, "as_floats") else tuple(p)
         for p in points
     ]
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float) if rows else np.empty((0, 3))
 
 
 class CageGraph:
@@ -405,10 +405,9 @@ def kustov_allowable(n: int) -> bool:
 
 def _radius_signature(coords: np.ndarray) -> np.ndarray:
     radii = np.sort(np.linalg.norm(coords, axis=1))
-    outer = radii[-1]
-    if outer == 0:
+    if len(radii) == 0 or radii[-1] == 0:
         return radii
-    return radii / outer
+    return radii / radii[-1]
 
 
 def similar_up_to_scale(a_points, b_points, tol: float = 1e-9) -> bool:

@@ -18,13 +18,14 @@ from pathlib import Path
 from . import cages
 from .configs import BUILTIN_NAMES, ConfigError, StartConfig, builtin, \
     load_custom
-from .engine import (DEFAULT_BAND_GAP, DEFAULT_SCAN_SPEC, PointBudgetError,
-                     classify_length, classify_scan, generate_array,
-                     make_translation, outer_cage, parse_scan_spec)
+from .engine import (DEFAULT_BAND_GAP, DEFAULT_SCAN_SPEC, EmptyScanError,
+                     PointBudgetError, classify_length, classify_scan,
+                     generate_array, make_translation, outer_cage,
+                     parse_scan_spec)
 from .export import (ExportError, ExportOptions, canonical_json, export_csv,
                      export_off, export_xyz, provenance_comment)
-from .golden import (FieldParseError, GoldenNumber, RadicandMismatchError,
-                     format_golden, parse_field_expr, within_magnitude)
+from .golden import (FieldParseError, GoldenNumber, format_golden,
+                     parse_field_expr, within_magnitude)
 from .groups import ClosureBoundError, full_group, rotation_group
 from .onion import build_onion
 from .pentagon import pentagon_array
@@ -192,8 +193,7 @@ def _resolve_config(value: str) -> StartConfig:
     if os.path.exists(value):
         try:
             return load_custom(value)
-        except (ConfigError, FieldParseError,
-                RadicandMismatchError) as exc:
+        except (ConfigError, FieldParseError) as exc:
             raise ParseFailure(str(exc)) from exc
     raise UsageError(
         f"unknown configuration '{value}': not a builtin name "
@@ -337,7 +337,10 @@ def _cmd_classify(args) -> int:
     else:
         spec = DEFAULT_SCAN_SPEC
     folds = (args.axis,) if args.axis else (2, 3, 5)
-    rows = classify_scan(start, folds, spec, args.band_gap)
+    try:
+        rows = classify_scan(start, folds, spec, args.band_gap)
+    except EmptyScanError as exc:
+        raise ParseFailure(f"bad scan spec '{args.scan}': {exc}") from exc
     payload = {
         "start": start.name,
         "rows": rows,
@@ -439,7 +442,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FieldParseError, RadicandMismatchError, ParseFailure) as exc:
+    except (FieldParseError, ParseFailure) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NoCageError, ExportError) as exc:

@@ -42,6 +42,7 @@ from .groups import PointGroup
 
 __all__ = [
     "PointBudgetError",
+    "EmptyScanError",
     "AffineTranslation",
     "PointArray",
     "Shell",
@@ -77,6 +78,10 @@ _BAND_PAIR_BYTES_CAP = 2 ** 28
 
 class PointBudgetError(RuntimeError):
     """Array generation would exceed the configured point cap."""
+
+
+class EmptyScanError(ValueError):
+    """A scan spec yields no positive length under its cutoff."""
 
 
 class AffineTranslation:
@@ -398,6 +403,8 @@ def parse_scan_spec(text: str) -> ScanSpec:
         if not _:
             n = int(lo)
             return (n, n)
+        if int(lo) > int(hi):
+            raise ValueError(f"range {value} is empty")
         return (int(lo), int(hi))
 
     spec = ScanSpec()
@@ -427,6 +434,8 @@ def parse_scan_spec(text: str) -> ScanSpec:
                     raise ValueError("denominators must be positive")
             elif name == "max":
                 spec.cutoff = float(value)
+                if not spec.cutoff > 0:
+                    raise ValueError("max must be positive")
             else:
                 raise ValueError(f"unknown scan field '{name}'")
     except ValueError as exc:
@@ -545,7 +554,7 @@ def classify_scan(start: StartConfig, folds, spec: ScanSpec,
         cutoff = 2.0 * math.sqrt(float(start.radius2))
     lengths = spec.lengths(cutoff)
     if not lengths:
-        raise ValueError("scan produced no candidate lengths")
+        raise EmptyScanError("scan produced no candidate lengths")
     return [
         classify_length(start, make_translation(start.symmetry, fold, length),
                         1, band_gap, cap, with_cage=False)

@@ -6,8 +6,9 @@ Two coordinate channels with different guarantees:
   viewers (lossy but portable).
 * CSV carries the exact field literals, so a written file parses back to
   the identical point set (lossless round-trip).  Its "# radicand:" header
-  is 1 for 3D points, which lie in Q(tau); plane points carry the
-  pentagon's sqrt(2+tau).
+  is 1 for 3D points, which lie in Q(tau).  Plane points name the
+  pentagon's 2+tau: each x cell is 0 or "(<xs>)*sqrt(2+tau)" with xs a
+  Q(tau) literal, and each y cell is a Q(tau) literal.
 
 All writers emit identical bytes for identical inputs and options:
 points are sorted into a canonical order, faces are canonicalized, and
@@ -21,9 +22,8 @@ import math
 
 from . import cages
 from .geometry import Vec3E
-from .golden import (GoldenNumber, format_ext, format_golden, parse_ext_expr,
-                     parse_field_expr)
-from .pentagon import Vec2E
+from .golden import ZERO, GoldenNumber, format_golden, parse_field_expr
+from .pentagon import PENTAGON_RADICAND, Vec2E
 
 __all__ = [
     "BOND_LENGTH",
@@ -41,6 +41,7 @@ BOND_LENGTH = 1.42
 
 _FORMATS = ("xyz", "off", "csv", "json")
 _SCALES = ("raw", "bond")
+_PLANE_RADICAL = f"*sqrt({format_golden(PENTAGON_RADICAND)})"
 
 
 class ExportError(ValueError):
@@ -200,18 +201,38 @@ def export_csv(points) -> str:
         for i in _canonical_indices(pts):
             lines.append(",".join(format_golden(c) for c in pts[i]))
     else:
-        lines = [f"# radicand: {format_golden(pts[0].x.k)}", "x,y"]
+        lines = [f"# radicand: {format_golden(PENTAGON_RADICAND)}", "x,y"]
         for i in _canonical_indices(pts):
-            lines.append(f"{format_ext(pts[i].x)},{format_ext(pts[i].y)}")
+            xs, y = pts[i].xs, pts[i].y
+            x = f"({format_golden(xs)}){_PLANE_RADICAL}" if xs else "0"
+            lines.append(f"{x},{format_golden(y)}")
     return "\n".join(lines) + "\n"
+
+
+def _golden_cell(cell: str, line: str) -> GoldenNumber:
+    if "sqrt" in cell:
+        raise ExportError(f"'{line}' has a radical part in a Q(tau) cell")
+    return parse_field_expr(cell)
+
+
+def _plane_x(cell: str) -> GoldenNumber:
+    """xs of a 2D x cell: 0, or (<xs>)*sqrt(2+tau) with xs in Q(tau)."""
+    if cell == "0":
+        return ZERO
+    head = cell.removesuffix(_PLANE_RADICAL)
+    if head != cell and head[:1] == "(" and head[-1:] == ")":
+        return parse_field_expr(head[1:-1])
+    raise ExportError(f"2D x cell '{cell}' is neither 0 nor "
+                      f"(<literal>){_PLANE_RADICAL}")
 
 
 def read_csv(text: str) -> list:
     """Parse an exact-literal CSV back into vectors.
 
-    3D cells are Q(tau) literals; a cell with a nonzero radical part
-    raises ExportError.  Files that name another radicand in their header
-    still read, as long as their 3D cells are radical-free.
+    3D cells are Q(tau) literals; a cell with a radical raises
+    ExportError.  Files that name another radicand in their header still
+    read, as long as their 3D cells are radical-free.  2D rows need the
+    header 2+tau, an x cell that is 0 or radical, and a radical-free y.
     """
     radicand: GoldenNumber | None = None
     points: list = []
@@ -233,18 +254,17 @@ def read_csv(text: str) -> list:
             raise ExportError("CSV is missing its '# radicand:' header")
         if expected is not None and len(cells) != expected:
             raise ExportError(f"expected {expected} columns, got {len(cells)}")
-        parts = [parse_ext_expr(cell, radicand) for cell in cells]
-        if len(parts) == 3:
-            if not all(part.is_golden() for part in parts):
+        if len(cells) == 3:
+            points.append(Vec3E(*(_golden_cell(c, line) for c in cells)))
+        elif len(cells) == 2:
+            if radicand != PENTAGON_RADICAND:
                 raise ExportError(
-                    f"3D coordinates lie in Q(tau); '{line}' has a radical "
-                    f"part"
-                )
-            points.append(Vec3E(*(part.p for part in parts)))
-        elif len(parts) == 2:
-            points.append(Vec2E(*parts))
+                    f"2D rows need the header '# radicand: "
+                    f"{format_golden(PENTAGON_RADICAND)}'")
+            points.append(Vec2E(_plane_x(cells[0]),
+                                _golden_cell(cells[1], line)))
         else:
-            raise ExportError(f"expected 2 or 3 columns, got {len(parts)}")
+            raise ExportError(f"expected 2 or 3 columns, got {len(cells)}")
     return points
 
 

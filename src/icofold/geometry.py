@@ -5,12 +5,13 @@ rotation has entries in (1/2)Q(tau), and every start vertex and
 translation step ((0,1,tau), (1,1,1), (tau,0,0) times a Q(tau) length)
 lies in Q(tau)^3, so points, squared norms and distances never leave the
 golden field.  The radicals sqrt(3) and sqrt(2+tau) that unit axis
-vectors would need never appear in a coordinate.
+vectors would need never appear in a coordinate, so GoldenNumber is the
+only number type a Vec3E holds.
 """
 
 from __future__ import annotations
 
-from .golden import ONE, GoldenNumber, RadicandMismatchError
+from .golden import ONE, GoldenNumber
 
 __all__ = [
     "Vec3E",
@@ -47,7 +48,7 @@ class Vec3E:
         itself, is accepted.
         """
         if k != ONE:
-            raise RadicandMismatchError(
+            raise ValueError(
                 f"3D coordinates lie in Q(tau); radicand {k} is not 1"
             )
         gx = GoldenNumber._lift(x)

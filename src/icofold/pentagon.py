@@ -7,16 +7,19 @@ and count how many of the 30 candidate points coincide exactly.  A
 translation by tau along the vertex axis collapses five pairs, leaving
 25 points: the same coincidence phenomenon the 3D engine classifies.
 
-Everything lives in Q(tau)(sqrt(2+tau)): cos 72 = (tau-1)/2 and
-sin 72 = sqrt(2+tau)/2, so one exact 72-degree rotation matrix generates
-all vertices and no other constants are needed.
+cos 72 = (tau-1)/2 lies in Q(tau), but sin 72 = sqrt(2+tau)/2 does not.
+Every point of the array still has the form (xs*sqrt(2+tau), y) with xs
+and y in Q(tau): the vertex (0, 1) and the shifts (0, +-length) do, and
+the 72-degree rotation keeps the form.  So a plane point is two
+GoldenNumbers, and sqrt(2+tau) enters only as a float when it is printed.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .golden import ExtNumber, GoldenNumber, K_FIVEFOLD, ZERO
+from .golden import ONE, ZERO, GoldenNumber
 
 __all__ = [
     "Vec2E",
@@ -27,68 +30,68 @@ __all__ = [
     "pentagon_array",
 ]
 
-# sin 72 = sqrt(2+tau)/2, so the plane lives in Q(tau)(sqrt(2+tau))
-PENTAGON_RADICAND = K_FIVEFOLD
+# The plane's fixed radical: x = xs*sqrt(2+tau) for every point
+PENTAGON_RADICAND = GoldenNumber(2, 1)
 
 _HALF = Fraction(1, 2)
 _COS72 = GoldenNumber(-_HALF, _HALF)  # (tau-1)/2
-_SIN72_COEFF = GoldenNumber(_HALF, 0)  # sin 72 = (1/2)*sqrt(2+tau)
-
-
-def _ext(golden: GoldenNumber, radical: GoldenNumber = ZERO) -> ExtNumber:
-    return ExtNumber(golden, radical, PENTAGON_RADICAND)
+_ROOT_FLOAT = math.sqrt(float(PENTAGON_RADICAND))
 
 
 class Vec2E:
-    """An exact plane point with components in Q(tau)(sqrt(2+tau))."""
+    """An exact plane point (xs*sqrt(2+tau), y) with xs, y in Q(tau)."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("xs", "y")
 
-    def __init__(self, x: ExtNumber, y: ExtNumber) -> None:
-        self.x = x
+    def __init__(self, xs: GoldenNumber, y: GoldenNumber) -> None:
+        self.xs = xs
         self.y = y
 
     def __add__(self, other: "Vec2E") -> "Vec2E":
-        return Vec2E(self.x + other.x, self.y + other.y)
+        return Vec2E(self.xs + other.xs, self.y + other.y)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Vec2E)
-                and self.x == other.x and self.y == other.y)
+                and self.xs == other.xs and self.y == other.y)
 
     def key(self) -> tuple:
-        return (self.x.key(), self.y.key())
+        return (self.xs.key(), self.y.key())
 
     def __hash__(self) -> int:
         return hash(self.key())
 
     def as_floats(self) -> tuple[float, float]:
-        return (float(self.x), float(self.y))
+        return (float(self.xs) * _ROOT_FLOAT, float(self.y))
 
-    def norm2(self) -> ExtNumber:
-        return self.x * self.x + self.y * self.y
+    def norm2(self) -> GoldenNumber:
+        return PENTAGON_RADICAND * self.xs * self.xs + self.y * self.y
 
     def __repr__(self) -> str:
-        return f"Vec2E({self.x}, {self.y})"
+        return f"Vec2E(({self.xs})*sqrt({PENTAGON_RADICAND}), {self.y})"
 
 
-def rotation72() -> tuple[tuple[ExtNumber, ExtNumber],
-                          tuple[ExtNumber, ExtNumber]]:
-    """The exact 72-degree rotation [[cos,-sin],[sin,cos]]."""
+def rotation72() -> tuple[tuple[GoldenNumber, GoldenNumber],
+                          tuple[GoldenNumber, GoldenNumber]]:
+    """The exact 72-degree rotation, acting on (xs, y).
+
+    With s = sin 72 = sqrt(2+tau)/2, x' = c*x - s*y and y' = s*x + c*y
+    become xs' = c*xs - y/2 and y' = ((2+tau)/2)*xs + c*y.
+    """
     return (
-        (_ext(_COS72), _ext(ZERO, -_SIN72_COEFF)),
-        (_ext(ZERO, _SIN72_COEFF), _ext(_COS72)),
+        (_COS72, GoldenNumber(-_HALF, 0)),
+        (PENTAGON_RADICAND * _HALF, _COS72),
     )
 
 
 def rotate(matrix, v: Vec2E) -> Vec2E:
     (a, b), (c, d) = matrix
-    return Vec2E(a * v.x + b * v.y, c * v.x + d * v.y)
+    return Vec2E(a * v.xs + b * v.y, c * v.xs + d * v.y)
 
 
 def pentagon_vertices() -> tuple[Vec2E, ...]:
     """Unit-circumradius pentagon with a vertex at (0, 1)."""
     matrix = rotation72()
-    out = [Vec2E(_ext(ZERO), _ext(GoldenNumber(1, 0)))]
+    out = [Vec2E(ZERO, ONE)]
     for _ in range(4):
         out.append(rotate(matrix, out[-1]))
     return tuple(out)
@@ -136,7 +139,7 @@ def pentagon_array(length: GoldenNumber,
     if direction not in ("vertex", "edge"):
         raise ValueError(f"unknown direction '{direction}'")
     axis_y = length if direction == "vertex" else -length
-    shift = Vec2E(_ext(ZERO), _ext(axis_y))
+    shift = Vec2E(ZERO, axis_y)
     base = pentagon_vertices()
     matrix = rotation72()
     seen: dict[tuple, Vec2E] = {}

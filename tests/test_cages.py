@@ -481,6 +481,12 @@ def test_similarity_rejects_different_shapes():
                                    builtin("dodecahedron").vertices)
 
 
+def test_similarity_of_empty_point_sets():
+    assert cages.as_coords(()).shape == (0, 3)
+    assert similar_up_to_scale([], [])
+    assert not similar_up_to_scale([], builtin("c60").vertices)
+
+
 def test_similarity_needs_matching_cages():
     # both are 60 points on one sphere, but only c60 bonds trivalently
     c60 = coords_of(builtin("c60").vertices)

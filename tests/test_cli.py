@@ -148,6 +148,23 @@ def test_classify_bad_scan_spec(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scan", [
+    "a=2..1,b=0..0,c=1..1,max=5",  # reversed range
+    "a=2..1,b=0..0,c=2..1,max=5",  # and no denominator
+    "a=-3..-1,b=0..0,c=1..1,max=5",  # a valid spec with no positive length
+    "a=1..2,b=0..0,c=1..1,max=nan",
+    "a=1..2,b=0..0,c=1..1,max=0",
+    "a=1..2,b=0..0,c=1..1,max=-1",
+])
+def test_classify_empty_scan_exits_2_without_traceback(capsys, scan):
+    code = cli.run(["classify", "--config", "dodecahedron", "--axis", "5",
+                    "--scan", scan])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error: bad scan spec ")
+    assert "Traceback" not in err
+
+
 # --- onion ----------------------------------------------------------------------
 
 def test_onion_writes_family_and_shell_files(tmp_path, capsys):
@@ -428,6 +445,17 @@ PINNED_STDOUT = [
      "1d15d7d6dd641519ba753538a3c9576f93542d4a9aadd1351e82695f98dde8a2"),
     (["verify", "--only", "shells"],
      "4d8276a202dbef411a2c331e00a1d78141ec7dbbd3d8aa00f0072893e71089e7"),
+    # the plane pentagon, whose x coordinates carry sqrt(2+tau)
+    (["pentagon"],
+     "0173fc0e8382a510bb5545050f100f4f5287ea2d7443cef7c3336a9aa73f6b4d"),
+    (["pentagon", "--length", "1", "--emit", "csv"],
+     "2abbfb1a2192755fd9b8cb8d3e1bcf8fec3b0d9c055ab5c61e547c496cc78d0b"),
+    (["pentagon", "--length", "tau", "--direction", "edge", "--emit", "csv"],
+     "b3e9455c9036cdab26a4236fa408a9250cddeb07f2f2e6afa9003eae946397c9"),
+    (["verify", "--only", "pentagon"],
+     "ddfdc2216b439742cd4ebe4c6b2121242a452f7f204f892b997a86ee9ca5bc36"),
+    (["verify", "--only", "properties"],
+     "49b229102446f040d2032d1b4cd446baf7d5cc555bbc462d29ceda4af839369e"),
 ]
 
 

@@ -6,18 +6,18 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from ext_reference import ExtNumber, format_ext
 
 from icofold.cages import as_coords
 
 from icofold.configs import StartConfig, builtin
 from icofold.engine import (DEFAULT_BAND_GAP, DEFAULT_SCAN_SPEC,
-                            PointBudgetError, ScanSpec, bands,
+                            EmptyScanError, PointBudgetError, ScanSpec, bands,
                             classify_length, classify_scan, generate_array,
                             generic_cardinality, is_nontrivial,
                             make_translation, outer_cage, parse_scan_spec)
 from icofold.geometry import Vec3E, mat_apply, norm2
-from icofold.golden import (ExtNumber, GoldenNumber, ONE, TAU,
-                            RadicandMismatchError, format_ext, format_golden,
+from icofold.golden import (GoldenNumber, ONE, TAU, format_golden,
                             parse_field_expr)
 
 
@@ -168,7 +168,8 @@ def test_deterministic_ordering():
 #
 # 3D points used to carry ExtNumber coordinates in a per-fold workspace
 # (radicand 1, 3 or 2+tau for folds 2, 3, 5) whose radical part was always
-# zero.  The helpers below redo that arithmetic on tuples of ExtNumbers:
+# zero.  The helpers below redo that arithmetic on tuples of ExtNumbers
+# (the reference copy in ext_reference.py):
 # translation steps as base-vector orbits scaled by the length, arrays as
 # every multiset of at most `depth` steps added to every start vertex,
 # keys, norms and floats as the old Vec3E computed them.
@@ -333,7 +334,9 @@ def test_start_vertex_with_radical_part_is_rejected():
     k = GoldenNumber(2, 1)
     with pytest.raises(TypeError):
         Vec3E(ExtNumber(0, 1, k), ExtNumber(0, 0, k), ExtNumber(0, 0, k))
-    with pytest.raises(RadicandMismatchError):
+    with pytest.raises(TypeError):
+        Vec3E(0.0, GoldenNumber(0), GoldenNumber(0))
+    with pytest.raises(ValueError, match="radicand"):
         Vec3E.from_golden(0, 0, 0, k)
 
 
@@ -424,6 +427,19 @@ def test_parse_scan_spec_rejects_unknown_field():
         parse_scan_spec("a=0..1,q=2..3")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("a=2..1", "range 2..1 is empty"),
+    ("b=1..-1", "range 1..-1 is empty"),
+    ("c=3..2", "range 3..2 is empty"),
+    ("max=nan", "max must be positive"),
+    ("max=0", "max must be positive"),
+    ("max=-2.5", "max must be positive"),
+])
+def test_parse_scan_spec_rejects_empty_ranges_and_bad_cutoffs(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_scan_spec(text)
+
+
 def test_scan_lengths_positive_unique_sorted():
     spec = ScanSpec((-2, 2), (-1, 1), (1, 2), cutoff=4.0)
     lengths = spec.lengths(spec.cutoff)
@@ -471,7 +487,7 @@ def test_classify_interior_bands_never_flagged():
 
 def test_classify_scan_rejects_empty():
     start = builtin("icosahedron")
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyScanError):
         classify_scan(start, (5,), ScanSpec((0, 0), (0, 0), (1,),
                                             cutoff=1.0))
 

@@ -6,14 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from icofold.golden import (
-    K_FIVEFOLD,
-    ONE,
-    ExtNumber,
-    GoldenNumber,
-    RadicandMismatchError,
-    TAU,
-)
+from ext_reference import ExtNumber
+from icofold.golden import ONE, GoldenNumber, TAU
 from icofold.geometry import Mat3G, Vec3E, dist2, dot, mat_apply, mat_det, mat_mul, norm2
 from icofold.groups import GEN_B5, GEN_R3
 
@@ -59,15 +53,15 @@ class TestVec3E:
     def test_radicand_mismatch_rejected(self):
         # 3D coordinates lie in Q(tau): radicand 1 only, no radical parts
         assert Vec3E.from_golden(1, 0, 0, ONE) == Vec3E.from_golden(1, 0, 0)
-        with pytest.raises(RadicandMismatchError):
-            Vec3E.from_golden(1, 0, 0, K_FIVEFOLD)
-        with pytest.raises(RadicandMismatchError):
-            Vec3E.from_golden(1, 0, 0, GoldenNumber(3, 0))
-        radical = ExtNumber.sqrt_of(K_FIVEFOLD)
-        with pytest.raises(TypeError):
-            Vec3E(radical, ONE, ONE)
-        with pytest.raises(TypeError):
-            Vec3E.from_golden(radical, 0, 0)
+        for k in (GoldenNumber(2, 1), GoldenNumber(3, 0)):
+            with pytest.raises(ValueError, match="radicand"):
+                Vec3E.from_golden(1, 0, 0, k)
+        radical = ExtNumber(0, 1, GoldenNumber(2, 1))
+        for bad in (radical, 1.0):
+            with pytest.raises(TypeError):
+                Vec3E(bad, ONE, ONE)
+            with pytest.raises(TypeError):
+                Vec3E.from_golden(bad, 0, 0)
 
     def test_vector_space_identities(self):
         rng = random.Random(421)
@@ -91,8 +85,9 @@ class TestVec3E:
     def test_scale_by_ext_scalar(self):
         v = Vec3E.from_golden(0, 1, TAU)
         assert v.scale(TAU) == Vec3E.from_golden(0, TAU, TAU + 1)
-        with pytest.raises(TypeError):
-            v.scale(ExtNumber.sqrt_of(K_FIVEFOLD))
+        for bad in (ExtNumber(0, 1, GoldenNumber(2, 1)), 1.5):
+            with pytest.raises(TypeError):
+                v.scale(bad)
 
 
 class TestMat3G:

@@ -1,4 +1,4 @@
-"""Tests for exact golden-field and extension arithmetic."""
+"""Tests for exact golden-field arithmetic and field literals."""
 
 import math
 import random
@@ -8,23 +8,15 @@ from fractions import Fraction
 import pytest
 
 from icofold.golden import (
-    K_FIVEFOLD,
     ONE,
     TAU,
     ZERO,
-    ExtNumber,
     FieldParseError,
     GoldenNumber,
-    RadicandMismatchError,
-    format_ext,
     format_golden,
-    parse_ext_expr,
     parse_field_expr,
     within_magnitude,
 )
-
-# ExtNumber takes any positive radicand; sqrt(3) exercises a second one
-K_THREE = GoldenNumber(3, 0)
 
 getcontext().prec = 80
 TAU_DEC = (1 + Decimal(5).sqrt()) / 2
@@ -34,21 +26,11 @@ def golden_dec(x: GoldenNumber) -> Decimal:
     return (Decimal(x.an) + Decimal(x.bn) * TAU_DEC) / Decimal(x.den)
 
 
-def ext_dec(x: ExtNumber) -> Decimal:
-    p = (Decimal(x.pa) + Decimal(x.pb) * TAU_DEC) / Decimal(x.den)
-    q = (Decimal(x.qa) + Decimal(x.qb) * TAU_DEC) / Decimal(x.den)
-    return p + q * golden_dec(x.k).sqrt()
-
-
 def rand_golden(rng: random.Random, span: int = 1000) -> GoldenNumber:
     return GoldenNumber(
         Fraction(rng.randint(-span, span), rng.randint(1, 12)),
         Fraction(rng.randint(-span, span), rng.randint(1, 12)),
     )
-
-
-def rand_ext(rng: random.Random, k: GoldenNumber) -> ExtNumber:
-    return ExtNumber(rand_golden(rng, 60), rand_golden(rng, 60), k)
 
 
 def fibonacci(n: int) -> list[int]:
@@ -186,96 +168,6 @@ class TestGoldenAlgebra:
             assert norm.bn == 0  # x*conj(x) = a^2+ab-b^2 is rational
 
 
-class TestExtNumber:
-    def test_sqrt_squares_back_to_radicand(self):
-        for k in (K_FIVEFOLD, K_THREE):
-            root = ExtNumber.sqrt_of(k)
-            assert (root * root).is_golden()
-            assert root * root == ExtNumber.from_golden(k, k)
-            assert root.sign() == 1
-
-    def test_unit_radicand_folds_into_golden_part(self):
-        x = ExtNumber(GoldenNumber(2, 1), GoldenNumber(3, 0), ONE)
-        assert x.is_golden()
-        assert x.p == GoldenNumber(5, 1)
-        assert x == ExtNumber.from_golden(GoldenNumber(5, 1), ONE)
-
-    def test_radicand_mismatch_raises(self):
-        a = ExtNumber(ONE, ONE, K_FIVEFOLD)
-        b = ExtNumber(ONE, ONE, K_THREE)
-        with pytest.raises(RadicandMismatchError):
-            a + b
-        with pytest.raises(RadicandMismatchError):
-            a * b
-
-    def test_field_axioms_on_random_values(self):
-        rng = random.Random(407)
-        for k in (K_FIVEFOLD, K_THREE):
-            for _ in range(700):
-                x = rand_ext(rng, k)
-                y = rand_ext(rng, k)
-                z = rand_ext(rng, k)
-                assert x + y == y + x
-                assert x * y == y * x
-                assert (x + y) + z == x + (y + z)
-                assert x * (y + z) == x * y + x * z
-                assert x - x == ExtNumber(0, 0, k)
-                if not x.is_zero():
-                    assert x * x.inverse() == ExtNumber(1, 0, k)
-                    assert (y / x) * x == y
-
-    def test_arithmetic_matches_decimal_oracle(self):
-        rng = random.Random(408)
-        for k in (K_FIVEFOLD, K_THREE):
-            for _ in range(700):
-                x = rand_ext(rng, k)
-                y = rand_ext(rng, k)
-                assert abs(ext_dec(x * y) - ext_dec(x) * ext_dec(y)) < Decimal("1e-35")
-                assert abs(ext_dec(x + y) - (ext_dec(x) + ext_dec(y))) < Decimal("1e-35")
-
-    def test_sign_matches_decimal_oracle(self):
-        rng = random.Random(409)
-        for k in (K_FIVEFOLD, K_THREE):
-            for _ in range(3000):
-                x = rand_ext(rng, k)
-                d = ext_dec(x)
-                expected = 0 if d == 0 else (1 if d > 0 else -1)
-                assert x.sign() == expected
-
-    def test_sign_on_engineered_cancellations(self):
-        # p and q chosen with opposite signs so the comparison branch runs
-        root5 = ExtNumber.sqrt_of(K_FIVEFOLD)  # sqrt(2+tau) ~ 1.902
-        assert (2 - root5).sign() == 1
-        assert (ExtNumber.from_golden(TAU, K_FIVEFOLD) - root5).sign() == -1
-        assert (root5 * root5 - GoldenNumber(2, 1)).sign() == 0
-        root3 = ExtNumber.sqrt_of(K_THREE)
-        assert (root3 - 1).sign() == 1
-        assert (root3 - 2).sign() == -1
-        assert (root3 - TAU).sign() == 1  # sqrt(3) ~ 1.732 > tau ~ 1.618
-
-    def test_mul_golden_agrees_with_general_product(self):
-        rng = random.Random(410)
-        for _ in range(500):
-            x = rand_ext(rng, K_FIVEFOLD)
-            g = rand_golden(rng, 60)
-            assert x.mul_golden(g) == x * ExtNumber.from_golden(g, K_FIVEFOLD)
-
-    def test_powers(self):
-        root = ExtNumber.sqrt_of(K_THREE)
-        assert root ** 2 == ExtNumber.from_golden(K_THREE, K_THREE)
-        assert root ** 4 == ExtNumber.from_golden(GoldenNumber(9, 0), K_THREE)
-        x = ExtNumber(TAU, ONE, K_THREE)
-        assert x ** -1 == x.inverse()
-        assert x ** 3 == x * x * x
-
-    def test_float_embedding(self):
-        root = ExtNumber.sqrt_of(K_FIVEFOLD)
-        assert math.isclose(float(root), math.sqrt(2 + float(TAU)), rel_tol=1e-12)
-        x = ExtNumber(GoldenNumber(1, 1), GoldenNumber(0, -1), K_THREE)
-        want = (1 + float(TAU)) - float(TAU) * math.sqrt(3)
-        assert math.isclose(float(x), want, rel_tol=1e-12)
-
-
 class TestParsing:
     def test_documented_examples(self):
         assert parse_field_expr("(7+tau)/5") == GoldenNumber(
@@ -325,18 +217,9 @@ class TestParsing:
         assert not any(within_magnitude(x) for x in outside)
 
     def test_sqrt_rejected_in_plain_context(self):
-        with pytest.raises(FieldParseError):
-            parse_field_expr("sqrt(3)")
-
-    def test_ext_literals(self):
-        root = parse_ext_expr("sqrt(2+tau)", K_FIVEFOLD)
-        assert root == ExtNumber.sqrt_of(K_FIVEFOLD)
-        x = parse_ext_expr("1/2 + (3/2)*sqrt(3)", K_THREE)
-        assert x == ExtNumber(Fraction(1, 2), Fraction(3, 2), K_THREE)
-        with pytest.raises(FieldParseError):
-            parse_ext_expr("sqrt(3)", K_FIVEFOLD)  # wrong radicand
-        with pytest.raises(FieldParseError):
-            parse_ext_expr("sqrt(sqrt(3))", K_THREE)
+        for text in ("sqrt(3)", "sqrt(2+tau)", "1+(1/2)*sqrt(2+tau)"):
+            with pytest.raises(FieldParseError, match="sqrt is not allowed"):
+                parse_field_expr(text)
 
     def test_format_examples(self):
         assert format_golden(GoldenNumber(Fraction(7, 5), Fraction(1, 5))) == "7/5+1/5*tau"
@@ -346,9 +229,6 @@ class TestParsing:
         assert format_golden(GoldenNumber(0, -1)) == "-tau"
         assert format_golden(GoldenNumber(0, -2)) == "-2*tau"
         assert format_golden(ZERO) == "0"
-        root = ExtNumber.sqrt_of(K_THREE)
-        assert format_ext(root) == "(1)*sqrt(3)"
-        assert format_ext(ExtNumber.from_golden(TAU, K_THREE)) == "tau"
 
     def test_golden_round_trip(self):
         rng = random.Random(411)
@@ -356,11 +236,3 @@ class TestParsing:
         samples += [rand_golden(rng) for _ in range(500)]
         for x in samples:
             assert parse_field_expr(format_golden(x)) == x
-
-    def test_ext_round_trip(self):
-        rng = random.Random(412)
-        for k in (K_FIVEFOLD, K_THREE, ONE):
-            samples = [ExtNumber(0, 0, k), ExtNumber.from_golden(TAU, k)]
-            samples += [rand_ext(rng, k) for _ in range(300)]
-            for x in samples:
-                assert parse_ext_expr(format_ext(x), k) == x

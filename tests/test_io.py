@@ -1,5 +1,6 @@
 """Serialization: XYZ/OFF float channels, exact CSV, canonical JSON."""
 
+import hashlib
 import math
 import random
 
@@ -19,8 +20,8 @@ from icofold.export import (
     provenance_comment,
     read_csv,
 )
-from icofold.golden import parse_field_expr
-from icofold.pentagon import pentagon_array
+from icofold.golden import FieldParseError, GoldenNumber, parse_field_expr
+from icofold.pentagon import Vec2E, pentagon_array
 
 
 def c60_graph():
@@ -177,6 +178,39 @@ def test_csv_roundtrip_2d_with_radicals():
     back = read_csv(text)
     assert {p.key() for p in back} == {p.key() for p in arr.points}
     assert export_csv(back) == text
+
+
+@pytest.mark.parametrize("direction,digest", [
+    ("vertex",
+     "aadb7869951a3e3dc143fb36a8ca3110f3b14914521bc33a11d59574a836c71b"),
+    ("edge",
+     "9133e40398990dd586eaf6862724c61266fbfeb9142591545b1c7379aeb5a769"),
+])
+def test_csv_2d_bytes_are_pinned(direction, digest):
+    text = export_csv(pentagon_array(parse_field_expr("tau"), direction).points)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_csv_2d_cells():
+    half_tau = Vec2E(GoldenNumber(0, 1) / 2, GoldenNumber(-1, 0))
+    for header in ("2+tau", "tau+2"):
+        text = f"# radicand: {header}\nx,y\n(1/2*tau)*sqrt(2+tau),-1\n0,1\n"
+        assert read_csv(text) == [half_tau, Vec2E(GoldenNumber(0),
+                                                  GoldenNumber(1))]
+    rows = {
+        "(1)*sqrt(2+tau),1": "2D rows need the header",  # under radicand 1
+        "1,1": "neither 0 nor",
+        "(1)*sqrt(3),1": "neither 0 nor",
+        "1*sqrt(2+tau),1": "neither 0 nor",
+        "0,(1)*sqrt(2+tau)": "radical",
+    }
+    for row, message in rows.items():
+        header = "1" if "header" in message else "2+tau"
+        with pytest.raises(ExportError, match=message):
+            read_csv(f"# radicand: {header}\nx,y\n{row}\n")
+    # an x cell is one radical term: "(1)+(2)" is not a group
+    with pytest.raises(FieldParseError):
+        read_csv("# radicand: 2+tau\nx,y\n(1)+(2)*sqrt(2+tau),1\n")
 
 
 def test_csv_roundtrip_after_translation():

@@ -1,9 +1,15 @@
 """Exact plane pentagon arrays under the five-fold rotation group."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from ext_reference import ExtNumber, format_ext
 
-from icofold.golden import ExtNumber, GoldenNumber, ONE, parse_field_expr
+from icofold.export import export_csv, read_csv
+from icofold.golden import ONE, ZERO, GoldenNumber, format_golden, \
+    parse_field_expr
 from icofold.pentagon import (
     PENTAGON_RADICAND,
     Vec2E,
@@ -13,10 +19,7 @@ from icofold.pentagon import (
     rotation72,
 )
 
-
-def ext(a, b, p=0, q=0):
-    return ExtNumber(GoldenNumber(a, b), GoldenNumber(p, q),
-                     PENTAGON_RADICAND)
+GENERIC = Vec2E(GoldenNumber(3, -1), GoldenNumber(-2, 1))
 
 
 def float_count(lam: float, direction: str = "vertex") -> int:
@@ -43,7 +46,7 @@ def float_count(lam: float, direction: str = "vertex") -> int:
 
 def test_rotation_has_order_five():
     matrix = rotation72()
-    v = Vec2E(ext(1, 2, 3, -1), ext(-2, 1, 0, 1))
+    v = GENERIC
     cycled = v
     seen = set()
     for _ in range(5):
@@ -55,16 +58,14 @@ def test_rotation_has_order_five():
 
 def test_rotation_preserves_norm_exactly():
     matrix = rotation72()
-    v = Vec2E(ext(1, 2, 3, -1), ext(-2, 1, 0, 1))
-    assert rotate(matrix, v).norm2() == v.norm2()
+    assert rotate(matrix, GENERIC).norm2() == GENERIC.norm2()
 
 
 def test_pentagon_vertices_on_unit_circle():
     verts = pentagon_vertices()
     assert len(verts) == 5
     assert len({v.key() for v in verts}) == 5
-    unit = ExtNumber.from_golden(ONE, PENTAGON_RADICAND)
-    assert all(v.norm2() == unit for v in verts)
+    assert all(v.norm2() == ONE for v in verts)
     assert verts[0].as_floats() == (0.0, 1.0)
 
 
@@ -136,3 +137,81 @@ def test_non_positive_length_rejected(bad):
 def test_unknown_direction_rejected():
     with pytest.raises(ValueError, match="direction"):
         pentagon_array(parse_field_expr("tau"), direction="corner")
+
+
+# --- the (xs, y) pentagon against the Q(tau)(sqrt(2+tau)) one it replaced ---
+#
+# Plane points used to be pairs of ExtNumbers, x and y each p + q*sqrt(2+tau),
+# rotated by [[cos, -sin], [sin, cos]] with sin 72 = (1/2)*sqrt(2+tau).  The
+# helpers below redo that on the reference copy in ext_reference.py.
+
+def old_ext(golden, radical=ZERO):
+    return ExtNumber(golden, radical, PENTAGON_RADICAND)
+
+
+def old_rotate(v):
+    half = GoldenNumber(Fraction(1, 2), 0)
+    cos = old_ext(GoldenNumber(-Fraction(1, 2), Fraction(1, 2)))
+    sin = old_ext(ZERO, half)
+    x, y = v
+    return (cos * x + (-sin) * y, sin * x + cos * y)
+
+
+def old_key(v):
+    return (v[0].key(), v[1].key())
+
+
+def old_floats(v):
+    return (float(v[0]), float(v[1]))
+
+
+def old_pentagon_array(length, direction):
+    """The old pentagon_array: points sorted by (floats, exact key)."""
+    base = [(old_ext(ZERO), old_ext(ONE))]
+    for _ in range(4):
+        base.append(old_rotate(base[-1]))
+    axis_y = length if direction == "vertex" else -length
+    seen = {old_key(v): v for v in base}
+    translated = [(x, y + old_ext(axis_y)) for x, y in base]
+    for _ in range(5):
+        for v in translated:
+            seen.setdefault(old_key(v), v)
+        translated = [old_rotate(v) for v in translated]
+    return sorted(seen.values(), key=lambda v: (old_floats(v), old_key(v)))
+
+
+def old_export_csv(points):
+    """The old export_csv on plane points: rows in canonical float order."""
+    def sort_key(v):
+        row = old_floats(v)
+        return (math.fsum(c * c for c in row), row, str(old_key(v)))
+
+    lines = [f"# radicand: {format_golden(PENTAGON_RADICAND)}", "x,y"]
+    lines += [f"{format_ext(x)},{format_ext(y)}"
+              for x, y in sorted(points, key=sort_key)]
+    return "\n".join(lines) + "\n"
+
+
+def as_old(p):
+    """The ExtNumber pair an (xs, y) point stands for."""
+    return (old_ext(ZERO, p.xs), old_ext(p.y))
+
+
+OLD_LENGTHS = ["tau", "tau-1", "1", "1/2", "2*tau", "2", "tau^2", "tau^-2",
+               "(7+tau)/5", "3", "2+tau"]
+
+
+@pytest.mark.parametrize("direction", ["vertex", "edge"])
+@pytest.mark.parametrize("expr", OLD_LENGTHS)
+def test_matches_old_extension_pentagon(expr, direction):
+    arr = pentagon_array(parse_field_expr(expr), direction)
+    old = old_pentagon_array(parse_field_expr(expr), direction)
+    assert [old_key(as_old(p)) for p in arr.points] \
+        == [old_key(v) for v in old]
+    assert np.array([p.as_floats() for p in arr.points]).tobytes() \
+        == np.array([old_floats(v) for v in old]).tobytes()
+    text = export_csv(arr.points)
+    assert text == old_export_csv(old)
+    back = read_csv(text)
+    assert {p.key() for p in back} == {p.key() for p in arr.points}
+    assert export_csv(back) == text
