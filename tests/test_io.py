@@ -197,15 +197,13 @@ def test_csv_2d_cells():
         text = f"# radicand: {header}\nx,y\n(1/2*tau)*sqrt(2+tau),-1\n0,1\n"
         assert read_csv(text) == [half_tau, Vec2E(GoldenNumber(0),
                                                   GoldenNumber(1))]
-    rows = {
-        "(1)*sqrt(2+tau),1": "2D rows need the header",  # under radicand 1
-        "1,1": "neither 0 nor",
-        "(1)*sqrt(3),1": "neither 0 nor",
-        "1*sqrt(2+tau),1": "neither 0 nor",
-        "0,(1)*sqrt(2+tau)": "radical",
-    }
-    for row, message in rows.items():
-        header = "1" if "header" in message else "2+tau"
+    for header, row, message in [
+        ("1", "(1)*sqrt(2+tau),1", "2D rows need the header"),
+        ("2+tau", "1,1", "neither 0 nor"),
+        ("2+tau", "(1)*sqrt(3),1", "neither 0 nor"),
+        ("2+tau", "1*sqrt(2+tau),1", "neither 0 nor"),
+        ("2+tau", "0,(1)*sqrt(2+tau)", "radical"),
+    ]:
         with pytest.raises(ExportError, match=message):
             read_csv(f"# radicand: {header}\nx,y\n{row}\n")
     # an x cell is one radical term: "(1)+(2)" is not a group
