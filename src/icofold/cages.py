@@ -15,7 +15,10 @@ point of one into the other, with their indices, filled in lazily for
 the shell pairs that some union reaches.  A union's third- and
 fourth-nearest distances are merged from its shells' rows, and once the
 gap holds, the merged entries within the cutoff are exactly each point's
-three bonds, so no union needs an N x N matrix.
+three bonds, so no union needs an N x N matrix.  Before any block is
+filled, the full rows of one probe point per squared radius are merged
+alike: more rows only raise the largest third-nearest distance and lower
+the smallest fourth-nearest, so a union fails any gap its probe rows fail.
 
 Faces are traced from the rotation system: neighbors ordered by angle in
 each vertex's tangent plane, with the Euler characteristic as the guard
@@ -130,6 +133,28 @@ def _four_nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(d2, index, axis=1), index
 
 
+def _gap(rows) -> tuple[float, float] | None:
+    """The rows' largest third- and smallest fourth-nearest entries."""
+    c2, floor4 = -math.inf, math.inf
+    for row in rows:
+        merged = np.partition(row, (2, 3), axis=1)
+        c2 = max(c2, float(merged[:, 2].max()))
+        floor4 = min(floor4, float(merged[:, 3].min()))
+    # the largest third-nearest distance must lie strictly below the
+    # smallest fourth-nearest, by more than float noise
+    if not floor4 - c2 > _RESOLUTION * max(1.0, c2):
+        return None
+    return c2, floor4
+
+
+def _probe_points(coords: np.ndarray) -> np.ndarray:
+    """One point per distinct squared radius, bucketed at `_RESOLUTION`."""
+    r2 = np.einsum("ij,ij->i", coords, coords)
+    order = np.argsort(r2, kind="stable")
+    step = np.diff(r2[order], prepend=-np.inf)
+    return order[step > _RESOLUTION * np.maximum(1.0, r2[order])]
+
+
 class _NearestTable:
     """The four nearest points from each shell into each shell.
 
@@ -141,14 +166,27 @@ class _NearestTable:
     `_pairwise_squared` (a block of two shells serves both orders), so
     merged rows see exactly the floats of the union's full distance
     matrix.
+    `probe(a, b)` holds the rows of that matrix for shell a's probe points
+    `probes[a]` and shell b, to refute a union before `nearest` runs.
     """
 
     def __init__(self, groups) -> None:
         self.groups = [g if isinstance(g, np.ndarray) else tuple(g)
                        for g in groups]
         self.coords = [as_coords(g) for g in self.groups]
+        self.probes = [_probe_points(c) for c in self.coords]
         self._nearest: dict[tuple[int, int],
                             tuple[np.ndarray, np.ndarray]] = {}
+        self._probe: dict[tuple[int, int], np.ndarray] = {}
+
+    def probe(self, a: int, b: int) -> np.ndarray:
+        if (a, b) not in self._probe:
+            rows = self.probes[a]
+            d2 = _pairwise_squared(self.coords[a][rows], self.coords[b])
+            if a == b:
+                d2[np.arange(len(rows)), rows] = np.inf
+            self._probe[(a, b)] = d2
+        return self._probe[(a, b)]
 
     def nearest(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         if (a, b) not in self._nearest:
@@ -169,19 +207,16 @@ class _NearestTable:
         concatenation of their points.
         """
         members = [i for i in chosen if len(self.groups[i])]
-        if not members:
+        if sum(len(self.groups[i]) for i in members) < 4 or _gap(
+                np.hstack([self.probe(a, b) for b in members])
+                for a in members) is None:
             return None
         rows = [np.hstack([self.nearest(a, b)[0] for b in members])
                 for a in members]
-        c2, floor4 = -math.inf, math.inf
-        for row in rows:
-            merged = np.partition(row, (2, 3), axis=1)
-            c2 = max(c2, float(merged[:, 2].max()))
-            floor4 = min(floor4, float(merged[:, 3].min()))
-        # the largest third-nearest distance must lie strictly below the
-        # smallest fourth-nearest, by more than float noise
-        if not floor4 - c2 > _RESOLUTION * max(1.0, c2):
+        gap = _gap(rows)
+        if gap is None:
             return None
+        c2, floor4 = gap
         values = np.vstack(rows)
         # the threshold lies below every fourth-nearest distance, so each
         # row's entries within it are exactly that point's three bonds;

@@ -438,6 +438,8 @@ def run(argv=None) -> int:
         if args.command is None:
             raise UsageError("a command is required "
                              f"(one of {', '.join(_COMMANDS)})")
+        if not 0 < getattr(args, "band_gap", DEFAULT_BAND_GAP) < 0.5:
+            raise UsageError("--band-gap must lie in (0, 0.5)")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

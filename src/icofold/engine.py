@@ -69,10 +69,10 @@ __all__ = [
 # why cage detection does not reuse the band split.
 DEFAULT_BAND_GAP = 0.11
 DEFAULT_POINT_CAP = 10 ** 6
-# The outer band's threshold search holds an N x N x 3 float64 difference
-# tensor plus the N x N squared distances, 32*N^2 bytes.  256 MiB allows
-# N up to 2896 points; the largest outer band that `verify`, the test
-# suite and the benchmark reach has 930 points (27.7 MB).
+# Guards the full table an outer band falls back to when its probe rows
+# do not refute the gap: an N x N x 3 float64 difference tensor plus N x N
+# squared distances, 32*N^2 bytes.  256 MiB allows N up to 2896; the
+# largest outer band `verify`, the tests and the benchmark reach has 930.
 _BAND_PAIR_BYTES_CAP = 2 ** 28
 
 
@@ -385,6 +385,9 @@ class ScanSpec:
         seen: dict[tuple, GoldenNumber] = {}
         a_lo, a_hi = self.a_range
         b_lo, b_hi = self.b_range
+        cells = (a_hi - a_lo + 1) * (b_hi - b_lo + 1) * len(self.c_values)
+        if cells > DEFAULT_POINT_CAP:
+            raise PointBudgetError(f"scan grid of {cells} lengths is too big")
         for c in self.c_values:
             for a in range(a_lo, a_hi + 1):
                 for b in range(b_lo, b_hi + 1):

@@ -17,7 +17,8 @@ from icofold.cages import (
     trivalence_threshold_search,
 )
 from icofold.configs import BUILTIN_NAMES, StartConfig, builtin
-from icofold.engine import generate_array, make_translation, outer_cage
+from icofold.engine import (DEFAULT_SCAN_SPEC, bands, classify_scan,
+                            generate_array, make_translation, outer_cage)
 from icofold.golden import parse_field_expr
 
 
@@ -188,6 +189,13 @@ def test_detect_cage_none_cases():
 
 # --- the nearest-neighbour table against the dense search it replaces ----
 
+def dense_matrix(coords):
+    """Every squared distance of the point set, `inf` on the diagonal."""
+    d2 = cages._pairwise_squared(coords, coords)
+    np.fill_diagonal(d2, np.inf)
+    return d2
+
+
 def dense_threshold_search(points):
     """The threshold search as first written: one N x N matrix, the
     third- and fourth-nearest distances by two full partitions, and the
@@ -196,8 +204,7 @@ def dense_threshold_search(points):
     n = len(coords)
     if n < 4:
         return None
-    d2 = cages._pairwise_squared(coords, coords)
-    np.fill_diagonal(d2, np.inf)
+    d2 = dense_matrix(coords)
     third = np.partition(d2, 2, axis=1)[:, 2]
     if n >= 5:
         fourth = np.partition(d2, 3, axis=1)[:, 3]
@@ -358,9 +365,22 @@ def test_threshold_search_matches_dense_search_on_point_sets():
     assert found == 5  # dodecahedron, c60, c80, one and two tetrahedra
 
 
+def probe_rows(table, chosen):
+    """The union's probe rows, merged from its shells' probe blocks, and
+    where they sit among the union's points."""
+    members = [i for i in chosen if len(table.groups[i])]
+    offsets = np.cumsum([0] + [len(table.groups[i]) for i in members])
+    rows = np.vstack([np.hstack([table.probe(a, b) for b in members])
+                      for a in members])
+    where = np.concatenate([table.probes[a] + offsets[k]
+                            for k, a in enumerate(members)])
+    return rows, where
+
+
 def test_table_matches_dense_search_on_trailing_unions(differential_arrays):
     """Every trailing union of up to 1500 points, merged from the shells'
-    rows and searched as one point set, bonds as the dense search does."""
+    rows and searched as one point set, bonds as the dense search does;
+    its probe rows are rows of the dense matrix, bit for bit."""
     unions = found = 0
     for array in differential_arrays:
         groups = [shell.coords for shell in array.shells]
@@ -370,6 +390,9 @@ def test_table_matches_dense_search_on_trailing_unions(differential_arrays):
             coords = np.vstack([groups[i] for i in chosen])
             if len(coords) > 1500:
                 break
+            rows, where = probe_rows(table, chosen)
+            assert len(where) == k  # one probe per exact radius
+            assert rows.tobytes() == dense_matrix(coords)[where].tobytes()
             want = dense_threshold_search(coords)
             assert_same_graph(table.graph(chosen), want, chosen)
             assert_same_graph(trivalence_threshold_search(coords), want,
@@ -377,6 +400,61 @@ def test_table_matches_dense_search_on_trailing_unions(differential_arrays):
             unions += 1
             found += want is not None
     assert unions >= 50 and found >= 10
+
+
+def default_scan_outer_bands(name):
+    """The outer band of every row of the config's default scan, as
+    `classify_scan` hands it to the threshold search."""
+    start = builtin(name)
+    cutoff = 2.0 * math.sqrt(float(start.radius2))
+    return [
+        bands(generate_array(
+            start, make_translation(start.symmetry, fold, length), 1))[-1]
+        .coords
+        for fold in (2, 3, 5) for length in DEFAULT_SCAN_SPEC.lengths(cutoff)
+    ]
+
+
+@pytest.mark.parametrize("name,refuted,trivalent", [
+    ("icosidodecahedron", 894, 0),
+    ("dodecahedron", 822, 102),
+])
+def test_probe_refutes_only_where_the_dense_search_fails(name, refuted,
+                                                         trivalent):
+    """On every outer band of a default scan, the probe rows are rows of
+    the dense matrix, bit for bit, and a probe refutation is the dense
+    search's verdict; the trivalent bands take the full table."""
+    outer = default_scan_outer_bands(name)
+    counts = [0, 0]
+    for coords in outer:
+        table = cages._NearestTable([coords])
+        rows, where = probe_rows(table, (0,))
+        assert rows.tobytes() == dense_matrix(coords)[where].tobytes()
+        want = dense_threshold_search(coords)
+        if cages._gap([rows]) is None:
+            assert want is None
+            counts[0] += 1
+        assert_same_graph(table.graph((0,)), want)
+        counts[1] += want is not None
+    assert counts == [refuted, trivalent]
+
+
+def test_probe_leaves_the_nearest_table_empty_on_a_negative_scan(
+        monkeypatch):
+    calls = []
+    nearest = cages._NearestTable.nearest
+
+    def spy(self, a, b):
+        calls.append((a, b))
+        return nearest(self, a, b)
+
+    monkeypatch.setattr(cages._NearestTable, "nearest", spy)
+    rows = classify_scan(builtin("icosidodecahedron"), (2, 3, 5),
+                         DEFAULT_SCAN_SPEC)
+    assert len(rows) == 894 and calls == []
+    # the spy sees a search the probe cannot refute
+    assert trivalence_threshold_search(builtin("c60").vertices) is not None
+    assert set(calls) == {(0, 0)}
 
 
 def assert_table_matches_dense(groups):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -319,6 +320,36 @@ def test_oversized_requests_exit_4_without_traceback(capsys, axis, length,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("gap", ["0", "0.5", "0.7", "-1", "nan"])
+@pytest.mark.parametrize("command", [
+    ["extend", "--axis", "5", "--length", "1"],
+    ["classify", "--axis", "5", "--scan", "a=1..1,b=0..0,c=1..1"],
+    ["export", "--axis", "5", "--length", "1"],
+])
+def test_band_gap_out_of_range_is_usage_error_before_any_work(
+        capsys, monkeypatch, command, gap):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --band-gap was checked")
+
+    for name in ("generate_array", "classify_length", "classify_scan"):
+        monkeypatch.setattr(cli, name, no_work)
+    code = cli.run([command[0], "--config", "dodecahedron", *command[1:],
+                    "--band-gap", gap])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --band-gap must lie in (0, 0.5)\n"
+
+
+def test_huge_scan_grid_exits_4_before_enumerating(capsys):
+    started = time.perf_counter()
+    code = cli.run(["classify", "--config", "dodecahedron", "--axis", "5",
+                    "--scan", "a=-100000000..100000000,b=0..0,c=1..1,max=0.5"])
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: scan grid of 200000001 lengths is too big")
+
+
 def test_depth_zero_is_usage_error(capsys):
     code = cli.run(["extend", "--config", "c60", "--axis", "5",
                     "--length", "3", "--depth", "0"])
@@ -435,6 +466,11 @@ PINNED_STDOUT = [
     (["classify", "--config", "dodecahedron", "--axis", "5",
       "--scan", "a=1..2,b=0..1,c=1..1,max=30"],
      "d1b8963c5261b3ad8e286468c461b0086d92f33ba79ff2708da4571c5303b809"),
+    # the default scans: every outer band refuted, or bonded trivalently
+    (["classify", "--config", "icosidodecahedron"],
+     "0e728a8f18eb2c0e494a6c19dd82500d9b11da2991394a01ccebb01a7258e054"),
+    (["classify", "--config", "dodecahedron"],
+     "29242e6ab9f1f9ffc1912835cca6942f7b013b963d9084010b4a8963ec87f5df"),
     (["onion", "--config", "c80", "--axis", "5", "--length", "2",
       "--depth", "2"],
      "26cf7f8b709dd8448661f7e5802d8f7d05efe0ee5dd607d8991083f5b6b8c614"),
