@@ -56,7 +56,7 @@ class EulerError(ValueError):
 def as_coords(points) -> np.ndarray:
     """Float (N,3) coordinates from Vec3E sequences or array-likes."""
     if isinstance(points, np.ndarray):
-        return np.asarray(points, dtype=float)
+        return np.asarray(points, dtype=float).reshape(-1, 3)
     rows = [
         p.as_floats() if hasattr(p, "as_floats") else tuple(p)
         for p in points
@@ -392,8 +392,7 @@ def _candidate_unions(sizes: list[int]):
             yield tuple(i for i in window if i != drop), drop
 
 
-def detect_cage(shell_groups,
-                max_ratio: float = _CAGE_MAX_EDGE_RATIO) -> CageFinding | None:
+def detect_cage(shell_groups) -> CageFinding | None:
     """Find the outermost cage in a radius-ascending list of shells.
 
     The cage surface spans several exact radii, so candidates are unions
@@ -412,8 +411,8 @@ def detect_cage(shell_groups,
     `shell_groups` is a sequence of point sequences (or float (N, 3)
     coordinate arrays) ordered by ascending radius.  Returns the first
     union that is trivalent at a global cutoff, has edge ratio below
-    `max_ratio`, and traces into a valid sphere (V - E + F = 2); None when
-    no candidate qualifies.
+    `_CAGE_MAX_EDGE_RATIO`, and traces into a valid sphere
+    (V - E + F = 2); None when no candidate qualifies.
     """
     table = _NearestTable(shell_groups)
     sizes = [len(g) for g in table.groups]
@@ -421,7 +420,7 @@ def detect_cage(shell_groups,
         if not 20 <= sum(sizes[i] for i in chosen) <= _CAGE_POINT_CAP:
             continue
         graph = table.graph(chosen)
-        if graph is None or graph.edge_ratio >= max_ratio:
+        if graph is None or graph.edge_ratio >= _CAGE_MAX_EDGE_RATIO:
             continue
         try:
             census = face_census(graph)
@@ -445,13 +444,14 @@ def _radius_signature(coords: np.ndarray) -> np.ndarray:
     return radii / radii[-1]
 
 
-def similar_up_to_scale(a_points, b_points, tol: float = 1e-9) -> bool:
+def similar_up_to_scale(a_points, b_points) -> bool:
     """Same shape up to one global scale factor (spectra + cage census)."""
     a = as_coords(a_points)
     b = as_coords(b_points)
     if len(a) != len(b):
         return False
-    if not np.allclose(_radius_signature(a), _radius_signature(b), atol=tol):
+    if not np.allclose(_radius_signature(a), _radius_signature(b),
+                       atol=1e-9):
         return False
     cage_a = trivalence_threshold_search(a)
     cage_b = trivalence_threshold_search(b)

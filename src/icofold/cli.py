@@ -1,10 +1,10 @@
 """Command-line interface for the exact icosahedral extension toolkit.
 
-Exit codes: 0 success; 1 usage error; 2 expression or file parse error,
-out-of-range literals included; 3 no trivalent cage found where one was
-requested; 4 resource cap exceeded.  Every run writes a machine-readable result to stdout unless
---out redirects it to a file, and identical argument vectors produce
-byte-identical stdout.
+Exit codes: 0 success; 1 usage error or an unwritable --out; 2 expression
+or file parse error, out-of-range literals included; 3 no trivalent cage
+found where one was requested; 4 resource cap exceeded.  Every run writes
+a machine-readable result to stdout unless --out redirects it to a file,
+and identical argument vectors produce byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from pathlib import Path
 from . import cages
 from .configs import BUILTIN_NAMES, ConfigError, StartConfig, builtin, \
     load_custom
-from .engine import (DEFAULT_BAND_GAP, DEFAULT_SCAN_SPEC, EmptyScanError,
-                     PointBudgetError, classify_length, classify_scan,
-                     generate_array, make_translation, outer_cage,
-                     parse_scan_spec)
-from .export import (ExportError, ExportOptions, canonical_json, export_csv,
-                     export_off, export_xyz, provenance_comment)
+from .engine import (DEFAULT_SCAN_SPEC, EmptyScanError, PointBudgetError,
+                     classify_length, classify_scan, generate_array,
+                     make_translation, outer_cage, parse_scan_spec)
+from .export import (ExportError, canonical_json, export_csv, export_off,
+                     export_xyz, provenance_comment)
 from .golden import (FieldParseError, GoldenNumber, format_golden,
                      parse_field_expr, within_magnitude)
 from .groups import ClosureBoundError, full_group, rotation_group
@@ -96,17 +95,13 @@ def _build_parser() -> _Parser:
 
     p = add("extend", "classify one affine translation: cardinalities, "
                       "radial bands, and the outer cage")
-    _config_flag(p, required=True)
+    _config_flag(p)
     _axis_flag(p, required=True)
     p.add_argument("--length", metavar="EXPR", required=True,
                    help="exact translation length, e.g. '3', 'tau^2', "
                         "'(7+tau)/5'")
     p.add_argument("--depth", type=int, default=1, metavar="K",
                    help="number of translation applications (default: 1)")
-    p.add_argument("--band-gap", type=float, default=DEFAULT_BAND_GAP,
-                   metavar="G",
-                   help="relative radial gap that separates bands "
-                        f"(default: {DEFAULT_BAND_GAP})")
     p.add_argument("--emit", choices=("json", "xyz", "off", "csv"),
                    default="json",
                    help="json: full report; xyz/off/csv: the outer cage")
@@ -115,19 +110,17 @@ def _build_parser() -> _Parser:
 
     p = add("classify", "scan a grid of translation lengths and report "
                         "every row")
-    _config_flag(p, required=True)
+    _config_flag(p)
     _axis_flag(p, required=False)
     p.add_argument("--scan", metavar="SPEC",
                    help="grid 'a=lo..hi,b=lo..hi,c=lo..hi,max=R' for "
                         "lengths (a+b*tau)/c (default: a in -7..7, "
                         "b in -6..6, c in 1..5, max = 2x start radius)")
-    p.add_argument("--band-gap", type=float, default=DEFAULT_BAND_GAP,
-                   metavar="G", help="relative radial band gap")
     _out_flag(p)
 
     p = add("onion", "iterate one translation into a family of nested "
                      "trivalent cages")
-    _config_flag(p, required=True)
+    _config_flag(p)
     _axis_flag(p, required=True)
     p.add_argument("--length", metavar="EXPR", required=True,
                    help="exact translation length")
@@ -145,17 +138,9 @@ def _build_parser() -> _Parser:
                         "names)")
     _out_flag(p)
 
-    p = add("export", "write a start configuration or an extension's "
-                      "outer cage as xyz, off, csv, or json")
-    _config_flag(p, required=True)
-    _axis_flag(p, required=False)
-    p.add_argument("--length", metavar="EXPR",
-                   help="exact translation length (with --axis: export "
-                        "that extension's outer cage)")
-    p.add_argument("--depth", type=int, default=1, metavar="K",
-                   help="translation applications (default: 1)")
-    p.add_argument("--band-gap", type=float, default=DEFAULT_BAND_GAP,
-                   metavar="G", help="band gap used by json reports")
+    p = add("export", "write a start configuration as xyz, off, csv, or "
+                      "json")
+    _config_flag(p)
     p.add_argument("--emit", choices=("xyz", "off", "csv", "json"),
                    default="xyz", help="output format (default: xyz)")
     _bond_scale_flag(p)
@@ -164,8 +149,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_flag(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument("--config", metavar="NAME|PATH", required=required,
+def _config_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", metavar="NAME|PATH", required=True,
                    help="builtin name (" + ", ".join(BUILTIN_NAMES)
                         + ") or path to a seed file")
 
@@ -216,16 +201,19 @@ def _translation(start: StartConfig, fold: int, text: str):
     return make_translation(start.symmetry, fold, _parse_length(text))
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _deliver(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _opts(args, fmt: str) -> ExportOptions:
-    return ExportOptions(fmt, "bond" if getattr(args, "bond_scale", False)
-                         else "raw")
 
 
 def _cmd_group_info(args) -> int:
@@ -297,20 +285,20 @@ def _cage_or_die(start: StartConfig, array):
     return finding
 
 
-def _cage_artifact(args, start: StartConfig, fold: int) -> str:
-    translation = _translation(start, fold, args.length)
+def _cage_artifact(args, start: StartConfig) -> str:
+    translation = _translation(start, args.axis, args.length)
     array = generate_array(start, translation, args.depth)
     finding = _cage_or_die(start, array)
     radii = [array.shells[i].radius for i in finding.shell_indices]
     if args.emit == "xyz":
         comment = provenance_comment(
-            start=start.name, fold=fold, length=format_golden(
+            start=start.name, fold=args.axis, length=format_golden(
                 translation.length),
             depth=args.depth, band=(min(radii), max(radii)),
         )
-        return export_xyz(finding.graph.points, _opts(args, "xyz"), comment)
+        return export_xyz(finding.graph.points, comment, args.bond_scale)
     if args.emit == "off":
-        return export_off(finding.graph, finding.census, _opts(args, "off"))
+        return export_off(finding.graph, finding.census, args.bond_scale)
     return export_csv(finding.graph.points)
 
 
@@ -319,10 +307,10 @@ def _cmd_extend(args) -> int:
     if args.depth < 1:
         raise UsageError("--depth must be at least 1")
     if args.emit != "json":
-        _deliver(_cage_artifact(args, start, args.axis), args.out)
+        _deliver(_cage_artifact(args, start), args.out)
         return EXIT_OK
     translation = _translation(start, args.axis, args.length)
-    row = classify_length(start, translation, args.depth, args.band_gap)
+    row = classify_length(start, translation, args.depth)
     _deliver(canonical_json(row), args.out)
     return EXIT_OK
 
@@ -338,7 +326,7 @@ def _cmd_classify(args) -> int:
         spec = DEFAULT_SCAN_SPEC
     folds = (args.axis,) if args.axis else (2, 3, 5)
     try:
-        rows = classify_scan(start, folds, spec, args.band_gap)
+        rows = classify_scan(start, folds, spec)
     except EmptyScanError as exc:
         raise ParseFailure(f"bad scan spec '{args.scan}': {exc}") from exc
     payload = {
@@ -365,16 +353,14 @@ def _cmd_onion(args) -> int:
     if args.out:
         stem = Path(args.out)
         stem = stem.with_name(stem.stem)
-        opts = _opts(args, "xyz")
         for shell in report.family:
             comment = provenance_comment(
                 start=start.name, fold=args.axis,
                 length=format_golden(translation.length),
                 depth=shell.iteration,
             )
-            Path(f"{stem}.shell{shell.iteration}.xyz").write_text(
-                export_xyz(shell.points, opts, comment), encoding="utf-8"
-            )
+            _write(f"{stem}.shell{shell.iteration}.xyz",
+                   export_xyz(shell.points, comment, args.bond_scale))
     return EXIT_OK
 
 
@@ -390,17 +376,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     start = _resolve_config(args.config)
-    if args.length is not None:
-        if args.axis is None:
-            raise UsageError("--length needs --axis to name the fold")
-        if args.emit == "json":
-            translation = _translation(start, args.axis, args.length)
-            row = classify_length(start, translation, args.depth,
-                                  args.band_gap)
-            _deliver(canonical_json(row), args.out)
-            return EXIT_OK
-        _deliver(_cage_artifact(args, start, args.axis), args.out)
-        return EXIT_OK
     if args.emit == "json":
         _deliver(canonical_json(_config_summary(start)), args.out)
         return EXIT_OK
@@ -408,14 +383,13 @@ def _cmd_export(args) -> int:
         graph = cages.trivalence_threshold_search(start.vertices)
         if graph is None:
             raise NoCageError(f"{start.name} has no trivalent bond graph")
-        _deliver(export_off(graph, None, _opts(args, "off")), args.out)
+        _deliver(export_off(graph, None, args.bond_scale), args.out)
         return EXIT_OK
     if args.emit == "csv":
         _deliver(export_csv(start.vertices), args.out)
         return EXIT_OK
     comment = provenance_comment(start=start.name)
-    _deliver(export_xyz(start.vertices, _opts(args, "xyz"), comment),
-             args.out)
+    _deliver(export_xyz(start.vertices, comment, args.bond_scale), args.out)
     return EXIT_OK
 
 
@@ -438,8 +412,6 @@ def run(argv=None) -> int:
         if args.command is None:
             raise UsageError("a command is required "
                              f"(one of {', '.join(_COMMANDS)})")
-        if not 0 < getattr(args, "band_gap", DEFAULT_BAND_GAP) < 0.5:
-            raise UsageError("--band-gap must lie in (0, 0.5)")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

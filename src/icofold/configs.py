@@ -192,7 +192,7 @@ def load_custom(path: str) -> StartConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read seed file: {exc}") from exc
     closure = False
     points: list[Vec3E] = []

@@ -77,7 +77,7 @@ _BAND_PAIR_BYTES_CAP = 2 ** 28
 
 
 class PointBudgetError(RuntimeError):
-    """Array generation would exceed the configured point cap."""
+    """Array generation would exceed the point cap."""
 
 
 class EmptyScanError(ValueError):
@@ -263,8 +263,8 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     return tuple(out)
 
 
-def _offsets(steps: list[tuple[int, ...]], depth: int, n_start: int,
-             cap: int) -> set[tuple[int, ...]]:
+def _offsets(steps: list[tuple[int, ...]], depth: int,
+             n_start: int) -> set[tuple[int, ...]]:
     """All sums of at most `depth` steps, level by level.
 
     S_0 = {0} and S_j = S_{j-1} | (S_{j-1} + steps); only the sums new at
@@ -286,15 +286,14 @@ def _offsets(steps: list[tuple[int, ...]], depth: int, n_start: int,
                         fresh.append(total)
             frontier = fresh
         budget = n_start * len(seen)
-        if budget > cap:
-            raise PointBudgetError(
-                f"{budget} candidate points exceed the cap of {cap}"
-            )
+        if budget > DEFAULT_POINT_CAP:
+            raise PointBudgetError(f"{budget} candidate points exceed the "
+                                   f"cap of {DEFAULT_POINT_CAP}")
     return seen
 
 
 def generate_array(start: StartConfig, translation: AffineTranslation,
-                   depth: int, cap: int = DEFAULT_POINT_CAP) -> PointArray:
+                   depth: int) -> PointArray:
     """Collect {x + (sum of at most `depth` translation vectors)} exactly.
 
     Every start vertex and translation vector lies in Q(tau)^3, so the
@@ -304,7 +303,7 @@ def generate_array(start: StartConfig, translation: AffineTranslation,
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     den, (base, steps) = _integer_rows(start.vertices, translation.vectors)
-    offsets = _offsets(steps, depth, len(base), cap)
+    offsets = _offsets(steps, depth, len(base))
     rows = {
         (x0 + s0, x1 + s1, x2 + s2, x3 + s3, x4 + s4, x5 + s5)
         for s0, s1, s2, s3, s4, s5 in offsets
@@ -313,22 +312,16 @@ def generate_array(start: StartConfig, translation: AffineTranslation,
     return PointArray(start, translation, depth, build_shells(rows, den))
 
 
-def bands(array_or_shells, gap: float = DEFAULT_BAND_GAP) -> tuple[Band, ...]:
-    """Split the ascending shell sequence at relative radius gaps > gap."""
-    if not 0 < gap < 0.5:
-        raise ValueError("band gap must lie in (0, 0.5)")
-    shell_list = (
-        array_or_shells.shells
-        if isinstance(array_or_shells, PointArray)
-        else tuple(array_or_shells)
-    )
+def bands(array: PointArray) -> tuple[Band, ...]:
+    """Split the ascending shells at relative radius gaps over 0.11."""
+    shell_list = array.shells
     if not shell_list:
         return ()
     groups: list[list[Shell]] = [[shell_list[0]]]
     previous = shell_list[0].radius
     for shell in shell_list[1:]:
         radius = shell.radius
-        if radius > 0 and (radius - previous) / radius > gap:
+        if radius > 0 and (radius - previous) / radius > DEFAULT_BAND_GAP:
             groups.append([])
         groups[-1].append(shell)
         previous = radius
@@ -359,10 +352,9 @@ def generic_cardinality(start: StartConfig, translation: AffineTranslation,
     return len(start.vertices) * _multiset_count(len(translation.vectors), depth)
 
 
-def is_nontrivial(start: StartConfig, translation: AffineTranslation,
-                  cap: int = DEFAULT_POINT_CAP) -> bool:
+def is_nontrivial(start: StartConfig, translation: AffineTranslation) -> bool:
     """True when the depth-1 array has coinciding points."""
-    actual = len(generate_array(start, translation, 1, cap=cap))
+    actual = len(generate_array(start, translation, 1))
     return actual < generic_cardinality(start, translation)
 
 
@@ -385,9 +377,7 @@ class ScanSpec:
         seen: dict[tuple, GoldenNumber] = {}
         a_lo, a_hi = self.a_range
         b_lo, b_hi = self.b_range
-        cells = (a_hi - a_lo + 1) * (b_hi - b_lo + 1) * len(self.c_values)
-        if cells > DEFAULT_POINT_CAP:
-            raise PointBudgetError(f"scan grid of {cells} lengths is too big")
+        _check_grid(self.a_range, self.b_range, len(self.c_values))
         for c in self.c_values:
             for a in range(a_lo, a_hi + 1):
                 for b in range(b_lo, b_hi + 1):
@@ -396,6 +386,14 @@ class ScanSpec:
                         continue
                     seen.setdefault(value.key(), value)
         return sorted(seen.values())
+
+
+def _check_grid(a_range, b_range, c_count: int) -> None:
+    """Refuse a grid of over DEFAULT_POINT_CAP lengths before it is built."""
+    cells = ((a_range[1] - a_range[0] + 1) * (b_range[1] - b_range[0] + 1)
+             * c_count)
+    if cells > DEFAULT_POINT_CAP:
+        raise PointBudgetError(f"scan grid of {cells} lengths is too big")
 
 
 def parse_scan_spec(text: str) -> ScanSpec:
@@ -428,6 +426,7 @@ def parse_scan_spec(text: str) -> ScanSpec:
             elif name == "c":
                 if ".." in value:
                     lo, hi = int_range(value)
+                    _check_grid(spec.a_range, spec.b_range, hi - lo + 1)
                     spec.c_values = tuple(range(lo, hi + 1))
                 else:
                     spec.c_values = tuple(
@@ -513,18 +512,16 @@ def cage_report(finding: cages.CageFinding | None,
 
 
 def classify_length(start: StartConfig, translation: AffineTranslation,
-                    depth: int = 1, band_gap: float = DEFAULT_BAND_GAP,
-                    cap: int = DEFAULT_POINT_CAP,
-                    with_cage: bool = True) -> dict:
+                    depth: int = 1, with_cage: bool = True) -> dict:
     """One classification row: cardinalities plus band and cage findings.
 
     `with_cage=False` skips the cage search (scans over hundreds of
     lengths use the cheaper per-band trivalence flags instead).
     """
-    array = generate_array(start, translation, depth, cap=cap)
+    array = generate_array(start, translation, depth)
     generic = generic_cardinality(start, translation, depth)
     actual = len(array)
-    split = bands(array, band_gap)
+    split = bands(array)
     row = {
         "start": start.name,
         "fold": translation.fold,
@@ -544,9 +541,7 @@ def classify_length(start: StartConfig, translation: AffineTranslation,
     return row
 
 
-def classify_scan(start: StartConfig, folds, spec: ScanSpec,
-                  band_gap: float = DEFAULT_BAND_GAP,
-                  cap: int = DEFAULT_POINT_CAP) -> list[dict]:
+def classify_scan(start: StartConfig, folds, spec: ScanSpec) -> list[dict]:
     """Classify every scan length along every requested fold.
 
     Rows are ordered by (fold, float length, exact key), so a fixed spec
@@ -560,6 +555,6 @@ def classify_scan(start: StartConfig, folds, spec: ScanSpec,
         raise EmptyScanError("scan produced no candidate lengths")
     return [
         classify_length(start, make_translation(start.symmetry, fold, length),
-                        1, band_gap, cap, with_cage=False)
+                        1, with_cage=False)
         for fold in sorted(folds) for length in lengths
     ]

@@ -10,7 +10,7 @@ Two coordinate channels with different guarantees:
   pentagon's 2+tau: each x cell is 0 or "(<xs>)*sqrt(2+tau)" with xs a
   Q(tau) literal, and each y cell is a Q(tau) literal.
 
-All writers emit identical bytes for identical inputs and options:
+All writers emit identical bytes for identical inputs:
 points are sorted into a canonical order, faces are canonicalized, and
 JSON is dumped with fixed key order and separators.
 """
@@ -28,7 +28,6 @@ from .pentagon import PENTAGON_RADICAND, Vec2E
 __all__ = [
     "BOND_LENGTH",
     "ExportError",
-    "ExportOptions",
     "provenance_comment",
     "export_xyz",
     "export_off",
@@ -39,33 +38,11 @@ __all__ = [
 
 BOND_LENGTH = 1.42
 
-_FORMATS = ("xyz", "off", "csv", "json")
-_SCALES = ("raw", "bond")
 _PLANE_RADICAL = f"*sqrt({format_golden(PENTAGON_RADICAND)})"
 
 
 class ExportError(ValueError):
     """A point set or cage cannot be written in the requested format."""
-
-
-class ExportOptions:
-    """Output format, coordinate scaling, and float precision."""
-
-    __slots__ = ("format", "scale", "precision")
-
-    def __init__(self, format: str = "xyz", scale: str = "raw",
-                 precision: int = 6) -> None:
-        if format not in _FORMATS:
-            raise ExportError(f"unknown format '{format}'; "
-                              f"expected one of {_FORMATS}")
-        if scale not in _SCALES:
-            raise ExportError(f"unknown scale mode '{scale}'; "
-                              f"expected one of {_SCALES}")
-        if not 1 <= int(precision) <= 17:
-            raise ExportError("precision must be between 1 and 17 digits")
-        self.format = format
-        self.scale = scale
-        self.precision = int(precision)
 
 
 def provenance_comment(start: str | None = None, fold: int | None = None,
@@ -111,8 +88,8 @@ def _min_pairwise_distance(rows: list[tuple[float, ...]]) -> float:
     return best
 
 
-def _scale_factor(rows: list[tuple[float, ...]], opts: ExportOptions) -> float:
-    if opts.scale == "raw":
+def _scale_factor(rows: list[tuple[float, ...]], bond_scale: bool) -> float:
+    if not bond_scale:
         return 1.0
     if len(rows) < 2:
         raise ExportError("bond scaling needs at least two points")
@@ -122,24 +99,24 @@ def _scale_factor(rows: list[tuple[float, ...]], opts: ExportOptions) -> float:
     return BOND_LENGTH / dmin
 
 
-def export_xyz(points, opts: ExportOptions | None = None,
-               comment: str = "") -> str:
-    """XYZ text: count line, provenance comment, one atom row per point."""
-    opts = opts or ExportOptions("xyz")
+def export_xyz(points, comment: str = "", bond_scale: bool = False) -> str:
+    """XYZ text: count line, provenance comment, one atom row per point.
+
+    Coordinates carry 6 decimals; `bond_scale` rescales them so the
+    shortest pairwise distance is BOND_LENGTH.
+    """
     pts = list(points)
     if not pts:
         raise ExportError("nothing to export")
     order = _canonical_indices(pts)
     rows = _as_float_rows(pts)
-    factor = _scale_factor(rows, opts)
-    digits = opts.precision
+    factor = _scale_factor(rows, bond_scale)
     lines = [str(len(pts)), comment or provenance_comment()]
     for i in order:
         coords = rows[i]
         if len(coords) == 2:
             coords = (*coords, 0.0)
-        lines.append("C " + " ".join(f"{factor * c:.{digits}f}"
-                                     for c in coords))
+        lines.append("C " + " ".join(f"{factor * c:.6f}" for c in coords))
     return "\n".join(lines) + "\n"
 
 
@@ -170,22 +147,20 @@ def _canonical_face(face: tuple[int, ...]) -> tuple[int, ...]:
 
 def export_off(graph: cages.CageGraph,
                census: cages.FaceCensus | None = None,
-               opts: ExportOptions | None = None) -> str:
+               bond_scale: bool = False) -> str:
     """OFF text for a trivalent cage with outward-oriented faces."""
-    opts = opts or ExportOptions("off")
     if not graph.trivalent:
         raise ExportError("not a trivalent cage; OFF export needs one")
     if census is None:
         census = cages.face_census(graph)
     rows = _as_float_rows(graph.points)
-    factor = _scale_factor(rows, opts)
-    digits = opts.precision
+    factor = _scale_factor(rows, bond_scale)
     faces = sorted(
         _canonical_face(_oriented_face(face, rows)) for face in census.faces
     )
     lines = ["OFF", f"{graph.vertex_count} {graph.edge_count} {len(faces)}"]
     for coords in rows:
-        lines.append(" ".join(f"{factor * c:.{digits}f}" for c in coords))
+        lines.append(" ".join(f"{factor * c:.6f}" for c in coords))
     for face in faces:
         lines.append(" ".join(str(n) for n in (len(face), *face)))
     return "\n".join(lines) + "\n"
@@ -268,8 +243,8 @@ def read_csv(text: str) -> list:
     return points
 
 
-def canonical_json(payload, indent: int = 2) -> str:
+def canonical_json(payload) -> str:
     """JSON with fixed key order and spacing: identical input, identical
     bytes."""
-    return json.dumps(payload, sort_keys=True, indent=indent,
+    return json.dumps(payload, sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"

@@ -18,8 +18,7 @@ import math
 
 from . import cages
 from .configs import StartConfig
-from .engine import (AffineTranslation, DEFAULT_POINT_CAP, generate_array,
-                     outer_cage)
+from .engine import AffineTranslation, generate_array, outer_cage
 from .golden import format_golden
 
 __all__ = [
@@ -173,8 +172,7 @@ def _start_shell(start: StartConfig) -> tuple[OnionShell | None, str | None]:
 
 
 def build_onion(start: StartConfig, translation: AffineTranslation,
-                iterations: int, pruned: bool = True,
-                cap: int = DEFAULT_POINT_CAP) -> OnionReport:
+                iterations: int, pruned: bool = True) -> OnionReport:
     """Grow the onion: one cage per iteration of the translation.
 
     Iteration j translates the cage of iteration j-1 (or, with
@@ -191,9 +189,9 @@ def build_onion(start: StartConfig, translation: AffineTranslation,
     working = start
     for j in range(1, iterations + 1):
         if pruned:
-            array = generate_array(working, translation, 1, cap=cap)
+            array = generate_array(working, translation, 1)
         else:
-            array = generate_array(start, translation, j, cap=cap)
+            array = generate_array(start, translation, j)
         finding = outer_cage(array)
         if finding is None:
             return OnionReport(

@@ -499,15 +499,13 @@ def run_checks(only: str | None = None) -> list[CheckResult]:
     return results
 
 
-def render_table(results: list[CheckResult],
-                 with_timing: bool = True) -> str:
+def render_table(results: list[CheckResult]) -> str:
     """Human-readable pass/fail table."""
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
-        stamp = f"  [{r.elapsed:6.2f}s]" if with_timing else ""
         lines.append(f"{'PASS' if r.passed else 'FAIL'}  "
-                     f"{r.name:<{width}}  {r.title}{stamp}")
+                     f"{r.name:<{width}}  {r.title}  [{r.elapsed:6.2f}s]")
         if not r.passed:
             for detail in r.details:
                 if detail.startswith("FAIL"):

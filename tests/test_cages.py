@@ -561,8 +561,12 @@ def test_similarity_rejects_different_shapes():
 
 def test_similarity_of_empty_point_sets():
     assert cages.as_coords(()).shape == (0, 3)
+    assert cages.as_coords(np.empty(0)).shape == (0, 3)
     assert similar_up_to_scale([], [])
+    assert similar_up_to_scale(np.empty(0), np.empty(0))
+    assert similar_up_to_scale(np.empty((0, 3)), [])
     assert not similar_up_to_scale([], builtin("c60").vertices)
+    assert not similar_up_to_scale(np.empty(0), builtin("c60").vertices)
 
 
 def test_similarity_needs_matching_cages():

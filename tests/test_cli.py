@@ -78,7 +78,6 @@ def test_pentagon_csv(capsys):
 def test_extend_json_row(capsys):
     payload = run_json(capsys, [
         "extend", "--config", "c60", "--axis", "5", "--length", "3",
-        "--band-gap", "0.05",
     ])
     assert payload["start"] == "c60"
     assert payload["fold"] == 5
@@ -86,9 +85,6 @@ def test_extend_json_row(capsys):
     assert payload["depth"] == 1
     assert payload["cage"]["count"] == 240
     assert payload["cage"]["faces"] == {"5": 12, "6": 110, "other": 0}
-    # at this narrow gap the outermost band alone is not trivalent even
-    # though the cage (which spans several bands) is
-    assert not payload["bands"][-1]["trivalent"]
 
 
 def test_extend_xyz_artifact(capsys):
@@ -226,14 +222,6 @@ def test_export_xyz_default(capsys):
     assert out.splitlines()[1] == "start=icosahedron"
 
 
-def test_export_extension_json(capsys):
-    payload = run_json(capsys, [
-        "export", "--config", "c60", "--axis", "5", "--length", "3",
-        "--emit", "json",
-    ])
-    assert payload["cage"]["count"] == 240
-
-
 def test_export_off_needs_cage(capsys):
     code = cli.run(["export", "--config", "icosahedron", "--emit", "off"])
     assert code == 3
@@ -257,6 +245,16 @@ def test_bad_seed_file_is_a_parse_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "taau" in captured.err
+
+
+def test_undecodable_seed_file_is_a_parse_error(tmp_path, capsys):
+    seed = tmp_path / "binary.txt"
+    seed.write_bytes(b"\xff\xfe")
+    code = cli.run(["configs", "--config", str(seed)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error: cannot read seed file: ")
+    assert "Traceback" not in err
 
 
 # --- exit codes and --out ---------------------------------------------------------
@@ -320,6 +318,8 @@ def test_oversized_requests_exit_4_without_traceback(capsys, axis, length,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# --band-gap is gone from every command and export takes no translation
+# (--axis/--length): any such argument is unrecognised, exit 1, no work
 @pytest.mark.parametrize("gap", ["0", "0.5", "0.7", "-1", "nan"])
 @pytest.mark.parametrize("command", [
     ["extend", "--axis", "5", "--length", "1"],
@@ -329,7 +329,7 @@ def test_oversized_requests_exit_4_without_traceback(capsys, axis, length,
 def test_band_gap_out_of_range_is_usage_error_before_any_work(
         capsys, monkeypatch, command, gap):
     def no_work(*args, **kwargs):
-        raise AssertionError("work started before --band-gap was checked")
+        raise AssertionError("work started on unrecognised arguments")
 
     for name in ("generate_array", "classify_length", "classify_scan"):
         monkeypatch.setattr(cli, name, no_work)
@@ -337,7 +337,10 @@ def test_band_gap_out_of_range_is_usage_error_before_any_work(
                     "--band-gap", gap])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == "error: --band-gap must lie in (0, 0.5)\n"
+    retired = [*(command[1:] if command[0] == "export" else []),
+               "--band-gap", gap]
+    assert captured.err == ("error: unrecognized arguments: "
+                            + " ".join(retired) + "\n")
 
 
 def test_huge_scan_grid_exits_4_before_enumerating(capsys):
@@ -348,6 +351,14 @@ def test_huge_scan_grid_exits_4_before_enumerating(capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error: scan grid of 200000001 lengths is too big")
+    # a c range is checked before its denominators are listed
+    started = time.perf_counter()
+    code = cli.run(["classify", "--config", "dodecahedron", "--axis", "5",
+                    "--scan", "c=1..1000000000000"])
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: scan grid of 195000000000000 lengths ")
 
 
 def test_depth_zero_is_usage_error(capsys):
@@ -417,6 +428,30 @@ def test_out_flag_redirects_stdout(tmp_path, capsys):
     assert code == 0
     assert captured.out == ""
     assert json.loads(out.read_text())["full_order"] == 120
+
+
+def test_out_into_missing_directory_exits_1_without_traceback(tmp_path,
+                                                               capsys):
+    out = tmp_path / "no" / "such" / "info.json"
+    code = cli.run(["group-info", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: cannot write {out}: "
+                            "No such file or directory\n")
+
+
+def test_onion_shell_file_that_cannot_be_written_exits_1(tmp_path, capsys):
+    # the family report is written; a directory blocks the shell-1 file
+    blocked = tmp_path / "family.shell1.xyz"
+    blocked.mkdir()
+    code = cli.run(["onion", "--config", "c60", "--axis", "5",
+                    "--length", "3", "--depth", "1",
+                    "--out", str(tmp_path / "family.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {blocked}: ")
+    assert "Traceback" not in err
+    assert (tmp_path / "family.shell0.xyz").exists()
 
 
 def test_identical_invocations_are_byte_identical(capsys):

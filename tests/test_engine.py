@@ -385,7 +385,7 @@ def test_bands_cluster_by_relative_gap():
     start = builtin("c60")
     t = translation(start, 5, "3")
     array = generate_array(start, t, 1)
-    split = bands(array, DEFAULT_BAND_GAP)
+    split = bands(array)
     assert sum(len(band) for band in split) == len(array)
     for band in split:
         radii = [s.radius for s in band.shells]
@@ -396,14 +396,11 @@ def test_bands_cluster_by_relative_gap():
         b = right.shells[0].radius
         assert (b - a) / b > DEFAULT_BAND_GAP
     assert len(split[-1]) == 240
-
-
-def test_single_giant_gap_gives_one_band():
     start = builtin("dodecahedron")
-    t = translation(start, 5, "1")
-    array = generate_array(start, t, 1)
-    assert len(bands(array, 0.499)) >= 1
-    for band in bands(array, 0.499):
+    array = generate_array(start, translation(start, 5, "1"), 1)
+    split = bands(array)
+    assert sum(len(band) for band in split) == len(array)
+    for band in split:
         assert band.rmin <= band.rmax
 
 

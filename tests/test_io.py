@@ -12,7 +12,6 @@ from icofold.engine import generate_array, make_translation, outer_cage
 from icofold.export import (
     BOND_LENGTH,
     ExportError,
-    ExportOptions,
     canonical_json,
     export_csv,
     export_off,
@@ -59,10 +58,10 @@ def test_xyz_structure():
 
 def test_xyz_matches_input_coordinates():
     points = builtin("dodecahedron").vertices
-    _, rows = parse_xyz(export_xyz(points, ExportOptions(precision=12)))
+    _, rows = parse_xyz(export_xyz(points))
     expected = sorted(tuple(p.as_floats()) for p in points)
     for got, want in zip(sorted(rows), expected):
-        assert got == pytest.approx(want, abs=1e-9)
+        assert got == pytest.approx(want, abs=5e-7)  # 6 decimals
 
 
 def test_xyz_input_order_does_not_matter():
@@ -73,7 +72,7 @@ def test_xyz_input_order_does_not_matter():
 
 
 def test_xyz_bond_scaling_sets_min_distance():
-    text = export_xyz(builtin("c60").vertices, ExportOptions(scale="bond"))
+    text = export_xyz(builtin("c60").vertices, bond_scale=True)
     _, rows = parse_xyz(text)
     dmin = min(math.dist(a, b)
                for i, a in enumerate(rows) for b in rows[i + 1:])
@@ -98,9 +97,9 @@ def test_xyz_empty_is_an_error():
 def test_bond_scaling_needs_two_distinct_points():
     v = builtin("c60").vertices[0]
     with pytest.raises(ExportError, match="two points"):
-        export_xyz([v], ExportOptions(scale="bond"))
+        export_xyz([v], bond_scale=True)
     with pytest.raises(ExportError, match="distinct"):
-        export_xyz([v, v], ExportOptions(scale="bond"))
+        export_xyz([v, v], bond_scale=True)
 
 
 # --- OFF ---------------------------------------------------------------
@@ -272,20 +271,6 @@ def test_provenance_comment_fields():
         "start=c60 fold=5 length=3 depth=1 band=1.000000..2.500000"
     )
     assert provenance_comment() == "exact icosahedral point set"
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"format": "pdb"},
-        {"scale": "angstrom"},
-        {"precision": 0},
-        {"precision": 18},
-    ],
-)
-def test_export_options_validation(kwargs):
-    with pytest.raises(ExportError):
-        ExportOptions(**kwargs)
 
 
 def test_face_census_feeds_off_export():
