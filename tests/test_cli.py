@@ -222,6 +222,15 @@ def test_export_xyz_default(capsys):
     assert out.splitlines()[1] == "start=icosahedron"
 
 
+def test_export_extension_json(capsys):
+    # The extension's JSON row, once `export --axis/--length`, is `extend --emit json`.
+    payload = run_json(capsys, [
+        "extend", "--config", "c60", "--axis", "5", "--length", "3",
+        "--emit", "json",
+    ])
+    assert payload["cage"]["count"] == 240
+
+
 def test_export_off_needs_cage(capsys):
     code = cli.run(["export", "--config", "icosahedron", "--emit", "off"])
     assert code == 3

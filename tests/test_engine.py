@@ -396,9 +396,13 @@ def test_bands_cluster_by_relative_gap():
         b = right.shells[0].radius
         assert (b - a) / b > DEFAULT_BAND_GAP
     assert len(split[-1]) == 240
+
+
+def test_single_giant_gap_gives_one_band():
     start = builtin("dodecahedron")
     array = generate_array(start, translation(start, 5, "1"), 1)
     split = bands(array)
+    assert len(split) >= 1
     assert sum(len(band) for band in split) == len(array)
     for band in split:
         assert band.rmin <= band.rmax
