@@ -282,57 +282,65 @@ class FaceCensus:
         return f"FaceCensus({self.counts})"
 
 
-def _tangent_order(coords: np.ndarray, v: int, neighbors: list[int]) -> list[int]:
-    # neighbors of v sorted counterclockwise in v's tangent plane, viewed
-    # from outside the sphere (radial direction as plane normal)
-    normal = coords[v]
-    length = np.linalg.norm(normal)
-    if length == 0:
+def _rotation_system(coords: np.ndarray,
+                     edges) -> tuple[np.ndarray, np.ndarray]:
+    """Every directed edge (source, target), each vertex's ring in order.
+
+    A vertex's neighbors run counterclockwise in its tangent plane, viewed
+    from outside the sphere (radial direction as plane normal), ties by
+    neighbor index.  All tangent frames and edge angles are computed in
+    one pass over (N, 3) and (2E, 3) arrays.
+    """
+    length = np.linalg.norm(coords, axis=1)
+    if np.any(length == 0):
         raise EulerError("vertex at the origin has no tangent plane")
-    normal = normal / length
-    reference = np.array([1.0, 0.0, 0.0])
-    if abs(normal[0]) > 0.9:
-        reference = np.array([0.0, 1.0, 0.0])
+    normal = coords / length[:, None]
+    # the x axis as reference, unless the normal lies almost along it
+    along_x = np.abs(normal[:, 0]) > 0.9
+    reference = np.zeros_like(normal)
+    reference[~along_x, 0] = 1.0
+    reference[along_x, 1] = 1.0
     e1 = np.cross(reference, normal)
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
     e2 = np.cross(normal, e1)
-    angles = []
-    for u in neighbors:
-        w = coords[u] - coords[v]
-        angles.append(math.atan2(float(w @ e2), float(w @ e1)))
-    return [u for _, u in sorted(zip(angles, neighbors))]
+    pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    source = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    target = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    w = coords[target] - coords[source]
+    angle = np.arctan2(np.einsum("ij,ij->i", w, e2[source]),
+                       np.einsum("ij,ij->i", w, e1[source]))
+    order = np.lexsort((target, angle, source))
+    return source[order], target[order]
 
 
 def face_census(cage: CageGraph) -> FaceCensus:
     """Trace faces via the rotation system and count their sizes.
 
     Requires vertices on a topological sphere around the origin; raises
-    EulerError when V - E + F != 2.
+    EulerError when V - E + F != 2.  Faces start at their smallest
+    directed edge (u, v), in ascending order of it.
     """
-    coords = cage.coords
-    ordered = [
-        _tangent_order(coords, v, nbrs)
-        for v, nbrs in enumerate(cage.adjacency())
-    ]
-    successor: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, ring in enumerate(ordered):
-        degree = len(ring)
-        for idx, u in enumerate(ring):
-            # arriving along u -> v, leave along the neighbor after u
-            w = ring[(idx + 1) % degree]
-            successor[(u, v)] = (v, w)
+    source, target = _rotation_system(cage.coords, cage.edges)
+    # arriving along u -> v, leave along the neighbor after u in v's ring
+    first = np.searchsorted(source, source)
+    last = np.searchsorted(source, source, side="right") - 1
+    position = np.arange(len(source))
+    leave = target[np.where(position < last, position + 1, first)]
+    source, target = source.tolist(), target.tolist()
+    successor = dict(zip(zip(target, source), zip(source, leave.tolist())))
     faces: list[tuple[int, ...]] = []
-    remaining = set(successor)
-    while remaining:
-        start = min(remaining)
-        walk = [start]
-        remaining.discard(start)
+    traced: set[tuple[int, int]] = set()
+    for start in sorted(successor):
+        if start in traced:
+            continue
+        walk = [start[0]]
+        traced.add(start)
         step = successor[start]
         while step != start:
-            walk.append(step)
-            remaining.discard(step)
+            walk.append(step[0])
+            traced.add(step)
             step = successor[step]
-        faces.append(tuple(edge[0] for edge in walk))
+        faces.append(tuple(walk))
     euler = cage.vertex_count - cage.edge_count + len(faces)
     if euler != 2:
         raise EulerError(

@@ -1,8 +1,9 @@
 """Command-line interface for the exact icosahedral extension toolkit.
 
-Exit codes: 0 success; 1 usage error or an unwritable --out; 2 expression
-or file parse error, out-of-range literals included; 3 no trivalent cage
-found where one was requested; 4 resource cap exceeded.  Every run writes
+Exit codes: 0 success; 1 usage error, an unwritable --out, or a failed
+`verify` check (its report is still delivered); 2 expression or file
+parse error, out-of-range literals included; 3 no trivalent cage found
+where one was requested; 4 resource cap exceeded.  Every run writes
 a machine-readable result to stdout unless --out redirects it to a file,
 and identical argument vectors produce byte-identical stdout.
 """
@@ -10,6 +11,7 @@ and identical argument vectors produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -62,8 +64,8 @@ def _build_parser() -> _Parser:
         description="Exact affine extensions of icosahedral symmetry: "
                     "point arrays, trivalent cages, and nested cage "
                     "families.",
-        epilog="Exit codes: 0 ok, 1 usage, 2 parse error, "
-               "3 no trivalent cage, 4 resource cap.",
+        epilog="Exit codes: 0 ok, 1 usage or a failed verify check, "
+               "2 parse error, 3 no trivalent cage, 4 resource cap.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -349,18 +351,33 @@ def _cmd_onion(args) -> int:
     report = build_onion(start, translation, args.depth)
     if not report.family:
         raise NoCageError(report.failure or "no trivalent cage")
-    _deliver(canonical_json(report.as_dict()), args.out)
-    if args.out:
-        stem = Path(args.out)
-        stem = stem.with_name(stem.stem)
-        for shell in report.family:
-            comment = provenance_comment(
-                start=start.name, fold=args.axis,
-                length=format_golden(translation.length),
-                depth=shell.iteration,
-            )
-            _write(f"{stem}.shell{shell.iteration}.xyz",
-                   export_xyz(shell.points, comment, args.bond_scale))
+    text = canonical_json(report.as_dict())
+    if not args.out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    stem = Path(args.out)
+    stem = stem.with_name(stem.stem)
+    files = [(args.out, text)]
+    for shell in report.family:
+        comment = provenance_comment(
+            start=start.name, fold=args.axis,
+            length=format_golden(translation.length),
+            depth=shell.iteration,
+        )
+        files.append((f"{stem}.shell{shell.iteration}.xyz",
+                      export_xyz(shell.points, comment, args.bond_scale)))
+    # every text is rendered before the first write, and a failed write
+    # takes back the files written before it, so a failure leaves nothing
+    written: list[str] = []
+    try:
+        for path, content in files:
+            _write(path, content)
+            written.append(path)
+    except UsageError:
+        for path in written:
+            with contextlib.suppress(OSError):
+                Path(path).unlink()
+        raise
     return EXIT_OK
 
 

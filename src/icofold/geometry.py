@@ -7,9 +7,16 @@ lies in Q(tau)^3, so points, squared norms and distances never leave the
 golden field.  The radicals sqrt(3) and sqrt(2+tau) that unit axis
 vectors would need never appear in a coordinate, so GoldenNumber is the
 only number type a Vec3E holds.
+
+`mat_apply`, the group action every orbit, stabilizer and invariance check
+runs on, works on integers: a matrix keeps its entries as (a, b) pairs
+over one common denominator, and each output coordinate is one integer
+dot product in Q(tau) reduced once.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .golden import ONE, GoldenNumber
 
@@ -108,7 +115,7 @@ class Vec3E:
 class Mat3G:
     """A 3x3 matrix with GoldenNumber entries, row-major and immutable."""
 
-    __slots__ = ("rows", "_hash")
+    __slots__ = ("rows", "_hash", "_ints")
 
     def __init__(self, rows) -> None:
         rows = tuple(tuple(GoldenNumber._lift(e) for e in row) for row in rows)
@@ -118,6 +125,23 @@ class Mat3G:
             raise TypeError("entries must be GoldenNumber, int, or Fraction")
         self.rows = rows
         self._hash = -1
+        # built on first use: most matrices of a group closure are never
+        # applied to a point
+        self._ints = None
+
+    def _integer_entries(self) -> tuple[int, ...]:
+        """(D, a00, b00, a01, b01, ..., a22, b22): entry ij is
+        (aij + bij*tau)/D, row-major, D the lcm of the denominators."""
+        ints = self._ints
+        if ints is None:
+            entries = [e for row in self.rows for e in row]
+            d = lcm(*(e.den for e in entries))
+            flat = [d]
+            for e in entries:
+                k = d // e.den
+                flat += (e.an * k, e.bn * k)
+            ints = self._ints = tuple(flat)
+        return ints
 
     @classmethod
     def identity(cls) -> "Mat3G":
@@ -174,12 +198,37 @@ def dist2(u: Vec3E, v: Vec3E) -> GoldenNumber:
 
 
 def mat_apply(m: Mat3G, v: Vec3E) -> Vec3E:
-    r = m.rows
+    """m v, with one reduction per coordinate.
+
+    v's coordinates are brought to their common denominator L as
+    p + q*tau, and (a + b*tau)(p + q*tau) = (ap + bq) + (aq + b(p+q))*tau
+    by tau^2 = tau + 1, so each output coordinate is an integer pair over
+    D*L.  Its canonical triple is unique, so the result equals the one
+    GoldenNumber arithmetic gives, key for key.
+    """
+    (d, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5,
+     a6, b6, a7, b7, a8, b8) = m._integer_entries()
     x, y, z = v.x, v.y, v.z
+    px, qx, dx = x.an, x.bn, x.den
+    py, qy, dy = y.an, y.bn, y.den
+    pz, qz, dz = z.an, z.bn, z.den
+    if dx == dy == dz:
+        den = d * dx
+    else:
+        common = lcm(dx, dy, dz)
+        den = d * common
+        kx, ky, kz = common // dx, common // dy, common // dz
+        px, qx, py, qy, pz, qz = (px * kx, qx * kx, py * ky, qy * ky,
+                                  pz * kz, qz * kz)
+    sx, sy, sz = px + qx, py + qy, pz + qz
+    make = GoldenNumber._make
     return Vec3E(
-        x * r[0][0] + y * r[0][1] + z * r[0][2],
-        x * r[1][0] + y * r[1][1] + z * r[1][2],
-        x * r[2][0] + y * r[2][1] + z * r[2][2],
+        make(a0 * px + b0 * qx + a1 * py + b1 * qy + a2 * pz + b2 * qz,
+             a0 * qx + b0 * sx + a1 * qy + b1 * sy + a2 * qz + b2 * sz, den),
+        make(a3 * px + b3 * qx + a4 * py + b4 * qy + a5 * pz + b5 * qz,
+             a3 * qx + b3 * sx + a4 * qy + b4 * sy + a5 * qz + b5 * sz, den),
+        make(a6 * px + b6 * qx + a7 * py + b7 * qy + a8 * pz + b8 * qz,
+             a6 * qx + b6 * sx + a7 * qy + b7 * sy + a8 * qz + b8 * sz, den),
     )
 
 

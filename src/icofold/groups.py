@@ -128,11 +128,7 @@ class PointGroup:
 
     def orbit(self, v: Vec3E) -> tuple[Vec3E, ...]:
         """The exact orbit of v, deduplicated, in a deterministic order."""
-        seen: dict[tuple, Vec3E] = {}
-        for g in self.elements:
-            image = mat_apply(g, v)
-            seen.setdefault(image.key(), image)
-        return tuple(sorted(seen.values(), key=Vec3E.key))
+        return self.orbit_of_set((v,))
 
     def orbit_of_set(self, points) -> tuple[Vec3E, ...]:
         """Union of the orbits of several points."""
@@ -144,7 +140,8 @@ class PointGroup:
         return tuple(sorted(seen.values(), key=Vec3E.key))
 
     def stabilizer_order(self, v: Vec3E) -> int:
-        return sum(1 for g in self.elements if mat_apply(g, v) == v)
+        key = v.key()
+        return sum(1 for g in self.elements if mat_apply(g, v).key() == key)
 
     def element_order(self, m: Mat3G) -> int:
         identity = Mat3G.identity()

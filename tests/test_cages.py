@@ -1,5 +1,6 @@
 """Bond-graph thresholds, face tracing, and cage detection."""
 
+import functools
 import math
 from itertools import combinations
 
@@ -19,7 +20,10 @@ from icofold.cages import (
 from icofold.configs import BUILTIN_NAMES, StartConfig, builtin
 from icofold.engine import (DEFAULT_SCAN_SPEC, bands, classify_scan,
                             generate_array, make_translation, outer_cage)
+from icofold.geometry import mat_apply
 from icofold.golden import parse_field_expr
+from icofold.groups import full_group
+from icofold.onion import build_onion
 
 
 def coords_of(points):
@@ -402,17 +406,18 @@ def test_table_matches_dense_search_on_trailing_unions(differential_arrays):
     assert unions >= 50 and found >= 10
 
 
+@functools.cache
 def default_scan_outer_bands(name):
     """The outer band of every row of the config's default scan, as
     `classify_scan` hands it to the threshold search."""
     start = builtin(name)
     cutoff = 2.0 * math.sqrt(float(start.radius2))
-    return [
+    return tuple(
         bands(generate_array(
             start, make_translation(start.symmetry, fold, length), 1))[-1]
         .coords
         for fold in (2, 3, 5) for length in DEFAULT_SCAN_SPEC.lengths(cutoff)
-    ]
+    )
 
 
 @pytest.mark.parametrize("name,refuted,trivalent", [
@@ -519,6 +524,133 @@ def test_table_bonds_coincident_points():
     assert assert_table_matches_dense([dod] * 4) == {True, False}
     graph = cages._NearestTable([dod] * 4).graph((0, 1, 2, 3))
     assert graph.cutoff == 0.0 and graph.edge_count == 120
+
+
+# --- the batched rotation system against the per-vertex walk it replaces --
+
+def tangent_order_reference(coords, v, neighbors):
+    """The neighbours of v counterclockwise in its tangent plane, one
+    vertex at a time, as face tracing first computed them."""
+    normal = coords[v]
+    length = np.linalg.norm(normal)
+    if length == 0:
+        raise EulerError("vertex at the origin has no tangent plane")
+    normal = normal / length
+    reference = np.array([1.0, 0.0, 0.0])
+    if abs(normal[0]) > 0.9:
+        reference = np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(reference, normal)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    angles = []
+    for u in neighbors:
+        w = coords[u] - coords[v]
+        angles.append(math.atan2(float(w @ e2), float(w @ e1)))
+    return [u for _, u in sorted(zip(angles, neighbors))]
+
+
+def face_census_reference(cage):
+    """Face tracing as first written: per-vertex tangent orders, and each
+    face started at the smallest directed edge not yet walked."""
+    ordered = [tangent_order_reference(cage.coords, v, nbrs)
+               for v, nbrs in enumerate(cage.adjacency())]
+    successor = {}
+    for v, ring in enumerate(ordered):
+        for idx, u in enumerate(ring):
+            successor[(u, v)] = (v, ring[(idx + 1) % len(ring)])
+    faces = []
+    remaining = set(successor)
+    while remaining:
+        start = min(remaining)
+        walk = [start]
+        remaining.discard(start)
+        step = successor[start]
+        while step != start:
+            walk.append(step)
+            remaining.discard(step)
+            step = successor[step]
+        faces.append(tuple(edge[0] for edge in walk))
+    euler = cage.vertex_count - cage.edge_count + len(faces)
+    if euler != 2:
+        raise EulerError(
+            f"V-E+F = {cage.vertex_count}-{cage.edge_count}+{len(faces)} "
+            f"= {euler}, expected 2"
+        )
+    return tuple(faces)
+
+
+def traced(faces_of, cage):
+    """The faces, or the EulerError text."""
+    try:
+        return faces_of(cage)
+    except EulerError as exc:
+        return "EulerError: " + str(exc)
+
+
+@pytest.fixture(scope="module")
+def onion_member_graphs():
+    """C60, C240, C540, C960 and C80, C180, C320, C500, as bond graphs."""
+    graphs = []
+    for name, expr in (("c60", "3"), ("c80", "2")):
+        start = builtin(name)
+        t = make_translation(start.symmetry, 5, parse_field_expr(expr))
+        for shell in build_onion(start, t, 4).family:
+            graphs.append(trivalence_threshold_search(shell.points))
+    assert [g.vertex_count for g in graphs] == [60, 240, 540, 960,
+                                                80, 180, 320, 500]
+    return graphs
+
+
+def rotated_cage_graphs():
+    group = full_group()
+    for name in ("dodecahedron", "c60", "c80"):
+        vertices = builtin(name).vertices
+        for g in group:
+            yield trivalence_threshold_search(
+                tuple(mat_apply(g, v) for v in vertices))
+
+
+def test_face_census_matches_the_per_vertex_walk(onion_member_graphs):
+    """Equal face tuples, in equal order, or equal EulerError text, on
+    every rotation of the small cages, every onion member, every
+    trivalent outer band of the default dodecahedron scan, and graphs
+    that fail: a vertex at the origin, two disjoint tetrahedra."""
+    scan = [trivalence_threshold_search(coords)
+            for coords in default_scan_outer_bands("dodecahedron")]
+    dod = cage_of("dodecahedron")
+    coords = dod.coords.copy()
+    coords[7] = 0.0
+    graphs = (list(rotated_cage_graphs()) + onion_member_graphs
+              + [g for g in scan if g is not None]
+              + [cages.CageGraph(coords, dod.edges, dod.cutoff),
+                 trivalence_threshold_search(two_tetrahedra())])
+    assert len(graphs) == 360 + 8 + 102 + 2
+    outcomes = [traced(lambda g: face_census(g).faces, g) for g in graphs]
+    assert outcomes == [traced(face_census_reference, g) for g in graphs]
+    assert outcomes[-2] == "EulerError: vertex at the origin has no tangent plane"
+    assert outcomes[-1].startswith("EulerError: V-E+F = 8-12+")
+    assert sum(isinstance(o, str) for o in outcomes) == 2
+
+
+def test_face_census_crosses_a_fixed_number_of_times(onion_member_graphs,
+                                                     monkeypatch):
+    """The tangent frames are built in one batch: np.cross runs a fixed
+    number of times per census, whatever the vertex count."""
+    calls = []
+    cross = np.cross
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return cross(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cross", spy)
+    counts = []
+    for graph in (cage_of("dodecahedron"), onion_member_graphs[3]):
+        calls.clear()
+        assert face_census(graph).pentagons == 12
+        counts.append(len(calls))
+    assert onion_member_graphs[3].vertex_count == 960
+    assert counts[0] == counts[1] <= 2
 
 
 # --- kustov_allowable ------------------------------------------------------

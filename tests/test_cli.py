@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from icofold import cli
+from icofold import cli, verify
 from icofold.export import read_csv
 
 GOOD_SEED = "# a twelve-vertex seed\n@closure on\n0,1,tau\n"
@@ -197,6 +197,20 @@ def test_verify_single_check(capsys):
     assert payload["passed"] is True
     assert [c["name"] for c in payload["checks"]] == ["pentagon"]
     assert "PASS" in captured.err
+
+
+def test_verify_with_a_failing_check_exits_1_and_delivers_json(
+        monkeypatch, capsys):
+    failing = verify.CheckResult("pentagon", "stubbed", False,
+                                 ["FAIL: stubbed"], 0.0)
+    monkeypatch.setattr(cli, "run_checks", lambda only=None: [failing])
+    code = cli.run(["verify", "--only", "pentagon"])
+    captured = capsys.readouterr()
+    assert code == 1
+    payload = json.loads(captured.out)
+    assert payload["passed"] is False
+    assert [c["name"] for c in payload["checks"]] == ["pentagon"]
+    assert "FAIL" in captured.err
 
 
 def test_verify_unknown_check(capsys):
@@ -450,7 +464,8 @@ def test_out_into_missing_directory_exits_1_without_traceback(tmp_path,
 
 
 def test_onion_shell_file_that_cannot_be_written_exits_1(tmp_path, capsys):
-    # the family report is written; a directory blocks the shell-1 file
+    # a directory blocks the shell-1 file after the report and shell 0 are
+    # written; those two are removed again, so the failure leaves nothing
     blocked = tmp_path / "family.shell1.xyz"
     blocked.mkdir()
     code = cli.run(["onion", "--config", "c60", "--axis", "5",
@@ -460,7 +475,9 @@ def test_onion_shell_file_that_cannot_be_written_exits_1(tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"error: cannot write {blocked}: ")
     assert "Traceback" not in err
-    assert (tmp_path / "family.shell0.xyz").exists()
+    assert not (tmp_path / "family.json").exists()
+    assert not (tmp_path / "family.shell0.xyz").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["family.shell1.xyz"]
 
 
 def test_identical_invocations_are_byte_identical(capsys):

@@ -9,7 +9,7 @@ import pytest
 from ext_reference import ExtNumber
 from icofold.golden import ONE, GoldenNumber, TAU
 from icofold.geometry import Mat3G, Vec3E, dist2, dot, mat_apply, mat_det, mat_mul, norm2
-from icofold.groups import GEN_B5, GEN_R3
+from icofold.groups import GEN_B5, GEN_R3, full_group
 
 
 def rand_vec(rng: random.Random) -> Vec3E:
@@ -151,3 +151,71 @@ class TestMat3G:
         half = Mat3G([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
         v = Vec3E.from_golden(2, 0, 0)
         assert mat_apply(half, v) == Vec3E.from_golden(1, 0, 0)
+
+
+def mat_apply_reference(m: Mat3G, v: Vec3E) -> Vec3E:
+    """The group action as first written, in GoldenNumber arithmetic:
+    15 field numbers per call, each reduced on its own."""
+    r = m.rows
+    x, y, z = v.x, v.y, v.z
+    return Vec3E(
+        x * r[0][0] + y * r[0][1] + z * r[0][2],
+        x * r[1][0] + y * r[1][1] + z * r[1][2],
+        x * r[2][0] + y * r[2][1] + z * r[2][2],
+    )
+
+
+def mixed_vec(rng: random.Random) -> Vec3E:
+    # coordinates over denominators 1..6, often different per coordinate
+    def component() -> GoldenNumber:
+        den = rng.randint(1, 6)
+        return GoldenNumber._make(rng.randint(-12, 12), rng.randint(-12, 12),
+                                  den)
+    return Vec3E(component(), component(), component())
+
+
+class TestIntegerAction:
+    def test_matches_golden_arithmetic_on_the_full_group(self):
+        rng = random.Random(428)
+        points = [mixed_vec(rng) for _ in range(40)]
+        points += [Vec3E.from_golden(0, 0, 0), Vec3E.from_golden(0, 1, TAU)]
+        assert any(len({p.x.den, p.y.den, p.z.den}) > 1 for p in points)
+        for g in full_group():
+            for v in points:
+                assert mat_apply(g, v).key() == mat_apply_reference(g, v).key()
+
+    def test_matches_golden_arithmetic_off_the_group(self):
+        rng = random.Random(429)
+
+        def entry():
+            return GoldenNumber(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+
+        for _ in range(300):
+            m = Mat3G([[entry() for _ in range(3)] for _ in range(3)])
+            v = mixed_vec(rng)
+            assert mat_apply(m, v).key() == mat_apply_reference(m, v).key()
+        half = Mat3G([[Fraction(1, 2), 0, Fraction(-3, 4)], [0, 1, 0],
+                      [Fraction(5, 6), 0, 1]])
+        v = mixed_vec(rng)
+        assert mat_apply(half, v).key() == mat_apply_reference(half, v).key()
+
+    def test_one_reduction_per_coordinate(self, monkeypatch):
+        g = full_group().elements[57]
+        # one common denominator, and three different ones
+        points = [Vec3E.from_golden(1, TAU, 2 - TAU),
+                  Vec3E.from_golden(Fraction(1, 2), TAU / 3, Fraction(5, 6))]
+        wants = [mat_apply_reference(g, v).key() for v in points]
+        mat_apply(g, points[0])  # builds the matrix's integer entries
+        calls = []
+        make = GoldenNumber._make.__func__
+
+        def spy(cls, an, bn, den):
+            calls.append(den)
+            return make(cls, an, bn, den)
+
+        monkeypatch.setattr(GoldenNumber, "_make", classmethod(spy))
+        for v, want in zip(points, wants):
+            calls.clear()
+            assert mat_apply(g, v).key() == want
+            assert len(calls) == 3
