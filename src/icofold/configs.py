@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cached_property
 
-from .geometry import Vec3E, mat_apply, norm2
+import numpy as np
+
+from .geometry import Vec3E, integer_rows, mat_apply, norm2
 from .golden import (
     FieldParseError,
     GoldenNumber,
@@ -59,14 +62,22 @@ class StartConfig:
             sorted(spectrum.values()))
 
     def _check_invariance(self) -> None:
+        # a finite set each generator maps into itself is invariant under
+        # every product of them
         keys = {v.key() for v in self.vertices}
-        for g in self.symmetry:
+        for g in self.symmetry.generators:
             for v in self.vertices:
                 if mat_apply(g, v).key() not in keys:
                     raise ConfigError(
                         f"vertex set of '{self.name}' is not invariant "
                         f"under the symmetry group"
                     )
+
+    @cached_property
+    def integer_rows(self) -> tuple[int, np.ndarray]:
+        """The vertices as integer rows over one shared denominator (see
+        geometry.integer_rows)."""
+        return integer_rows(self.vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)

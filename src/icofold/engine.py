@@ -13,12 +13,18 @@ base-vector steps land back in the golden lattice the start points live
 in, so only they can produce coinciding points at all.
 
 Every start vertex and every such step lies in Q(tau)^3, so arrays are
-generated on an integer point kernel: each point is six Python ints
-(a, b per coordinate, value (a + b*tau)/den) over one shared denominator.
-Translation is integer addition, dedup is a set of integer rows, and the
-exact squared radius is an integer pair.  Shells carry float coordinates
-for the cage searches and build exact Vec3E points, golden vectors like
-every other 3D point, only when asked.
+generated on an integer point kernel: each point is a row of six
+integers (a, b per coordinate, value (a + b*tau)/den) over one shared
+denominator.  The start's rows and each fold's direction rows are built
+once; a step is integer arithmetic on a direction row and the length.
+All candidate points form one (N, 6) numpy array, and one pass computes
+every row's exact squared radius (an integer pair), reduced triples and
+floats, sorts once, drops adjacent duplicates and cuts shells where the
+radius changes.  The array is int64 when a bound computed up front
+proves every product exact, and dtype=object (Python ints) otherwise,
+through the same numpy calls.  Shells carry float coordinates for the
+cage searches and build exact Vec3E points, golden vectors like every
+other 3D point, only when asked.
 
 Shells partition an array by exact squared radius; bands cluster shells
 whose float radii sit within a relative gap.  The cage surfaces the bands
@@ -29,15 +35,15 @@ gap value reproduces every known surface.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 
 import numpy as np
 
 from . import cages
 from .configs import StartConfig
-from .geometry import Vec3E
-from .golden import _TAU_FLOAT, GoldenNumber, format_golden
+from .geometry import Vec3E, integer_rows
+from .golden import _TAU_FLOAT, GoldenNumber, _gsign, format_golden
 from .groups import PointGroup
 
 __all__ = [
@@ -74,6 +80,10 @@ DEFAULT_POINT_CAP = 10 ** 6
 # squared distances, 32*N^2 bytes.  256 MiB allows N up to 2896; the
 # largest outer band `verify`, the tests and the benchmark reach has 930.
 _BAND_PAIR_BYTES_CAP = 2 ** 28
+# Point rows whose entries B and denominator stay below this run in int64:
+# the larger squared-radius key, sum (2a+b)b, is at most 9*B^2 < 2^63, and
+# every entry converts to float exactly.
+_INT64_BOUND = 2 ** 29
 
 
 class PointBudgetError(RuntimeError):
@@ -88,18 +98,38 @@ class AffineTranslation:
     """A translation length attached to every axis direction of one fold."""
 
     def __init__(self, fold: int, length: GoldenNumber,
-                 directions: tuple[Vec3E, ...]) -> None:
+                 directions: tuple[Vec3E, ...],
+                 direction_rows=None) -> None:
         self.fold = fold
         self.length = length
         self.directions = directions
-        self.vectors: tuple[Vec3E, ...] = tuple(
-            d.scale(length) for d in directions
-        )
+        # (den, rows) of the directions, as PointGroup.translation_rows
+        self._direction_rows = direction_rows
+
+    @cached_property
+    def vectors(self) -> tuple[Vec3E, ...]:
+        """The exact steps: the length times each direction."""
+        return tuple(d.scale(self.length) for d in self.directions)
+
+    @cached_property
+    def step_rows(self) -> tuple[int, np.ndarray]:
+        """The steps as integer rows over one denominator, Python ints.
+
+        (x + y*tau)(p + q*tau) = (xp + yq) + (xq + yp + yq)*tau, so every
+        step is integer arithmetic on a direction row and the length.
+        """
+        den, rows = self._direction_rows or integer_rows(self.directions)
+        p, q, e = self.length.an, self.length.bn, self.length.den
+        x, y = rows[:, 0::2], rows[:, 1::2]
+        steps = np.empty_like(rows)
+        steps[:, 0::2] = x * p + y * q
+        steps[:, 1::2] = x * q + y * (p + q)
+        return den * e, steps
 
     def __repr__(self) -> str:
         return (f"AffineTranslation(fold={self.fold}, "
                 f"length={format_golden(self.length)}, "
-                f"{len(self.vectors)} vectors)")
+                f"{len(self.directions)} vectors)")
 
 
 def make_translation(group: PointGroup, fold: int,
@@ -109,20 +139,22 @@ def make_translation(group: PointGroup, fold: int,
         raise ValueError(f"unsupported fold {fold}; expected 2, 3, or 5")
     if length.sign() <= 0:
         raise ValueError("translation length must be positive")
-    return AffineTranslation(fold, length, group.translation_orbit(fold))
+    return AffineTranslation(fold, length, group.translation_orbit(fold),
+                             group.translation_rows(fold))
 
 
 class Shell:
     """All array points at one exact squared radius.
 
-    Points are integer rows (a_x, b_x, a_y, b_y, a_z, b_z) over the shared
-    denominator `den`, coordinate c being (a_c + b_c*tau)/den.  `coords`
-    holds their floats, bit-identical to `as_coords(points)`; the exact
+    `rows` is an (n, 6) numpy array of integer rows
+    (a_x, b_x, a_y, b_y, a_z, b_z) over the shared denominator `den`,
+    coordinate c being (a_c + b_c*tau)/den; its dtype is int64, or object
+    (Python ints) for entries too large for int64.  `coords` holds the
+    points' floats, bit-identical to `as_coords(points)`; the exact
     `points` are built on first access.
     """
 
-    def __init__(self, radius2: GoldenNumber,
-                 rows: tuple[tuple[int, ...], ...], den: int,
+    def __init__(self, radius2: GoldenNumber, rows: np.ndarray, den: int,
                  coords: np.ndarray) -> None:
         self.radius2 = radius2
         self.rows = rows
@@ -132,11 +164,10 @@ class Shell:
     @cached_property
     def points(self) -> tuple[Vec3E, ...]:
         den = self.den
+        make = GoldenNumber._make
         return tuple(
-            Vec3E(GoldenNumber._make(ax, bx, den),
-                  GoldenNumber._make(ay, by, den),
-                  GoldenNumber._make(az, bz, den))
-            for ax, bx, ay, by, az, bz in self.rows
+            Vec3E(make(ax, bx, den), make(ay, by, den), make(az, bz, den))
+            for ax, bx, ay, by, az, bz in self.rows.tolist()
         )
 
     @property
@@ -202,65 +233,53 @@ class PointArray:
                 f"depth {self.depth}, {len(self)} points)")
 
 
-def _integer_rows(*vector_sets) -> tuple[int, list[list[tuple[int, ...]]]]:
-    """One shared denominator and each vector's six numerators over it."""
-    den = 1
-    for vectors in vector_sets:
-        for v in vectors:
-            for c in v:
-                den = lcm(den, c.den)
-    out = []
-    for vectors in vector_sets:
-        rows = []
-        for v in vectors:
-            row: list[int] = []
-            for c in v:
-                scale = den // c.den
-                row += (c.an * scale, c.bn * scale)
-            rows.append(tuple(row))
-        out.append(rows)
-    return den, out
-
-
 def build_shells(rows, den: int) -> tuple[Shell, ...]:
     """Group integer point rows over `den` by exact squared radius, ascending.
 
+    `rows` is an (N, 6) int64 or object array; duplicate rows are dropped.
     The squared radius of (a + b*tau)/den per coordinate is
     (sum a^2+b^2 + (sum (2a+b)b)*tau)/den^2.  Points inside a shell are
     ordered by float coordinates, exact reduced triples breaking ties: the
     order of (Vec3E.as_floats(), Vec3E.key()), so output is deterministic.
+    Every step is one numpy pass over all rows; only the shell radii
+    become GoldenNumbers.
     """
-    # (float, reduced (a, b, den) triple) per coordinate numerator pair,
-    # the float by GoldenNumber.__float__'s own arithmetic on the triple
-    values: dict[tuple[int, int], tuple[float, tuple[int, int, int]]] = {}
-
-    def value(a: int, b: int) -> tuple[float, tuple[int, int, int]]:
-        g = gcd(a, b, den)
-        ra, rb, d = a // g, b // g, den // g
-        out = values[a, b] = ((ra + rb * _TAU_FLOAT) / d, (ra, rb, d))
-        return out
-
-    by_radius: dict[tuple[int, int], list] = {}
-    for row in rows:
-        ax, bx, ay, by, az, bz = row
-        key = (ax * ax + bx * bx + ay * ay + by * by + az * az + bz * bz,
-               (2 * ax + bx) * bx + (2 * ay + by) * by + (2 * az + bz) * bz)
-        fx, tx = values.get((ax, bx)) or value(ax, bx)
-        fy, ty = values.get((ay, by)) or value(ay, by)
-        fz, tz = values.get((az, bz)) or value(az, bz)
-        by_radius.setdefault(key, []).append(
-            ((fx, fy, fz, tx, ty, tz), row))
+    if not len(rows):
+        return ()
+    a, b = rows[:, 0::2], rows[:, 1::2]
+    key0 = (a * a + b * b).sum(axis=1)
+    key1 = ((2 * a + b) * b).sum(axis=1)
+    # each coordinate's reduced (a, b, d) triple, and its float by
+    # GoldenNumber.__float__'s own arithmetic on the triple
+    g = np.gcd(np.gcd(a, b), den)
+    ra, rb, d = a // g, b // g, den // g
+    floats = np.asarray((ra + rb * _TAU_FLOAT) / d, dtype=float)
+    order = np.lexsort((
+        *(t[:, c] for c in (2, 1, 0) for t in (d, rb, ra)),
+        floats[:, 2], floats[:, 1], floats[:, 0], key1, key0,
+    ))
+    ordered = rows[order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    keep = order[fresh]
+    rows, floats = ordered[fresh], floats[keep]
+    key0, key1 = key0[keep], key1[keep]
+    cuts = np.flatnonzero((key0[1:] != key0[:-1])
+                          | (key1[1:] != key1[:-1])) + 1
+    firsts = [0, *cuts.tolist()]
+    # every radius is (k0 + k1*tau)/den^2: order them by the exact sign of
+    # their numerators' difference
+    spans = sorted(
+        zip(key0[firsts].tolist(), key1[firsts].tolist(), firsts,
+            [*firsts[1:], len(rows)]),
+        key=cmp_to_key(lambda s, t: _gsign(s[0] - t[0], s[1] - t[1])),
+    )
     den2 = den * den
-    radii = {key: GoldenNumber._make(key[0], key[1], den2)
-             for key in by_radius}
-    out = []
-    for key in sorted(radii, key=radii.__getitem__):
-        ordered = sorted(by_radius[key])
-        coords = np.array([sort_key[:3] for sort_key, _ in ordered],
-                          dtype=float)
-        out.append(Shell(radii[key], tuple(row for _, row in ordered), den,
-                         coords))
-    return tuple(out)
+    return tuple(
+        Shell(GoldenNumber._make(k0, k1, den2), rows[i:j], den,
+              floats[i:j])
+        for k0, k1, i, j in spans
+    )
 
 
 def _offsets(steps: list[tuple[int, ...]], depth: int,
@@ -292,23 +311,40 @@ def _offsets(steps: list[tuple[int, ...]], depth: int,
     return seen
 
 
+def _kernel_rows(start: StartConfig, translation: AffineTranslation
+                 ) -> tuple[int, np.ndarray, np.ndarray]:
+    """Start and step rows over one denominator, in lowest terms.
+
+    Dividing every row and the denominator by their common gcd gives the
+    lcm of the coordinates' own denominators, so shells keep one `den`
+    whichever way the rows were built.
+    """
+    den_x, base = start.integer_rows
+    den_s, steps = translation.step_rows
+    den = lcm(den_x, den_s)
+    base = base * (den // den_x)
+    steps = steps * (den // den_s)
+    g = gcd(den, *base.ravel().tolist(), *steps.ravel().tolist())
+    return den // g, base // g, steps // g
+
+
 def generate_array(start: StartConfig, translation: AffineTranslation,
                    depth: int) -> PointArray:
     """Collect {x + (sum of at most `depth` translation vectors)} exactly.
 
     Every start vertex and translation vector lies in Q(tau)^3, so the
-    work runs on six Python ints per point over one shared denominator:
-    translation is integer addition and dedup is a set of integer rows.
+    work runs on integer rows over one shared denominator: the candidate
+    points are one (|offsets| * |start|, 6) array of offset-plus-start
+    sums, int64 when no entry can reach 2^29 and Python ints otherwise.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    den, (base, steps) = _integer_rows(start.vertices, translation.vectors)
-    offsets = _offsets(steps, depth, len(base))
-    rows = {
-        (x0 + s0, x1 + s1, x2 + s2, x3 + s3, x4 + s4, x5 + s5)
-        for s0, s1, s2, s3, s4, s5 in offsets
-        for x0, x1, x2, x3, x4, x5 in base
-    }
+    den, base, steps = _kernel_rows(start, translation)
+    offsets = _offsets(steps.tolist(), depth, len(base))
+    bound = abs(base).max(initial=0) + depth * abs(steps).max(initial=0)
+    dtype = np.int64 if max(bound, den) < _INT64_BOUND else object
+    rows = (np.array(list(offsets), dtype=dtype)[:, None, :]
+            + base.astype(dtype)[None]).reshape(-1, 6)
     return PointArray(start, translation, depth, build_shells(rows, den))
 
 
@@ -349,7 +385,8 @@ def _multiset_count(n_directions: int, depth: int) -> int:
 def generic_cardinality(start: StartConfig, translation: AffineTranslation,
                         depth: int = 1) -> int:
     """Array size when no points coincide: |X| * (1 + #directions) at depth 1."""
-    return len(start.vertices) * _multiset_count(len(translation.vectors), depth)
+    return (len(start.vertices)
+            * _multiset_count(len(translation.directions), depth))
 
 
 def is_nontrivial(start: StartConfig, translation: AffineTranslation) -> bool:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from math import lcm
 
+import numpy as np
+
 from .golden import ONE, GoldenNumber
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "mat_apply",
     "mat_mul",
     "mat_det",
+    "integer_rows",
 ]
 
 
@@ -230,6 +233,24 @@ def mat_apply(m: Mat3G, v: Vec3E) -> Vec3E:
         make(a6 * px + b6 * qx + a7 * py + b7 * qy + a8 * pz + b8 * qz,
              a6 * qx + b6 * sx + a7 * qy + b7 * sy + a8 * qz + b8 * sz, den),
     )
+
+
+def integer_rows(vectors) -> tuple[int, np.ndarray]:
+    """One shared denominator D and each vector's six numerators over it.
+
+    Vector v becomes the row (a_x, b_x, a_y, b_y, a_z, b_z) with
+    coordinate c equal to (a_c + b_c*tau)/D, D the lcm of the coordinates'
+    denominators.  The rows form a read-only (n, 6) array of Python ints
+    (dtype=object), so no entry can overflow.
+    """
+    den = lcm(1, *(c.den for v in vectors for c in v))
+    rows = np.array(
+        [[n for c in v for n in (c.an * (den // c.den), c.bn * (den // c.den))]
+         for v in vectors],
+        dtype=object,
+    ).reshape(-1, 6)
+    rows.flags.writeable = False
+    return den, rows
 
 
 def mat_mul(a: Mat3G, b: Mat3G) -> Mat3G:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import Mat3G, Vec3E, mat_apply, mat_mul
+import numpy as np
+
+from .geometry import Mat3G, Vec3E, integer_rows, mat_apply, mat_mul
 from .golden import GoldenNumber, TAU
 
 __all__ = [
@@ -79,12 +81,20 @@ def _positive_representative(v: Vec3E) -> Vec3E:
 
 
 class PointGroup:
-    """An immutable, exactly closed matrix group with axis bookkeeping."""
+    """An immutable, exactly closed matrix group with axis bookkeeping.
 
-    def __init__(self, name: str, elements: tuple[Mat3G, ...]) -> None:
+    `generators` is a set of elements the group is closed from; a finite
+    point set they map into itself is invariant under the whole group.
+    A group built from its elements alone takes all of them.
+    """
+
+    def __init__(self, name: str, elements: tuple[Mat3G, ...],
+                 generators: tuple[Mat3G, ...] | None = None) -> None:
         self.name = name
         self.elements = elements
+        self.generators = elements if generators is None else generators
         self._translation_cache: dict[int, tuple[Vec3E, ...]] = {}
+        self._rows_cache: dict[int, tuple[int, np.ndarray]] = {}
         self._axes_cache: dict[int, tuple[Vec3E, ...]] = {}
 
     @property
@@ -108,6 +118,15 @@ class PointGroup:
         if cached is None:
             cached = self.orbit(_base_axis_seed(fold))
             self._translation_cache[fold] = cached
+        return cached
+
+    def translation_rows(self, fold: int) -> tuple[int, np.ndarray]:
+        """translation_orbit(fold) as integer rows over one denominator
+        (see geometry.integer_rows)."""
+        cached = self._rows_cache.get(fold)
+        if cached is None:
+            cached = integer_rows(self.translation_orbit(fold))
+            self._rows_cache[fold] = cached
         return cached
 
     def axes(self, fold: int) -> tuple[Vec3E, ...]:
@@ -195,7 +214,7 @@ def generate_closure(
             raise ClosureBoundError(
                 f"closure exceeded bound {bound}; check the generators"
             )
-    return PointGroup(name, tuple(ordered))
+    return PointGroup(name, tuple(ordered), tuple(generators))
 
 
 _CACHE: dict[str, PointGroup] = {}

@@ -2,10 +2,11 @@
 
 import pytest
 
+from icofold import configs
 from icofold.configs import BUILTIN_NAMES, ConfigError, StartConfig, builtin, load_custom
-from icofold.geometry import Vec3E, dist2, mat_apply, norm2
+from icofold.geometry import Mat3G, Vec3E, dist2, mat_apply, norm2
 from icofold.golden import GoldenNumber, TAU
-from icofold.groups import full_group
+from icofold.groups import GEN_B5, GEN_R3, full_group
 
 
 CATALOG = {
@@ -38,6 +39,29 @@ class TestBuiltins:
             keys = {v.key() for v in config.vertices}
             for g in group:
                 assert all(mat_apply(g, v).key() in keys for v in config.vertices)
+
+    def test_invariance_is_checked_on_the_three_generators(self, monkeypatch):
+        assert full_group().generators == (GEN_R3, GEN_B5, -Mat3G.identity())
+        applied = []
+        real = configs.mat_apply
+        monkeypatch.setattr(configs, "mat_apply",
+                            lambda g, v: applied.append(g) or real(g, v))
+        for name in BUILTIN_NAMES:
+            applied.clear()
+            config = builtin(name)
+            assert len(applied) == 3 * len(config)
+
+    def test_set_fixed_by_r3_and_inversion_but_not_b5_is_rejected(self):
+        one = GoldenNumber(1)
+        cube = [Vec3E(sx, sy, sz) for sx in (one, -one) for sy in (one, -one)
+                for sz in (one, -one)]
+        keys = {v.key() for v in cube}
+        for g in (GEN_R3, -Mat3G.identity()):
+            assert {mat_apply(g, v).key() for v in cube} == keys
+        assert {mat_apply(GEN_B5, v).key() for v in cube} != keys
+        with pytest.raises(ConfigError, match="^vertex set of 'cube' is not "
+                           "invariant under the symmetry group$"):
+            StartConfig("cube", cube, full_group())
 
     def test_c60_is_equilateral_and_trivalent_by_exact_distance(self):
         config = builtin("c60")

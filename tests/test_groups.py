@@ -12,6 +12,7 @@ from icofold.groups import (
     GEN_B5,
     GEN_R3,
     NonOrthogonalGeneratorError,
+    PointGroup,
     full_group,
     generate_closure,
     rotation_group,
@@ -32,6 +33,11 @@ class TestClosure:
 
     def test_full_group_has_order_120(self):
         assert full_group().order == 120
+
+    def test_generators_are_kept_and_default_to_the_elements(self):
+        assert rotation_group().generators == (GEN_R3, GEN_B5)
+        elements = rotation_group().elements
+        assert PointGroup("I", elements).generators is elements
 
     def test_identity_alone_closes_to_order_1(self):
         group = generate_closure([Mat3G.identity()])
