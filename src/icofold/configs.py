@@ -2,9 +2,9 @@
 
 Every configuration is a full-group-invariant vertex set of golden
 vectors: exact Q(tau) coordinates, with squared radii in Q(tau) too.
-Builtins cover the classical icosahedral solids plus the C60 and C80
-cages; custom sets load from a simple text format, optionally closing a
-few seed points into full orbits.
+Builtins, the classical icosahedral solids plus the C60 and C80 cages,
+are the I_h orbits of their seeds; custom sets load from a simple text
+format, optionally closing a few seed points into full orbits.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .golden import (
     parse_field_expr,
     within_magnitude,
 )
-from .groups import PointGroup, full_group
+from .groups import BASE_VECTORS, PointGroup, full_group
 
 __all__ = [
     "ConfigError",
@@ -33,8 +33,6 @@ __all__ = [
     "load_custom",
     "C80_EQUAL_RADIUS_SEED",
 ]
-
-BUILTIN_NAMES = ("icosahedron", "dodecahedron", "icosidodecahedron", "c60", "c80")
 
 
 class ConfigError(ValueError):
@@ -54,12 +52,6 @@ class StartConfig:
         self.symmetry = symmetry
         if check_invariance:
             self._check_invariance()
-        spectrum: dict[tuple, GoldenNumber] = {}
-        for v in self.vertices:
-            r2 = norm2(v)
-            spectrum.setdefault(r2.key(), r2)
-        self.radius2_spectrum: tuple[GoldenNumber, ...] = tuple(
-            sorted(spectrum.values()))
 
     def _check_invariance(self) -> None:
         # a finite set each generator maps into itself is invariant under
@@ -72,6 +64,15 @@ class StartConfig:
                         f"vertex set of '{self.name}' is not invariant "
                         f"under the symmetry group"
                     )
+
+    @cached_property
+    def radius2_spectrum(self) -> tuple[GoldenNumber, ...]:
+        """The distinct exact squared radii of the vertices, ascending."""
+        spectrum: dict[tuple, GoldenNumber] = {}
+        for v in self.vertices:
+            r2 = norm2(v)
+            spectrum.setdefault(r2.key(), r2)
+        return tuple(sorted(spectrum.values()))
 
     @cached_property
     def integer_rows(self) -> tuple[int, np.ndarray]:
@@ -91,60 +92,23 @@ class StartConfig:
         return f"StartConfig({self.name!r}, {len(self.vertices)} vertices)"
 
 
-def _cyclic(x, y, z) -> list[Vec3E]:
-    return [Vec3E(x, y, z), Vec3E(z, x, y), Vec3E(y, z, x)]
+# The rejected equal-radius 60-orbit seed: on the mirror plane
+# x + tau*y - tau^2*z = 0 at squared radius 12+12*tau, the same sphere as
+# the 20 corners.  Its orbit passes the orbit-size and radius checks but
+# the 80 points admit no trivalent cutoff, so the catalog uses the
+# two-radius seeds below; kept for the verification report.
+C80_EQUAL_RADIUS_SEED = Vec3E(
+    GoldenNumber(Fraction(4, 5), Fraction(2, 5)),
+    GoldenNumber(Fraction(12, 5), Fraction(6, 5)),
+    GoldenNumber(0, 2),
+)
 
-
-def _signed_cyclic(x, y, z) -> list[Vec3E]:
-    # cyclic permutations with every sign choice on nonzero entries
-    out = []
-    for sx in ((x, -x) if x else (x,)):
-        for sy in ((y, -y) if y else (y,)):
-            for sz in ((z, -z) if z else (z,)):
-                out.extend(_cyclic(sx, sy, sz))
-    return out
-
-
-def _icosahedron_vertices() -> list[Vec3E]:
-    return _signed_cyclic(GoldenNumber(0, 0), GoldenNumber(1, 0), TAU)
-
-
-def _dodecahedron_vertices() -> list[Vec3E]:
-    # the orbit of (1,1,1): cube corners plus cyc(0, tau, 1/tau), the
-    # chirality fixed by the group generators
-    one = GoldenNumber(1, 0)
-    cube = [
-        Vec3E(sx, sy, sz)
-        for sx in (one, -one)
-        for sy in (one, -one)
-        for sz in (one, -one)
-    ]
-    tau_inv = GoldenNumber(-1, 1)  # 1/tau = tau - 1
-    return cube + _signed_cyclic(GoldenNumber(0, 0), TAU, tau_inv)
-
-
-def _icosidodecahedron_vertices() -> list[Vec3E]:
-    # the orbit of (tau,0,0): axis tips plus cyc((1, tau^2, tau)/2)
-    half = Fraction(1, 2)
-    edge_mid = _signed_cyclic(TAU, GoldenNumber(0, 0), GoldenNumber(0, 0))
-    body = _signed_cyclic(
-        GoldenNumber(half, 0),
-        GoldenNumber(half, half),  # tau^2 / 2 = (1+tau)/2
-        GoldenNumber(0, half),
-    )
-    return edge_mid + body
-
-
-def _c60_vertices() -> list[Vec3E]:
-    zero = GoldenNumber(0, 0)
-    return (
-        _signed_cyclic(zero, GoldenNumber(1, 0), GoldenNumber(0, 3))
-        + _signed_cyclic(GoldenNumber(1, 0), GoldenNumber(2, 1), GoldenNumber(0, 2))
-        + _signed_cyclic(TAU, GoldenNumber(2, 0), GoldenNumber(1, 2))
-    )
-
-
-def _c80_vertices(group: PointGroup) -> list[Vec3E]:
+# Each built-in is the full-group orbit of its seeds.
+_SEEDS: dict[str, tuple[Vec3E, ...]] = {
+    "icosahedron": (BASE_VECTORS[5],),
+    "dodecahedron": (BASE_VECTORS[3],),
+    "icosidodecahedron": (BASE_VECTORS[2],),
+    "c60": (Vec3E.from_golden(0, 1, 3 * TAU),),
     # 20-point orbit of 2*tau*(1,1,1) at squared radius 12+12*tau plus the
     # 60-point orbit of 2*(1,2,tau^2) at squared radius 28+12*tau.  The
     # seed sits on the mirror plane x - tau^2*y + tau*z = 0 and one
@@ -152,43 +116,23 @@ def _c80_vertices(group: PointGroup) -> list[Vec3E]:
     # which is what makes the fold-5 onion of this cage close (see
     # C80_EQUAL_RADIUS_SEED for the single-sphere parametrisation this
     # replaces, and the catalog notes in the README).
-    two_tau = GoldenNumber(0, 2)
-    corner = Vec3E(two_tau, two_tau, two_tau)
-    seed = Vec3E(GoldenNumber(2, 0), GoldenNumber(4, 0), GoldenNumber(2, 2))
-    return list(group.orbit(corner)) + list(group.orbit(seed))
+    "c80": (Vec3E.from_golden(2 * TAU, 2 * TAU, 2 * TAU),
+            Vec3E.from_golden(2, 4, 2 + 2 * TAU)),
+}
 
-
-# The rejected equal-radius 60-orbit seed: on the mirror plane
-# x + tau*y - tau^2*z = 0 at squared radius 12+12*tau, the same sphere as
-# the 20 corners.  Its orbit passes the orbit-size and radius checks but
-# the 80 points admit no trivalent cutoff, so the catalog uses the
-# two-radius vertices above; kept for the verification report.
-C80_EQUAL_RADIUS_SEED = Vec3E(
-    GoldenNumber(Fraction(4, 5), Fraction(2, 5)),
-    GoldenNumber(Fraction(12, 5), Fraction(6, 5)),
-    GoldenNumber(0, 2),
-)
+BUILTIN_NAMES = tuple(_SEEDS)
 
 
 def builtin(name: str) -> StartConfig:
     """Look up a catalog configuration by name."""
-    group = full_group()
-    if name == "icosahedron":
-        vertices = _icosahedron_vertices()
-    elif name == "dodecahedron":
-        vertices = _dodecahedron_vertices()
-    elif name == "icosidodecahedron":
-        vertices = _icosidodecahedron_vertices()
-    elif name == "c60":
-        vertices = _c60_vertices()
-    elif name == "c80":
-        vertices = _c80_vertices(group)
-    else:
+    seeds = _SEEDS.get(name)
+    if seeds is None:
         raise ConfigError(
             f"unknown configuration '{name}'; choose one of "
             f"{', '.join(BUILTIN_NAMES)} or pass a seed file path"
         )
-    return StartConfig(name, vertices, group)
+    group = full_group()
+    return StartConfig(name, group.orbit_of_set(seeds), group)
 
 
 def load_custom(path: str) -> StartConfig:

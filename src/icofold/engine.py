@@ -42,7 +42,7 @@ import numpy as np
 
 from . import cages
 from .configs import StartConfig
-from .geometry import Vec3E, integer_rows
+from .geometry import Vec3E
 from .golden import _TAU_FLOAT, GoldenNumber, _gsign, format_golden
 from .groups import PointGroup
 
@@ -99,7 +99,7 @@ class AffineTranslation:
 
     def __init__(self, fold: int, length: GoldenNumber,
                  directions: tuple[Vec3E, ...],
-                 direction_rows=None) -> None:
+                 direction_rows: tuple[int, np.ndarray]) -> None:
         self.fold = fold
         self.length = length
         self.directions = directions
@@ -118,7 +118,7 @@ class AffineTranslation:
         (x + y*tau)(p + q*tau) = (xp + yq) + (xq + yp + yq)*tau, so every
         step is integer arithmetic on a direction row and the length.
         """
-        den, rows = self._direction_rows or integer_rows(self.directions)
+        den, rows = self._direction_rows
         p, q, e = self.length.an, self.length.bn, self.length.den
         x, y = rows[:, 0::2], rows[:, 1::2]
         steps = np.empty_like(rows)

@@ -15,6 +15,7 @@ by eigendecomposition; the same orbits are the translation steps.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "full_group",
     "GEN_R3",
     "GEN_B5",
+    "BASE_VECTORS",
 ]
 
 HALF = Fraction(1, 2)
@@ -53,21 +55,18 @@ class NonOrthogonalGeneratorError(ValueError):
     """A generator fails the exact orthogonality check."""
 
 
-def _base_axis_seed(fold: int) -> Vec3E:
-    # Canonical golden-integer vector along one axis of the given fold: an
-    # icosahedron vertex (0,1,tau) for fold 5, a dodecahedron vertex
-    # (1,1,1) for fold 3, an icosidodecahedron vertex (tau,0,0) for fold 2.
-    # Translation steps stay inside the golden lattice of the start
-    # configurations only with these base lengths (|w|^2 = 2+tau, 3, tau^2):
-    # a unit-length step would add pure-radical coordinates that no golden
-    # start point can ever cancel.
-    if fold == 5:
-        return Vec3E.from_golden(0, 1, TAU)
-    if fold == 3:
-        return Vec3E.from_golden(1, 1, 1)
-    if fold == 2:
-        return Vec3E.from_golden(TAU, 0, 0)
-    raise ValueError(f"unsupported fold {fold}; expected 2, 3, or 5")
+# Canonical golden-integer vector along one axis of each fold: an
+# icosahedron vertex (0,1,tau) for fold 5, a dodecahedron vertex (1,1,1)
+# for fold 3, an icosidodecahedron vertex (tau,0,0) for fold 2.
+# Translation steps stay inside the golden lattice of the start
+# configurations only with these base lengths (|w|^2 = 2+tau, 3, tau^2):
+# a unit-length step would add pure-radical coordinates that no golden
+# start point can ever cancel.
+BASE_VECTORS = {
+    5: Vec3E.from_golden(0, 1, TAU),
+    3: Vec3E.from_golden(1, 1, 1),
+    2: Vec3E.from_golden(TAU, 0, 0),
+}
 
 
 def _positive_representative(v: Vec3E) -> Vec3E:
@@ -93,9 +92,6 @@ class PointGroup:
         self.name = name
         self.elements = elements
         self.generators = elements if generators is None else generators
-        self._translation_cache: dict[int, tuple[Vec3E, ...]] = {}
-        self._rows_cache: dict[int, tuple[int, np.ndarray]] = {}
-        self._axes_cache: dict[int, tuple[Vec3E, ...]] = {}
 
     @property
     def order(self) -> int:
@@ -107,6 +103,7 @@ class PointGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    @cache
     def translation_orbit(self, fold: int) -> tuple[Vec3E, ...]:
         """Golden base vectors along every axis of this fold.
 
@@ -114,36 +111,28 @@ class PointGroup:
         vectors of squared length 2+tau, 3, or tau^2.  A translation of
         length lambda steps by lambda times these.
         """
-        cached = self._translation_cache.get(fold)
-        if cached is None:
-            cached = self.orbit(_base_axis_seed(fold))
-            self._translation_cache[fold] = cached
-        return cached
+        if fold not in BASE_VECTORS:
+            raise ValueError(f"unsupported fold {fold}; expected 2, 3, or 5")
+        return self.orbit(BASE_VECTORS[fold])
 
+    @cache
     def translation_rows(self, fold: int) -> tuple[int, np.ndarray]:
         """translation_orbit(fold) as integer rows over one denominator
         (see geometry.integer_rows)."""
-        cached = self._rows_cache.get(fold)
-        if cached is None:
-            cached = integer_rows(self.translation_orbit(fold))
-            self._rows_cache[fold] = cached
-        return cached
+        return integer_rows(self.translation_orbit(fold))
 
+    @cache
     def axes(self, fold: int) -> tuple[Vec3E, ...]:
         """One base vector per axis, antipodal pairs merged.
 
         The positive representatives of translation_orbit(fold): 6, 10,
         or 15 axes for fold 5, 3, or 2.
         """
-        cached = self._axes_cache.get(fold)
-        if cached is None:
-            seen: dict[tuple, Vec3E] = {}
-            for v in self.translation_orbit(fold):
-                rep = _positive_representative(v)
-                seen.setdefault(rep.key(), rep)
-            cached = tuple(sorted(seen.values(), key=Vec3E.key))
-            self._axes_cache[fold] = cached
-        return cached
+        seen: dict[tuple, Vec3E] = {}
+        for v in self.translation_orbit(fold):
+            rep = _positive_representative(v)
+            seen.setdefault(rep.key(), rep)
+        return tuple(sorted(seen.values(), key=Vec3E.key))
 
     def orbit(self, v: Vec3E) -> tuple[Vec3E, ...]:
         """The exact orbit of v, deduplicated, in a deterministic order."""
@@ -217,24 +206,13 @@ def generate_closure(
     return PointGroup(name, tuple(ordered), tuple(generators))
 
 
-_CACHE: dict[str, PointGroup] = {}
-
-
+@cache
 def rotation_group() -> PointGroup:
     """The 60 icosahedral rotations I."""
-    group = _CACHE.get("I")
-    if group is None:
-        group = generate_closure([GEN_R3, GEN_B5], name="I")
-        _CACHE["I"] = group
-    return group
+    return generate_closure([GEN_R3, GEN_B5], name="I")
 
 
+@cache
 def full_group() -> PointGroup:
     """The full icosahedral group I_h of order 120 (adds -identity)."""
-    group = _CACHE.get("I_h")
-    if group is None:
-        group = generate_closure(
-            [GEN_R3, GEN_B5, -Mat3G.identity()], name="I_h"
-        )
-        _CACHE["I_h"] = group
-    return group
+    return generate_closure([GEN_R3, GEN_B5, -Mat3G.identity()], name="I_h")

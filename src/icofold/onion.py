@@ -172,11 +172,10 @@ def _start_shell(start: StartConfig) -> tuple[OnionShell | None, str | None]:
 
 
 def build_onion(start: StartConfig, translation: AffineTranslation,
-                iterations: int, pruned: bool = True) -> OnionReport:
+                iterations: int) -> OnionReport:
     """Grow the onion: one cage per iteration of the translation.
 
-    Iteration j translates the cage of iteration j-1 (or, with
-    pruned=False, re-expands the full depth-j word set) and extracts the
+    Iteration j translates the cage of iteration j-1 and extracts the
     outermost cage.  Stops early with a failure note when some depth has
     no trivalent outer cage; the report then carries the partial family.
     """
@@ -188,10 +187,7 @@ def build_onion(start: StartConfig, translation: AffineTranslation,
     family = [shell]
     working = start
     for j in range(1, iterations + 1):
-        if pruned:
-            array = generate_array(working, translation, 1)
-        else:
-            array = generate_array(start, translation, j)
+        array = generate_array(working, translation, 1)
         finding = outer_cage(array)
         if finding is None:
             return OnionReport(

@@ -60,7 +60,7 @@ PARAMETERS = [
     (engine.is_nontrivial, ["start", "translation"]),
     (engine.classify_length, ["start", "translation", "depth", "with_cage"]),
     (engine.classify_scan, ["start", "folds", "spec"]),
-    (onion.build_onion, ["start", "translation", "iterations", "pruned"]),
+    (onion.build_onion, ["start", "translation", "iterations"]),
     (cages.detect_cage, ["shell_groups"]),
     (cages.similar_up_to_scale, ["a_points", "b_points"]),
     (verify.render_table, ["results"]),

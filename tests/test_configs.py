@@ -1,5 +1,7 @@
 """Tests for the start-configuration catalog and seed files."""
 
+import hashlib
+
 import pytest
 
 from icofold import configs
@@ -16,6 +18,31 @@ CATALOG = {
     "c60": (60, (GoldenNumber(10, 9),)),
     "c80": (80, (GoldenNumber(12, 12), GoldenNumber(28, 12))),
 }
+
+
+# sha256 of repr([v.key() for v in builtin(name).vertices]), taken from
+# the hand-listed vertex sets the seed orbits replaced
+CATALOG_DIGESTS = {
+    "icosahedron":
+        "2b433a8f9e986c4401d308530684e4fe52f9866930c06f1be24b3f44503441be",
+    "dodecahedron":
+        "059530ab66f8bb8b17fc390a02484fa948cf736d7eb2fa4561abdaa37f3a2ae0",
+    "icosidodecahedron":
+        "4ca90c7365c2671b8f82493a8d33a5ea81f90671381747fb7d139f5aa7ae4abd",
+    "c60": "374a235908874ffed54bc28bd81e8c1df4eb1174c3638318deb0fe4a36118c0c",
+    "c80": "82ae3e7a55b512a3bcc61c5b9c6271ce3e73f51224e7542ea83806e56ffdbd31",
+}
+SOLID_FOLDS = {"icosahedron": 5, "dodecahedron": 3, "icosidodecahedron": 2}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_vertices_are_pinned(name):
+    keys = [v.key() for v in builtin(name).vertices]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() \
+        == CATALOG_DIGESTS[name]
+    if name in SOLID_FOLDS:
+        orbit = full_group().translation_orbit(SOLID_FOLDS[name])
+        assert {v.key() for v in orbit} == set(keys)
 
 
 class TestBuiltins:

@@ -6,7 +6,7 @@ import pytest
 
 from icofold.cages import FaceCensus
 from icofold.configs import C80_EQUAL_RADIUS_SEED, StartConfig, builtin
-from icofold.engine import make_translation
+from icofold.engine import generate_array, make_translation, outer_cage
 from icofold.golden import GoldenNumber, parse_field_expr
 from icofold.onion import (
     FAMILY_FORMULAS,
@@ -19,10 +19,10 @@ from icofold.onion import (
 TAU_FLOAT = (1 + 5 ** 0.5) / 2
 
 
-def grow(name, expr, iterations=2, **kwargs):
+def grow(name, expr, iterations=2):
     start = builtin(name)
     t = make_translation(start.symmetry, 5, parse_field_expr(expr))
-    return build_onion(start, t, iterations, **kwargs)
+    return build_onion(start, t, iterations)
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +76,16 @@ def test_radii_grow_by_almost_the_translation_length(
         assert 0.9 * step_bound <= outer - inner <= step_bound
 
 
-def test_pruned_iteration_matches_full_expansion():
-    pruned = grow("c80", "2", pruned=True)
-    full = grow("c80", "2", pruned=False)
-    assert pruned.counts == full.counts
-    for a, b in zip(pruned.family, full.family):
-        assert {p.key() for p in a.points} == {p.key() for p in b.points}
+def test_pruned_iteration_matches_full_expansion(c80_family):
+    # the reference re-expands the full depth-j word set from the start
+    report = c80_family
+    assert report.counts == (80, 180, 320)
+    for shell in report.family[1:]:
+        array = generate_array(report.start, report.translation,
+                               shell.iteration)
+        full = outer_cage(array).graph.points
+        assert shell.count == len(full)
+        assert {p.key() for p in shell.points} == {p.key() for p in full}
 
 
 # --- partial and failed families ---------------------------------------------
