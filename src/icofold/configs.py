@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Vec3E, integer_rows, mat_apply, norm2
+from .geometry import Vec3E, integer_rows, norm2
 from .golden import (
     FieldParseError,
     GoldenNumber,
@@ -42,28 +42,25 @@ class ConfigError(ValueError):
 class StartConfig:
     """An exactly symmetric vertex set with its radius spectrum."""
 
-    def __init__(self, name: str, vertices, symmetry: PointGroup,
-                 check_invariance: bool = True) -> None:
+    def __init__(self, name: str, vertices, symmetry: PointGroup) -> None:
         seen: dict[tuple, Vec3E] = {}
         for v in vertices:
             seen.setdefault(v.key(), v)
         self.name = name
         self.vertices: tuple[Vec3E, ...] = tuple(sorted(seen.values(), key=Vec3E.key))
         self.symmetry = symmetry
-        if check_invariance:
-            self._check_invariance()
-
-    def _check_invariance(self) -> None:
         # a finite set each generator maps into itself is invariant under
-        # every product of them
-        keys = {v.key() for v in self.vertices}
-        for g in self.symmetry.generators:
-            for v in self.vertices:
-                if mat_apply(g, v).key() not in keys:
-                    raise ConfigError(
-                        f"vertex set of '{self.name}' is not invariant "
-                        f"under the symmetry group"
-                    )
+        # every product of them; a generator maps the distinct vertices to
+        # distinct images, so into is onto and the row sets must be equal
+        _, own, chunks = symmetry._apply(*self.integer_rows,
+                                         symmetry._generator_indices)
+        own = _row_set(own)
+        if any(_row_set(image) != own
+               for image in np.concatenate(list(chunks), axis=1)):
+            raise ConfigError(
+                f"vertex set of '{name}' is not invariant "
+                f"under the symmetry group"
+            )
 
     @cached_property
     def radius2_spectrum(self) -> tuple[GoldenNumber, ...]:
@@ -90,6 +87,13 @@ class StartConfig:
 
     def __repr__(self) -> str:
         return f"StartConfig({self.name!r}, {len(self.vertices)} vertices)"
+
+
+def _row_set(rows: np.ndarray):
+    """Equal for two arrays of integer rows iff they hold the same rows."""
+    if rows.dtype == object:
+        return set(map(tuple, rows.tolist()))
+    return rows[np.lexsort(rows.T)].tobytes()
 
 
 # The rejected equal-radius 60-orbit seed: on the mirror plane
@@ -182,6 +186,5 @@ def load_custom(path: str) -> StartConfig:
     group = full_group()
     name = os.path.splitext(os.path.basename(path))[0]
     if closure:
-        return StartConfig(name, group.orbit_of_set(points), group,
-                           check_invariance=False)
+        points = group.orbit_of_set(points)
     return StartConfig(name, points, group)

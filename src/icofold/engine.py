@@ -42,7 +42,7 @@ import numpy as np
 
 from . import cages
 from .configs import StartConfig
-from .geometry import Vec3E
+from .geometry import Vec3E, row_vectors
 from .golden import _TAU_FLOAT, GoldenNumber, _gsign, format_golden
 from .groups import PointGroup
 
@@ -163,12 +163,7 @@ class Shell:
 
     @cached_property
     def points(self) -> tuple[Vec3E, ...]:
-        den = self.den
-        make = GoldenNumber._make
-        return tuple(
-            Vec3E(make(ax, bx, den), make(ay, by, den), make(az, bz, den))
-            for ax, bx, ay, by, az, bz in self.rows.tolist()
-        )
+        return row_vectors(self.den, self.rows.tolist())
 
     @property
     def radius(self) -> float:

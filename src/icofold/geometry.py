@@ -8,10 +8,11 @@ golden field.  The radicals sqrt(3) and sqrt(2+tau) that unit axis
 vectors would need never appear in a coordinate, so GoldenNumber is the
 only number type a Vec3E holds.
 
-`mat_apply`, the group action every orbit, stabilizer and invariance check
-runs on, works on integers: a matrix keeps its entries as (a, b) pairs
+`mat_apply` works on integers: a matrix keeps its entries as (a, b) pairs
 over one common denominator, and each output coordinate is one integer
-dot product in Q(tau) reduced once.
+dot product in Q(tau) reduced once.  A group acts on whole point sets as
+(n, 6) integer rows (`integer_rows`, `row_vectors`) through one table of
+6x6 integer blocks (`action_table`) built from it.
 """
 
 from __future__ import annotations
@@ -32,13 +33,15 @@ __all__ = [
     "mat_mul",
     "mat_det",
     "integer_rows",
+    "row_vectors",
+    "action_table",
 ]
 
 
 class Vec3E:
     """An exact point or direction (x, y, z) in Q(tau)^3."""
 
-    __slots__ = ("x", "y", "z", "_hash")
+    __slots__ = ("x", "y", "z")
 
     def __init__(self, x: GoldenNumber, y: GoldenNumber,
                  z: GoldenNumber) -> None:
@@ -48,7 +51,6 @@ class Vec3E:
         self.x = x
         self.y = y
         self.z = z
-        self._hash = -1
 
     @classmethod
     def from_golden(cls, x, y, z, k: GoldenNumber = ONE) -> "Vec3E":
@@ -95,13 +97,7 @@ class Vec3E:
         return self.x == other.x and self.y == other.y and self.z == other.z
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h == -1:
-            h = hash(self.key())
-            if h == -1:
-                h = -2
-            self._hash = h
-        return h
+        return hash(self.key())
 
     def as_floats(self) -> tuple[float, float, float]:
         return (float(self.x), float(self.y), float(self.z))
@@ -118,7 +114,7 @@ class Vec3E:
 class Mat3G:
     """A 3x3 matrix with GoldenNumber entries, row-major and immutable."""
 
-    __slots__ = ("rows", "_hash", "_ints")
+    __slots__ = ("rows", "_ints")
 
     def __init__(self, rows) -> None:
         rows = tuple(tuple(GoldenNumber._lift(e) for e in row) for row in rows)
@@ -127,7 +123,6 @@ class Mat3G:
         if any(e is None for row in rows for e in row):
             raise TypeError("entries must be GoldenNumber, int, or Fraction")
         self.rows = rows
-        self._hash = -1
         # built on first use: most matrices of a group closure are never
         # applied to a point
         self._ints = None
@@ -159,13 +154,7 @@ class Mat3G:
         return self.rows == other.rows
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h == -1:
-            h = hash(self.key())
-            if h == -1:
-                h = -2
-            self._hash = h
-        return h
+        return hash(self.key())
 
     def __neg__(self) -> "Mat3G":
         return Mat3G([[-e for e in row] for row in self.rows])
@@ -251,6 +240,27 @@ def integer_rows(vectors) -> tuple[int, np.ndarray]:
     ).reshape(-1, 6)
     rows.flags.writeable = False
     return den, rows
+
+
+def action_table(matrices) -> tuple[int, np.ndarray]:
+    """(D, T): T[i, k] is mat_apply(matrices[i], u_k) as an int64 row over
+    D, u_k the vector of the k-th unit row (1 or tau on one axis), so a
+    row r over den maps to r @ T[i] over D*den.  A finite group's entries
+    are small; entries past int64 raise OverflowError."""
+    units = row_vectors(1, np.eye(6, dtype=int).tolist())
+    den, rows = integer_rows(
+        [mat_apply(m, u) for m in matrices for u in units])
+    return den, rows.astype(np.int64).reshape(-1, 6, 6)
+
+
+def row_vectors(den: int, rows) -> tuple[Vec3E, ...]:
+    """The vectors of (a_x, b_x, a_y, b_y, a_z, b_z) rows of Python ints
+    over `den`: the inverse of integer_rows."""
+    make = GoldenNumber._make
+    return tuple(
+        Vec3E(make(ax, bx, den), make(ay, by, den), make(az, bz, den))
+        for ax, bx, ay, by, az, bz in rows
+    )
 
 
 def mat_mul(a: Mat3G, b: Mat3G) -> Mat3G:

@@ -72,7 +72,7 @@ class GoldenNumber:
     two values are equal iff their triples are equal.
     """
 
-    __slots__ = ("an", "bn", "den", "_hash")
+    __slots__ = ("an", "bn", "den")
 
     def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
         if isinstance(a, int) and isinstance(b, int):
@@ -91,7 +91,6 @@ class GoldenNumber:
         self.an = an
         self.bn = bn
         self.den = den
-        self._hash = -1
 
     @classmethod
     def _make(cls, an: int, bn: int, den: int) -> "GoldenNumber":
@@ -106,7 +105,6 @@ class GoldenNumber:
         self.an = an
         self.bn = bn
         self.den = den
-        self._hash = -1
         return self
 
     @property
@@ -235,13 +233,7 @@ class GoldenNumber:
         return self.an == o.an and self.bn == o.bn and self.den == o.den
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h == -1:
-            h = hash((self.an, self.bn, self.den))
-            if h == -1:
-                h = -2
-            self._hash = h
-        return h
+        return hash(self.key())
 
     def __lt__(self, other) -> bool:
         o = self._lift(other)

@@ -15,11 +15,12 @@ by eigendecomposition; the same orbits are the translation steps.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
-from .geometry import Mat3G, Vec3E, integer_rows, mat_apply, mat_mul
+from .geometry import (Mat3G, Vec3E, action_table, integer_rows, mat_mul,
+                       row_vectors)
 from .golden import GoldenNumber, TAU
 
 __all__ = [
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
+# PointGroup._apply maps rows this many at a time: one chunk's images are
+# |G| * _CHUNK * 6 entries, 2.9 MB of int64 or object pointers for I_h.
+_CHUNK = 512
 
 # Cyclic coordinate permutation (x,y,z) -> (z,x,y): a 3-fold rotation.
 GEN_R3 = Mat3G([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
@@ -85,6 +89,10 @@ class PointGroup:
     `generators` is a set of elements the group is closed from; a finite
     point set they map into itself is invariant under the whole group.
     A group built from its elements alone takes all of them.
+
+    The group acts on points only in `_apply`, on integer rows through a
+    (|G|, 6, 6) table built on first use (geometry.action_table); orbits,
+    stabilizers and StartConfig's invariance check are one call on it.
     """
 
     def __init__(self, name: str, elements: tuple[Mat3G, ...],
@@ -134,22 +142,48 @@ class PointGroup:
             seen.setdefault(rep.key(), rep)
         return tuple(sorted(seen.values(), key=Vec3E.key))
 
+    @cached_property
+    def _action(self) -> tuple[int, np.ndarray]:
+        return action_table(self.elements)
+
+    @cached_property
+    def _generator_indices(self) -> list[int]:
+        return [self.elements.index(g) for g in self.generators]
+
+    def _apply(self, den: int, rows: np.ndarray, elements=slice(None)):
+        """Images of (n, 6) integer rows over `den` under every element,
+        or under those `elements` indexes, as (d, own, chunks): `own` is
+        the rows themselves over d, and each chunk holds the (k, m, 6)
+        image rows over d of the next m <= _CHUNK rows (at least one
+        chunk).  int64 when 6 * max|T| * max|row| < 2^63 bounds every sum
+        (the identity's block D*I keeps `own` in bound too), Python ints
+        (dtype=object) otherwise.
+        """
+        d, table = self._action
+        table = table[elements]
+        bound = 6 * int(abs(table).max(initial=0)) \
+            * int(abs(rows).max(initial=0))
+        dtype = np.int64 if bound < 2 ** 63 else object
+        table, rows = (a.astype(dtype, copy=False) for a in (table, rows))
+        chunks = (rows[i:i + _CHUNK] @ table
+                  for i in range(0, max(len(rows), 1), _CHUNK))
+        return d * den, rows * d, chunks
+
     def orbit(self, v: Vec3E) -> tuple[Vec3E, ...]:
         """The exact orbit of v, deduplicated, in a deterministic order."""
         return self.orbit_of_set((v,))
 
     def orbit_of_set(self, points) -> tuple[Vec3E, ...]:
         """Union of the orbits of several points."""
-        seen: dict[tuple, Vec3E] = {}
-        for v in points:
-            for g in self.elements:
-                image = mat_apply(g, v)
-                seen.setdefault(image.key(), image)
-        return tuple(sorted(seen.values(), key=Vec3E.key))
+        d, _, chunks = self._apply(*integer_rows(tuple(points)))
+        images = {tuple(row) for chunk in chunks
+                  for row in chunk.reshape(-1, 6).tolist()}
+        return tuple(sorted(row_vectors(d, images), key=Vec3E.key))
 
     def stabilizer_order(self, v: Vec3E) -> int:
-        key = v.key()
-        return sum(1 for g in self.elements if mat_apply(g, v).key() == key)
+        """The number of elements that fix v."""
+        _, own, chunks = self._apply(*integer_rows((v,)))
+        return int(np.count_nonzero((next(chunks)[:, 0] == own).all(axis=1)))
 
     def element_order(self, m: Mat3G) -> int:
         identity = Mat3G.identity()

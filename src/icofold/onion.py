@@ -201,8 +201,6 @@ def build_onion(start: StartConfig, translation: AffineTranslation,
             cages.pentagon_contact_signature(finding.census),
             finding.graph.points,
         ))
-        working = StartConfig(
-            f"{start.name}.onion{j}", finding.graph.points, start.symmetry,
-            check_invariance=False,
-        )
+        working = StartConfig(f"{start.name}.onion{j}",
+                              finding.graph.points, start.symmetry)
     return OnionReport(start, translation, tuple(family), None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import cages
 from .configs import C80_EQUAL_RADIUS_SEED, StartConfig, builtin
@@ -169,19 +170,12 @@ def _check_c60_shells(rec: _Recorder) -> None:
                    f"{label}: outer cage of {want} vertices")
 
 
-_onion_cache: dict[str, object] = {}
-
-
+@cache
 def _family(config_name: str, length_expr: str):
-    key = f"{config_name}@{length_expr}"
-    report = _onion_cache.get(key)
-    if report is None:
-        start = builtin(config_name)
-        translation = make_translation(start.symmetry, 5,
-                                       parse_field_expr(length_expr))
-        report = build_onion(start, translation, 2)
-        _onion_cache[key] = report
-    return report
+    start = builtin(config_name)
+    translation = make_translation(start.symmetry, 5,
+                                   parse_field_expr(length_expr))
+    return build_onion(start, translation, 2)
 
 
 def _expect_family(rec: _Recorder, report, label: str,
@@ -383,9 +377,7 @@ def _suite_scale_equivariance(rng: random.Random, cases: int) -> int:
         plain = generate_array(
             base, make_translation(group, fold, length), 1)
         scaled_start = StartConfig(
-            "scaled", tuple(v.scale(scale) for v in base.vertices), group,
-            check_invariance=False,
-        )
+            "scaled", tuple(v.scale(scale) for v in base.vertices), group)
         scaled = generate_array(
             scaled_start, make_translation(group, fold, scale * length), 1)
         want = {p.scale(scale).key() for p in plain.points}

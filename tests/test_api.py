@@ -10,7 +10,7 @@ import pkgutil
 import pytest
 
 import icofold
-from icofold import cages, cli, engine, export, onion, verify
+from icofold import cages, cli, configs, engine, export, onion, verify
 
 MODULES = ["icofold"] + [
     f"icofold.{info.name}" for info in pkgutil.iter_modules(icofold.__path__)
@@ -55,6 +55,7 @@ def test_command_options_are_pinned():
 
 
 PARAMETERS = [
+    (configs.StartConfig, ["name", "vertices", "symmetry"]),
     (engine.generate_array, ["start", "translation", "depth"]),
     (engine.bands, ["array"]),
     (engine.is_nontrivial, ["start", "translation"]),

@@ -308,7 +308,7 @@ def onion_arrays(name, expr, iterations=2):
         arrays.append(array)
         finding = dense_detect_cage([s.points for s in array.shells])
         working = StartConfig(f"{name}.onion{j}", finding.graph.points,
-                              start.symmetry, check_invariance=False)
+                              start.symmetry)
     return arrays
 
 

@@ -2,13 +2,15 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from icofold import configs
 from icofold.configs import BUILTIN_NAMES, ConfigError, StartConfig, builtin, load_custom
+from icofold.engine import generate_array, make_translation, outer_cage
 from icofold.geometry import Mat3G, Vec3E, dist2, mat_apply, norm2
 from icofold.golden import GoldenNumber, TAU
-from icofold.groups import GEN_B5, GEN_R3, full_group
+from icofold.groups import GEN_B5, GEN_R3, PointGroup, full_group
 
 
 CATALOG = {
@@ -68,15 +70,22 @@ class TestBuiltins:
                 assert all(mat_apply(g, v).key() in keys for v in config.vertices)
 
     def test_invariance_is_checked_on_the_three_generators(self, monkeypatch):
-        assert full_group().generators == (GEN_R3, GEN_B5, -Mat3G.identity())
+        group = full_group()
+        assert group.generators == (GEN_R3, GEN_B5, -Mat3G.identity())
         applied = []
-        real = configs.mat_apply
-        monkeypatch.setattr(configs, "mat_apply",
-                            lambda g, v: applied.append(g) or real(g, v))
+        real = PointGroup._apply
+
+        def spy(self, den, rows, elements=slice(None)):
+            # (elements, rows) given to one batched apply
+            applied.append((np.arange(self.order)[elements].size, len(rows)))
+            return real(self, den, rows, elements)
+
+        monkeypatch.setattr(PointGroup, "_apply", spy)
         for name in BUILTIN_NAMES:
             applied.clear()
             config = builtin(name)
-            assert len(applied) == 3 * len(config)
+            seeds = len(configs._SEEDS[name])
+            assert applied == [(group.order, seeds), (3, len(config))]
 
     def test_set_fixed_by_r3_and_inversion_but_not_b5_is_rejected(self):
         one = GoldenNumber(1)
@@ -89,6 +98,16 @@ class TestBuiltins:
         with pytest.raises(ConfigError, match="^vertex set of 'cube' is not "
                            "invariant under the symmetry group$"):
             StartConfig("cube", cube, full_group())
+
+    def test_onion_working_cage_is_checked(self):
+        # the construction build_onion makes for each working cage
+        start = builtin("c60")
+        t = make_translation(start.symmetry, 5, GoldenNumber(3))
+        points = outer_cage(generate_array(start, t, 1)).graph.points
+        assert len(StartConfig("c60.onion1", points, start.symmetry)) == 240
+        with pytest.raises(ConfigError, match="^vertex set of 'c60.onion1' "
+                           "is not invariant under the symmetry group$"):
+            StartConfig("c60.onion1", points[1:], start.symmetry)
 
     def test_c60_is_equilateral_and_trivalent_by_exact_distance(self):
         config = builtin("c60")

@@ -317,7 +317,7 @@ def test_kernel_matches_vec3e_path_on_onion_working_config():
         t = translation(start, 5, expr)
         finding = outer_cage(generate_array(start, t, 1))
         working = StartConfig(f"{name}.onion1", finding.graph.points,
-                              start.symmetry, check_invariance=False)
+                              start.symmetry)
         assert_same_config(working)
         assert_same_shells(working, t, 1)
 

@@ -1,0 +1,172 @@
+"""The batched group action against the per-element loops it replaced.
+
+`group_reference` keeps the old `orbit_of_set`, `stabilizer_order` and
+invariance loops on `mat_apply`.  Every case must give equal keys, order,
+counts and verdicts, in int64 and in Python ints, for the full group, the
+rotations, a group whose elements come in another order and a small group
+over another denominator.  A spy checks that once a group's table exists,
+its action makes no `mat_apply` call.
+"""
+
+import random
+from functools import cache
+
+import numpy as np
+import pytest
+
+import group_reference as ref
+from icofold import configs, geometry, groups
+from icofold.configs import (BUILTIN_NAMES, ConfigError, StartConfig,
+                             builtin)
+from icofold.geometry import Mat3G, Vec3E, integer_rows
+from icofold.golden import GoldenNumber, TAU, parse_field_expr
+from icofold.groups import (BASE_VECTORS, GEN_R3, PointGroup, full_group,
+                            generate_closure, rotation_group)
+from test_geometry import mixed_vec
+
+
+@cache
+def shuffled_group():
+    elements = list(full_group().elements)
+    random.Random(12).shuffle(elements)
+    group = PointGroup("I_h shuffled", tuple(elements))
+    assert group.elements[0] != Mat3G.identity()
+    return group
+
+
+@cache
+def s6_group():
+    # order 6 with integer entries: its table's denominator is 1, not 2
+    return generate_closure([GEN_R3, -Mat3G.identity()], name="S6")
+
+
+GROUPS = {"I_h": full_group, "I": rotation_group, "shuffled": shuffled_group,
+          "S6": s6_group}
+
+# scales whose rows need Python ints (2^200, 2^255 numerators) or fit
+# int64 (2^32)
+BIG_SCALES = ("(2^200+1)/2^199", "2^32", "(2^255-1)/2^250")
+
+
+def seed_points():
+    return [s for seeds in configs._SEEDS.values() for s in seeds]
+
+
+def golden_points():
+    # the zero vector, one point on an axis of each fold (stabilizers 10,
+    # 6 and 4 in I_h) and random golden points, 200 in all
+    rng = random.Random(1402)
+
+    def c():
+        return GoldenNumber(rng.randint(-4, 4), rng.randint(-4, 4))
+
+    points = [Vec3E.from_golden(0, 0, 0), *BASE_VECTORS.values()]
+    while len(points) < 200:
+        points.append(Vec3E(c(), c(), c()))
+    return points
+
+
+def mixed_points():
+    rng = random.Random(430)
+    return [mixed_vec(rng) for _ in range(40)]
+
+
+def big_points():
+    bases = (*BASE_VECTORS.values(), Vec3E.from_golden(1, 2, TAU - 3))
+    return [v.scale(parse_field_expr(s)) for s in BIG_SCALES for v in bases]
+
+
+CASES = {"seeds": seed_points, "golden": golden_points,
+         "mixed": mixed_points, "big": big_points}
+
+
+def keys(points):
+    return [p.key() for p in points]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("group_name", GROUPS)
+def test_orbits_and_stabilizers_match_the_loops(group_name, case):
+    group = GROUPS[group_name]()
+    points = CASES[case]()
+    for v in points:
+        assert keys(group.orbit(v)) == keys(ref.orbit_of_set(group, [v]))
+        assert group.stabilizer_order(v) == ref.stabilizer_order(group, v)
+    assert keys(group.orbit_of_set(points)) \
+        == keys(ref.orbit_of_set(group, points))
+
+
+def test_axis_and_zero_stabilizers_are_covered():
+    group = full_group()
+    zero, *axes = golden_points()[:4]
+    assert group.stabilizer_order(zero) == 120
+    assert group.orbit(zero) == (zero,)
+    assert [group.stabilizer_order(v) for v in axes] == [10, 6, 4]
+
+
+def test_big_rows_take_both_dtypes():
+    group = full_group()
+    for scale, dtype in zip(BIG_SCALES, (object, np.int64, object)):
+        v = BASE_VECTORS[5].scale(parse_field_expr(scale))
+        _, _, chunks = group._apply(*integer_rows([v]))
+        assert next(chunks).dtype == dtype
+
+
+def vertex_sets(group):
+    rng = random.Random(431)
+    sets = [builtin(name).vertices for name in BUILTIN_NAMES]
+    sets += [group.orbit_of_set(rng.sample(big_points(), 2)),
+             group.orbit_of_set(mixed_points()[:3]),
+             rotation_group().orbit(golden_points()[7])]
+    for vertices in list(sets):
+        sets += [vertices[1:], vertices + (golden_points()[9],)]
+    return sets
+
+
+def accepted(vertices, group):
+    try:
+        StartConfig("case", vertices, group)
+    except ConfigError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("group_name", GROUPS)
+def test_invariance_verdicts_match_the_loops(group_name):
+    group = GROUPS[group_name]()
+    verdicts = [(ref.is_invariant(vertices, group), accepted(vertices, group))
+                for vertices in vertex_sets(group)]
+    assert all(want == got for want, got in verdicts)
+    assert {got for _, got in verdicts} == {True, False}
+
+
+def test_chunk_boundaries_do_not_change_results(monkeypatch):
+    group = full_group()
+    points = golden_points()[:30] + big_points()
+    want_orbit = keys(group.orbit_of_set(points))
+    sets = vertex_sets(group)
+    want_verdicts = [ref.is_invariant(vertices, group) for vertices in sets]
+    monkeypatch.setattr(groups, "_CHUNK", 7)
+    assert keys(group.orbit_of_set(points)) == want_orbit
+    assert [accepted(vertices, group) for vertices in sets] == want_verdicts
+
+
+def test_the_table_is_the_only_mat_apply_work(monkeypatch):
+    calls = []
+    real = geometry.mat_apply
+    monkeypatch.setattr(geometry, "mat_apply",
+                        lambda g, v: calls.append(g) or real(g, v))
+    assert not hasattr(groups, "mat_apply")
+    assert not hasattr(configs, "mat_apply")
+    fresh = PointGroup("I_h copy", full_group().elements)
+    fresh.orbit(BASE_VECTORS[5])
+    assert len(calls) == 6 * fresh.order  # the table: six unit rows each
+    calls.clear()
+    group = full_group()
+    group.orbit(BASE_VECTORS[3])  # the table exists from here on
+    calls.clear()
+    v = Vec3E.from_golden(1, 2, TAU)
+    assert len(group.orbit(v)) * group.stabilizer_order(v) == group.order
+    for name in BUILTIN_NAMES:
+        builtin(name)
+    assert calls == []

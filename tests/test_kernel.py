@@ -76,7 +76,7 @@ def test_kernel_matches_reference_on_onion_working_configs():
         t = translation(start, 5, expr)
         finding = outer_cage(generate_array(start, t, 1))
         working = StartConfig(f"{name}.onion1", finding.graph.points,
-                              start.symmetry, check_invariance=False)
+                              start.symmetry)
         assert_same_array(working, t, 1)
 
 
@@ -85,8 +85,7 @@ def test_kernel_matches_reference_on_mixed_denominators():
     group = full_group()
     seed = Vec3E(GoldenNumber._make(1, 0, 3), GoldenNumber._make(0, 1, 2),
                  GoldenNumber._make(1, 1, 5))
-    start = StartConfig("mixed", group.orbit(seed), group,
-                        check_invariance=False)
+    start = StartConfig("mixed", group.orbit(seed), group)
     for fold in (2, 3, 5):
         array = assert_same_array(start, translation(start, fold,
                                                      "(1+2*tau)/7"), 1)
