@@ -118,9 +118,21 @@ class CageGraph:
 
 
 def _pairwise_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances from every point of `a` to every point of `b`."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances from every point of `a` to every point of `b`.
+
+    dx*dx + dy*dy + dz*dz, accumulated in place one axis at a time into
+    the (n, m) result through one (n, m) buffer: 16*n*m bytes at its
+    peak.  b - a is exactly -(a - b), so swapping the arguments gives the
+    transpose bit for bit.
+    """
+    d2 = a[:, None, 0] - b[:, 0]
+    d2 *= d2
+    diff = np.empty_like(d2)
+    for k in (1, 2):
+        np.subtract(a[:, None, k], b[:, k], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 def _four_nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,12 +19,13 @@ denominator.  The start's rows and each fold's direction rows are built
 once; a step is integer arithmetic on a direction row and the length.
 All candidate points form one (N, 6) numpy array, and one pass computes
 every row's exact squared radius (an integer pair), reduced triples and
-floats, sorts once, drops adjacent duplicates and cuts shells where the
-radius changes.  The array is int64 when a bound computed up front
-proves every product exact, and dtype=object (Python ints) otherwise,
-through the same numpy calls.  Shells carry float coordinates for the
-cage searches and build exact Vec3E points, golden vectors like every
-other 3D point, only when asked.
+floats, sorts on the radius and the floats (on the triples too only
+where distinct rows tie there), drops adjacent duplicates and cuts
+shells where the radius changes.  The array is int64 when a bound
+computed up front proves every product exact, and dtype=object (Python
+ints) otherwise, through the same numpy calls.  Shells carry float
+coordinates for the cage searches and build exact Vec3E points, golden
+vectors like every other 3D point, only when asked.
 
 Shells partition an array by exact squared radius; bands cluster shells
 whose float radii sit within a relative gap.  The cage surfaces the bands
@@ -76,9 +77,11 @@ __all__ = [
 DEFAULT_BAND_GAP = 0.11
 DEFAULT_POINT_CAP = 10 ** 6
 # Guards the full table an outer band falls back to when its probe rows
-# do not refute the gap: an N x N x 3 float64 difference tensor plus N x N
-# squared distances, 32*N^2 bytes.  256 MiB allows N up to 2896; the
-# largest outer band `verify`, the tests and the benchmark reach has 930.
+# do not refute the gap.  Filling it holds N x N float64 squared distances
+# and one N x N temporary (the kernel's difference, then argpartition's
+# indices), 16*N^2 bytes at peak; the guard counts 32*N^2 bytes, twice
+# that, so 256 MiB allows N up to 2896.  The largest outer band `verify`,
+# the tests and the benchmark reach has 930.
 _BAND_PAIR_BYTES_CAP = 2 ** 28
 # Point rows whose entries B and denominator stay below this run in int64:
 # the larger squared-radius key, sum (2a+b)b, is at most 9*B^2 < 2^63, and
@@ -228,6 +231,13 @@ class PointArray:
                 f"depth {self.depth}, {len(self)} points)")
 
 
+def _reduced_triples(a, b, den: int):
+    """Each coordinate's (a, b, d) in lowest terms, as GoldenNumber
+    stores it: (N, 3) arrays of numerators and denominators."""
+    g = np.gcd(np.gcd(a, b), den)
+    return a // g, b // g, den // g
+
+
 def build_shells(rows, den: int) -> tuple[Shell, ...]:
     """Group integer point rows over `den` by exact squared radius, ascending.
 
@@ -236,6 +246,9 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     (sum a^2+b^2 + (sum (2a+b)b)*tau)/den^2.  Points inside a shell are
     ordered by float coordinates, exact reduced triples breaking ties: the
     order of (Vec3E.as_floats(), Vec3E.key()), so output is deterministic.
+    One sort on the radius and the floats orders the rows; only when two
+    distinct rows tie on all five keys does a second sort take the nine
+    triple entries as well.  Otherwise every tie is a duplicate row.
     Every step is one numpy pass over all rows; only the shell radii
     become GoldenNumbers.
     """
@@ -244,18 +257,32 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     a, b = rows[:, 0::2], rows[:, 1::2]
     key0 = (a * a + b * b).sum(axis=1)
     key1 = ((2 * a + b) * b).sum(axis=1)
-    # each coordinate's reduced (a, b, d) triple, and its float by
-    # GoldenNumber.__float__'s own arithmetic on the triple
-    g = np.gcd(np.gcd(a, b), den)
-    ra, rb, d = a // g, b // g, den // g
+    # each coordinate's float by GoldenNumber.__float__'s own arithmetic
+    # on its reduced triple; only the rare second sort needs the triples
+    # again, so they are rebuilt there rather than held through the first
+    ra, rb, d = _reduced_triples(a, b, den)
     floats = np.asarray((ra + rb * _TAU_FLOAT) / d, dtype=float)
-    order = np.lexsort((
-        *(t[:, c] for c in (2, 1, 0) for t in (d, rb, ra)),
-        floats[:, 2], floats[:, 1], floats[:, 0], key1, key0,
-    ))
+    del ra, rb, d
+    keys = (*floats.T[::-1], key1, key0)
+    order = np.lexsort(keys)
     ordered = rows[order]
-    fresh = np.ones(len(order), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    # tie[i]: sorted row i has the radius and floats of row i - 1
+    tie = np.zeros(len(order), dtype=bool)
+    tie[1:] = True
+    for key in keys:
+        k = key[order]
+        tie[1:] &= k[1:] == k[:-1]
+    tied = np.flatnonzero(tie)
+    if (ordered[tied] != ordered[tied - 1]).any():
+        # distinct rows tie: their reduced triples, compared as
+        # Vec3E.key() does, order them exactly
+        ra, rb, d = _reduced_triples(a, b, den)
+        order = np.lexsort((
+            *(t[:, c] for c in (2, 1, 0) for t in (d, rb, ra)), *keys))
+        ordered = rows[order]
+        tie[1:] = (ordered[1:] == ordered[:-1]).all(axis=1)
+    # otherwise every tie is between equal rows, so it marks a duplicate
+    fresh = ~tie
     keep = order[fresh]
     rows, floats = ordered[fresh], floats[keep]
     key0, key1 = key0[keep], key1[keep]

@@ -230,8 +230,10 @@ def integer_rows(vectors) -> tuple[int, np.ndarray]:
     Vector v becomes the row (a_x, b_x, a_y, b_y, a_z, b_z) with
     coordinate c equal to (a_c + b_c*tau)/D, D the lcm of the coordinates'
     denominators.  The rows form a read-only (n, 6) array of Python ints
-    (dtype=object), so no entry can overflow.
+    (dtype=object), so no entry can overflow.  `vectors` may be any
+    iterable; it is read once.
     """
+    vectors = tuple(vectors)
     den = lcm(1, *(c.den for v in vectors for c in v))
     rows = np.array(
         [[n for c in v for n in (c.an * (den // c.den), c.bn * (den // c.den))]

@@ -175,7 +175,7 @@ class PointGroup:
 
     def orbit_of_set(self, points) -> tuple[Vec3E, ...]:
         """Union of the orbits of several points."""
-        d, _, chunks = self._apply(*integer_rows(tuple(points)))
+        d, _, chunks = self._apply(*integer_rows(points))
         images = {tuple(row) for chunk in chunks
                   for row in chunk.reshape(-1, 6).tolist()}
         return tuple(sorted(row_vectors(d, images), key=Vec3E.key))

@@ -191,6 +191,49 @@ def test_detect_cage_none_cases():
     assert detect_cage([tet, tet * 2.0]) is None  # under 20 points
 
 
+# --- the pairwise-distance kernel ---------------------------------------
+
+def einsum_squared(a, b):
+    """The kernel as first written: an (n, m, 3) difference tensor summed
+    by einsum."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def kernel_pairs():
+    """(a, b) cases: each built-in against itself and against a shifted,
+    scaled copy; 200 and 960 random points against themselves and
+    against another random set."""
+    rng = np.random.default_rng(2024)
+    for name in BUILTIN_NAMES:
+        a = coords_of(builtin(name).vertices)
+        yield pytest.param(a, a, id=name)
+        yield pytest.param(a, a[::-1] * 1.5 + (0.1, -0.2, 0.3),
+                           id=f"{name}-moved")
+    for n in (200, 960):
+        a = rng.uniform(-5.0, 5.0, size=(n, 3))
+        yield pytest.param(a, a, id=f"random{n}")
+        yield pytest.param(a, rng.normal(size=(n // 2 + 7, 3)),
+                           id=f"random{n}-other")
+
+
+@pytest.mark.parametrize("a,b", kernel_pairs())
+def test_pairwise_squared_kernel(a, b):
+    got = cages._pairwise_squared(a, b)
+    assert got.shape == (len(a), len(b)) and got.dtype == np.float64
+    # within 4 ulp of the einsum tensor: the values are nonnegative, so
+    # their int64 views are ordered and differ by the ulps between them
+    want = einsum_squared(a, b)
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+    # bit for bit: the transpose of the swapped call, and the
+    # out-of-place sum in the same order
+    assert cages._pairwise_squared(b, a).T.tobytes() == got.tobytes()
+    dx, dy, dz = (a[:, None, k] - b[None, :, k] for k in range(3))
+    assert (dx * dx + dy * dy + dz * dz).tobytes() == got.tobytes()
+    if a is b:
+        assert not got.diagonal().any()
+
+
 # --- the nearest-neighbour table against the dense search it replaces ----
 
 def dense_matrix(coords):

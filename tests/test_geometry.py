@@ -8,7 +8,9 @@ import pytest
 
 from ext_reference import ExtNumber
 from icofold.golden import ONE, GoldenNumber, TAU
-from icofold.geometry import Mat3G, Vec3E, dist2, dot, mat_apply, mat_det, mat_mul, norm2
+from icofold.configs import builtin
+from icofold.geometry import (Mat3G, Vec3E, dist2, dot, integer_rows, mat_apply,
+                              mat_det, mat_mul, norm2)
 from icofold.groups import GEN_B5, GEN_R3, full_group
 
 
@@ -219,3 +221,22 @@ class TestIntegerAction:
             calls.clear()
             assert mat_apply(g, v).key() == want
             assert len(calls) == 3
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("name", ["dodecahedron", "c80"])
+    def test_a_generator_gives_the_rows_of_a_tuple(self, name):
+        vertices = builtin(name).vertices
+        den, rows = integer_rows(tuple(vertices))
+        assert rows.shape == (len(vertices), 6)
+        got_den, got = integer_rows(v for v in vertices)
+        assert got_den == den
+        assert got.shape == rows.shape and got.tolist() == rows.tolist()
+
+    def test_mixed_denominators_from_a_generator(self):
+        rng = random.Random(430)
+        points = [mixed_vec(rng) for _ in range(12)]
+        want_den, want = integer_rows(points)
+        den, rows = integer_rows(iter(points))
+        assert (den, rows.tolist()) == (want_den, want.tolist())
+        assert den > 1 and len(rows) == 12

@@ -116,21 +116,45 @@ def test_kernel_matches_reference_at_the_int64_bound(n, dtype):
                     ref.build_shells([tuple(r) for r in rows.tolist()], den))
 
 
-def test_float_ties_are_broken_by_exact_triples():
-    # x and y differ exactly but both evaluate to 0.0, so (x, y, 0) and
-    # (y, x, 0) share a radius and their floats
+@pytest.fixture
+def sort_keys(monkeypatch):
+    """The number of keys of every np.lexsort call, in call order."""
+    counts = []
+    real = np.lexsort
+
+    def spy(keys, *args, **kwargs):
+        counts.append(len(keys))
+        return real(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    return counts
+
+
+def test_float_ties_are_broken_by_exact_triples(sort_keys):
+    # x and y differ exactly but both evaluate to 0.0, so (x, y, 0),
+    # (y, x, 0) and (0, x, y) share a radius and their floats
     x, y = (-165580141, 102334155), (-267914296, 165580141)
     assert x[0] + x[1] * 1.618033988749895 == 0.0
     assert y[0] + y[1] * 1.618033988749895 == 0.0
-    p, q = (*x, *y, 0, 0), (*y, *x, 0, 0)
+    p, q, r = (*x, *y, 0, 0), (*y, *x, 0, 0), (0, 0, *x, *y)
     want = ref.build_shells({p, q}, 1)
     assert [row for shell in want for row in shell.rows] == [q, p]
+    want3 = ref.build_shells({p, q, r}, 1)
+    assert [row for shell in want3 for row in shell.rows] == [q, p, r]
     for dtype in (np.int64, object):
+        sort_keys.clear()
         assert_same(build_shells(np.array([p, q, p], dtype=dtype), 1), want)
+        # duplicates of both tied rows interleaved, and a third row tied
+        # with them on the same shell
+        assert_same(build_shells(np.array([p, q, p, r, q, q], dtype=dtype),
+                                 1), want3)
+        assert sort_keys == [5, 14, 5, 14]
     big = (2 ** 60, 0, 2 ** 60 + 1, 0, 0, 0)
     swapped = (2 ** 60 + 1, 0, 2 ** 60, 0, 0, 0)
     rows = np.array([swapped, big, swapped], dtype=object)
+    sort_keys.clear()
     assert_same(build_shells(rows, 1), ref.build_shells({big, swapped}, 1))
+    assert sort_keys == [5, 14]
 
 
 # --- work counts ----------------------------------------------------------
@@ -167,6 +191,16 @@ def test_build_shells_makes_one_golden_number_per_shell(monkeypatch):
     assert len(seen) == len(rows)
     for points, makes, shells in seen:
         assert makes == shells < points
+
+
+def test_default_scan_rows_take_the_five_key_sort_only(sort_keys):
+    start, rows = default_scan_rows()
+    translations = [make_translation(start.symmetry, fold, length)
+                    for fold, length in rows]
+    sort_keys.clear()
+    for t in translations:
+        generate_array(start, t, 1)
+    assert sort_keys == [5] * len(rows)
 
 
 def test_scan_row_builds_no_vectors_and_no_step_products(monkeypatch):
