@@ -16,9 +16,12 @@ the shell pairs that some union reaches.  A union's third- and
 fourth-nearest distances are merged from its shells' rows, and once the
 gap holds, the merged entries within the cutoff are exactly each point's
 three bonds, so no union needs an N x N matrix.  Before any block is
-filled, the full rows of one probe point per squared radius are merged
-alike: more rows only raise the largest third-nearest distance and lower
-the smallest fourth-nearest, so a union fails any gap its probe rows fail.
+filled, a union is held to a cheaper test on one probe point per squared
+radius: a probe table keeps each probe point's four smallest squared
+distances into each shell, one column per shell, and a union's probe
+rows are its members' entries, merged the same way.  Taking fewer rows
+only lowers the largest third-nearest distance and raises the smallest
+fourth-nearest, so a union fails any gap its probe rows fail.
 
 Faces are traced from the rotation system: neighbors ordered by angle in
 each vertex's tangent plane, with the Euler characteristic as the guard
@@ -28,6 +31,7 @@ against a band that is not a topological sphere.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -135,23 +139,26 @@ def _pairwise_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _four_columns(d2: np.ndarray) -> np.ndarray:
+    """`d2` with `inf` padding columns up to four; padding never bonds."""
+    if d2.shape[1] >= 4:
+        return d2
+    return np.hstack([d2, np.full((len(d2), 4 - d2.shape[1]), np.inf)])
+
+
 def _four_nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the four smallest entries of `d2` and their columns."""
-    if d2.shape[1] < 4:
-        # padding columns are inf and never bond
-        d2 = np.hstack([d2, np.full((len(d2), 4 - d2.shape[1]), np.inf)])
+    d2 = _four_columns(d2)
     # a copy, so the full index matrix is not kept alive
     index = np.argpartition(d2, 3, axis=1)[:, :4].copy()
     return np.take_along_axis(d2, index, axis=1), index
 
 
-def _gap(rows) -> tuple[float, float] | None:
-    """The rows' largest third- and smallest fourth-nearest entries."""
-    c2, floor4 = -math.inf, math.inf
-    for row in rows:
-        merged = np.partition(row, (2, 3), axis=1)
-        c2 = max(c2, float(merged[:, 2].max()))
-        floor4 = min(floor4, float(merged[:, 3].min()))
+def _gap(rows: np.ndarray) -> tuple[float, float] | None:
+    """The rows' largest third- and smallest fourth-smallest entries."""
+    merged = np.partition(rows, (2, 3), axis=1)
+    c2 = float(merged[:, 2].max())
+    floor4 = float(merged[:, 3].min())
     # the largest third-nearest distance must lie strictly below the
     # smallest fourth-nearest, by more than float noise
     if not floor4 - c2 > _RESOLUTION * max(1.0, c2):
@@ -176,10 +183,15 @@ class _NearestTable:
     there are fewer than four.  Every union's four nearest neighbours of
     a point lie among its shells' rows, and the values come from
     `_pairwise_squared` (a block of two shells serves both orders), so
-    merged rows see exactly the floats of the union's full distance
-    matrix.
-    `probe(a, b)` holds the rows of that matrix for shell a's probe points
-    `probes[a]` and shell b, to refute a union before `nearest` runs.
+    a union's merged rows hold the four smallest floats of each row of
+    its full distance matrix.
+
+    The probe table refutes a union before `nearest` runs.  It has one
+    row per probe point (`probes[a]` of each shell a, in shell order) and
+    holds, in column b, that point's four smallest squared distances into
+    shell b, filled the same way, one column at a time for the shells
+    that some union reaches.  A union's probe rows are its members' rows
+    over its members' columns.
     """
 
     def __init__(self, groups) -> None:
@@ -187,18 +199,37 @@ class _NearestTable:
                        for g in groups]
         self.coords = [as_coords(g) for g in self.groups]
         self.probes = [_probe_points(c) for c in self.coords]
+        # shell a's probe points are rows bounds[a]:bounds[a + 1]
+        self._probe_bounds = [0, *accumulate(len(p) for p in self.probes)]
+        self._probe_coords = np.concatenate(
+            [c[p] for c, p in zip(self.coords, self.probes)]
+            or [np.empty((0, 3))])
+        self._probe_table = np.empty(
+            (len(self._probe_coords), len(self.groups), 4))
+        self._probe_filled = [False] * len(self.groups)
         self._nearest: dict[tuple[int, int],
                             tuple[np.ndarray, np.ndarray]] = {}
-        self._probe: dict[tuple[int, int], np.ndarray] = {}
 
-    def probe(self, a: int, b: int) -> np.ndarray:
-        if (a, b) not in self._probe:
-            rows = self.probes[a]
-            d2 = _pairwise_squared(self.coords[a][rows], self.coords[b])
-            if a == b:
-                d2[np.arange(len(rows)), rows] = np.inf
-            self._probe[(a, b)] = d2
-        return self._probe[(a, b)]
+    def _probe_column(self, b: int) -> None:
+        d2 = _pairwise_squared(self._probe_coords, self.coords[b])
+        d2[np.arange(*self._probe_bounds[b:b + 2]), self.probes[b]] = np.inf
+        self._probe_table[:, b] = np.partition(
+            _four_columns(d2), 3, axis=1)[:, :4]
+        self._probe_filled[b] = True
+
+    def probe_rows(self, members: list[int]) -> np.ndarray:
+        """The union's probe rows, four entries per member shell, in the
+        order of `members` (in shell order when every shell is one)."""
+        for b in members:
+            if not self._probe_filled[b]:
+                self._probe_column(b)
+        table = self._probe_table
+        if len(members) < len(self.groups):
+            bounds = self._probe_bounds
+            rows = np.concatenate([np.arange(bounds[a], bounds[a + 1])
+                                   for a in members])
+            table = table[np.ix_(rows, members)]
+        return table.reshape(len(table), -1)
 
     def nearest(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         if (a, b) not in self._nearest:
@@ -219,27 +250,27 @@ class _NearestTable:
         concatenation of their points.
         """
         members = [i for i in chosen if len(self.groups[i])]
-        if sum(len(self.groups[i]) for i in members) < 4 or _gap(
-                np.hstack([self.probe(a, b) for b in members])
-                for a in members) is None:
+        offsets = [0, *accumulate(len(self.groups[i]) for i in members)]
+        if offsets[-1] < 4 or _gap(self.probe_rows(members)) is None:
             return None
-        rows = [np.hstack([self.nearest(a, b)[0] for b in members])
-                for a in members]
-        gap = _gap(rows)
+        # every row's entries and their union indices, block by block
+        values = np.empty((offsets[-1], 4 * len(members)))
+        targets = np.empty(values.shape, dtype=np.intp)
+        for i, a in enumerate(members):
+            for k, b in enumerate(members):
+                block = (slice(offsets[i], offsets[i + 1]),
+                         slice(4 * k, 4 * k + 4))
+                value, index = self.nearest(a, b)
+                values[block] = value
+                np.add(index, offsets[k], out=targets[block])
+        gap = _gap(values)
         if gap is None:
             return None
         c2, floor4 = gap
-        values = np.vstack(rows)
         # the threshold lies below every fourth-nearest distance, so each
         # row's entries within it are exactly that point's three bonds;
         # a bond shows in both of its rows and is kept from the lower one
         threshold = (c2 + min(floor4, 4.0 * c2)) / 2.0
-        offsets = np.cumsum([0] + [len(self.groups[i]) for i in members])
-        targets = np.vstack([
-            np.hstack([self.nearest(a, b)[1] + offsets[k]
-                       for k, b in enumerate(members)])
-            for a in members
-        ])
         bonds = ((values <= threshold)
                  & (np.arange(len(values))[:, None] < targets))
         source, column = np.nonzero(bonds)

@@ -74,8 +74,13 @@ class StartConfig:
     @cached_property
     def integer_rows(self) -> tuple[int, np.ndarray]:
         """The vertices as integer rows over one shared denominator (see
-        geometry.integer_rows)."""
-        return integer_rows(self.vertices)
+        geometry.integer_rows), int64 when every entry fits and Python
+        ints (dtype=object) otherwise; users bound their own products."""
+        den, rows = integer_rows(self.vertices)
+        if int(abs(rows).max(initial=0)) < 2 ** 63:
+            rows = rows.astype(np.int64)
+            rows.flags.writeable = False
+        return den, rows
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -79,9 +79,9 @@ DEFAULT_POINT_CAP = 10 ** 6
 # Guards the full table an outer band falls back to when its probe rows
 # do not refute the gap.  Filling it holds N x N float64 squared distances
 # and one N x N temporary (the kernel's difference, then argpartition's
-# indices), 16*N^2 bytes at peak; the guard counts 32*N^2 bytes, twice
-# that, so 256 MiB allows N up to 2896.  The largest outer band `verify`,
-# the tests and the benchmark reach has 930.
+# indices), 16*N^2 bytes at peak; the guard keeps twice that below the
+# cap, as headroom, so 256 MiB allows N up to 2896.  The largest outer
+# band `verify`, the tests and the benchmark reach has 930.
 _BAND_PAIR_BYTES_CAP = 2 ** 28
 # Point rows whose entries B and denominator stay below this run in int64:
 # the larger squared-radius key, sum (2a+b)b, is at most 9*B^2 < 2^63, and
@@ -344,6 +344,10 @@ def _kernel_rows(start: StartConfig, translation: AffineTranslation
     den_x, base = start.integer_rows
     den_s, steps = translation.step_rows
     den = lcm(den_x, den_s)
+    # int64 start rows stay int64 while the scaled rows and den fit; den
+    # bounds the gcd the rows are divided by
+    if max(int(abs(base).max(initial=0)) * (den // den_x), den) >= 2 ** 63:
+        base = base.astype(object)
     base = base * (den // den_x)
     steps = steps * (den // den_s)
     g = gcd(den, *base.ravel().tolist(), *steps.ravel().tolist())
@@ -363,7 +367,8 @@ def generate_array(start: StartConfig, translation: AffineTranslation,
         raise ValueError("depth must be nonnegative")
     den, base, steps = _kernel_rows(start, translation)
     offsets = _offsets(steps.tolist(), depth, len(base))
-    bound = abs(base).max(initial=0) + depth * abs(steps).max(initial=0)
+    bound = (int(abs(base).max(initial=0))
+             + depth * int(abs(steps).max(initial=0)))
     dtype = np.int64 if max(bound, den) < _INT64_BOUND else object
     rows = (np.array(list(offsets), dtype=dtype)[:, None, :]
             + base.astype(dtype)[None]).reshape(-1, 6)
@@ -527,12 +532,12 @@ def _band_report(band: Band, is_outer: bool) -> dict:
     }
     cage = None
     if is_outer:
-        pair_bytes = 32 * len(band) ** 2
-        if pair_bytes > _BAND_PAIR_BYTES_CAP:
+        peak_bytes = 16 * len(band) ** 2
+        if 2 * peak_bytes > _BAND_PAIR_BYTES_CAP:
             raise PointBudgetError(
-                f"outer band of {len(band)} points needs {pair_bytes} bytes "
-                f"of pairwise distances, over the cap of "
-                f"{_BAND_PAIR_BYTES_CAP}"
+                f"outer band of {len(band)} points would hold {peak_bytes} "
+                f"bytes of pairwise distances at peak, over half the cap of "
+                f"{_BAND_PAIR_BYTES_CAP} (the other half is headroom)"
             )
         cage = cages.trivalence_threshold_search(band.coords)
     if cage is not None:

@@ -413,21 +413,49 @@ def test_threshold_search_matches_dense_search_on_point_sets():
 
 
 def probe_rows(table, chosen):
-    """The union's probe rows, merged from its shells' probe blocks, and
-    where they sit among the union's points."""
+    """The union's probe rows from the table's probe table, where their
+    probe points sit among the union's points, and where each member
+    shell's points start."""
     members = [i for i in chosen if len(table.groups[i])]
     offsets = np.cumsum([0] + [len(table.groups[i]) for i in members])
-    rows = np.vstack([np.hstack([table.probe(a, b) for b in members])
-                      for a in members])
     where = np.concatenate([table.probes[a] + offsets[k]
                             for k, a in enumerate(members)])
-    return rows, where
+    return table.probe_rows(members), where, offsets
+
+
+def dense_probe_rows(coords, where):
+    """The dense matrix's rows of the probe points."""
+    return dense_matrix(coords)[where]
+
+
+def assert_probe_rows_match_dense(rows, where, offsets, dense):
+    """Each row's four entries per member shell are, bit for bit, the
+    four smallest entries of the dense probe row over that shell's
+    points, `inf` filling in when it has fewer than four."""
+    assert rows.shape == (len(where), 4 * (len(offsets) - 1))
+    for k in range(len(offsets) - 1):
+        want = np.sort(dense[:, offsets[k]:offsets[k + 1]], axis=1)[:, :4]
+        want = np.hstack([want, np.full((len(want), 4 - want.shape[1]),
+                                        np.inf)])
+        got = np.sort(rows[:, 4 * k:4 * k + 4], axis=1)
+        assert got.tobytes() == want.tobytes()
+
+
+def third_and_fourth(rows):
+    """Each row's third- and fourth-smallest entries, as bytes."""
+    return np.partition(rows, (2, 3), axis=1)[:, 2:4].tobytes()
+
+
+def gap_hex(rows):
+    gap = cages._gap(rows)
+    return gap if gap is None else tuple(x.hex() for x in gap)
 
 
 def test_table_matches_dense_search_on_trailing_unions(differential_arrays):
     """Every trailing union of up to 1500 points, merged from the shells'
     rows and searched as one point set, bonds as the dense search does;
-    its probe rows are rows of the dense matrix, bit for bit."""
+    its probe rows hold the four smallest entries per shell of the dense
+    matrix's probe rows, bit for bit."""
     unions = found = 0
     for array in differential_arrays:
         groups = [shell.coords for shell in array.shells]
@@ -437,9 +465,11 @@ def test_table_matches_dense_search_on_trailing_unions(differential_arrays):
             coords = np.vstack([groups[i] for i in chosen])
             if len(coords) > 1500:
                 break
-            rows, where = probe_rows(table, chosen)
+            rows, where, offsets = probe_rows(table, chosen)
             assert len(where) == k  # one probe per exact radius
-            assert rows.tobytes() == dense_matrix(coords)[where].tobytes()
+            dense = dense_probe_rows(coords, where)
+            assert_probe_rows_match_dense(rows, where, offsets, dense)
+            assert third_and_fourth(rows) == third_and_fourth(dense)
             want = dense_threshold_search(coords)
             assert_same_graph(table.graph(chosen), want, chosen)
             assert_same_graph(trivalence_threshold_search(coords), want,
@@ -469,22 +499,106 @@ def default_scan_outer_bands(name):
 ])
 def test_probe_refutes_only_where_the_dense_search_fails(name, refuted,
                                                          trivalent):
-    """On every outer band of a default scan, the probe rows are rows of
-    the dense matrix, bit for bit, and a probe refutation is the dense
-    search's verdict; the trivalent bands take the full table."""
+    """On every outer band of a default scan, the probe rows hold the
+    four smallest entries of the dense matrix's probe rows, bit for bit,
+    and a probe refutation is the dense search's verdict; the trivalent
+    bands take the full table."""
     outer = default_scan_outer_bands(name)
     counts = [0, 0]
     for coords in outer:
         table = cages._NearestTable([coords])
-        rows, where = probe_rows(table, (0,))
-        assert rows.tobytes() == dense_matrix(coords)[where].tobytes()
+        rows, where, offsets = probe_rows(table, (0,))
+        dense = dense_probe_rows(coords, where)
+        assert_probe_rows_match_dense(rows, where, offsets, dense)
+        assert gap_hex(rows) == gap_hex(dense)
         want = dense_threshold_search(coords)
-        if cages._gap([rows]) is None:
+        if cages._gap(rows) is None:
             assert want is None
             counts[0] += 1
         assert_same_graph(table.graph((0,)), want)
         counts[1] += want is not None
     assert counts == [refuted, trivalent]
+
+
+def test_probe_gap_matches_the_dense_probe_rows_on_every_union_tried(
+        differential_arrays, monkeypatch):
+    """Every union detect_cage tries, drop-one unions included, gets the
+    dense probe rows' third- and fourth-nearest entries and gap."""
+    tables = []
+    graph = cages._NearestTable.graph
+
+    def spy(self, chosen):
+        tables.append((self, chosen))
+        return graph(self, chosen)
+
+    monkeypatch.setattr(cages._NearestTable, "graph", spy)
+    unions = dropped = 0
+    for array in differential_arrays:
+        groups = [shell.coords for shell in array.shells]
+        tables.clear()
+        finding = detect_cage(groups)
+        for table, chosen in tables:
+            rows, where, offsets = probe_rows(table, chosen)
+            dense = dense_probe_rows(np.vstack([groups[i] for i in chosen]),
+                                     where)
+            assert_probe_rows_match_dense(rows, where, offsets, dense)
+            assert third_and_fourth(rows) == third_and_fourth(dense)
+            assert gap_hex(rows) == gap_hex(dense), chosen
+            unions += 1
+        dropped += finding.dropped_index is not None
+    assert unions >= 30 and dropped >= 1
+
+
+def test_probe_table_on_random_shells():
+    """Random shells without ties: every point is its own probe, and the
+    table's entries still are the dense rows' four smallest per shell."""
+    rng = np.random.default_rng(14)
+    groups = [rng.normal(size=(n, 3)) * (1 + i)
+              for i, n in enumerate((1, 3, 4, 5, 17, 40, 64))]
+    table = cages._NearestTable(groups)
+    for k in range(1, len(groups) + 1):
+        for chosen in (tuple(range(k)), tuple(range(len(groups) - k,
+                                                     len(groups)))):
+            rows, where, offsets = probe_rows(table, chosen)
+            coords = np.vstack([groups[i] for i in chosen])
+            assert len(where) == len(coords)
+            dense = dense_probe_rows(coords, where)
+            assert_probe_rows_match_dense(rows, where, offsets, dense)
+            if len(coords) >= 4:
+                assert third_and_fourth(rows) == third_and_fourth(dense)
+
+
+@functools.cache
+def c80_fourth_iteration_shells():
+    """The array of the c80 onion's fourth iteration, whose search fails
+    after trying every union up to the point cap."""
+    start = builtin("c80")
+    t = make_translation(start.symmetry, 5, parse_field_expr("2"))
+    member = build_onion(start, t, 3).family[-1]
+    working = StartConfig("c80.onion3", member.points, start.symmetry)
+    return [shell.coords for shell in generate_array(working, t, 1).shells]
+
+
+def test_probe_columns_are_computed_once_for_the_shells_tried(monkeypatch):
+    groups = c80_fourth_iteration_shells()
+    columns, members = [], set()
+    fill = cages._NearestTable._probe_column
+    graph = cages._NearestTable.graph
+
+    def fill_spy(self, b):
+        columns.append(b)
+        return fill(self, b)
+
+    def graph_spy(self, chosen):
+        members.update(chosen)
+        return graph(self, chosen)
+
+    monkeypatch.setattr(cages._NearestTable, "_probe_column", fill_spy)
+    monkeypatch.setattr(cages._NearestTable, "graph", graph_spy)
+    assert detect_cage(groups) is None
+    assert len(columns) == len(set(columns))
+    # only the shells some tried union contains, not all of them
+    assert set(columns) == members and len(members) < len(groups)
 
 
 def test_probe_leaves_the_nearest_table_empty_on_a_negative_scan(

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import math
 import time
 
 import pytest
 
-from icofold import cli, verify
+from icofold import cages, cli, engine, verify
+from icofold.configs import builtin
 from icofold.export import read_csv
+from icofold.golden import parse_field_expr
 
 GOOD_SEED = "# a twelve-vertex seed\n@closure on\n0,1,tau\n"
 
@@ -339,6 +342,38 @@ def test_oversized_requests_exit_4_without_traceback(capsys, axis, length,
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_band_cap_exits_4_before_any_threshold_search(capsys, monkeypatch):
+    # the real cap lets outer bands of up to 2896 points fill their table
+    assert math.isqrt(engine._BAND_PAIR_BYTES_CAP // 32) == 2896
+    searches = []
+    search = cages.trivalence_threshold_search
+
+    def spy(points):
+        searches.append(len(points))
+        return search(points)
+
+    monkeypatch.setattr(cages, "trivalence_threshold_search", spy)
+    # the c60 fold-5 extension by 3 has a 240-point outer band
+    argv = ["extend", "--config", "c60", "--axis", "5", "--length", "3"]
+    monkeypatch.setattr(engine, "_BAND_PAIR_BYTES_CAP", 32 * 240 ** 2 - 1)
+    start = builtin("c60")
+    t = engine.make_translation(start.symmetry, 5, parse_field_expr("3"))
+    with pytest.raises(engine.PointBudgetError) as raised:
+        engine.classify_length(start, t, 1, with_cage=False)
+    assert str(raised.value).startswith(
+        f"outer band of 240 points would hold {16 * 240 ** 2} bytes of "
+        "pairwise distances at peak")
+    assert cli.run(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: outer band of 240 points")
+    assert searches == []
+    # at the cap itself the band is searched
+    monkeypatch.setattr(engine, "_BAND_PAIR_BYTES_CAP", 32 * 240 ** 2)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert searches == [240]
 
 
 # --band-gap is gone from every command and export takes no translation

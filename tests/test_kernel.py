@@ -21,7 +21,7 @@ from icofold.engine import (DEFAULT_SCAN_SPEC, build_shells, classify_length,
 from icofold.export import canonical_json
 from icofold.geometry import Vec3E
 from icofold.golden import GoldenNumber, parse_field_expr
-from icofold.groups import full_group
+from icofold.groups import BASE_VECTORS, full_group
 
 
 def translation(config, fold, expr):
@@ -114,6 +114,29 @@ def test_kernel_matches_reference_at_the_int64_bound(n, dtype):
     for other in (np.int64, object):
         assert_same(build_shells(rows[::-1].astype(other), den),
                     ref.build_shells([tuple(r) for r in rows.tolist()], den))
+
+
+@pytest.mark.parametrize("scale,length,start_dtype,kernel_dtype", [
+    ("2^61", "1", np.int64, np.int64),
+    # the start rows fit int64, but not once scaled to the steps' den 5
+    ("2^62", "1/5", np.int64, object),
+    ("2^63", "1", object, object),
+    ("-2^63", "1", object, object),
+])
+def test_start_rows_are_int64_only_while_they_fit(scale, length,
+                                                  start_dtype, kernel_dtype):
+    group = full_group()
+    seed = BASE_VECTORS[5].scale(parse_field_expr(scale))
+    start = StartConfig("big", group.orbit(seed), group)
+    assert start.integer_rows[1].dtype == start_dtype
+    t = translation(start, 5, length)
+    assert engine._kernel_rows(start, t)[1].dtype == kernel_dtype
+    assert row_dtype(assert_same_array(start, t, 1)) == object
+
+
+def test_builtin_start_rows_are_int64():
+    for name in BUILTIN_NAMES:
+        assert builtin(name).integer_rows[1].dtype == np.int64
 
 
 @pytest.fixture
