@@ -10,18 +10,19 @@ evaluated (one vectorized pass instead of a cutoff loop).
 
 One table makes that decision and gives the bonds, for a single point
 set as for the many unions of shells cage detection tries: for every
-pair of shells it keeps the four smallest squared distances from each
-point of one into the other, with their indices, filled in lazily for
-the shell pairs that some union reaches.  A union's third- and
-fourth-nearest distances are merged from its shells' rows, and once the
-gap holds, the merged entries within the cutoff are exactly each point's
-three bonds, so no union needs an N x N matrix.  Before any block is
-filled, a union is held to a cheaper test on one probe point per squared
-radius: a probe table keeps each probe point's four smallest squared
-distances into each shell, one column per shell, and a union's probe
-rows are its members' entries, merged the same way.  Taking fewer rows
-only lowers the largest third-nearest distance and raises the smallest
-fourth-nearest, so a union fails any gap its probe rows fail.
+pair of point groups (the exact shells, or the one point set) it keeps
+the four smallest squared distances from each point of one into the
+other, with their indices, filled in lazily for the group pairs that
+some union reaches.  A union's third- and fourth-nearest distances are
+merged from its groups' rows, and once the gap holds, the merged
+entries within the cutoff are exactly each point's three bonds, so no
+union needs an N x N matrix.  Before any block is filled, a union is
+held to a cheaper test on each group's first point: a probe table keeps
+that point's four smallest squared distances into each group, and a
+union's probe rows are its members' entries, merged the same way.
+Taking fewer rows only lowers the largest third-nearest distance and
+raises the smallest fourth-nearest, so a union fails any gap its probe
+rows fail.
 
 Faces are traced from the rotation system: neighbors ordered by angle in
 each vertex's tangent plane, with the Euler characteristic as the guard
@@ -31,7 +32,6 @@ against a band that is not a topological sphere.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class CageGraph:
 def _pairwise_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances from every point of `a` to every point of `b`.
 
-    dx*dx + dy*dy + dz*dz, accumulated in place one axis at a time into
+    dx*dx + dy*dy + dz*dz, summed in place one axis at a time into
     the (n, m) result through one (n, m) buffer: 16*n*m bytes at its
     peak.  b - a is exactly -(a - b), so swapping the arguments gives the
     transpose bit for bit.
@@ -166,70 +166,55 @@ def _gap(rows: np.ndarray) -> tuple[float, float] | None:
     return c2, floor4
 
 
-def _probe_points(coords: np.ndarray) -> np.ndarray:
-    """One point per distinct squared radius, bucketed at `_RESOLUTION`."""
-    r2 = np.einsum("ij,ij->i", coords, coords)
-    order = np.argsort(r2, kind="stable")
-    step = np.diff(r2[order], prepend=-np.inf)
-    return order[step > _RESOLUTION * np.maximum(1.0, r2[order])]
-
-
 class _NearestTable:
-    """The four nearest points from each shell into each shell.
+    """The four nearest points from each group into each group.
 
-    `nearest(a, b)` holds, for each point i of shell a, the four smallest
-    squared distances to the points of shell b and their indices in b,
-    with a point's distance to itself left out and `inf` filling in when
-    there are fewer than four.  Every union's four nearest neighbours of
-    a point lie among its shells' rows, and the values come from
-    `_pairwise_squared` (a block of two shells serves both orders), so
-    a union's merged rows hold the four smallest floats of each row of
-    its full distance matrix.
+    A group is one exact shell in `detect_cage` and one point set in
+    `trivalence_threshold_search`.  `nearest(a, b)` holds, for each point
+    i of group a, the four smallest squared distances to the points of
+    group b and their indices in b, with a point's distance to itself
+    left out and `inf` filling in when there are fewer than four.  Every
+    union's four nearest neighbours of a point lie among its groups'
+    rows, and the values come from `_pairwise_squared` (a block of two
+    groups serves both orders), so a union's merged rows hold the four
+    smallest floats of each row of its full distance matrix.
 
-    The probe table refutes a union before `nearest` runs.  It has one
-    row per probe point (`probes[a]` of each shell a, in shell order) and
-    holds, in column b, that point's four smallest squared distances into
-    shell b, filled the same way, one column at a time for the shells
-    that some union reaches.  A union's probe rows are its members' rows
-    over its members' columns.
+    The probe table refutes a union before `nearest` runs.  Row a is
+    group a's first point and holds, in column b, that point's four
+    smallest squared distances into group b, filled the same way, one
+    column at a time for the groups that some union reaches.  A union's
+    probe rows are its members' rows over its members' columns.
     """
 
     def __init__(self, groups) -> None:
         self.groups = [g if isinstance(g, np.ndarray) else tuple(g)
                        for g in groups]
         self.coords = [as_coords(g) for g in self.groups]
-        self.probes = [_probe_points(c) for c in self.coords]
-        # shell a's probe points are rows bounds[a]:bounds[a + 1]
-        self._probe_bounds = [0, *accumulate(len(p) for p in self.probes)]
-        self._probe_coords = np.concatenate(
-            [c[p] for c, p in zip(self.coords, self.probes)]
-            or [np.empty((0, 3))])
-        self._probe_table = np.empty(
-            (len(self._probe_coords), len(self.groups), 4))
-        self._probe_filled = [False] * len(self.groups)
+        # an empty group's probe row is never read
+        self._probe_coords = np.array(
+            [c[0] if len(c) else np.zeros(3) for c in self.coords]
+        ).reshape(-1, 3)
+        n = len(self.groups)
+        self._probe_table = np.empty((n, n, 4))
+        self._probe_filled = [False] * n
         self._nearest: dict[tuple[int, int],
                             tuple[np.ndarray, np.ndarray]] = {}
 
     def _probe_column(self, b: int) -> None:
         d2 = _pairwise_squared(self._probe_coords, self.coords[b])
-        d2[np.arange(*self._probe_bounds[b:b + 2]), self.probes[b]] = np.inf
+        d2[b, :1] = np.inf  # the probe itself
         self._probe_table[:, b] = np.partition(
             _four_columns(d2), 3, axis=1)[:, :4]
         self._probe_filled[b] = True
 
     def probe_rows(self, members: list[int]) -> np.ndarray:
-        """The union's probe rows, four entries per member shell, in the
-        order of `members` (in shell order when every shell is one)."""
+        """The union's probe rows, four entries per member group, in the
+        order of `members`."""
         for b in members:
             if not self._probe_filled[b]:
                 self._probe_column(b)
-        table = self._probe_table
-        if len(members) < len(self.groups):
-            bounds = self._probe_bounds
-            rows = np.concatenate([np.arange(bounds[a], bounds[a + 1])
-                                   for a in members])
-            table = table[np.ix_(rows, members)]
-        return table.reshape(len(table), -1)
+        rows = self._probe_table[np.ix_(members, members)]
+        return rows.reshape(len(members), -1)
 
     def nearest(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         if (a, b) not in self._nearest:
@@ -246,11 +231,11 @@ class _NearestTable:
     def graph(self, chosen: tuple[int, ...]) -> CageGraph | None:
         """The union's bond graph at the trivalence cutoff, or None.
 
-        Union indices follow the shells of `chosen` in order, as in the
+        Union indices follow the groups of `chosen` in order, as in the
         concatenation of their points.
         """
         members = [i for i in chosen if len(self.groups[i])]
-        offsets = [0, *accumulate(len(self.groups[i]) for i in members)]
+        offsets = np.cumsum([0, *(len(self.groups[i]) for i in members)])
         if offsets[-1] < 4 or _gap(self.probe_rows(members)) is None:
             return None
         # every row's entries and their union indices, block by block
@@ -285,13 +270,16 @@ class _NearestTable:
         return graph if graph.trivalent else None
 
 
-def trivalence_threshold_search(points) -> CageGraph | None:
+def trivalence_threshold_search(*groups) -> CageGraph | None:
     """Find the cutoff making every degree exactly 3, if one exists.
 
-    Returns the graph at the smallest such cutoff, or None when degrees
-    cannot all reach 3 before one of them passes 3.
+    The point set is the concatenation of `groups`, each a point
+    sequence or float (N, 3) array; a caller that knows its exact shells
+    passes them as separate groups, so each shell's first point probes
+    the gap.  Returns the graph at the smallest such cutoff, or None when
+    degrees cannot all reach 3 before one of them passes 3.
     """
-    return _NearestTable([points]).graph((0,))
+    return _NearestTable(groups).graph(tuple(range(len(groups))))
 
 
 class FaceCensus:

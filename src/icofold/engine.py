@@ -76,12 +76,15 @@ __all__ = [
 # why cage detection does not reuse the band split.
 DEFAULT_BAND_GAP = 0.11
 DEFAULT_POINT_CAP = 10 ** 6
-# Guards the full table an outer band falls back to when its probe rows
-# do not refute the gap.  Filling it holds N x N float64 squared distances
-# and one N x N temporary (the kernel's difference, then argpartition's
-# indices), 16*N^2 bytes at peak; the guard keeps twice that below the
-# cap, as headroom, so 256 MiB allows N up to 2896.  The largest outer
-# band `verify`, the tests and the benchmark reach has 930.
+# Guards the table an outer band's search fills when its probe rows do
+# not refute the gap: one block per pair of the band's shells, 16*n*m
+# bytes at peak for shells of n and m points, and the merged rows.  So
+# 16*N^2 bytes bounds the peak, reached only by a one-shell band; the
+# guard keeps twice that below the cap, as headroom, so 256 MiB allows N
+# up to 2896.  Under tracemalloc the largest outer band `verify`, the
+# tests and the benchmark reach, 930 points in 10 shells of at most 120,
+# peaks at 1.6 MB with every block filled (46 kB when its probe rows
+# refute it), against a bound of 13.8 MB.
 _BAND_PAIR_BYTES_CAP = 2 ** 28
 # Point rows whose entries B and denominator stay below this run in int64:
 # the larger squared-radius key, sum (2a+b)b, is at most 9*B^2 < 2^63, and
@@ -108,11 +111,6 @@ class AffineTranslation:
         self.directions = directions
         # (den, rows) of the directions, as PointGroup.translation_rows
         self._direction_rows = direction_rows
-
-    @cached_property
-    def vectors(self) -> tuple[Vec3E, ...]:
-        """The exact steps: the length times each direction."""
-        return tuple(d.scale(self.length) for d in self.directions)
 
     @cached_property
     def step_rows(self) -> tuple[int, np.ndarray]:
@@ -192,14 +190,6 @@ class Band:
     @property
     def rmax(self) -> float:
         return self.shells[-1].radius
-
-    @cached_property
-    def points(self) -> tuple[Vec3E, ...]:
-        return tuple(p for shell in self.shells for p in shell.points)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.concatenate([shell.coords for shell in self.shells])
 
     def __len__(self) -> int:
         return sum(len(shell) for shell in self.shells)
@@ -532,14 +522,15 @@ def _band_report(band: Band, is_outer: bool) -> dict:
     }
     cage = None
     if is_outer:
-        peak_bytes = 16 * len(band) ** 2
-        if 2 * peak_bytes > _BAND_PAIR_BYTES_CAP:
+        bound = 16 * len(band) ** 2
+        if 2 * bound > _BAND_PAIR_BYTES_CAP:
             raise PointBudgetError(
-                f"outer band of {len(band)} points would hold {peak_bytes} "
+                f"outer band of {len(band)} points could hold up to {bound} "
                 f"bytes of pairwise distances at peak, over half the cap of "
                 f"{_BAND_PAIR_BYTES_CAP} (the other half is headroom)"
             )
-        cage = cages.trivalence_threshold_search(band.coords)
+        cage = cages.trivalence_threshold_search(
+            *(shell.coords for shell in band.shells))
     if cage is not None:
         entry["trivalent"] = True
         entry["edge_ratio"] = round(cage.edge_ratio, 9)

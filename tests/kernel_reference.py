@@ -4,8 +4,8 @@ and `engine.build_shells` ran before they became whole-array numpy passes.
 Kept function for function so the differential tests can compare shells
 bit for bit: exact squared radii, integer rows over the shared
 denominator, float coordinates and point keys.  Rows come from the exact
-Vec3E translation vectors (`AffineTranslation.vectors`), as they did, so
-the reference shares none of the array kernel's row building.
+Vec3E translation vectors (`translation_vectors`), as they did, so the
+reference shares none of the array kernel's row building.
 """
 
 from math import gcd, lcm
@@ -32,6 +32,11 @@ class RefShell:
                   for n in GoldenNumber._make(a, b, den).key())
             for ax, bx, ay, by, az, bz in self.rows
         ]
+
+
+def translation_vectors(translation):
+    """The exact steps: the length times each direction."""
+    return tuple(d.scale(translation.length) for d in translation.directions)
 
 
 def integer_rows(*vector_sets):
@@ -93,7 +98,8 @@ def build_shells(rows, den):
 
 def generate_shells(start, translation, depth):
     """The shells of {x + (sum of at most `depth` translation vectors)}."""
-    den, (base, steps) = integer_rows(start.vertices, translation.vectors)
+    den, (base, steps) = integer_rows(start.vertices,
+                                       translation_vectors(translation))
     offsets = _offsets(steps, depth, len(base))
     rows = {
         (x0 + s0, x1 + s1, x2 + s2, x3 + s3, x4 + s4, x5 + s5)

@@ -1,0 +1,51 @@
+"""The benchmark's workloads run on this source tree.
+
+`perfbench/workloads.py` is loaded from its file as it stands, and a few
+operations of each workload go through that workload's own `record`
+check: one `scan` row, one `onion` family, and one cage case and one
+orbit case of `census`.  A change to the API of `src/` that the
+benchmark calls fails here, before a benchmark run.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+
+import pytest
+
+WORKLOADS_PY = (Path(__file__).resolve().parents[1] / "perfbench"
+                / "workloads.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_records_ok(workload, items):
+    for item in items:
+        ok, record = workload.record(item, workload.run(item))
+        assert ok, record
+
+
+def test_scan_row(workloads):
+    scan = workloads.Scan(random.Random(0))
+    assert_records_ok(scan, scan.items[:1])
+
+
+def test_onion_family(workloads):
+    onion = workloads.Onion(random.Random(0))
+    assert_records_ok(onion, onion.items[:1])
+
+
+def test_census_cage_and_orbit_cases(workloads):
+    census = workloads.Census(random.Random(0))
+    first = {}
+    for item in census.items:
+        first.setdefault(item[0], item)
+    assert sorted(first) == ["cage", "orbit"]
+    assert_records_ok(census, first.values())

@@ -18,9 +18,10 @@ from icofold.cages import (
     trivalence_threshold_search,
 )
 from icofold.configs import BUILTIN_NAMES, StartConfig, builtin
-from icofold.engine import (DEFAULT_SCAN_SPEC, bands, classify_scan,
-                            generate_array, make_translation, outer_cage)
-from icofold.geometry import mat_apply
+from icofold.engine import (DEFAULT_SCAN_SPEC, bands, build_shells,
+                            classify_scan, generate_array, make_translation,
+                            outer_cage)
+from icofold.geometry import integer_rows, mat_apply
 from icofold.golden import parse_field_expr
 from icofold.groups import full_group
 from icofold.onion import build_onion
@@ -414,13 +415,11 @@ def test_threshold_search_matches_dense_search_on_point_sets():
 
 def probe_rows(table, chosen):
     """The union's probe rows from the table's probe table, where their
-    probe points sit among the union's points, and where each member
-    shell's points start."""
+    probe points sit among the union's points (each member group's first
+    point), and where each member group's points start."""
     members = [i for i in chosen if len(table.groups[i])]
     offsets = np.cumsum([0] + [len(table.groups[i]) for i in members])
-    where = np.concatenate([table.probes[a] + offsets[k]
-                            for k, a in enumerate(members)])
-    return table.probe_rows(members), where, offsets
+    return table.probe_rows(members), offsets[:-1], offsets
 
 
 def dense_probe_rows(coords, where):
@@ -466,7 +465,7 @@ def test_table_matches_dense_search_on_trailing_unions(differential_arrays):
             if len(coords) > 1500:
                 break
             rows, where, offsets = probe_rows(table, chosen)
-            assert len(where) == k  # one probe per exact radius
+            assert len(where) == k  # one probe per exact shell
             dense = dense_probe_rows(coords, where)
             assert_probe_rows_match_dense(rows, where, offsets, dense)
             assert third_and_fourth(rows) == third_and_fourth(dense)
@@ -482,13 +481,14 @@ def test_table_matches_dense_search_on_trailing_unions(differential_arrays):
 @functools.cache
 def default_scan_outer_bands(name):
     """The outer band of every row of the config's default scan, as
-    `classify_scan` hands it to the threshold search."""
+    `classify_scan` hands it to the threshold search: its shells' float
+    coordinates, one array per shell."""
     start = builtin(name)
     cutoff = 2.0 * math.sqrt(float(start.radius2))
     return tuple(
-        bands(generate_array(
+        tuple(shell.coords for shell in bands(generate_array(
             start, make_translation(start.symmetry, fold, length), 1))[-1]
-        .coords
+            .shells)
         for fold in (2, 3, 5) for length in DEFAULT_SCAN_SPEC.lengths(cutoff)
     )
 
@@ -505,9 +505,11 @@ def test_probe_refutes_only_where_the_dense_search_fails(name, refuted,
     bands take the full table."""
     outer = default_scan_outer_bands(name)
     counts = [0, 0]
-    for coords in outer:
-        table = cages._NearestTable([coords])
-        rows, where, offsets = probe_rows(table, (0,))
+    for shells in outer:
+        table = cages._NearestTable(shells)
+        chosen = tuple(range(len(shells)))
+        coords = np.vstack(shells)
+        rows, where, offsets = probe_rows(table, chosen)
         dense = dense_probe_rows(coords, where)
         assert_probe_rows_match_dense(rows, where, offsets, dense)
         assert gap_hex(rows) == gap_hex(dense)
@@ -515,9 +517,46 @@ def test_probe_refutes_only_where_the_dense_search_fails(name, refuted,
         if cages._gap(rows) is None:
             assert want is None
             counts[0] += 1
-        assert_same_graph(table.graph((0,)), want)
+        assert_same_graph(table.graph(chosen), want)
         counts[1] += want is not None
     assert counts == [refuted, trivalent]
+
+
+@functools.cache
+def onion_member_shells():
+    """Every member of both onion families, C60..C960 and C80..C500, as
+    its exact shells' float coordinates, one array per shell."""
+    members = []
+    for name, expr in (("c60", "3"), ("c80", "2")):
+        start = builtin(name)
+        t = make_translation(start.symmetry, 5, parse_field_expr(expr))
+        for member in build_onion(start, t, 4).family:
+            den, rows = integer_rows(member.points)
+            members.append(tuple(shell.coords
+                                 for shell in build_shells(rows, den)))
+    return members
+
+
+def test_threshold_search_on_shells_matches_the_stacked_set():
+    """Handing the threshold search a point set's exact shells as
+    separate groups, as the outer band report does, gives the graph of
+    the same points in one array: equal edges, cutoff and coordinate
+    bytes, or None for both."""
+    found = []
+    for shell_sets in (default_scan_outer_bands("icosidodecahedron"),
+                       default_scan_outer_bands("dodecahedron"),
+                       onion_member_shells()):
+        found.append(0)
+        for shells in shell_sets:
+            got = trivalence_threshold_search(*shells)
+            want = trivalence_threshold_search(np.vstack(shells))
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.edges == want.edges
+                assert got.cutoff.hex() == want.cutoff.hex()
+                assert got.coords.tobytes() == want.coords.tobytes()
+                found[-1] += 1
+    assert found == [0, 102, 8]
 
 
 def test_probe_gap_matches_the_dense_probe_rows_on_every_union_tried(
@@ -550,7 +589,7 @@ def test_probe_gap_matches_the_dense_probe_rows_on_every_union_tried(
 
 
 def test_probe_table_on_random_shells():
-    """Random shells without ties: every point is its own probe, and the
+    """Random shells: each group's first point is its probe, and the
     table's entries still are the dense rows' four smallest per shell."""
     rng = np.random.default_rng(14)
     groups = [rng.normal(size=(n, 3)) * (1 + i)
@@ -561,7 +600,7 @@ def test_probe_table_on_random_shells():
                                                      len(groups)))):
             rows, where, offsets = probe_rows(table, chosen)
             coords = np.vstack([groups[i] for i in chosen])
-            assert len(where) == len(coords)
+            assert len(where) == k  # one probe per group
             dense = dense_probe_rows(coords, where)
             assert_probe_rows_match_dense(rows, where, offsets, dense)
             if len(coords) >= 4:
@@ -772,8 +811,8 @@ def test_face_census_matches_the_per_vertex_walk(onion_member_graphs):
     every rotation of the small cages, every onion member, every
     trivalent outer band of the default dodecahedron scan, and graphs
     that fail: a vertex at the origin, two disjoint tetrahedra."""
-    scan = [trivalence_threshold_search(coords)
-            for coords in default_scan_outer_bands("dodecahedron")]
+    scan = [trivalence_threshold_search(*shells)
+            for shells in default_scan_outer_bands("dodecahedron")]
     dod = cage_of("dodecahedron")
     coords = dod.coords.copy()
     coords[7] = 0.0

@@ -333,7 +333,7 @@ def test_budget_exit_code(capsys):
 
 @pytest.mark.parametrize("axis,length,depth", [
     ("5", "3", "12"),  # the offsets pass the point cap at level 7 of 12
-    ("2", "1", "4"),   # 235,700-point outer band: 1.8 TB of pair distances
+    ("2", "1", "4"),   # 235,700-point outer band: a 0.9 TB pair-distance bound
 ])
 def test_oversized_requests_exit_4_without_traceback(capsys, axis, length,
                                                      depth):
@@ -350,9 +350,9 @@ def test_band_cap_exits_4_before_any_threshold_search(capsys, monkeypatch):
     searches = []
     search = cages.trivalence_threshold_search
 
-    def spy(points):
-        searches.append(len(points))
-        return search(points)
+    def spy(*shells):
+        searches.append(sum(len(shell) for shell in shells))
+        return search(*shells)
 
     monkeypatch.setattr(cages, "trivalence_threshold_search", spy)
     # the c60 fold-5 extension by 3 has a 240-point outer band
@@ -363,7 +363,7 @@ def test_band_cap_exits_4_before_any_threshold_search(capsys, monkeypatch):
     with pytest.raises(engine.PointBudgetError) as raised:
         engine.classify_length(start, t, 1, with_cage=False)
     assert str(raised.value).startswith(
-        f"outer band of 240 points would hold {16 * 240 ** 2} bytes of "
+        f"outer band of 240 points could hold up to {16 * 240 ** 2} bytes of "
         "pairwise distances at peak")
     assert cli.run(argv) == 4
     err = capsys.readouterr().err
