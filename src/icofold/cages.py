@@ -77,15 +77,10 @@ class CageGraph:
         self.edges = edges
         self.cutoff = cutoff
         self.points = tuple(points) if points is not None else None
-        degrees = np.zeros(len(coords), dtype=int)
-        for i, j in edges:
-            degrees[i] += 1
-            degrees[j] += 1
-        self.degrees = degrees
-        lengths = np.linalg.norm(
-            coords[[i for i, _ in edges]] - coords[[j for _, j in edges]],
-            axis=1,
-        ) if edges else np.zeros(0)
+        pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        self.degrees = np.bincount(pairs.ravel(), minlength=len(coords))
+        lengths = np.linalg.norm(coords[pairs[:, 0]] - coords[pairs[:, 1]],
+                                 axis=1)
         self.edge_min = float(lengths.min()) if len(lengths) else 0.0
         self.edge_max = float(lengths.max()) if len(lengths) else 0.0
 
@@ -283,10 +278,16 @@ def trivalence_threshold_search(*groups) -> CageGraph | None:
 
 
 class FaceCensus:
-    """Face sizes of a traced spherical embedding."""
+    """Face sizes of a traced spherical embedding.
 
-    def __init__(self, faces: tuple[tuple[int, ...], ...]) -> None:
+    `across[f][i]` is the face on the other side of edge i of face f,
+    the edge from `faces[f][i]` to the vertex after it.
+    """
+
+    def __init__(self, faces: tuple[tuple[int, ...], ...],
+                 across: tuple[tuple[int, ...], ...]) -> None:
         self.faces = faces
+        self.across = across
         counts: dict[int, int] = {}
         for face in faces:
             counts[len(face)] = counts.get(len(face), 0) + 1
@@ -349,36 +350,40 @@ def face_census(cage: CageGraph) -> FaceCensus:
 
     Requires vertices on a topological sphere around the origin; raises
     EulerError when V - E + F != 2.  Faces start at their smallest
-    directed edge (u, v), in ascending order of it.
+    directed edge (u, v), in ascending order of it, and run clockwise
+    as seen from outside.
     """
     source, target = _rotation_system(cage.coords, cage.edges)
-    # arriving along u -> v, leave along the neighbor after u in v's ring
+    # a directed edge's id is its place in ring order: after[e] is the
+    # next edge out of e's source and twin[e] is e reversed, so a face
+    # entering v along u -> v leaves along the neighbor after u in v's ring
     first = np.searchsorted(source, source)
     last = np.searchsorted(source, source, side="right") - 1
     position = np.arange(len(source))
-    leave = target[np.where(position < last, position + 1, first)]
-    source, target = source.tolist(), target.tolist()
-    successor = dict(zip(zip(target, source), zip(source, leave.tolist())))
-    faces: list[tuple[int, ...]] = []
-    traced: set[tuple[int, int]] = set()
-    for start in sorted(successor):
-        if start in traced:
-            continue
-        walk = [start[0]]
-        traced.add(start)
-        step = successor[start]
-        while step != start:
-            walk.append(step[0])
-            traced.add(step)
-            step = successor[step]
-        faces.append(tuple(walk))
-    euler = cage.vertex_count - cage.edge_count + len(faces)
+    after = np.where(position < last, position + 1, first)
+    by_pair = np.lexsort((target, source))
+    twin = np.empty_like(by_pair)
+    twin[by_pair] = np.lexsort((source, target))
+    successor = after[twin].tolist()
+    face_of = [-1] * len(successor)
+    walks: list[list[int]] = []
+    for edge in by_pair.tolist():
+        walk = []
+        while face_of[edge] < 0:
+            face_of[edge] = len(walks)
+            walk.append(edge)
+            edge = successor[edge]
+        if walk:
+            walks.append(walk)
+    euler = cage.vertex_count - cage.edge_count + len(walks)
     if euler != 2:
         raise EulerError(
-            f"V-E+F = {cage.vertex_count}-{cage.edge_count}+{len(faces)} "
+            f"V-E+F = {cage.vertex_count}-{cage.edge_count}+{len(walks)} "
             f"= {euler}, expected 2"
         )
-    return FaceCensus(tuple(faces))
+    source, twin = source.tolist(), twin.tolist()
+    return FaceCensus(tuple(tuple(source[e] for e in w) for w in walks),
+                      tuple(tuple(face_of[twin[e]] for e in w) for w in walks))
 
 
 class CageFinding:
@@ -516,21 +521,12 @@ def pentagon_contact_signature(census: FaceCensus) -> str | None:
     "edge": three steps apart (opposite edges, pentagons edge-on);
     "mixed" when both occur, None when no hexagon borders two pentagons.
     """
-    owner: dict[tuple[int, int], int] = {}
-    for f, face in enumerate(census.faces):
-        size = len(face)
-        for i in range(size):
-            owner[(face[i], face[(i + 1) % size])] = f
     separations: set[int] = set()
-    for face in census.faces:
+    for face, neighbors in zip(census.faces, census.across):
         if len(face) != 6:
             continue
-        positions = []
-        for i in range(6):
-            a, b = face[i], face[(i + 1) % 6]
-            neighbor = owner.get((b, a))
-            if neighbor is not None and len(census.faces[neighbor]) == 5:
-                positions.append(i)
+        positions = [i for i, g in enumerate(neighbors)
+                     if len(census.faces[g]) == 5]
         for x in range(len(positions)):
             for y in range(x + 1, len(positions)):
                 gap = abs(positions[x] - positions[y])

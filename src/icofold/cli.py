@@ -23,8 +23,8 @@ from .configs import BUILTIN_NAMES, ConfigError, StartConfig, builtin, \
 from .engine import (DEFAULT_SCAN_SPEC, EmptyScanError, PointBudgetError,
                      classify_length, classify_scan, generate_array,
                      make_translation, outer_cage, parse_scan_spec)
-from .export import (ExportError, canonical_json, export_csv, export_off,
-                     export_xyz, provenance_comment)
+from .export import (BOND_LENGTH, ExportError, canonical_json, export_csv,
+                     export_off, export_xyz, provenance_comment)
 from .golden import (FieldParseError, GoldenNumber, format_golden,
                      parse_field_expr, within_magnitude)
 from .groups import ClosureBoundError, full_group, rotation_group
@@ -165,8 +165,8 @@ def _axis_flag(p: argparse.ArgumentParser, required: bool) -> None:
 
 def _bond_scale_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bond-scale", action="store_true",
-                   help=f"rescale coordinates so the shortest pairwise "
-                        f"distance is 1.42")
+                   help="rescale coordinates so the shortest pairwise "
+                        f"distance is {BOND_LENGTH}")
 
 
 def _out_flag(p: argparse.ArgumentParser) -> None:

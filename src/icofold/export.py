@@ -120,25 +120,6 @@ def export_xyz(points, comment: str = "", bond_scale: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _oriented_face(face: tuple[int, ...], coords) -> tuple[int, ...]:
-    """Reverse the face if its normal points toward the origin."""
-    verts = [coords[i] for i in face]
-    n = len(verts)
-    normal = [0.0, 0.0, 0.0]
-    centroid = [0.0, 0.0, 0.0]
-    for i in range(n):
-        ax, ay, az = verts[i]
-        bx, by, bz = verts[(i + 1) % n]
-        normal[0] += ay * bz - az * by
-        normal[1] += az * bx - ax * bz
-        normal[2] += ax * by - ay * bx
-        centroid[0] += ax / n
-        centroid[1] += ay / n
-        centroid[2] += az / n
-    outward = sum(a * b for a, b in zip(normal, centroid))
-    return face if outward >= 0.0 else tuple(reversed(face))
-
-
 def _canonical_face(face: tuple[int, ...]) -> tuple[int, ...]:
     """Rotate so the smallest vertex index leads (orientation kept)."""
     pivot = face.index(min(face))
@@ -148,16 +129,18 @@ def _canonical_face(face: tuple[int, ...]) -> tuple[int, ...]:
 def export_off(graph: cages.CageGraph,
                census: cages.FaceCensus | None = None,
                bond_scale: bool = False) -> str:
-    """OFF text for a trivalent cage with outward-oriented faces."""
+    """OFF text for a trivalent cage with outward-oriented faces.
+
+    The census traces each face clockwise as seen from outside, so each
+    is written reversed.
+    """
     if not graph.trivalent:
         raise ExportError("not a trivalent cage; OFF export needs one")
     if census is None:
         census = cages.face_census(graph)
-    rows = _as_float_rows(graph.points)
+    rows = graph.coords.tolist()
     factor = _scale_factor(rows, bond_scale)
-    faces = sorted(
-        _canonical_face(_oriented_face(face, rows)) for face in census.faces
-    )
+    faces = sorted(_canonical_face(face[::-1]) for face in census.faces)
     lines = ["OFF", f"{graph.vertex_count} {graph.edge_count} {len(faces)}"]
     for coords in rows:
         lines.append(" ".join(f"{factor * c:.6f}" for c in coords))

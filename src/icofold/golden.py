@@ -286,13 +286,16 @@ TAU = GoldenNumber(0, 1)
 # A power x^n is refused when |n| times the bit length of x's largest
 # numerator or denominator passes _MAX_POWER_BITS, so no power builds a
 # number much longer than that (tau^60 counts 60 bits and passes;
-# tau^1000000 would take seconds).  'sqrt' is a name the grammar refuses:
-# Q(tau) has no square roots to offer.
+# tau^1000000 would take seconds).  Parentheses and unary minus nest at
+# most _MAX_NESTING deep, which keeps the recursive descent (at most four
+# frames a level) well inside Python's recursion limit.  'sqrt' is a name
+# the grammar refuses: Q(tau) has no square roots to offer.
 # Formatting emits the same grammar, normalized, e.g. "(7+1*tau)/5" prints
 # back as "7/5+1/5*tau".
 # ---------------------------------------------------------------------------
 
 _MAX_POWER_BITS = 4096
+_MAX_NESTING = 100
 
 # Translation lengths and nonzero seed coordinates must lie within
 # 2^-32 <= |x| <= 2^32, far past every catalogued value, and their reduced
@@ -335,6 +338,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> FieldParseError:
         return FieldParseError(message, self.pos)
@@ -346,6 +350,15 @@ class _Parser:
     def peek(self) -> str:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def nested(self, parse) -> GoldenNumber:
+        """`parse()` one nesting level deeper."""
+        if self.depth == _MAX_NESTING:
+            raise self.error(f"nesting deeper than {_MAX_NESTING} levels")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def expect(self, ch: str) -> None:
         if self.peek() != ch:
@@ -390,7 +403,7 @@ class _Parser:
     def factor(self) -> GoldenNumber:
         if self.peek() == "-":
             self.pos += 1
-            return -self.factor()
+            return -self.nested(self.factor)
         value = self.atom()
         while self.peek() == "^":
             self.pos += 1
@@ -410,7 +423,7 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            value = self.expr()
+            value = self.nested(self.expr)
             self.expect(")")
             return value
         if ch.isdigit():

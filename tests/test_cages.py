@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from face_reference import contact_signature_reference, export_off_reference
 
 from icofold import cages
 from icofold.cages import (
@@ -21,6 +22,7 @@ from icofold.configs import BUILTIN_NAMES, StartConfig, builtin
 from icofold.engine import (DEFAULT_SCAN_SPEC, bands, build_shells,
                             classify_scan, generate_array, make_translation,
                             outer_cage)
+from icofold.export import export_off
 from icofold.geometry import integer_rows, mat_apply
 from icofold.golden import parse_field_expr
 from icofold.groups import full_group
@@ -806,26 +808,68 @@ def rotated_cage_graphs():
                 tuple(mat_apply(g, v) for v in vertices))
 
 
-def test_face_census_matches_the_per_vertex_walk(onion_member_graphs):
+@pytest.fixture(scope="module")
+def sphere_graphs(onion_member_graphs):
+    """Every rotation of the small cages, every onion member and every
+    trivalent outer band of the default dodecahedron scan."""
+    scan = [trivalence_threshold_search(*shells)
+            for shells in default_scan_outer_bands("dodecahedron")]
+    graphs = (list(rotated_cage_graphs()) + onion_member_graphs
+              + [g for g in scan if g is not None])
+    assert len(graphs) == 360 + 8 + 102
+    return graphs
+
+
+def test_face_census_matches_the_per_vertex_walk(sphere_graphs):
     """Equal face tuples, in equal order, or equal EulerError text, on
     every rotation of the small cages, every onion member, every
     trivalent outer band of the default dodecahedron scan, and graphs
     that fail: a vertex at the origin, two disjoint tetrahedra."""
-    scan = [trivalence_threshold_search(*shells)
-            for shells in default_scan_outer_bands("dodecahedron")]
     dod = cage_of("dodecahedron")
     coords = dod.coords.copy()
     coords[7] = 0.0
-    graphs = (list(rotated_cage_graphs()) + onion_member_graphs
-              + [g for g in scan if g is not None]
-              + [cages.CageGraph(coords, dod.edges, dod.cutoff),
-                 trivalence_threshold_search(two_tetrahedra())])
+    graphs = sphere_graphs + [cages.CageGraph(coords, dod.edges, dod.cutoff),
+                              trivalence_threshold_search(two_tetrahedra())]
     assert len(graphs) == 360 + 8 + 102 + 2
     outcomes = [traced(lambda g: face_census(g).faces, g) for g in graphs]
     assert outcomes == [traced(face_census_reference, g) for g in graphs]
     assert outcomes[-2] == "EulerError: vertex at the origin has no tangent plane"
     assert outcomes[-1].startswith("EulerError: V-E+F = 8-12+")
     assert sum(isinstance(o, str) for o in outcomes) == 2
+
+
+def directed_edges(face):
+    return list(zip(face, face[1:] + face[:1]))
+
+
+# 120 rotations each of C20 (no hexagon), C60 ("vertex") and C80
+# ("edge"); members 1-3 of both onions hold no hexagon between two
+# pentagons, and every trivalent dodecahedron band mixes both contacts
+SPHERE_SIGNATURES = {None: 120 + 6, "vertex": 121, "edge": 121,
+                     "mixed": 102}
+
+
+def test_census_reads_match_the_float_orientation_and_edge_dict(
+        sphere_graphs):
+    """On every sphere graph: OFF bytes equal those written with the
+    float orientation test, the contact signature equals the one read
+    through a dict over every directed edge, and the face across edge
+    i of face f holds that edge reversed, with f across it."""
+    signatures = {}
+    for graph in sphere_graphs:
+        census = face_census(graph)
+        assert export_off(graph, census) == export_off_reference(graph,
+                                                                 census)
+        signature = pentagon_contact_signature(census)
+        assert signature == contact_signature_reference(census)
+        signatures[signature] = signatures.get(signature, 0) + 1
+        assert len(census.across) == len(census.faces)
+        for f, face in enumerate(census.faces):
+            assert len(census.across[f]) == len(face)
+            for (a, b), g in zip(directed_edges(face), census.across[f]):
+                j = directed_edges(census.faces[g]).index((b, a))
+                assert census.across[g][j] == f
+    assert signatures == SPHERE_SIGNATURES
 
 
 def test_face_census_crosses_a_fixed_number_of_times(onion_member_graphs,

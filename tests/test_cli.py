@@ -473,6 +473,34 @@ def test_long_seed_coordinate_exits_2_without_traceback(tmp_path, capsys):
     assert "long.txt:2" in err and "Traceback" not in err
 
 
+DEEP_LITERALS = pytest.mark.parametrize(
+    "literal", ["(" * 300 + "1" + ")" * 300, "-" * 2000 + "1"],
+    ids=["300-parentheses", "2000-minus-signs"])
+
+
+@DEEP_LITERALS
+def test_deeply_nested_length_exits_2_without_traceback(capsys, literal):
+    # "--length=" so that argparse does not take a leading '-' for a flag
+    code = cli.run(["extend", "--config", "dodecahedron", "--axis", "5",
+                    f"--length={literal}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error: ") and "nesting deeper" in err
+    assert "Traceback" not in err
+
+
+@DEEP_LITERALS
+def test_deeply_nested_seed_coordinate_exits_2_without_traceback(
+        tmp_path, capsys, literal):
+    seed = tmp_path / "deep.txt"
+    seed.write_text(f"@closure on\n0,1,{literal}\n", encoding="utf-8")
+    code = cli.run(["configs", "--config", str(seed)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "deep.txt:2" in err and "nesting deeper" in err
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         cli.run(["--help"])

@@ -201,6 +201,18 @@ class TestParsing:
             with pytest.raises(FieldParseError, match="power too large"):
                 parse_field_expr(text)
 
+    def test_nesting_bound(self):
+        assert parse_field_expr("(" * 100 + "tau" + ")" * 100) == TAU
+        assert parse_field_expr("-" * 100 + "2") == 2
+        assert parse_field_expr("-(" * 50 + "1" + ")" * 50) == 1
+        # siblings do not add up: each group closes before the next opens
+        assert parse_field_expr("+".join(["(-1)"] * 200)) == -200
+        for text in ["(" * 101 + "1" + ")" * 101, "-" * 101 + "1",
+                     "(-" * 51 + "1" + ")" * 51, "(" * 300 + "1",
+                     "-" * 2000 + "1"]:
+            with pytest.raises(FieldParseError, match="nesting deeper"):
+                parse_field_expr(text)
+
     def test_magnitude_bounds_are_exact(self):
         big = GoldenNumber(2 ** 32)
         small = GoldenNumber(Fraction(1, 2 ** 32))

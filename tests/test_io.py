@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from icofold.cages import CageGraph, face_census, trivalence_threshold_search
+from icofold.cages import (CageGraph, as_coords, face_census,
+                           trivalence_threshold_search)
 from icofold.configs import builtin
 from icofold.engine import generate_array, make_translation, outer_cage
 from icofold.export import (
@@ -144,6 +145,22 @@ def test_off_c240_counts():
     finding = outer_cage(generate_array(start, t, 1))
     text = export_off(finding.graph, finding.census)
     assert text.splitlines()[1] == "240 360 122"
+
+
+def test_off_of_a_float_graph_matches_the_exact_one():
+    """A graph searched from float coordinates has no exact points; its
+    OFF bytes are those of the graph searched from the same Vec3E
+    points, with and without bond scaling."""
+    start = builtin("c60")
+    t = make_translation(start.symmetry, 5, parse_field_expr("3"))
+    for points in (builtin("c60").vertices,
+                   outer_cage(generate_array(start, t, 1)).graph.points):
+        exact = trivalence_threshold_search(points)
+        floats = trivalence_threshold_search(as_coords(points))
+        assert floats.points is None
+        for bond_scale in (False, True):
+            assert (export_off(floats, None, bond_scale)
+                    == export_off(exact, None, bond_scale))
 
 
 def test_off_requires_a_trivalent_cage():
