@@ -8,21 +8,18 @@ largest third-nearest-neighbor distance must fall strictly below the
 smallest fourth-nearest-neighbor distance, which is how the search is
 evaluated (one vectorized pass instead of a cutoff loop).
 
-One table makes that decision and gives the bonds, for a single point
-set as for the many unions of shells cage detection tries: for every
-pair of point groups (the exact shells, or the one point set) it keeps
-the four smallest squared distances from each point of one into the
-other, with their indices, filled in lazily for the group pairs that
-some union reaches.  A union's third- and fourth-nearest distances are
-merged from its groups' rows, and once the gap holds, the merged
-entries within the cutoff are exactly each point's three bonds, so no
-union needs an N x N matrix.  Before any block is filled, a union is
-held to a cheaper test on each group's first point: a probe table keeps
-that point's four smallest squared distances into each group, and a
-union's probe rows are its members' entries, merged the same way.
-Taking fewer rows only lowers the largest third-nearest distance and
-raises the smallest fourth-nearest, so a union fails any gap its probe
-rows fail.
+One search makes that decision and gives the bonds, for a single point
+set as for the many unions of shells cage detection tries.  A union is
+first held to a cheap test on each group's first point (the exact
+shells, or the one point set): a probe table keeps that point's four
+smallest squared distances into each group, and a union's probe rows
+are its members' entries.  Taking fewer rows only lowers the largest
+third-nearest distance and raises the smallest fourth-nearest, so a
+union fails any gap its probe rows fail.  A union that passes has its
+points stacked and searched a fixed number of rows at a time, keeping
+each point's four nearest; once the gap holds, the entries within the
+cutoff are exactly each point's three bonds, so no search holds an
+N x N matrix.
 
 Faces are traced from the rotation system: neighbors ordered by angle in
 each vertex's tangent plane, with the Euler characteristic as the guard
@@ -51,6 +48,9 @@ __all__ = [
 # relative separation two float distances need before they count as
 # different candidate cutoffs; exact-equal distances land ~1e-13 apart
 _RESOLUTION = 1e-9
+# rows of squared distances a search holds at once: 16 * 64 * N bytes for
+# N points (more rows per chunk only raise the peak)
+_CHUNK_ROWS = 64
 
 
 class EulerError(ValueError):
@@ -141,12 +141,27 @@ def _four_columns(d2: np.ndarray) -> np.ndarray:
     return np.hstack([d2, np.full((len(d2), 4 - d2.shape[1]), np.inf)])
 
 
-def _four_nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the four smallest entries of `d2` and their columns."""
-    d2 = _four_columns(d2)
-    # a copy, so the full index matrix is not kept alive
-    index = np.argpartition(d2, 3, axis=1)[:, :4].copy()
-    return np.take_along_axis(d2, index, axis=1), index
+def _distance_chunks(coords: np.ndarray):
+    """(first row, squared distances from that row and the next ones to
+    every point of `coords`), `_CHUNK_ROWS` rows at a time, with each
+    row's distance to itself set to `inf`."""
+    for start in range(0, len(coords), _CHUNK_ROWS):
+        d2 = _pairwise_squared(coords[start:start + _CHUNK_ROWS], coords)
+        rows = np.arange(len(d2))
+        d2[rows, rows + start] = np.inf
+        yield start, d2
+
+
+def _union_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, its four smallest squared distances to the other points
+    of `coords` (at least four) and their indices, chunk by chunk."""
+    values = np.empty((len(coords), 4))
+    targets = np.empty((len(coords), 4), dtype=np.intp)
+    for start, d2 in _distance_chunks(coords):
+        index = np.argpartition(d2, 3, axis=1)[:, :4]
+        values[start:start + len(d2)] = np.take_along_axis(d2, index, axis=1)
+        targets[start:start + len(d2)] = index
+    return values, targets
 
 
 def _gap(rows: np.ndarray) -> tuple[float, float] | None:
@@ -162,38 +177,27 @@ def _gap(rows: np.ndarray) -> tuple[float, float] | None:
 
 
 class _NearestTable:
-    """The four nearest points from each group into each group.
+    """The trivalence search over unions of point groups.
 
     A group is one exact shell in `detect_cage` and one point set in
-    `trivalence_threshold_search`.  `nearest(a, b)` holds, for each point
-    i of group a, the four smallest squared distances to the points of
-    group b and their indices in b, with a point's distance to itself
-    left out and `inf` filling in when there are fewer than four.  Every
-    union's four nearest neighbours of a point lie among its groups'
-    rows, and the values come from `_pairwise_squared` (a block of two
-    groups serves both orders), so a union's merged rows hold the four
-    smallest floats of each row of its full distance matrix.
-
-    The probe table refutes a union before `nearest` runs.  Row a is
-    group a's first point and holds, in column b, that point's four
-    smallest squared distances into group b, filled the same way, one
-    column at a time for the groups that some union reaches.  A union's
-    probe rows are its members' rows over its members' columns.
+    `trivalence_threshold_search`.  The probe table refutes a union
+    before its points are searched.  Row a is group a's first point and
+    holds, in column b, that point's four smallest squared distances into
+    group b, with the point's distance to itself left out and `inf`
+    filling in when there are fewer than four, filled one column at a
+    time for the groups that some union reaches.  A union's probe rows
+    are its members' rows over its members' columns.
     """
 
     def __init__(self, groups) -> None:
-        self.groups = [g if isinstance(g, np.ndarray) else tuple(g)
-                       for g in groups]
-        self.coords = [as_coords(g) for g in self.groups]
+        self.coords = [as_coords(g) for g in groups]
         # an empty group's probe row is never read
         self._probe_coords = np.array(
             [c[0] if len(c) else np.zeros(3) for c in self.coords]
         ).reshape(-1, 3)
-        n = len(self.groups)
+        n = len(self.coords)
         self._probe_table = np.empty((n, n, 4))
         self._probe_filled = [False] * n
-        self._nearest: dict[tuple[int, int],
-                            tuple[np.ndarray, np.ndarray]] = {}
 
     def _probe_column(self, b: int) -> None:
         d2 = _pairwise_squared(self._probe_coords, self.coords[b])
@@ -211,38 +215,18 @@ class _NearestTable:
         rows = self._probe_table[np.ix_(members, members)]
         return rows.reshape(len(members), -1)
 
-    def nearest(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        if (a, b) not in self._nearest:
-            d2 = _pairwise_squared(self.coords[a], self.coords[b])
-            if a == b:
-                np.fill_diagonal(d2, np.inf)
-            else:
-                # b - a rounds to exactly -(a - b), so the transpose is the
-                # (b, a) block bit for bit, and every union needs both
-                self._nearest[(b, a)] = _four_nearest(d2.T)
-            self._nearest[(a, b)] = _four_nearest(d2)
-        return self._nearest[(a, b)]
-
     def graph(self, chosen: tuple[int, ...]) -> CageGraph | None:
         """The union's bond graph at the trivalence cutoff, or None.
 
         Union indices follow the groups of `chosen` in order, as in the
         concatenation of their points.
         """
-        members = [i for i in chosen if len(self.groups[i])]
-        offsets = np.cumsum([0, *(len(self.groups[i]) for i in members)])
-        if offsets[-1] < 4 or _gap(self.probe_rows(members)) is None:
+        members = [i for i in chosen if len(self.coords[i])]
+        if (sum(len(self.coords[i]) for i in members) < 4
+                or _gap(self.probe_rows(members)) is None):
             return None
-        # every row's entries and their union indices, block by block
-        values = np.empty((offsets[-1], 4 * len(members)))
-        targets = np.empty(values.shape, dtype=np.intp)
-        for i, a in enumerate(members):
-            for k, b in enumerate(members):
-                block = (slice(offsets[i], offsets[i + 1]),
-                         slice(4 * k, 4 * k + 4))
-                value, index = self.nearest(a, b)
-                values[block] = value
-                np.add(index, offsets[k], out=targets[block])
+        coords = np.vstack([self.coords[i] for i in members])
+        values, targets = _union_rows(coords)
         gap = _gap(values)
         if gap is None:
             return None
@@ -257,11 +241,7 @@ class _NearestTable:
         target = targets[source, column]
         order = np.lexsort((target, source))
         edges = tuple(zip(source[order].tolist(), target[order].tolist()))
-        points = None
-        if not all(isinstance(self.groups[i], np.ndarray) for i in members):
-            points = tuple(p for i in members for p in self.groups[i])
-        graph = CageGraph(np.vstack([self.coords[i] for i in members]),
-                          edges, math.sqrt(c2), points=points)
+        graph = CageGraph(coords, edges, math.sqrt(c2))
         return graph if graph.trivalent else None
 
 
@@ -272,7 +252,8 @@ def trivalence_threshold_search(*groups) -> CageGraph | None:
     sequence or float (N, 3) array; a caller that knows its exact shells
     passes them as separate groups, so each shell's first point probes
     the gap.  Returns the graph at the smallest such cutoff, or None when
-    degrees cannot all reach 3 before one of them passes 3.
+    degrees cannot all reach 3 before one of them passes 3.  The graph
+    holds float coordinates only: its `points` is None.
     """
     return _NearestTable(groups).graph(tuple(range(len(groups))))
 
@@ -411,29 +392,34 @@ class CageFinding:
 
 
 # a cage must join at least two shells (one exact radius alone is never a
-# curved fullerene surface here), bond lengths may not spread past 3:2
-# (wider spreads only ever showed up on accidental unions), and unions
-# larger than the cap are not searched
+# curved fullerene surface here) and hold at least the dodecahedron's 20
+# points, bond lengths may not spread past 3:2 (wider spreads only ever
+# showed up on accidental unions), and unions larger than the cap are not
+# searched
 _CAGE_MIN_SHELLS = 2
+_CAGE_MIN_POINTS = 20
 _CAGE_MAX_EDGE_RATIO = 1.5
 _CAGE_POINT_CAP = 2000
 
 
 def _candidate_unions(sizes: list[int]):
-    """(shell indices, dropped index) of every union to try, in order."""
+    """(shell indices, dropped index) of every union to try, in order,
+    each of `_CAGE_MIN_POINTS` to `_CAGE_POINT_CAP` points."""
     n = len(sizes)
     for k in range(_CAGE_MIN_SHELLS, n + 1):
-        chosen = tuple(range(n - k, n))
-        if sum(sizes[i] for i in chosen) > _CAGE_POINT_CAP:
+        total = sum(sizes[n - k:])
+        if total > _CAGE_POINT_CAP:
             break
-        yield chosen, None
+        if total >= _CAGE_MIN_POINTS:
+            yield tuple(range(n - k, n)), None
     for k in range(_CAGE_MIN_SHELLS + 1, n + 1):
         window = list(range(n - k, n))
-        if (sum(sizes[i] for i in window)
-                - max(sizes[i] for i in window[1:-1])) > _CAGE_POINT_CAP:
+        total = sum(sizes[n - k:])
+        if total - max(sizes[i] for i in window[1:-1]) > _CAGE_POINT_CAP:
             break
         for drop in window[1:-1]:
-            yield tuple(i for i in window if i != drop), drop
+            if _CAGE_MIN_POINTS <= total - sizes[drop] <= _CAGE_POINT_CAP:
+                yield tuple(i for i in window if i != drop), drop
 
 
 def detect_cage(shell_groups) -> CageFinding | None:
@@ -446,11 +432,11 @@ def detect_cage(shell_groups) -> CageFinding | None:
     sphere, windows with exactly one interior shell removed are tried as
     a fallback, again smallest first.
 
-    Each candidate of 20 to `_CAGE_POINT_CAP` points takes its bond graph
-    from a `_NearestTable` shared by all candidates of this call, at
-    O(4kN) for a union of k shells instead of an N x N matrix.  A union
-    whose graph is trivalent is then held to the edge-ratio check and
-    face tracing.
+    Each candidate of `_CAGE_MIN_POINTS` to `_CAGE_POINT_CAP` points
+    takes its bond graph from a `_NearestTable` shared by all candidates
+    of this call: its probe rows first, then, if they pass, a search of
+    its stacked points in O(N) memory.  A union whose graph is trivalent
+    is then held to the edge-ratio check and face tracing.
 
     `shell_groups` is a sequence of point sequences (or float (N, 3)
     coordinate arrays) ordered by ascending radius.  Returns the first
@@ -459,10 +445,7 @@ def detect_cage(shell_groups) -> CageFinding | None:
     (V - E + F = 2); None when no candidate qualifies.
     """
     table = _NearestTable(shell_groups)
-    sizes = [len(g) for g in table.groups]
-    for chosen, dropped in _candidate_unions(sizes):
-        if not 20 <= sum(sizes[i] for i in chosen) <= _CAGE_POINT_CAP:
-            continue
+    for chosen, dropped in _candidate_unions([len(c) for c in table.coords]):
         graph = table.graph(chosen)
         if graph is None or graph.edge_ratio >= _CAGE_MAX_EDGE_RATIO:
             continue

@@ -76,15 +76,11 @@ __all__ = [
 # why cage detection does not reuse the band split.
 DEFAULT_BAND_GAP = 0.11
 DEFAULT_POINT_CAP = 10 ** 6
-# Guards the table an outer band's search fills when its probe rows do
-# not refute the gap: one block per pair of the band's shells, 16*n*m
-# bytes at peak for shells of n and m points, and the merged rows.  So
-# 16*N^2 bytes bounds the peak, reached only by a one-shell band; the
-# guard keeps twice that below the cap, as headroom, so 256 MiB allows N
-# up to 2896.  Under tracemalloc the largest outer band `verify`, the
-# tests and the benchmark reach, 930 points in 10 shells of at most 120,
-# peaks at 1.6 MB with every block filled (46 kB when its probe rows
-# refute it), against a bound of 13.8 MB.
+# Bounds the distance work of an outer band's search: when its probe rows
+# do not refute the gap, it takes all N^2 squared distances of the band's
+# N points, a fixed number of rows at a time, so its memory grows as N but
+# its work as N^2.  The guard refuses a band when 32*N^2 passes the cap,
+# so 2^28 allows N up to 2896, about 8.4 million distances.
 _BAND_PAIR_BYTES_CAP = 2 ** 28
 # Point rows whose entries B and denominator stay below this run in int64:
 # the larger squared-radius key, sum (2a+b)b, is at most 9*B^2 < 2^63, and
@@ -522,12 +518,12 @@ def _band_report(band: Band, is_outer: bool) -> dict:
     }
     cage = None
     if is_outer:
-        bound = 16 * len(band) ** 2
-        if 2 * bound > _BAND_PAIR_BYTES_CAP:
+        limit = _BAND_PAIR_BYTES_CAP // 32
+        if len(band) ** 2 > limit:
             raise PointBudgetError(
-                f"outer band of {len(band)} points could hold up to {bound} "
-                f"bytes of pairwise distances at peak, over half the cap of "
-                f"{_BAND_PAIR_BYTES_CAP} (the other half is headroom)"
+                f"outer band of {len(band)} points needs {len(band) ** 2} "
+                f"pairwise distances, over the limit of {limit} for one "
+                f"band search"
             )
         cage = cages.trivalence_threshold_search(
             *(shell.coords for shell in band.shells))

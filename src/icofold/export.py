@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from . import cages
 from .geometry import Vec3E
 from .golden import ZERO, GoldenNumber, format_golden, parse_field_expr
@@ -37,6 +39,9 @@ __all__ = [
 ]
 
 BOND_LENGTH = 1.42
+# how far past a chunk's smallest float squared distance a pair may lie
+# and still be measured: rounding moves a squared distance by a few ulps
+_SHORTLIST_SLACK = 1e-9
 
 _PLANE_RADICAL = f"*sqrt({format_golden(PENTAGON_RADICAND)})"
 
@@ -79,12 +84,16 @@ def _canonical_indices(points) -> list[int]:
 
 
 def _min_pairwise_distance(rows: list[tuple[float, ...]]) -> float:
+    """The smallest `math.dist` between two rows, measured only over the
+    pairs whose float squared distance is within `_SHORTLIST_SLACK` of
+    the smallest in their chunk, a set that holds the closest pair."""
+    coords = np.zeros((len(rows), 3))
+    coords[:, :len(rows[0])] = rows
     best = math.inf
-    for i, a in enumerate(rows):
-        for b in rows[i + 1:]:
-            d = math.dist(a, b)
-            if d < best:
-                best = d
+    for start, d2 in cages._distance_chunks(coords):
+        near = np.nonzero(d2 <= d2.min() * (1.0 + _SHORTLIST_SLACK))
+        for i, j in zip(*(k.tolist() for k in near)):
+            best = min(best, math.dist(rows[start + i], rows[j]))
     return best
 
 

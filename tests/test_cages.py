@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -415,12 +416,65 @@ def test_threshold_search_matches_dense_search_on_point_sets():
     assert found == 5  # dodecahedron, c60, c80, one and two tetrahedra
 
 
+def tetrahedra(rng, count):
+    """`count` randomly turned regular tetrahedra far apart, their points
+    shuffled: a trivalent set whose bonds cross chunk boundaries."""
+    tet = two_tetrahedra()[4:] + (0, 0, 10.0)
+    sets = []
+    for k in range(count):
+        turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        sets.append(tet @ turn + (10.0 * k, 0.0, 0.0))
+    return rng.permutation(np.vstack(sets))
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_union_search_matches_dense_search_across_chunks(n):
+    """Sets that end just short of, on and just past a chunk boundary:
+    each point's four nearest entries are the dense matrix row's four
+    smallest, bit for bit, and the graphs agree."""
+    assert cages._CHUNK_ROWS == 64
+    rng = np.random.default_rng(n)
+    # four coincident copies of each point, rolled so that one group of
+    # copies straddles every chunk boundary; bonds sit at cutoff 0
+    copies = np.roll(np.repeat(rng.normal(size=(n // 4 + 1, 3)), 4, axis=0),
+                     2, axis=0)
+    found = 0
+    for coords in (rng.normal(size=(n, 3)), tetrahedra(rng, n // 4),
+                   tetrahedra(rng, n // 4 + 1), copies):
+        values, index = cages._union_rows(coords)
+        dense = dense_matrix(coords)
+        want = np.sort(dense, axis=1)[:, :4]
+        assert np.sort(values, axis=1).tobytes() == want.tobytes()
+        assert np.take_along_axis(dense, index, axis=1).tobytes() \
+            == values.tobytes()
+        want = dense_threshold_search(coords)
+        assert_same_graph(trivalence_threshold_search(coords), want)
+        found += want is not None
+    assert found == 3
+    assert trivalence_threshold_search(copies).cutoff == 0.0
+
+
+def test_single_set_search_memory_is_linear():
+    """The C960 onion member searched as one point set holds a chunk of
+    rows at a time, not an N x N matrix (7.4 MB of float64 alone)."""
+    coords = np.vstack(onion_member_shells()[3])
+    assert len(coords) == 960
+    tracemalloc.start()
+    try:
+        graph = trivalence_threshold_search(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph is not None and graph.edge_count == 1440
+    assert peak < 3_000_000
+
+
 def probe_rows(table, chosen):
     """The union's probe rows from the table's probe table, where their
     probe points sit among the union's points (each member group's first
     point), and where each member group's points start."""
-    members = [i for i in chosen if len(table.groups[i])]
-    offsets = np.cumsum([0] + [len(table.groups[i]) for i in members])
+    members = [i for i in chosen if len(table.coords[i])]
+    offsets = np.cumsum([0] + [len(table.coords[i]) for i in members])
     return table.probe_rows(members), offsets[:-1], offsets
 
 
@@ -642,22 +696,22 @@ def test_probe_columns_are_computed_once_for_the_shells_tried(monkeypatch):
     assert set(columns) == members and len(members) < len(groups)
 
 
-def test_probe_leaves_the_nearest_table_empty_on_a_negative_scan(
+def test_probe_leaves_every_union_unsearched_on_a_negative_scan(
         monkeypatch):
     calls = []
-    nearest = cages._NearestTable.nearest
+    search = cages._union_rows
 
-    def spy(self, a, b):
-        calls.append((a, b))
-        return nearest(self, a, b)
+    def spy(coords):
+        calls.append(len(coords))
+        return search(coords)
 
-    monkeypatch.setattr(cages._NearestTable, "nearest", spy)
+    monkeypatch.setattr(cages, "_union_rows", spy)
     rows = classify_scan(builtin("icosidodecahedron"), (2, 3, 5),
                          DEFAULT_SCAN_SPEC)
     assert len(rows) == 894 and calls == []
     # the spy sees a search the probe cannot refute
     assert trivalence_threshold_search(builtin("c60").vertices) is not None
-    assert set(calls) == {(0, 0)}
+    assert calls == [60]
 
 
 def assert_table_matches_dense(groups):
@@ -697,8 +751,16 @@ def test_table_takes_array_and_point_shells():
     assert assert_table_matches_dense([dod[:10], dod[10:]]) == {True, False}
     assert assert_table_matches_dense(
         [coords_of(dod[:10]), dod[10:], ico * 3.0]) == {True, False}
+    # a table graph holds floats only; outer_cage adds the exact points
     graph = cages._NearestTable([dod[:10], dod[10:]]).graph((0, 1))
-    assert graph.points == tuple(dod)
+    assert graph is not None and graph.points is None
+    assert trivalence_threshold_search(dod).points is None
+    start = builtin("c60")
+    array = generate_array(start, make_translation(
+        start.symmetry, 5, parse_field_expr("3")), 1)
+    finding = outer_cage(array)
+    assert finding.graph.points == tuple(
+        p for i in finding.shell_indices for p in array.shells[i].points)
 
 
 def test_table_mixes_a_shell_with_itself_and_others():
@@ -710,9 +772,12 @@ def test_table_mixes_a_shell_with_itself_and_others():
     table = cages._NearestTable(groups)
     assert table.graph((0, 1)) is None
     assert table.graph((0, 2)) is not None
-    values, index = table.nearest(0, 0)
-    assert values.shape == index.shape == (20, 4)
-    assert np.isinf(table.nearest(3, 3)[0]).sum() == 3 * 2  # 2 others, 2 pads
+    # a copy's zero distance is a nearest entry; the point's own is not
+    values, index = cages._union_rows(np.vstack(groups[:2]))
+    assert values.shape == index.shape == (40, 4)
+    assert not values.min(axis=1).any() and np.isfinite(values).all()
+    copy = index[np.arange(40), values.argmin(axis=1)]
+    assert np.array_equal(copy, np.r_[20:40, 0:20])
 
 
 def test_table_bonds_coincident_points():

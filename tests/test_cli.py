@@ -345,7 +345,7 @@ def test_oversized_requests_exit_4_without_traceback(capsys, axis, length,
 
 
 def test_band_cap_exits_4_before_any_threshold_search(capsys, monkeypatch):
-    # the real cap lets outer bands of up to 2896 points fill their table
+    # the real cap lets outer bands of up to 2896 points be searched
     assert math.isqrt(engine._BAND_PAIR_BYTES_CAP // 32) == 2896
     searches = []
     search = cages.trivalence_threshold_search
@@ -362,9 +362,9 @@ def test_band_cap_exits_4_before_any_threshold_search(capsys, monkeypatch):
     t = engine.make_translation(start.symmetry, 5, parse_field_expr("3"))
     with pytest.raises(engine.PointBudgetError) as raised:
         engine.classify_length(start, t, 1, with_cage=False)
-    assert str(raised.value).startswith(
-        f"outer band of 240 points could hold up to {16 * 240 ** 2} bytes of "
-        "pairwise distances at peak")
+    assert str(raised.value) == (
+        f"outer band of 240 points needs {240 ** 2} pairwise distances, "
+        f"over the limit of {240 ** 2 - 1} for one band search")
     assert cli.run(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: outer band of 240 points")

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from icofold.cages import (CageGraph, as_coords, face_census,
@@ -13,6 +14,7 @@ from icofold.engine import generate_array, make_translation, outer_cage
 from icofold.export import (
     BOND_LENGTH,
     ExportError,
+    _min_pairwise_distance,
     canonical_json,
     export_csv,
     export_off,
@@ -101,6 +103,42 @@ def test_bond_scaling_needs_two_distinct_points():
         export_xyz([v], bond_scale=True)
     with pytest.raises(ExportError, match="distinct"):
         export_xyz([v, v], bond_scale=True)
+
+
+def pairwise_loop_minimum(rows):
+    """The bond-scale minimum as first written: math.dist on every pair."""
+    return min(math.dist(a, b) for i, a in enumerate(rows)
+               for b in rows[i + 1:])
+
+
+def test_bond_scale_minimum_matches_the_pairwise_loop():
+    """The shortlisted minimum is the pairwise loop's, bit for bit, on
+    cages, plane points and random sets around the chunk size, and a
+    duplicate pair split across chunks is still refused."""
+    start = builtin("c60")
+    t = make_translation(start.symmetry, 5, parse_field_expr("3"))
+    sets = [[tuple(p.as_floats()) for p in points] for points in (
+        builtin("c60").vertices, builtin("c80").vertices,
+        outer_cage(generate_array(start, t, 1)).graph.points,
+        pentagon_array(parse_field_expr("tau")).points)]
+    rng = random.Random(17)
+    for n in (2, 63, 64, 65, 129):
+        sets.append([tuple(rng.uniform(-3.0, 3.0) for _ in range(3))
+                     for _ in range(n)])
+        sets.append([tuple(rng.randint(-3, 3) / 10 for _ in range(3))
+                     for _ in range(n)])
+    # turned c60s on which the smallest float squared distance and the
+    # smallest math.dist fall on different bonds, one ulp apart
+    c60 = as_coords(builtin("c60").vertices)
+    for seed in (61, 124):
+        turn, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        sets.append([tuple(row) for row in (c60 @ turn).tolist()])
+    for rows in sets:
+        want = pairwise_loop_minimum(rows)
+        assert _min_pairwise_distance(rows).hex() == want.hex()
+    points = list(builtin("c80").vertices)
+    with pytest.raises(ExportError, match="distinct"):
+        export_xyz(points + [points[3]], bond_scale=True)
 
 
 # --- OFF ---------------------------------------------------------------
