@@ -29,10 +29,14 @@ against a band that is not a topological sphere.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
+from .geometry import row_vectors
+
 __all__ = [
+    "PointBudgetError",
     "EulerError",
     "CageGraph",
     "FaceCensus",
@@ -51,6 +55,16 @@ _RESOLUTION = 1e-9
 # rows of squared distances a search holds at once: 16 * 64 * N bytes for
 # N points (more rows per chunk only raise the peak)
 _CHUNK_ROWS = 64
+# Bounds the distance work of one point set's search: when its probe rows
+# do not refute the gap, it takes all N^2 squared distances of its N
+# points, a fixed number of rows at a time, so its memory grows as N but
+# its work as N^2.  The guard refuses a set when 32*N^2 passes the cap,
+# so 2^28 allows N up to 2896, about 8.4 million distances.
+_PAIR_BYTES_CAP = 2 ** 28
+
+
+class PointBudgetError(RuntimeError):
+    """A request would pass a resource cap on points or on distance work."""
 
 
 class EulerError(ValueError):
@@ -69,20 +83,31 @@ def as_coords(points) -> np.ndarray:
 
 
 class CageGraph:
-    """An undirected bond graph over a point set at a distance cutoff."""
+    """An undirected bond graph over a point set at a distance cutoff.
+
+    `points` are the exact points given, or else built on first read from
+    `rows`, their (den, integer rows) when known; None for floats only.
+    """
 
     def __init__(self, coords: np.ndarray, edges: tuple[tuple[int, int], ...],
                  cutoff: float, points=None) -> None:
         self.coords = coords
         self.edges = edges
         self.cutoff = cutoff
-        self.points = tuple(points) if points is not None else None
+        self.rows: tuple[int, np.ndarray] | None = None
+        if points is not None:
+            self.points = tuple(points)
         pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
         self.degrees = np.bincount(pairs.ravel(), minlength=len(coords))
         lengths = np.linalg.norm(coords[pairs[:, 0]] - coords[pairs[:, 1]],
                                  axis=1)
         self.edge_min = float(lengths.min()) if len(lengths) else 0.0
         self.edge_max = float(lengths.max()) if len(lengths) else 0.0
+
+    @cached_property
+    def points(self):
+        return None if self.rows is None else row_vectors(
+            self.rows[0], self.rows[1].tolist())
 
     @property
     def vertex_count(self) -> int:
@@ -253,8 +278,15 @@ def trivalence_threshold_search(*groups) -> CageGraph | None:
     passes them as separate groups, so each shell's first point probes
     the gap.  Returns the graph at the smallest such cutoff, or None when
     degrees cannot all reach 3 before one of them passes 3.  The graph
-    holds float coordinates only: its `points` is None.
+    holds float coordinates only: its `points` is None.  Raises
+    PointBudgetError, before any distance is taken, for a set of N points
+    whose 32*N^2 passes `_PAIR_BYTES_CAP`.
     """
+    n = sum(map(len, groups))
+    if 32 * n * n > _PAIR_BYTES_CAP:
+        raise PointBudgetError(
+            f"bond search of {n} points needs {n * n} pairwise distances, "
+            f"over the limit of {_PAIR_BYTES_CAP // 32}")
     return _NearestTable(groups).graph(tuple(range(len(groups))))
 
 
@@ -295,6 +327,13 @@ class FaceCensus:
         return f"FaceCensus({self.counts})"
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of (N, 3) arrays, by np.cross's own formula."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=1)
+
+
 def _rotation_system(coords: np.ndarray,
                      edges) -> tuple[np.ndarray, np.ndarray]:
     """Every directed edge (source, target), each vertex's ring in order.
@@ -313,9 +352,9 @@ def _rotation_system(coords: np.ndarray,
     reference = np.zeros_like(normal)
     reference[~along_x, 0] = 1.0
     reference[along_x, 1] = 1.0
-    e1 = np.cross(reference, normal)
+    e1 = _cross(reference, normal)
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(normal, e1)
+    e2 = _cross(normal, e1)
     pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
     source = np.concatenate([pairs[:, 0], pairs[:, 1]])
     target = np.concatenate([pairs[:, 1], pairs[:, 0]])

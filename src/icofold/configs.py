@@ -12,10 +12,12 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
-from .geometry import Vec3E, integer_rows, norm2
+from .cages import PointBudgetError
+from .geometry import Vec3E, integer_rows, norm2, row_vectors
 from .golden import (
     FieldParseError,
     GoldenNumber,
@@ -32,7 +34,11 @@ __all__ = [
     "builtin",
     "load_custom",
     "C80_EQUAL_RADIUS_SEED",
+    "DEFAULT_POINT_CAP",
 ]
+
+# the most points a closure or an array may hold
+DEFAULT_POINT_CAP = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -40,22 +46,42 @@ class ConfigError(ValueError):
 
 
 class StartConfig:
-    """An exactly symmetric vertex set with its radius spectrum."""
+    """An exactly symmetric vertex set with its radius spectrum.
+
+    Stored once as `integer_rows`: distinct rows in lowest terms (see
+    geometry.integer_rows), int64 when every entry fits and Python ints
+    (dtype=object) otherwise.  `vertices` are built on first read.
+    """
 
     def __init__(self, name: str, vertices, symmetry: PointGroup) -> None:
-        seen: dict[tuple, Vec3E] = {}
-        for v in vertices:
-            seen.setdefault(v.key(), v)
+        self._store(name, *integer_rows(vertices), symmetry)
+
+    @classmethod
+    def from_rows(cls, name: str, den: int, rows: np.ndarray,
+                  symmetry: PointGroup) -> "StartConfig":
+        """The configuration of (n, 6) int64 or object rows over `den`."""
+        config = cls.__new__(cls)
+        config._store(name, den, rows, symmetry)
+        return config
+
+    def _store(self, name: str, den: int, rows: np.ndarray,
+               symmetry: PointGroup) -> None:
+        g = gcd(den, int(np.gcd.reduce(rows, axis=None)))
+        rows = rows // g
+        if rows.dtype == object and int(abs(rows).max(initial=0)) < 2 ** 63:
+            rows = rows.astype(np.int64)
+        rows = _unique_rows(rows)
+        rows.flags.writeable = False
         self.name = name
-        self.vertices: tuple[Vec3E, ...] = tuple(sorted(seen.values(), key=Vec3E.key))
+        self.integer_rows: tuple[int, np.ndarray] = (den // g, rows)
         self.symmetry = symmetry
         # a finite set each generator maps into itself is invariant under
         # every product of them; a generator maps the distinct vertices to
         # distinct images, so into is onto and the row sets must be equal
+        # (`own`, the rows times a positive factor, is still sorted)
         _, own, chunks = symmetry._apply(*self.integer_rows,
                                          symmetry._generator_indices)
-        own = _row_set(own)
-        if any(_row_set(image) != own
+        if any(not np.array_equal(_unique_rows(image), own)
                for image in np.concatenate(list(chunks), axis=1)):
             raise ConfigError(
                 f"vertex set of '{name}' is not invariant "
@@ -63,27 +89,18 @@ class StartConfig:
             )
 
     @cached_property
-    def radius2_spectrum(self) -> tuple[GoldenNumber, ...]:
-        """The distinct exact squared radii of the vertices, ascending."""
-        spectrum: dict[tuple, GoldenNumber] = {}
-        for v in self.vertices:
-            r2 = norm2(v)
-            spectrum.setdefault(r2.key(), r2)
-        return tuple(sorted(spectrum.values()))
+    def vertices(self) -> tuple[Vec3E, ...]:
+        """The vertices as exact points, ordered by Vec3E.key."""
+        den, rows = self.integer_rows
+        return tuple(sorted(row_vectors(den, rows.tolist()), key=Vec3E.key))
 
     @cached_property
-    def integer_rows(self) -> tuple[int, np.ndarray]:
-        """The vertices as integer rows over one shared denominator (see
-        geometry.integer_rows), int64 when every entry fits and Python
-        ints (dtype=object) otherwise; users bound their own products."""
-        den, rows = integer_rows(self.vertices)
-        if int(abs(rows).max(initial=0)) < 2 ** 63:
-            rows = rows.astype(np.int64)
-            rows.flags.writeable = False
-        return den, rows
+    def radius2_spectrum(self) -> tuple[GoldenNumber, ...]:
+        """The distinct exact squared radii of the vertices, ascending."""
+        return tuple(sorted(set(map(norm2, self.vertices))))
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.integer_rows[1])
 
     @property
     def radius2(self) -> GoldenNumber:
@@ -91,14 +108,16 @@ class StartConfig:
         return self.radius2_spectrum[-1]
 
     def __repr__(self) -> str:
-        return f"StartConfig({self.name!r}, {len(self.vertices)} vertices)"
+        return f"StartConfig({self.name!r}, {len(self)} vertices)"
 
 
-def _row_set(rows: np.ndarray):
-    """Equal for two arrays of integer rows iff they hold the same rows."""
-    if rows.dtype == object:
-        return set(map(tuple, rows.tolist()))
-    return rows[np.lexsort(rows.T)].tobytes()
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct integer rows in one fixed order, so two arrays hold
+    the same rows iff their results are equal."""
+    rows = rows[np.lexsort(rows.T)]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[fresh]
 
 
 # The rejected equal-radius 60-orbit seed: on the mirror plane
@@ -140,8 +159,19 @@ def builtin(name: str) -> StartConfig:
             f"unknown configuration '{name}'; choose one of "
             f"{', '.join(BUILTIN_NAMES)} or pass a seed file path"
         )
-    group = full_group()
-    return StartConfig(name, group.orbit_of_set(seeds), group)
+    return _closure(name, seeds, full_group())
+
+
+def _closure(name: str, seeds, group: PointGroup) -> StartConfig:
+    """Every image of `seeds` under `group`, made on integer rows once the
+    point budget allows it."""
+    budget = group.order * len(seeds)
+    if budget > DEFAULT_POINT_CAP:
+        raise PointBudgetError(f"closing {len(seeds)} seeds makes {budget} "
+                               f"points, over the cap of {DEFAULT_POINT_CAP}")
+    den, _, chunks = group._apply(*integer_rows(seeds))
+    rows = np.concatenate([chunk.reshape(-1, 6) for chunk in chunks])
+    return StartConfig.from_rows(name, den, rows, group)
 
 
 def load_custom(path: str) -> StartConfig:
@@ -188,8 +218,7 @@ def load_custom(path: str) -> StartConfig:
         points.append(Vec3E(x, y, z))
     if not points:
         raise ConfigError(f"{path}: no points found")
-    group = full_group()
     name = os.path.splitext(os.path.basename(path))[0]
     if closure:
-        points = group.orbit_of_set(points)
-    return StartConfig(name, points, group)
+        return _closure(name, points, full_group())
+    return StartConfig(name, points, full_group())

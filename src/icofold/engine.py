@@ -42,7 +42,8 @@ from math import gcd, lcm
 import numpy as np
 
 from . import cages
-from .configs import StartConfig
+from .cages import PointBudgetError
+from .configs import DEFAULT_POINT_CAP, StartConfig
 from .geometry import Vec3E, row_vectors
 from .golden import _TAU_FLOAT, GoldenNumber, _gsign, format_golden
 from .groups import PointGroup
@@ -75,21 +76,10 @@ __all__ = [
 # covers every row at once -- the 80-point row needs >= 0.186 -- which is
 # why cage detection does not reuse the band split.
 DEFAULT_BAND_GAP = 0.11
-DEFAULT_POINT_CAP = 10 ** 6
-# Bounds the distance work of an outer band's search: when its probe rows
-# do not refute the gap, it takes all N^2 squared distances of the band's
-# N points, a fixed number of rows at a time, so its memory grows as N but
-# its work as N^2.  The guard refuses a band when 32*N^2 passes the cap,
-# so 2^28 allows N up to 2896, about 8.4 million distances.
-_BAND_PAIR_BYTES_CAP = 2 ** 28
 # Point rows whose entries B and denominator stay below this run in int64:
 # the larger squared-radius key, sum (2a+b)b, is at most 9*B^2 < 2^63, and
 # every entry converts to float exactly.
 _INT64_BOUND = 2 ** 29
-
-
-class PointBudgetError(RuntimeError):
-    """Array generation would exceed the point cap."""
 
 
 class EmptyScanError(ValueError):
@@ -380,14 +370,15 @@ def bands(array: PointArray) -> tuple[Band, ...]:
 def outer_cage(array: PointArray) -> cages.CageFinding | None:
     """Detect the outermost cage surface of an array, if there is one.
 
-    The search runs on the shells' float coordinates; only the winning
-    union's exact points are built, for `CageGraph.points`.
+    The search runs on the shells' float coordinates.  The graph's `rows`
+    are the winning union's shell rows in union order, from which
+    `CageGraph.points` is built on first read.
     """
     finding = cages.detect_cage([shell.coords for shell in array.shells])
     if finding is not None:
-        finding.graph.points = tuple(
-            p for i in finding.shell_indices for p in array.shells[i].points
-        )
+        shells = [array.shells[i] for i in finding.shell_indices]
+        finding.graph.rows = (shells[0].den,
+                              np.concatenate([s.rows for s in shells]))
     return finding
 
 
@@ -398,7 +389,7 @@ def _multiset_count(n_directions: int, depth: int) -> int:
 def generic_cardinality(start: StartConfig, translation: AffineTranslation,
                         depth: int = 1) -> int:
     """Array size when no points coincide: |X| * (1 + #directions) at depth 1."""
-    return (len(start.vertices)
+    return (len(start)
             * _multiset_count(len(translation.directions), depth))
 
 
@@ -518,13 +509,6 @@ def _band_report(band: Band, is_outer: bool) -> dict:
     }
     cage = None
     if is_outer:
-        limit = _BAND_PAIR_BYTES_CAP // 32
-        if len(band) ** 2 > limit:
-            raise PointBudgetError(
-                f"outer band of {len(band)} points needs {len(band) ** 2} "
-                f"pairwise distances, over the limit of {limit} for one "
-                f"band search"
-            )
         cage = cages.trivalence_threshold_search(
             *(shell.coords for shell in band.shells))
     if cage is not None:

@@ -64,7 +64,7 @@ class OnionShell:
     """One cage of the family: iteration, size, radius, bonding."""
 
     __slots__ = ("iteration", "count", "outer_radius", "census",
-                 "edge_ratio", "pentagon_contact", "points")
+                 "edge_ratio", "pentagon_contact", "_points")
 
     def __init__(self, iteration: int, count: int, outer_radius: float,
                  census: cages.FaceCensus, edge_ratio: float,
@@ -75,7 +75,13 @@ class OnionShell:
         self.census = census
         self.edge_ratio = edge_ratio
         self.pentagon_contact = pentagon_contact
-        self.points = points
+        self._points = points
+
+    @property
+    def points(self):
+        """The exact points given, or read from a given cage graph."""
+        points = self._points
+        return points.points if isinstance(points, cages.CageGraph) else points
 
     def __repr__(self) -> str:
         return (f"OnionShell(iteration {self.iteration}, {self.count} "
@@ -164,7 +170,7 @@ def _start_shell(start: StartConfig) -> tuple[OnionShell | None, str | None]:
     except cages.EulerError as exc:
         return None, f"start configuration does not close into a sphere: {exc}"
     outer = math.sqrt(float(start.radius2))
-    shell = OnionShell(0, len(start.vertices), outer, census,
+    shell = OnionShell(0, len(start), outer, census,
                        graph.edge_ratio,
                        cages.pentagon_contact_signature(census),
                        start.vertices)
@@ -176,8 +182,10 @@ def build_onion(start: StartConfig, translation: AffineTranslation,
     """Grow the onion: one cage per iteration of the translation.
 
     Iteration j translates the cage of iteration j-1 and extracts the
-    outermost cage.  Stops early with a failure note when some depth has
-    no trivalent outer cage; the report then carries the partial family.
+    outermost cage, whose shell rows are the next start: no exact point
+    is built unless a member's `points` is read.  Stops early with a
+    failure note when some depth has no trivalent outer cage; the report
+    then carries the partial family.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -199,8 +207,8 @@ def build_onion(start: StartConfig, translation: AffineTranslation,
             j, finding.vertex_count, used_outer.radius, finding.census,
             finding.graph.edge_ratio,
             cages.pentagon_contact_signature(finding.census),
-            finding.graph.points,
+            finding.graph,
         ))
-        working = StartConfig(f"{start.name}.onion{j}",
-                              finding.graph.points, start.symmetry)
+        working = StartConfig.from_rows(f"{start.name}.onion{j}",
+                                        *finding.graph.rows, start.symmetry)
     return OnionReport(start, translation, tuple(family), None)

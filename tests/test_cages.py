@@ -812,6 +812,20 @@ def tangent_order_reference(coords, v, neighbors):
     return [u for _, u in sorted(zip(angles, neighbors))]
 
 
+@pytest.mark.parametrize("n", [20, 80, 500, 5000])
+def test_written_out_cross_product_is_np_cross(n):
+    rng = np.random.default_rng(n)
+    normal = rng.normal(size=(n, 3))
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    reference = np.zeros_like(normal)
+    reference[np.arange(n) % 2 == 0, 0] = 1.0
+    reference[np.arange(n) % 2 == 1, 1] = 1.0
+    e1 = cages._cross(reference, normal)
+    assert e1.tobytes() == np.cross(reference, normal).tobytes()
+    assert cages._cross(normal, e1).tobytes() \
+        == np.cross(normal, e1).tobytes()
+
+
 def face_census_reference(cage):
     """Face tracing as first written: per-vertex tangent orders, and each
     face started at the smallest directed edge not yet walked."""

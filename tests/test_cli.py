@@ -7,10 +7,11 @@ import time
 
 import pytest
 
-from icofold import cages, cli, engine, verify
+from icofold import cages, cli, configs, engine, verify
 from icofold.configs import builtin
 from icofold.export import read_csv
 from icofold.golden import parse_field_expr
+from icofold.groups import PointGroup
 
 GOOD_SEED = "# a twelve-vertex seed\n@closure on\n0,1,tau\n"
 
@@ -183,6 +184,35 @@ def test_onion_writes_family_and_shell_files(tmp_path, capsys):
     assert "depth=1" in shell1[1]
 
 
+# sha256 of each member's XYZ file from `onion --depth 4 --out`, in
+# member order
+ONION_MEMBER_FILES = {
+    ("c60", "3"): (
+        "ee738ca570814496eea614502a4031010e8f6b7e92ed11631f35c28f021e1fbc",
+        "3662ba16d47fd9fdb014e11418c815d455a00315c230009623dccbfc745040e8",
+        "57984d8e98d4d8add13ebb07cce503dac3272ac88e5d4cf4d349ae4f1872a6ff",
+        "282d7860528c665b486f840bbe6e5cbbfa4a40e5da57a4628a7c2a60a0dba8a4"),
+    ("c80", "2"): (
+        "86c5ab396f17846dc1664aff2a97acb58f36f4920c4eb596eff78f69c83938cd",
+        "fc0e795bd3d1cb2f621d250036d7556b77719f04e3d81c75d073d45a68282199",
+        "f3b3f52b2ad9244de5d6413020008277cfe731b4aac81a41874b6917667af96c",
+        "f3cbccec6eaff86a28f354d2b1fe39e90b6ab091c2ca083686f098a741f4bc9b"),
+}
+
+
+@pytest.mark.parametrize("config,length", ONION_MEMBER_FILES)
+def test_onion_member_files_are_pinned(tmp_path, capsys, config, length):
+    out = tmp_path / "family.json"
+    assert cli.run(["onion", "--config", config, "--axis", "5", "--length",
+                    length, "--depth", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"family.shell{i}.xyz").read_bytes())
+        .hexdigest() for i in range(4))
+    assert digests == ONION_MEMBER_FILES[config, length]
+    assert not (tmp_path / "family.shell4.xyz").exists()
+
+
 def test_onion_without_cage_fails(capsys):
     code = cli.run(["onion", "--config", "icosahedron", "--axis", "5",
                     "--length", "tau"])
@@ -344,36 +374,83 @@ def test_oversized_requests_exit_4_without_traceback(capsys, axis, length,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_band_cap_exits_4_before_any_threshold_search(capsys, monkeypatch):
-    # the real cap lets outer bands of up to 2896 points be searched
-    assert math.isqrt(engine._BAND_PAIR_BYTES_CAP // 32) == 2896
-    searches = []
-    search = cages.trivalence_threshold_search
+def test_search_cap_exits_4_before_any_distance(capsys, monkeypatch):
+    # the real cap lets point sets of up to 2896 points be searched
+    assert math.isqrt(cages._PAIR_BYTES_CAP // 32) == 2896
+    searches, distances = [], []
+    search, pairwise = cages.trivalence_threshold_search, \
+        cages._pairwise_squared
 
     def spy(*shells):
         searches.append(sum(len(shell) for shell in shells))
         return search(*shells)
 
+    def pairwise_spy(a, b):
+        distances.append(len(a) * len(b))
+        return pairwise(a, b)
+
     monkeypatch.setattr(cages, "trivalence_threshold_search", spy)
+    monkeypatch.setattr(cages, "_pairwise_squared", pairwise_spy)
     # the c60 fold-5 extension by 3 has a 240-point outer band
     argv = ["extend", "--config", "c60", "--axis", "5", "--length", "3"]
-    monkeypatch.setattr(engine, "_BAND_PAIR_BYTES_CAP", 32 * 240 ** 2 - 1)
+    monkeypatch.setattr(cages, "_PAIR_BYTES_CAP", 32 * 240 ** 2 - 1)
     start = builtin("c60")
     t = engine.make_translation(start.symmetry, 5, parse_field_expr("3"))
     with pytest.raises(engine.PointBudgetError) as raised:
         engine.classify_length(start, t, 1, with_cage=False)
     assert str(raised.value) == (
-        f"outer band of 240 points needs {240 ** 2} pairwise distances, "
-        f"over the limit of {240 ** 2 - 1} for one band search")
+        f"bond search of 240 points needs {240 ** 2} pairwise distances, "
+        f"over the limit of {240 ** 2 - 1}")
     assert cli.run(argv) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: outer band of 240 points")
-    assert searches == []
+    assert err.startswith("error: bond search of 240 points")
+    assert searches == [240, 240] and distances == []
     # at the cap itself the band is searched
-    monkeypatch.setattr(engine, "_BAND_PAIR_BYTES_CAP", 32 * 240 ** 2)
+    monkeypatch.setattr(cages, "_PAIR_BYTES_CAP", 32 * 240 ** 2)
+    searches.clear()
     assert cli.run(argv) == 0
     capsys.readouterr()
-    assert searches == [240]
+    assert searches == [240] and distances
+
+
+def test_closure_and_search_caps_exit_4_before_their_work(
+        tmp_path, capsys, monkeypatch):
+    # 25 generic seeds close to 3000 points, past the 2896 a search allows
+    path = tmp_path / "generic.txt"
+    path.write_text("@closure on\n" + "".join(
+        f"{k + 1},{2 * k + 3},{3 * k + 7}\n" for k in range(25)))
+    applied, distances = [], []
+    apply, pairwise = PointGroup._apply, cages._pairwise_squared
+
+    def apply_spy(self, den, rows, elements=slice(None)):
+        applied.append(len(rows))
+        return apply(self, den, rows, elements)
+
+    def pairwise_spy(a, b):
+        distances.append(len(a) * len(b))
+        return pairwise(a, b)
+
+    monkeypatch.setattr(PointGroup, "_apply", apply_spy)
+    monkeypatch.setattr(cages, "_pairwise_squared", pairwise_spy)
+    commands = (["configs", "--config", str(path)],
+                ["export", "--config", str(path), "--emit", "json"],
+                ["export", "--config", str(path), "--emit", "off"],
+                ["onion", "--config", str(path), "--axis", "5",
+                 "--length", "1"])
+    monkeypatch.setattr(configs, "DEFAULT_POINT_CAP", 120 * 25 - 1)
+    for argv in commands:
+        assert cli.run(argv) == 4
+        assert capsys.readouterr().err == (
+            "error: closing 25 seeds makes 3000 points, over the cap of "
+            "2999\n")
+    assert applied == []
+    monkeypatch.setattr(configs, "DEFAULT_POINT_CAP", 120 * 25)
+    for argv in commands:
+        assert cli.run(argv) == 4
+        assert capsys.readouterr().err == (
+            "error: bond search of 3000 points needs 9000000 pairwise "
+            "distances, over the limit of 8388608\n")
+    assert distances == []
 
 
 # --band-gap is gone from every command and export takes no translation
@@ -598,6 +675,13 @@ PINNED_STDOUT = [
     (["onion", "--config", "c80", "--axis", "5", "--length", "2",
       "--depth", "2"],
      "26cf7f8b709dd8448661f7e5802d8f7d05efe0ee5dd607d8991083f5b6b8c614"),
+    # both families to the member that does not close
+    (["onion", "--config", "c60", "--axis", "5", "--length", "3",
+      "--depth", "4"],
+     "bf942305895f128cf8533a42fdd745383746353978edc98cdf131acb0de13c49"),
+    (["onion", "--config", "c80", "--axis", "5", "--length", "2",
+      "--depth", "4"],
+     "387a2c4d407d0491d89658166475828e8a01840dbbcb4707311217d56a652867"),
     # single-shell threshold search edges and the depth-1 catalog findings
     (["export", "--config", "c80", "--emit", "off"],
      "8cb9a234e1a93dcf7f6504428d1a16011bf3c39db83bf2a5785c64bb9eb2d01c"),

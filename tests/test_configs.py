@@ -7,9 +7,10 @@ import pytest
 
 from icofold import configs
 from icofold.configs import BUILTIN_NAMES, ConfigError, StartConfig, builtin, load_custom
-from icofold.engine import generate_array, make_translation, outer_cage
-from icofold.geometry import Mat3G, Vec3E, dist2, mat_apply, norm2
-from icofold.golden import GoldenNumber, TAU
+from icofold.engine import (PointBudgetError, generate_array, make_translation,
+                            outer_cage)
+from icofold.geometry import Mat3G, Vec3E, dist2, integer_rows, mat_apply, norm2
+from icofold.golden import GoldenNumber, TAU, parse_field_expr
 from icofold.groups import GEN_B5, GEN_R3, PointGroup, full_group
 
 
@@ -242,3 +243,99 @@ class TestCustomSeeds:
         path.write_text("@closure on\n(7+tau)/5, tau^2, 1/2\n")
         config = load_custom(str(path))
         assert len(config) % 1 == 0 and len(config) >= 60
+
+
+# --- configurations built from integer rows ------------------------------
+
+def row_set(rows):
+    return set(map(tuple, rows.tolist()))
+
+
+@pytest.mark.parametrize("name,length,members", [
+    ("c60", "3", 3), ("c80", "2", 3), ("dodecahedron", "1", 4)])
+def test_rows_built_members_match_points_built_ones(name, length, members):
+    # each onion member as build_onion makes it, from the winning union's
+    # rows, against the same member built from its exact points
+    start = builtin(name)
+    t = make_translation(start.symmetry, 5, parse_field_expr(length))
+    working = start
+    for j in range(1, members + 1):
+        graph = outer_cage(generate_array(working, t, 1)).graph
+        by_rows = StartConfig.from_rows(f"m{j}", *graph.rows, start.symmetry)
+        by_points = StartConfig(f"m{j}", graph.points, start.symmetry)
+        assert [v.key() for v in by_rows.vertices] \
+            == [v.key() for v in by_points.vertices] \
+            == sorted(v.key() for v in graph.points)
+        den, rows = by_rows.integer_rows
+        want_den, want = integer_rows(graph.points)
+        assert den == want_den == by_points.integer_rows[0]
+        assert rows.dtype == by_points.integer_rows[1].dtype == np.int64
+        assert row_set(rows) == row_set(want) \
+            == row_set(by_points.integer_rows[1])
+        assert len(by_rows) == len(by_points) == len(graph.points)
+        working = by_rows
+
+
+def test_rows_missing_one_row_are_refused():
+    start = builtin("c60")
+    t = make_translation(start.symmetry, 5, parse_field_expr("3"))
+    den, rows = outer_cage(generate_array(start, t, 1)).graph.rows
+    assert len(StartConfig.from_rows("c60.onion1", den, rows,
+                                     start.symmetry)) == 240
+    with pytest.raises(ConfigError, match="^vertex set of 'c60.onion1' "
+                       "is not invariant under the symmetry group$"):
+        StartConfig.from_rows("c60.onion1", den, rows[1:], start.symmetry)
+
+
+def test_rows_past_int64_behave_as_points(tmp_path):
+    # three primes past 2^32 as denominators put the rows past int64
+    path = tmp_path / "wide.txt"
+    path.write_text("@closure on\n2/4294967311, 2/4294967357, "
+                    "2/4294967371\n")
+    config = load_custom(str(path))
+    group = full_group()
+    seed = config.vertices[0]
+    by_points = StartConfig("wide", group.orbit(seed), group)
+    for got in (config, StartConfig.from_rows(
+            "wide", *integer_rows(by_points.vertices), group)):
+        assert got.integer_rows[1].dtype == object
+        assert got.integer_rows[0] == by_points.integer_rows[0]
+        assert row_set(got.integer_rows[1]) \
+            == row_set(by_points.integer_rows[1])
+        assert [v.key() for v in got.vertices] \
+            == [v.key() for v in by_points.vertices]
+        assert len(got) == len(by_points) == 120
+    # rows past int64 only through a common factor reduce to int64 rows
+    den, rows = builtin("c80").integer_rows
+    scaled = StartConfig.from_rows("c80", den << 40,
+                                   rows.astype(object) << 40, group)
+    assert scaled.integer_rows[0] == den
+    assert scaled.integer_rows[1].dtype == np.int64
+    assert row_set(scaled.integer_rows[1]) == row_set(rows)
+    # repeated rows are dropped
+    assert len(StartConfig.from_rows("c80", den, np.vstack([rows, rows]),
+                                     group)) == 80
+
+
+def test_closure_budget_is_checked_before_any_image(tmp_path, monkeypatch):
+    assert configs.DEFAULT_POINT_CAP == 10 ** 6
+    # 25 generic seeds close to 120 * 25 = 3000 points
+    path = tmp_path / "generic.txt"
+    path.write_text("@closure on\n" + "".join(
+        f"{k + 1},{2 * k + 3},{3 * k + 7}\n" for k in range(25)))
+    applied = []
+    real = PointGroup._apply
+
+    def spy(self, den, rows, elements=slice(None)):
+        applied.append(len(rows))
+        return real(self, den, rows, elements)
+
+    monkeypatch.setattr(PointGroup, "_apply", spy)
+    monkeypatch.setattr(configs, "DEFAULT_POINT_CAP", 120 * 25 - 1)
+    with pytest.raises(PointBudgetError, match="^closing 25 seeds makes "
+                       "3000 points, over the cap of 2999$"):
+        load_custom(str(path))
+    assert applied == []
+    monkeypatch.setattr(configs, "DEFAULT_POINT_CAP", 120 * 25)
+    assert len(load_custom(str(path))) == 3000
+    assert applied == [25, 3000]

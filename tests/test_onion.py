@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from icofold import cages, configs, engine, geometry, groups
 from icofold.cages import FaceCensus
 from icofold.configs import C80_EQUAL_RADIUS_SEED, StartConfig, builtin
 from icofold.engine import generate_array, make_translation, outer_cage
+from icofold.geometry import Vec3E
 from icofold.golden import GoldenNumber, parse_field_expr
 from icofold.onion import (
     FAMILY_FORMULAS,
@@ -209,3 +211,39 @@ def test_iterations_must_be_positive():
     t = make_translation(start.symmetry, 5, parse_field_expr("3"))
     with pytest.raises(ValueError, match="iteration"):
         build_onion(start, t, 0)
+
+
+def test_members_past_the_start_build_no_points_until_read(monkeypatch):
+    start = builtin("c60")
+    t = make_translation(start.symmetry, 5, parse_field_expr("3"))
+    # the reference: each member's points as the points path builds them
+    want, working = [], start
+    for j in range(1, 4):
+        graph = outer_cage(generate_array(working, t, 1)).graph
+        want.append([p.key() for p in graph.points])
+        working = StartConfig(f"c60.onion{j}", graph.points, start.symmetry)
+    start.vertices, start.radius2  # the start shell reads them
+    built, made = [], []
+    real_rows, real_init = geometry.row_vectors, Vec3E.__init__
+
+    def rows_spy(den, rows):
+        built.append(len(rows))
+        return real_rows(den, rows)
+
+    def init_spy(self, *args):
+        made.append(1)
+        real_init(self, *args)
+
+    for module in (geometry, groups, configs, engine, cages):
+        monkeypatch.setattr(module, "row_vectors", rows_spy)
+    monkeypatch.setattr(Vec3E, "__init__", init_spy)
+    report = build_onion(start, t, 4)
+    assert report.counts == (60, 240, 540, 960)
+    assert built == [] and made == []
+    assert report.family[0].points is start.vertices
+    for j, keys in enumerate(want, start=1):
+        points = report.family[j].points
+        assert built[-1] == len(made) == len(points) == report.counts[j]
+        assert [p.key() for p in points] == keys
+        assert report.family[j].points is points
+        built.clear(), made.clear()
