@@ -19,7 +19,9 @@ union fails any gap its probe rows fail.  A union that passes has its
 points stacked and searched a fixed number of rows at a time, keeping
 each point's four nearest; once the gap holds, the entries within the
 cutoff are exactly each point's three bonds, so no search holds an
-N x N matrix.
+N x N matrix.  When the union's exact rows and a group mapping it onto
+itself are known, only one point per orbit is searched against all N
+points, and its bonds are carried to the rest of its orbit by the group.
 
 Faces are traced from the rotation system: neighbors ordered by angle in
 each vertex's tangent plane, with the Euler characteristic as the guard
@@ -201,6 +203,86 @@ def _gap(rows: np.ndarray) -> tuple[float, float] | None:
     return c2, floor4
 
 
+def _bonds(values: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """(c2, which of the rows' entries are bonds) when the rows hold a
+    gap, else None.  The threshold lies below every fourth-nearest
+    distance, so each row's entries within it are exactly that point's
+    three bonds."""
+    gap = _gap(values)
+    if gap is None:
+        return None
+    c2, floor4 = gap
+    return c2, values <= (c2 + min(floor4, 4.0 * c2)) / 2.0
+
+
+def _edges(source: np.ndarray, target: np.ndarray) -> tuple:
+    """The bonds (source, target) kept from their lower end, sorted; a
+    bond shows at both of its ends."""
+    lower = source < target
+    source, target = source[lower], target[lower]
+    order = np.lexsort((target, source))
+    return tuple(zip(source[order].tolist(), target[order].tolist()))
+
+
+def _union_bonds(coords: np.ndarray) -> tuple[float, tuple] | None:
+    """(c2, edges) of the point set from every point's four nearest, or
+    None when it has no gap."""
+    values, targets = _union_rows(coords)
+    found = _bonds(values)
+    if found is None:
+        return None
+    c2, bonds = found
+    source, column = np.nonzero(bonds)
+    return c2, _edges(source, targets[source, column])
+
+
+def _orbit_bonds(coords: np.ndarray,
+                 permutations: np.ndarray) -> tuple[float, tuple] | None:
+    """`_union_bonds` of a point set that `permutations`, the generators'
+    index permutations of its points, map onto itself.
+
+    Every point is a group image of its orbit's lowest index, its
+    representative, and an isometry that keeps the set carries bonds to
+    bonds.  So only the representatives' four nearest are taken, against
+    all points, and their bonds are carried out along the generators,
+    one breadth-first level at a time.
+    """
+    n = len(coords)
+    label = np.arange(n)
+    while True:
+        # each point takes the least label among it and its images, then
+        # its label's label; labels stay inside the orbit and reach its
+        # lowest index
+        least = np.minimum(label, label[permutations].min(axis=0))
+        least = least[least]
+        if np.array_equal(least, label):
+            break
+        label = least
+    reps = np.flatnonzero(label == np.arange(n))
+    d2 = _pairwise_squared(coords[reps], coords)
+    d2[np.arange(len(reps)), reps] = np.inf
+    index = np.argpartition(d2, 3, axis=1)[:, :4]
+    found = _bonds(np.take_along_axis(d2, index, axis=1))
+    if found is None:
+        return None
+    c2, bonds = found
+    neighbors = np.empty((n, 3), dtype=np.intp)
+    neighbors[reps] = index[bonds].reshape(-1, 3)
+    reached = np.zeros(n, dtype=bool)
+    reached[reps] = True
+    frontier = reps
+    while len(frontier):
+        fresh = []
+        for perm in permutations:
+            image = perm[frontier]
+            new = ~reached[image]
+            neighbors[image[new]] = perm[neighbors[frontier[new]]]
+            reached[image[new]] = True
+            fresh.append(image[new])
+        frontier = np.concatenate(fresh)
+    return c2, _edges(np.repeat(np.arange(n), 3), neighbors.ravel())
+
+
 class _NearestTable:
     """The trivalence search over unions of point groups.
 
@@ -212,10 +294,18 @@ class _NearestTable:
     filling in when there are fewer than four, filled one column at a
     time for the groups that some union reaches.  A union's probe rows
     are its members' rows over its members' columns.
+
+    `exact`, when given, is (group, den, rows): each group's distinct
+    integer rows over one `den`, in the order of its coordinates, and a
+    PointGroup.  A union that passes its probe and that the group's
+    generators map onto itself is searched from one row per orbit; any
+    other union, and every union of a table built from floats alone, is
+    searched from all of its points.
     """
 
-    def __init__(self, groups) -> None:
+    def __init__(self, groups, exact=None) -> None:
         self.coords = [as_coords(g) for g in groups]
+        self._exact = exact
         # an empty group's probe row is never read
         self._probe_coords = np.array(
             [c[0] if len(c) else np.zeros(3) for c in self.coords]
@@ -240,6 +330,16 @@ class _NearestTable:
         rows = self._probe_table[np.ix_(members, members)]
         return rows.reshape(len(members), -1)
 
+    def permutations(self, members: list[int]) -> np.ndarray | None:
+        """The generators' index permutations of the union's points, or
+        None when the table holds no exact rows or the union is not
+        invariant."""
+        if self._exact is None:
+            return None
+        group, den, rows = self._exact
+        return group.generator_permutations(
+            den, np.concatenate([rows[i] for i in members]))
+
     def graph(self, chosen: tuple[int, ...]) -> CageGraph | None:
         """The union's bond graph at the trivalence cutoff, or None.
 
@@ -251,22 +351,12 @@ class _NearestTable:
                 or _gap(self.probe_rows(members)) is None):
             return None
         coords = np.vstack([self.coords[i] for i in members])
-        values, targets = _union_rows(coords)
-        gap = _gap(values)
-        if gap is None:
+        permutations = self.permutations(members)
+        found = (_union_bonds(coords) if permutations is None
+                 else _orbit_bonds(coords, permutations))
+        if found is None:
             return None
-        c2, floor4 = gap
-        # the threshold lies below every fourth-nearest distance, so each
-        # row's entries within it are exactly that point's three bonds;
-        # a bond shows in both of its rows and is kept from the lower one
-        threshold = (c2 + min(floor4, 4.0 * c2)) / 2.0
-        bonds = ((values <= threshold)
-                 & (np.arange(len(values))[:, None] < targets))
-        source, column = np.nonzero(bonds)
-        target = targets[source, column]
-        order = np.lexsort((target, source))
-        edges = tuple(zip(source[order].tolist(), target[order].tolist()))
-        graph = CageGraph(coords, edges, math.sqrt(c2))
+        graph = CageGraph(coords, found[1], math.sqrt(found[0]))
         return graph if graph.trivalent else None
 
 
@@ -282,12 +372,17 @@ def trivalence_threshold_search(*groups) -> CageGraph | None:
     PointBudgetError, before any distance is taken, for a set of N points
     whose 32*N^2 passes `_PAIR_BYTES_CAP`.
     """
-    n = sum(map(len, groups))
+    _check_search_budget(sum(map(len, groups)))
+    return _NearestTable(groups).graph(tuple(range(len(groups))))
+
+
+def _check_search_budget(n: int) -> None:
+    """Refuse a bond search of n points whose 32*n^2 passes the cap; a
+    caller that holds only a count checks it before building points."""
     if 32 * n * n > _PAIR_BYTES_CAP:
         raise PointBudgetError(
             f"bond search of {n} points needs {n * n} pairwise distances, "
             f"over the limit of {_PAIR_BYTES_CAP // 32}")
-    return _NearestTable(groups).graph(tuple(range(len(groups))))
 
 
 class FaceCensus:
@@ -483,7 +578,9 @@ def detect_cage(shell_groups) -> CageFinding | None:
     `_CAGE_MAX_EDGE_RATIO`, and traces into a valid sphere
     (V - E + F = 2); None when no candidate qualifies.
     """
-    table = _NearestTable(shell_groups)
+    # engine.outer_cage passes a table that holds its shells' exact rows
+    table = (shell_groups if isinstance(shell_groups, _NearestTable)
+             else _NearestTable(shell_groups))
     for chosen, dropped in _candidate_unions([len(c) for c in table.coords]):
         graph = table.graph(chosen)
         if graph is None or graph.edge_ratio >= _CAGE_MAX_EDGE_RATIO:

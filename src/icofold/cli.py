@@ -234,6 +234,7 @@ def _cmd_group_info(args) -> int:
 
 
 def _config_summary(config: StartConfig) -> dict:
+    cages._check_search_budget(len(config))
     graph = cages.trivalence_threshold_search(config.vertices)
     return {
         "name": config.name,
@@ -397,6 +398,7 @@ def _cmd_export(args) -> int:
         _deliver(canonical_json(_config_summary(start)), args.out)
         return EXIT_OK
     if args.emit == "off":
+        cages._check_search_budget(len(start))
         graph = cages.trivalence_threshold_search(start.vertices)
         if graph is None:
             raise NoCageError(f"{start.name} has no trivalent bond graph")

@@ -70,19 +70,16 @@ class StartConfig:
         rows = rows // g
         if rows.dtype == object and int(abs(rows).max(initial=0)) < 2 ** 63:
             rows = rows.astype(np.int64)
-        rows = _unique_rows(rows)
+        # the distinct rows, sorted
+        rows = rows[np.lexsort(rows.T)]
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        rows = rows[fresh]
         rows.flags.writeable = False
         self.name = name
         self.integer_rows: tuple[int, np.ndarray] = (den // g, rows)
         self.symmetry = symmetry
-        # a finite set each generator maps into itself is invariant under
-        # every product of them; a generator maps the distinct vertices to
-        # distinct images, so into is onto and the row sets must be equal
-        # (`own`, the rows times a positive factor, is still sorted)
-        _, own, chunks = symmetry._apply(*self.integer_rows,
-                                         symmetry._generator_indices)
-        if any(not np.array_equal(_unique_rows(image), own)
-               for image in np.concatenate(list(chunks), axis=1)):
+        if symmetry.generator_permutations(*self.integer_rows) is None:
             raise ConfigError(
                 f"vertex set of '{name}' is not invariant "
                 f"under the symmetry group"
@@ -109,15 +106,6 @@ class StartConfig:
 
     def __repr__(self) -> str:
         return f"StartConfig({self.name!r}, {len(self)} vertices)"
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct integer rows in one fixed order, so two arrays hold
-    the same rows iff their results are equal."""
-    rows = rows[np.lexsort(rows.T)]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[fresh]
 
 
 # The rejected equal-radius 60-orbit seed: on the mirror plane

@@ -370,15 +370,20 @@ def bands(array: PointArray) -> tuple[Band, ...]:
 def outer_cage(array: PointArray) -> cages.CageFinding | None:
     """Detect the outermost cage surface of an array, if there is one.
 
-    The search runs on the shells' float coordinates.  The graph's `rows`
-    are the winning union's shell rows in union order, from which
-    `CageGraph.points` is built on first read.
+    The search runs on the shells' float coordinates, and on their exact
+    rows under the start's symmetry, so an invariant union is searched
+    from one row per orbit.  The graph's `rows` are the winning union's
+    shell rows in union order, from which `CageGraph.points` is built on
+    first read.
     """
-    finding = cages.detect_cage([shell.coords for shell in array.shells])
+    shells = array.shells
+    den = shells[0].den if shells else 1
+    finding = cages.detect_cage(cages._NearestTable(
+        [shell.coords for shell in shells],
+        (array.start.symmetry, den, [shell.rows for shell in shells])))
     if finding is not None:
-        shells = [array.shells[i] for i in finding.shell_indices]
-        finding.graph.rows = (shells[0].den,
-                              np.concatenate([s.rows for s in shells]))
+        finding.graph.rows = (den, np.concatenate(
+            [shells[i].rows for i in finding.shell_indices]))
     return finding
 
 

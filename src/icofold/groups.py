@@ -169,6 +169,34 @@ class PointGroup:
                   for i in range(0, max(len(rows), 1), _CHUNK))
         return d * den, rows * d, chunks
 
+    def generator_permutations(self, den: int,
+                               rows: np.ndarray) -> np.ndarray | None:
+        """Where each generator takes each of the distinct (n, 6) integer
+        rows over `den`: a (generators, n) index array, or None when some
+        image is not one of the rows.
+
+        The rows and all their images are sorted together once; the sort
+        is stable and the rows come first, so each image finds its row as
+        the first of its run.  Non-None is exactly invariance: a finite
+        set each generator maps into itself is closed under every product
+        of them.
+        """
+        _, own, chunks = self._apply(den, rows, self._generator_indices)
+        images = np.concatenate(list(chunks), axis=1).reshape(-1, 6)
+        stacked = np.concatenate([own, images])
+        order = np.lexsort(stacked.T)
+        ordered = stacked[order]
+        fresh = np.ones(len(order), dtype=bool)
+        fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        first = np.maximum.accumulate(
+            np.where(fresh, np.arange(len(order)), 0))
+        found = np.empty_like(order)
+        found[order] = order[first]
+        found = found[len(own):]
+        if (found >= len(own)).any():
+            return None
+        return found.reshape(len(self.generators), len(own))
+
     def orbit(self, v: Vec3E) -> tuple[Vec3E, ...]:
         """The exact orbit of v, deduplicated, in a deterministic order."""
         return self.orbit_of_set((v,))

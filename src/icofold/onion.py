@@ -162,6 +162,7 @@ class OnionReport:
 
 
 def _start_shell(start: StartConfig) -> tuple[OnionShell | None, str | None]:
+    cages._check_search_budget(len(start))
     graph = cages.trivalence_threshold_search(start.vertices)
     if graph is None:
         return None, "start configuration is not a trivalent cage"

@@ -1,7 +1,8 @@
 """Reference group action: the per-element loops that
 `PointGroup.orbit_of_set`, `PointGroup.stabilizer_order` and the
 `StartConfig` invariance check ran before they became one batched
-product on integer rows.
+product on integer rows, and the generator permutations of a point set
+looked up one image at a time.
 
 Kept function for function on `mat_apply`, one element and one point at
 a time, so the differential tests compare keys, order, counts and
@@ -31,3 +32,14 @@ def is_invariant(vertices, group):
     keys = {v.key() for v in vertices}
     return all(mat_apply(g, v).key() in keys
                for g in group.generators for v in vertices)
+
+
+def generator_permutations(group, points):
+    """Per generator, the index of each point's image among `points`, or
+    None when some image is not one of them."""
+    index = {v.key(): i for i, v in enumerate(points)}
+    table = [[index.get(mat_apply(g, v).key()) for v in points]
+             for g in group.generators]
+    if any(i is None for row in table for i in row):
+        return None
+    return table

@@ -20,7 +20,7 @@ from icofold.cages import (
     trivalence_threshold_search,
 )
 from icofold.configs import BUILTIN_NAMES, StartConfig, builtin
-from icofold.engine import (DEFAULT_SCAN_SPEC, bands, build_shells,
+from icofold.engine import (DEFAULT_SCAN_SPEC, Shell, bands, build_shells,
                             classify_scan, generate_array, make_translation,
                             outer_cage)
 from icofold.export import export_off
@@ -712,6 +712,134 @@ def test_probe_leaves_every_union_unsearched_on_a_negative_scan(
     # the spy sees a search the probe cannot refute
     assert trivalence_threshold_search(builtin("c60").vertices) is not None
     assert calls == [60]
+
+
+# --- one row per orbit against the chunked search -----------------------
+
+def exact_table(array, shells=None):
+    """The table `outer_cage` builds: the shells' floats, their exact rows
+    and the start's symmetry."""
+    shells = array.shells if shells is None else shells
+    return cages._NearestTable(
+        [shell.coords for shell in shells],
+        (array.start.symmetry, shells[0].den, [s.rows for s in shells]))
+
+
+def onion_iteration_arrays(name, expr, iterations):
+    """The fold-5 arrays `build_onion` reads members off, stepping on the
+    floats-only detector's findings, up to the first with no cage."""
+    start = builtin(name)
+    t = make_translation(start.symmetry, 5, parse_field_expr(expr))
+    working, arrays = start, []
+    for j in range(1, iterations + 1):
+        array = generate_array(working, t, 1)
+        arrays.append(array)
+        finding = detect_cage([shell.coords for shell in array.shells])
+        if finding is None:
+            break
+        rows = np.concatenate([array.shells[i].rows
+                               for i in finding.shell_indices])
+        working = StartConfig.from_rows(f"{name}.onion{j}",
+                                        array.shells[0].den, rows,
+                                        start.symmetry)
+    return arrays
+
+
+@pytest.fixture(scope="module")
+def orbit_search_arrays():
+    """Both onion families to their failing fourth iteration, the fold-5
+    dodecahedron lambda=1 family to its failing fifth, and every catalog
+    array that has a cage."""
+    onions = (onion_iteration_arrays("c60", "3", 5)
+              + onion_iteration_arrays("c80", "2", 5)
+              + onion_iteration_arrays("dodecahedron", "1", 8))
+    assert len(onions) == 4 + 4 + 5
+    catalog = [array for array in catalog_arrays()
+               if outer_cage(array) is not None]
+    assert len(catalog) == 7
+    return onions + catalog
+
+
+def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
+                                                  monkeypatch):
+    """On every union detect_cage tries that passes its probe, the search
+    from one row per orbit gives the chunked search's verdict, edges and
+    extreme bond lengths, bit for bit; `outer_cage` takes it on every
+    such union, and its findings are the floats-only detector's."""
+    searched = found = refuted = 0
+    for array in orbit_search_arrays:
+        table = exact_table(array)
+        failing = detect_cage(table.coords) is None
+        for chosen, _ in cages._candidate_unions(list(map(len, array.shells))):
+            members = list(chosen)
+            passed = cages._gap(table.probe_rows(members)) is not None
+            if not (passed or failing):
+                continue
+            coords = np.vstack([table.coords[i] for i in members])
+            permutations = table.permutations(members)
+            assert permutations is not None
+            got = cages._orbit_bonds(coords, permutations)
+            if not passed:
+                # on a failing iteration every union is refuted by its
+                # probe, so the chunked search finds no gap there either
+                assert got is None, chosen
+                refuted += 1
+                continue
+            want = cages._union_bonds(coords)
+            assert (got is None) == (want is None), chosen
+            searched += 1
+            if want is None:
+                continue
+            assert got[1] == want[1], chosen
+            got, want = (cages.CageGraph(coords, edges, math.sqrt(c2))
+                         for c2, edges in (got, want))
+            assert got.edge_min.hex() == want.edge_min.hex()
+            assert got.edge_max.hex() == want.edge_max.hex()
+            assert math.isclose(got.cutoff, want.cutoff, rel_tol=1e-12)
+            found += 1
+    assert (searched, found, refuted) == (20, 19, 134 + 201 + 201)
+    chunked = []
+    union_rows = cages._union_rows
+    monkeypatch.setattr(cages, "_union_rows",
+                        lambda coords: chunked.append(1) or union_rows(coords))
+    for array in orbit_search_arrays:
+        want = detect_cage([shell.coords for shell in array.shells])
+        chunked.clear()
+        got = outer_cage(array)
+        assert chunked == []
+        assert_same_finding(got, want)
+        if want is not None:
+            assert got.graph.edge_min == want.graph.edge_min
+            assert got.graph.edge_max == want.graph.edge_max
+
+
+def test_a_union_that_is_not_invariant_takes_the_chunked_search(
+        monkeypatch):
+    """C240's union with one row removed fails the invariance lookup and
+    is searched from all of its points, as from floats alone."""
+    start = builtin("c60")
+    array = generate_array(start, make_translation(
+        start.symmetry, 5, parse_field_expr("3")), 1)
+    chosen = outer_cage(array).shell_indices
+    outer = array.shells[chosen[-1]]
+    trimmed = Shell(outer.radius2, outer.rows[:-1], outer.den,
+                    outer.coords[:-1])
+    shells = (*array.shells[:chosen[-1]], trimmed)
+    table = exact_table(array, shells)
+    assert cages._gap(table.probe_rows(list(chosen))) is not None
+    assert table.permutations(list(chosen)) is None
+    assert table.permutations(list(chosen[:-1])) is not None
+    calls = []
+    for name in ("_union_bonds", "_orbit_bonds"):
+        real = getattr(cages, name)
+        monkeypatch.setattr(cages, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    got = table.graph(chosen)
+    assert calls == ["_union_bonds"]
+    want = cages._NearestTable([s.coords for s in shells]).graph(chosen)
+    assert_same_graph(got, want)
+    assert_same_graph(got, dense_threshold_search(
+        np.vstack([s.coords for s in shells[chosen[0]:]])))
 
 
 def assert_table_matches_dense(groups):

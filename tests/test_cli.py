@@ -7,11 +7,11 @@ import time
 
 import pytest
 
-from icofold import cages, cli, configs, engine, verify
+from icofold import cages, cli, configs, engine, geometry, groups, verify
 from icofold.configs import builtin
 from icofold.export import read_csv
 from icofold.golden import parse_field_expr
-from icofold.groups import PointGroup
+from icofold.groups import PointGroup, full_group
 
 GOOD_SEED = "# a twelve-vertex seed\n@closure on\n0,1,tau\n"
 
@@ -419,8 +419,9 @@ def test_closure_and_search_caps_exit_4_before_their_work(
     path = tmp_path / "generic.txt"
     path.write_text("@closure on\n" + "".join(
         f"{k + 1},{2 * k + 3},{3 * k + 7}\n" for k in range(25)))
-    applied, distances = [], []
+    applied, distances, built = [], [], []
     apply, pairwise = PointGroup._apply, cages._pairwise_squared
+    rows_to_points = geometry.row_vectors
 
     def apply_spy(self, den, rows, elements=slice(None)):
         applied.append(len(rows))
@@ -430,8 +431,18 @@ def test_closure_and_search_caps_exit_4_before_their_work(
         distances.append(len(a) * len(b))
         return pairwise(a, b)
 
+    def rows_spy(den, rows):
+        built.append(len(rows))
+        return rows_to_points(den, rows)
+
+    # the group's action table and fold-5 steps are built once per process,
+    # from unit rows; build them now so the spies see only the seed file's
+    group = full_group()
+    group._action, group.translation_orbit(5)
     monkeypatch.setattr(PointGroup, "_apply", apply_spy)
     monkeypatch.setattr(cages, "_pairwise_squared", pairwise_spy)
+    for module in (geometry, groups, configs, engine, cages):
+        monkeypatch.setattr(module, "row_vectors", rows_spy)
     commands = (["configs", "--config", str(path)],
                 ["export", "--config", str(path), "--emit", "json"],
                 ["export", "--config", str(path), "--emit", "off"],
@@ -450,7 +461,7 @@ def test_closure_and_search_caps_exit_4_before_their_work(
         assert capsys.readouterr().err == (
             "error: bond search of 3000 points needs 9000000 pairwise "
             "distances, over the limit of 8388608\n")
-    assert distances == []
+    assert distances == [] and built == []
 
 
 # --band-gap is gone from every command and export takes no translation

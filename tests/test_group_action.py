@@ -18,6 +18,7 @@ import group_reference as ref
 from icofold import configs, geometry, groups
 from icofold.configs import (BUILTIN_NAMES, ConfigError, StartConfig,
                              builtin)
+from icofold.engine import generate_array, make_translation, outer_cage
 from icofold.geometry import Mat3G, Vec3E, integer_rows
 from icofold.golden import GoldenNumber, TAU, parse_field_expr
 from icofold.groups import (BASE_VECTORS, GEN_R3, PointGroup, full_group,
@@ -138,6 +139,55 @@ def test_invariance_verdicts_match_the_loops(group_name):
                 for vertices in vertex_sets(group)]
     assert all(want == got for want, got in verdicts)
     assert {got for _, got in verdicts} == {True, False}
+
+
+def permutations(group, vertices):
+    found = group.generator_permutations(*integer_rows(vertices))
+    return None if found is None else found.tolist()
+
+
+@pytest.mark.parametrize("group_name", GROUPS)
+def test_generator_permutations_match_the_loops(group_name):
+    group = GROUPS[group_name]()
+    verdicts = set()
+    for vertices in vertex_sets(group):
+        want = ref.generator_permutations(group, vertices)
+        assert permutations(group, vertices) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+@cache
+def onion_array_shells():
+    """The shells of the first two arrays of both onions, c60 lambda=3
+    and c80 lambda=2 along fold 5."""
+    shells = []
+    for name, expr in (("c60", "3"), ("c80", "2")):
+        start = builtin(name)
+        t = make_translation(start.symmetry, 5, parse_field_expr(expr))
+        first = generate_array(start, t, 1)
+        member = StartConfig.from_rows(f"{name}.onion1",
+                                       *outer_cage(first).graph.rows,
+                                       start.symmetry)
+        shells += first.shells + generate_array(member, t, 1).shells
+    return shells
+
+
+def test_generator_permutations_of_onion_array_shells():
+    """Every shell of the onion arrays, shells of several orbits among
+    them, maps as the per-image lookup says; without its last row it
+    maps nowhere."""
+    group = full_group()
+    several = 0
+    for shell in onion_array_shells():
+        want = ref.generator_permutations(group, shell.points)
+        assert want is not None
+        assert group.generator_permutations(shell.den,
+                                            shell.rows).tolist() == want
+        assert group.generator_permutations(shell.den,
+                                            shell.rows[:-1]) is None
+        several += len(group.orbit(shell.points[0])) < len(shell)
+    assert len(onion_array_shells()) == 9 + 22 + 11 + 18 and several == 7
 
 
 def test_chunk_boundaries_do_not_change_results(monkeypatch):
