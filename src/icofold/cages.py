@@ -15,7 +15,11 @@ shells, or the one point set): a probe table keeps that point's four
 smallest squared distances into each group, and a union's probe rows
 are its members' entries.  Taking fewer rows only lowers the largest
 third-nearest distance and raises the smallest fourth-nearest, so a
-union fails any gap its probe rows fail.  A union that passes has its
+union fails any gap its probe rows fail.  The unions of one window of
+shells less one interior shell are held to that test together, from
+each probe row's eight smallest entries over the window; a single point
+set's probe rows are its groups' first points against all of its
+points.  A union that passes has its
 points stacked and searched a fixed number of rows at a time, keeping
 each point's four nearest; once the gap holds, the entries within the
 cutoff are exactly each point's three bonds, so no search holds an
@@ -97,6 +101,9 @@ class CageGraph:
         self.edges = edges
         self.cutoff = cutoff
         self.rows: tuple[int, np.ndarray] | None = None
+        # the group whose generators the search found mapping the points
+        # onto themselves, else None
+        self._symmetry = None
         if points is not None:
             self.points = tuple(points)
         pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
@@ -286,8 +293,8 @@ def _orbit_bonds(coords: np.ndarray,
 class _NearestTable:
     """The trivalence search over unions of point groups.
 
-    A group is one exact shell in `detect_cage` and one point set in
-    `trivalence_threshold_search`.  The probe table refutes a union
+    A group is one exact shell, or one group of floats handed to
+    `detect_cage`.  The probe table refutes a union
     before its points are searched.  Row a is group a's first point and
     holds, in column b, that point's four smallest squared distances into
     group b, with the point's distance to itself left out and `inf`
@@ -301,11 +308,16 @@ class _NearestTable:
     generators map onto itself is searched from one row per orbit; any
     other union, and every union of a table built from floats alone, is
     searched from all of its points.
+
+    `reach` is the lowest group of any union the table is to probe, 0
+    unless set before the first probe; a column is filled from that row
+    on, since no union reads the rows before it.
     """
 
     def __init__(self, groups, exact=None) -> None:
         self.coords = [as_coords(g) for g in groups]
         self._exact = exact
+        self.reach = 0
         # an empty group's probe row is never read
         self._probe_coords = np.array(
             [c[0] if len(c) else np.zeros(3) for c in self.coords]
@@ -314,21 +326,54 @@ class _NearestTable:
         self._probe_table = np.empty((n, n, 4))
         self._probe_filled = [False] * n
 
+    def _fill_columns(self, columns) -> None:
+        for b in columns:
+            if not self._probe_filled[b]:
+                self._probe_column(b)
+
     def _probe_column(self, b: int) -> None:
-        d2 = _pairwise_squared(self._probe_coords, self.coords[b])
-        d2[b, :1] = np.inf  # the probe itself
-        self._probe_table[:, b] = np.partition(
+        low = self.reach
+        d2 = _pairwise_squared(self._probe_coords[low:], self.coords[b])
+        d2[b - low, :1] = np.inf  # the probe itself
+        self._probe_table[low:, b] = np.partition(
             _four_columns(d2), 3, axis=1)[:, :4]
         self._probe_filled[b] = True
 
     def probe_rows(self, members: list[int]) -> np.ndarray:
         """The union's probe rows, four entries per member group, in the
         order of `members`."""
-        for b in members:
-            if not self._probe_filled[b]:
-                self._probe_column(b)
+        self._fill_columns(members)
         rows = self._probe_table[np.ix_(members, members)]
         return rows.reshape(len(members), -1)
+
+    def drop_verdicts(self, low: int, drops: list[int]) -> np.ndarray:
+        """Whether each union of the window of groups `low`.. less one of
+        the `drops`, each inside the window, passes its probe:
+        `_gap(probe_rows(members)) is not None` for each, bit for bit.
+
+        A column holds four entries of a row, so a row's eight smallest
+        entries over the window hold its third- and fourth-smallest
+        outside any one column; one selection of those eight serves every
+        drop.  Rows of empty groups are left out, as `graph` leaves them.
+        """
+        n = len(self.coords)
+        self._fill_columns(range(low, n))
+        k = n - low
+        block = self._probe_table[low:, low:].reshape(k, 4 * k)
+        nearest = np.argsort(block, axis=1)[:, :8]
+        values = np.take_along_axis(block, nearest, axis=1)
+        column = nearest // 4
+        drop = np.asarray(drops)[:, None] - low
+        kept = column != drop[:, :, None]
+        rank = np.cumsum(kept, axis=2)
+        rows = np.arange(k)
+        third, fourth = (values[rows, np.argmax(kept & (rank == r), axis=2)]
+                         for r in (3, 4))
+        read = (rows != drop) & np.array(
+            [len(c) > 0 for c in self.coords[low:]])
+        c2 = np.where(read, third, -np.inf).max(axis=1)
+        floor4 = np.where(read, fourth, np.inf).min(axis=1)
+        return floor4 - c2 > _RESOLUTION * np.maximum(1.0, c2)
 
     def permutations(self, members: list[int]) -> np.ndarray | None:
         """The generators' index permutations of the union's points, or
@@ -352,12 +397,21 @@ class _NearestTable:
             return None
         coords = np.vstack([self.coords[i] for i in members])
         permutations = self.permutations(members)
-        found = (_union_bonds(coords) if permutations is None
-                 else _orbit_bonds(coords, permutations))
-        if found is None:
-            return None
-        graph = CageGraph(coords, found[1], math.sqrt(found[0]))
-        return graph if graph.trivalent else None
+        if permutations is None:
+            return _trivalent_graph(coords, _union_bonds(coords))
+        graph = _trivalent_graph(coords, _orbit_bonds(coords, permutations))
+        if graph is not None:
+            graph._symmetry = self._exact[0]
+        return graph
+
+
+def _trivalent_graph(coords: np.ndarray,
+                     found: tuple[float, tuple] | None) -> CageGraph | None:
+    """The graph of a search's (c2, edges) when every degree is 3."""
+    if found is None:
+        return None
+    graph = CageGraph(coords, found[1], math.sqrt(found[0]))
+    return graph if graph.trivalent else None
 
 
 def trivalence_threshold_search(*groups) -> CageGraph | None:
@@ -371,9 +425,23 @@ def trivalence_threshold_search(*groups) -> CageGraph | None:
     holds float coordinates only: its `points` is None.  Raises
     PointBudgetError, before any distance is taken, for a set of N points
     whose 32*N^2 passes `_PAIR_BYTES_CAP`.
+
+    The probe rows are the groups' first points against every point: a
+    point's third and fourth nearest in the set are among the four
+    nearest it has in each group, so this is the probe `detect_cage`'s
+    table makes of the same groups.
     """
     _check_search_budget(sum(map(len, groups)))
-    return _NearestTable(groups).graph(tuple(range(len(groups))))
+    coords = [c for c in map(as_coords, groups) if len(c)]
+    if sum(map(len, coords)) < 4:
+        return None
+    probes = np.cumsum([0] + [len(c) for c in coords[:-1]])
+    coords = np.vstack(coords)
+    d2 = _pairwise_squared(coords[probes], coords)
+    d2[np.arange(len(probes)), probes] = np.inf
+    if _gap(d2) is None:
+        return None
+    return _trivalent_graph(coords, _union_bonds(coords))
 
 
 def _check_search_budget(n: int) -> None:
@@ -536,24 +604,26 @@ _CAGE_MAX_EDGE_RATIO = 1.5
 _CAGE_POINT_CAP = 2000
 
 
-def _candidate_unions(sizes: list[int]):
-    """(shell indices, dropped index) of every union to try, in order,
-    each of `_CAGE_MIN_POINTS` to `_CAGE_POINT_CAP` points."""
+def _candidate_windows(sizes: list[int]):
+    """(low, drops) of every window of shells low.. to try, in order: its
+    trailing union when `drops` is None, else its unions less one of the
+    interior shells `drops`; every union holds `_CAGE_MIN_POINTS` to
+    `_CAGE_POINT_CAP` points."""
     n = len(sizes)
     for k in range(_CAGE_MIN_SHELLS, n + 1):
         total = sum(sizes[n - k:])
         if total > _CAGE_POINT_CAP:
             break
         if total >= _CAGE_MIN_POINTS:
-            yield tuple(range(n - k, n)), None
-    for k in range(_CAGE_MIN_SHELLS + 1, n + 1):
-        window = list(range(n - k, n))
-        total = sum(sizes[n - k:])
-        if total - max(sizes[i] for i in window[1:-1]) > _CAGE_POINT_CAP:
+            yield n - k, None
+    for low in range(n - _CAGE_MIN_SHELLS - 1, -1, -1):
+        total = sum(sizes[low:])
+        if total - max(sizes[low + 1:n - 1]) > _CAGE_POINT_CAP:
             break
-        for drop in window[1:-1]:
-            if _CAGE_MIN_POINTS <= total - sizes[drop] <= _CAGE_POINT_CAP:
-                yield tuple(i for i in window if i != drop), drop
+        drops = [d for d in range(low + 1, n - 1)
+                 if _CAGE_MIN_POINTS <= total - sizes[d] <= _CAGE_POINT_CAP]
+        if drops:
+            yield low, drops
 
 
 def detect_cage(shell_groups) -> CageFinding | None:
@@ -581,15 +651,26 @@ def detect_cage(shell_groups) -> CageFinding | None:
     # engine.outer_cage passes a table that holds its shells' exact rows
     table = (shell_groups if isinstance(shell_groups, _NearestTable)
              else _NearestTable(shell_groups))
-    for chosen, dropped in _candidate_unions([len(c) for c in table.coords]):
-        graph = table.graph(chosen)
-        if graph is None or graph.edge_ratio >= _CAGE_MAX_EDGE_RATIO:
-            continue
-        try:
-            census = face_census(graph)
-        except EulerError:
-            continue
-        return CageFinding(graph, census, chosen, dropped)
+    n = len(table.coords)
+    windows = list(_candidate_windows([len(c) for c in table.coords]))
+    table.reach = min((low for low, _ in windows), default=0)
+    for low, drops in windows:
+        if drops is None:
+            drops = [None]
+        elif len(drops) > 1:
+            # the window's drop-one unions are held to their probes at once
+            passed = table.drop_verdicts(low, drops)
+            drops = [d for d, ok in zip(drops, passed) if ok]
+        for dropped in drops:
+            chosen = tuple(i for i in range(low, n) if i != dropped)
+            graph = table.graph(chosen)
+            if graph is None or graph.edge_ratio >= _CAGE_MAX_EDGE_RATIO:
+                continue
+            try:
+                census = face_census(graph)
+            except EulerError:
+                continue
+            return CageFinding(graph, census, chosen, dropped)
     return None
 
 

@@ -60,12 +60,20 @@ class StartConfig:
     def from_rows(cls, name: str, den: int, rows: np.ndarray,
                   symmetry: PointGroup) -> "StartConfig":
         """The configuration of (n, 6) int64 or object rows over `den`."""
+        return cls._from_rows(name, den, rows, symmetry, False)
+
+    @classmethod
+    def _from_rows(cls, name: str, den: int, rows: np.ndarray,
+                   symmetry: PointGroup, invariant: bool) -> "StartConfig":
+        """`from_rows`, without the invariance check when `invariant`: a
+        search has already found the rows mapped onto themselves by
+        `symmetry`'s generators."""
         config = cls.__new__(cls)
-        config._store(name, den, rows, symmetry)
+        config._store(name, den, rows, symmetry, invariant)
         return config
 
     def _store(self, name: str, den: int, rows: np.ndarray,
-               symmetry: PointGroup) -> None:
+               symmetry: PointGroup, invariant: bool = False) -> None:
         g = gcd(den, int(np.gcd.reduce(rows, axis=None)))
         rows = rows // g
         if rows.dtype == object and int(abs(rows).max(initial=0)) < 2 ** 63:
@@ -79,7 +87,8 @@ class StartConfig:
         self.name = name
         self.integer_rows: tuple[int, np.ndarray] = (den // g, rows)
         self.symmetry = symmetry
-        if symmetry.generator_permutations(*self.integer_rows) is None:
+        if not invariant and symmetry.generator_permutations(
+                *self.integer_rows) is None:
             raise ConfigError(
                 f"vertex set of '{name}' is not invariant "
                 f"under the symmetry group"

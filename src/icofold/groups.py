@@ -175,27 +175,34 @@ class PointGroup:
         rows over `den`: a (generators, n) index array, or None when some
         image is not one of the rows.
 
-        The rows and all their images are sorted together once; the sort
-        is stable and the rows come first, so each image finds its row as
-        the first of its run.  Non-None is exactly invariance: a finite
-        set each generator maps into itself is closed under every product
-        of them.
+        The rows are sorted once and each generator's images once: the
+        images of distinct rows are distinct, so they are the rows exactly
+        when both sorts agree, and then the i-th image in sorted order is
+        the image of the i-th row.  Rows whose six entries fit as digits
+        of one int64 are sorted by that number.  Non-None is exactly
+        invariance: a finite set each generator maps into itself is
+        closed under every product of them.
         """
         _, own, chunks = self._apply(den, rows, self._generator_indices)
-        images = np.concatenate(list(chunks), axis=1).reshape(-1, 6)
-        stacked = np.concatenate([own, images])
-        order = np.lexsort(stacked.T)
-        ordered = stacked[order]
-        fresh = np.ones(len(order), dtype=bool)
-        fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        first = np.maximum.accumulate(
-            np.where(fresh, np.arange(len(order)), 0))
-        found = np.empty_like(order)
-        found[order] = order[first]
-        found = found[len(own):]
-        if (found >= len(own)).any():
+        images = np.concatenate(list(chunks), axis=1)
+        bound = int(abs(own).max(initial=0))
+        if int(abs(images).max(initial=0)) > bound:
             return None
-        return found.reshape(len(self.generators), len(own))
+        base = 2 * bound + 1
+        if base ** 6 < 2 ** 63:
+            # one sort key per row: its entries as six base-`base` digits
+            weights = base ** np.arange(6, dtype=np.int64)[:, None]
+            own, images = ((a + bound).astype(np.int64) @ weights
+                           for a in (own, images))
+        order = np.lexsort(own.T)
+        ordered = own[order]
+        found = np.empty((len(self.generators), len(own)), dtype=np.intp)
+        for g, image in enumerate(images):
+            by_image = np.lexsort(image.T)
+            if not np.array_equal(image[by_image], ordered):
+                return None
+            found[g, by_image] = order
+        return found
 
     def orbit(self, v: Vec3E) -> tuple[Vec3E, ...]:
         """The exact orbit of v, deduplicated, in a deterministic order."""

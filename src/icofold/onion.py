@@ -210,6 +210,8 @@ def build_onion(start: StartConfig, translation: AffineTranslation,
             cages.pentagon_contact_signature(finding.census),
             finding.graph,
         ))
-        working = StartConfig.from_rows(f"{start.name}.onion{j}",
-                                        *finding.graph.rows, start.symmetry)
+        # no second invariance lookup where the search ran one on the rows
+        working = StartConfig._from_rows(
+            f"{start.name}.onion{j}", *finding.graph.rows, start.symmetry,
+            finding.graph._symmetry is start.symmetry)
     return OnionReport(start, translation, tuple(family), None)

@@ -332,6 +332,15 @@ def dense_detect_cage(shell_groups, max_ratio=cages._CAGE_MAX_EDGE_RATIO):
     return None
 
 
+def candidate_unions(sizes):
+    """(shell indices, dropped index) of every union detect_cage tries,
+    in order, from its windows."""
+    for low, drops in cages._candidate_windows(sizes):
+        for dropped in [None] if drops is None else drops:
+            yield tuple(i for i in range(low, len(sizes))
+                        if i != dropped), dropped
+
+
 def assert_same_finding(got, want):
     if want is None:
         assert got is None
@@ -607,6 +616,9 @@ def test_threshold_search_on_shells_matches_the_stacked_set():
             got = trivalence_threshold_search(*shells)
             want = trivalence_threshold_search(np.vstack(shells))
             assert (got is None) == (want is None)
+            # the table's probe of the same groups, which it replaced
+            assert_same_graph(got, cages._NearestTable(shells).graph(
+                tuple(range(len(shells)))))
             if want is not None:
                 assert got.edges == want.edges
                 assert got.cutoff.hex() == want.cutoff.hex()
@@ -616,23 +628,19 @@ def test_threshold_search_on_shells_matches_the_stacked_set():
 
 
 def test_probe_gap_matches_the_dense_probe_rows_on_every_union_tried(
-        differential_arrays, monkeypatch):
-    """Every union detect_cage tries, drop-one unions included, gets the
-    dense probe rows' third- and fourth-nearest entries and gap."""
-    tables = []
-    graph = cages._NearestTable.graph
-
-    def spy(self, chosen):
-        tables.append((self, chosen))
-        return graph(self, chosen)
-
-    monkeypatch.setattr(cages._NearestTable, "graph", spy)
+        differential_arrays):
+    """Every union detect_cage tries up to the one it finds, drop-one
+    unions included (also those its window's selection refutes), gets
+    the dense probe rows' third- and fourth-nearest entries and gap from
+    a table whose probe rows start at the reach, as detect_cage's do."""
     unions = dropped = 0
     for array in differential_arrays:
         groups = [shell.coords for shell in array.shells]
-        tables.clear()
         finding = detect_cage(groups)
-        for table, chosen in tables:
+        sizes = list(map(len, groups))
+        table = cages._NearestTable(groups)
+        table.reach = min(low for low, _ in cages._candidate_windows(sizes))
+        for chosen, _ in candidate_unions(sizes):
             rows, where, offsets = probe_rows(table, chosen)
             dense = dense_probe_rows(np.vstack([groups[i] for i in chosen]),
                                      where)
@@ -640,6 +648,8 @@ def test_probe_gap_matches_the_dense_probe_rows_on_every_union_tried(
             assert third_and_fourth(rows) == third_and_fourth(dense)
             assert gap_hex(rows) == gap_hex(dense), chosen
             unions += 1
+            if chosen == finding.shell_indices:
+                break
         dropped += finding.dropped_index is not None
     assert unions >= 30 and dropped >= 1
 
@@ -675,22 +685,21 @@ def c80_fourth_iteration_shells():
 
 
 def test_probe_columns_are_computed_once_for_the_shells_tried(monkeypatch):
+    """Every candidate union is tried on this array (drop-one unions are
+    refuted a window at a time, without a `graph` call), and each probe
+    column is filled once, only for shells some union contains."""
     groups = c80_fourth_iteration_shells()
-    columns, members = [], set()
+    columns = []
     fill = cages._NearestTable._probe_column
-    graph = cages._NearestTable.graph
 
     def fill_spy(self, b):
         columns.append(b)
         return fill(self, b)
 
-    def graph_spy(self, chosen):
-        members.update(chosen)
-        return graph(self, chosen)
-
     monkeypatch.setattr(cages._NearestTable, "_probe_column", fill_spy)
-    monkeypatch.setattr(cages._NearestTable, "graph", graph_spy)
     assert detect_cage(groups) is None
+    members = {i for chosen, _ in candidate_unions(
+        list(map(len, groups))) for i in chosen}
     assert len(columns) == len(set(columns))
     # only the shells some tried union contains, not all of them
     assert set(columns) == members and len(members) < len(groups)
@@ -770,7 +779,7 @@ def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
     for array in orbit_search_arrays:
         table = exact_table(array)
         failing = detect_cage(table.coords) is None
-        for chosen, _ in cages._candidate_unions(list(map(len, array.shells))):
+        for chosen, _ in candidate_unions(list(map(len, array.shells))):
             members = list(chosen)
             passed = cages._gap(table.probe_rows(members)) is not None
             if not (passed or failing):
@@ -840,6 +849,89 @@ def test_a_union_that_is_not_invariant_takes_the_chunked_search(
     assert_same_graph(got, want)
     assert_same_graph(got, dense_threshold_search(
         np.vstack([s.coords for s in shells[chosen[0]:]])))
+
+
+# --- one selection per window -------------------------------------------
+
+def assert_drop_verdicts_are_the_probes(table):
+    """Every drop-one candidate union of the table's groups, those of
+    windows with one drop included, gets from its window's selection the
+    verdict of its own probe rows, read from a separate table that fills
+    every row; returns the (refuted, passed) counts."""
+    sizes = list(map(len, table.coords))
+    windows = list(cages._candidate_windows(sizes))
+    table.reach = min(low for low, _ in windows)
+    reference = cages._NearestTable(table.coords)
+    counts = [0, 0]
+    for low, drops in windows:
+        if drops is None:
+            continue
+        passed = table.drop_verdicts(low, drops)
+        assert passed.shape == (len(drops),)
+        for dropped, ok in zip(drops, passed):
+            members = [i for i in range(low, len(sizes))
+                       if i != dropped and sizes[i]]
+            want = cages._gap(reference.probe_rows(members)) is not None
+            assert ok == want, (low, dropped)
+            counts[want] += 1
+    return counts
+
+
+def test_drop_verdicts_are_each_unions_probe(orbit_search_arrays):
+    """On both onion families to their failing fourth iteration, the
+    fold-5 dodecahedron family to its failing fifth and the catalog
+    arrays, exact tables and floats-only ones alike."""
+    counts = np.zeros(2, dtype=int)
+    for array in orbit_search_arrays:
+        for table in (exact_table(array),
+                      cages._NearestTable([s.coords for s in array.shells])):
+            counts += assert_drop_verdicts_are_the_probes(table)
+    assert counts[0] > 1000 and counts[1] > 10
+
+
+def test_drop_verdicts_leave_out_an_empty_group(orbit_search_arrays):
+    """A floats-only input with an empty group inside its windows: the
+    group's row is not read, its column adds nothing, and detect_cage
+    finds the cage the input without it has."""
+    array = orbit_search_arrays[5]  # c80 iteration 2: a drop-one cage
+    groups = [s.coords for s in array.shells]
+    want = detect_cage(groups)
+    assert want.dropped_index is not None
+    at = want.shell_indices[1]
+    holed = groups[:at] + [np.empty((0, 3))] + groups[at:]
+    refuted, passed = assert_drop_verdicts_are_the_probes(
+        cages._NearestTable(holed))
+    assert refuted > 100 and passed > 0
+    got = detect_cage(holed)
+    assert got.graph.edges == want.graph.edges
+    assert got.census.faces == want.census.faces
+
+
+def test_no_probe_row_below_the_reach_is_computed(orbit_search_arrays,
+                                                  monkeypatch):
+    """On the failing fourth iterations, where every candidate union is
+    tried, each probe column's distances are taken from the probes of
+    the lowest shell of any candidate union on: 18 of 73 probes for
+    c60, 22 of 40 for c80."""
+    pairwise = cages._pairwise_squared
+
+    def pairwise_spy(a, b):
+        if np.shares_memory(a, table._probe_coords):
+            probed.append(a)
+        return pairwise(a, b)
+
+    monkeypatch.setattr(cages, "_pairwise_squared", pairwise_spy)
+    for array, rows in ((orbit_search_arrays[3], 18),
+                        (orbit_search_arrays[7], 22)):
+        reach = min(chosen[0] for chosen, _ in candidate_unions(
+            [len(s.coords) for s in array.shells]))
+        assert len(array.shells) - reach == rows
+        table, probed = exact_table(array), []
+        assert detect_cage(table) is None
+        # one column per shell from the reach on, each from those probes
+        assert table.reach == reach and len(probed) == rows
+        for a in probed:
+            assert np.array_equal(a, table._probe_coords[reach:])
 
 
 def assert_table_matches_dense(groups):

@@ -157,6 +157,23 @@ def test_generator_permutations_match_the_loops(group_name):
     assert verdicts == {True, False}
 
 
+def test_generator_permutations_sort_by_one_key_or_by_six():
+    """Rows whose images' entries fit as six digits of one int64 are
+    sorted by that number, wider ones by their six columns; both ways
+    match the loops, on invariant sets and on others."""
+    group = full_group()
+    d = group._action[0]
+    cases = set()
+    for vertices in vertex_sets(group):
+        den, rows = integer_rows(vertices)
+        base = 2 * d * int(abs(rows).max()) + 1
+        want = ref.generator_permutations(group, vertices)
+        assert permutations(group, vertices) == want
+        cases.add((base ** 6 < 2 ** 63, want is None))
+    assert cases == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
 @cache
 def onion_array_shells():
     """The shells of the first two arrays of both onions, c60 lambda=3

@@ -247,3 +247,36 @@ def test_members_past_the_start_build_no_points_until_read(monkeypatch):
         assert [p.key() for p in points] == keys
         assert report.family[j].points is points
         built.clear(), made.clear()
+
+
+@pytest.mark.parametrize("name,expr,counts", [
+    ("c60", "3", (60, 240, 540, 960)),
+    ("c80", "2", (80, 180, 320, 500)),
+])
+def test_members_are_checked_for_invariance_once(name, expr, counts,
+                                                 monkeypatch):
+    """Each member's rows passed the invariance lookup in the search
+    that found them, so building the next start runs no second lookup;
+    a graph the search did not find invariant still gets the check."""
+    start = builtin(name)
+    t = make_translation(start.symmetry, 5, parse_field_expr(expr))
+    lookups, searched = [], []
+    lookup = groups.PointGroup.generator_permutations
+    search = cages._NearestTable.permutations
+    monkeypatch.setattr(groups.PointGroup, "generator_permutations",
+                        lambda self, den, rows: lookups.append(len(rows))
+                        or lookup(self, den, rows))
+    monkeypatch.setattr(cages._NearestTable, "permutations",
+                        lambda self, members: searched.append(members)
+                        or search(self, members))
+    report = build_onion(start, t, 4)
+    assert report.counts == counts
+    assert len(searched) == len(lookups) > 0
+    finding = outer_cage(generate_array(start, t, 1))
+    assert finding.graph._symmetry is start.symmetry
+    floats = cages.trivalence_threshold_search(finding.graph.coords)
+    assert floats._symmetry is None
+    lookups.clear()
+    StartConfig._from_rows("member", *finding.graph.rows, start.symmetry,
+                           floats._symmetry is start.symmetry)
+    assert lookups == [counts[1]]
