@@ -386,17 +386,18 @@ class _NearestTable:
             den, np.concatenate([rows[i] for i in members]))
 
     def graph(self, chosen: tuple[int, ...]) -> CageGraph | None:
-        """The union's bond graph at the trivalence cutoff, or None.
-
-        Union indices follow the groups of `chosen` in order, as in the
-        concatenation of their points.
-        """
+        """The union's probe gate, then its `search`."""
         members = [i for i in chosen if len(self.coords[i])]
         if (sum(len(self.coords[i]) for i in members) < 4
                 or _gap(self.probe_rows(members)) is None):
             return None
-        coords = np.vstack([self.coords[i] for i in members])
-        permutations = self.permutations(members)
+        return self.search(members)
+
+    def search(self, chosen) -> CageGraph | None:
+        """The bond graph of a union that passed its probe, or None; its
+        indices follow the points of `chosen`'s groups in order."""
+        coords = np.vstack([self.coords[i] for i in chosen])
+        permutations = self.permutations(chosen)
         if permutations is None:
             return _trivalent_graph(coords, _union_bonds(coords))
         graph = _trivalent_graph(coords, _orbit_bonds(coords, permutations))
@@ -638,9 +639,10 @@ def detect_cage(shell_groups) -> CageFinding | None:
 
     Each candidate of `_CAGE_MIN_POINTS` to `_CAGE_POINT_CAP` points
     takes its bond graph from a `_NearestTable` shared by all candidates
-    of this call: its probe rows first, then, if they pass, a search of
-    its stacked points in O(N) memory.  A union whose graph is trivalent
-    is then held to the edge-ratio check and face tracing.
+    of this call: its probe rows first (once, a window's drop-one unions
+    all together), then, if they pass, a search of its stacked points in
+    O(N) memory.  A union whose graph is trivalent is then held to the
+    edge-ratio check and face tracing.
 
     `shell_groups` is a sequence of point sequences (or float (N, 3)
     coordinate arrays) ordered by ascending radius.  Returns the first
@@ -655,15 +657,17 @@ def detect_cage(shell_groups) -> CageFinding | None:
     windows = list(_candidate_windows([len(c) for c in table.coords]))
     table.reach = min((low for low, _ in windows), default=0)
     for low, drops in windows:
+        find = table.graph
         if drops is None:
             drops = [None]
         elif len(drops) > 1:
-            # the window's drop-one unions are held to their probes at once
+            # one selection gates all of the window's drop-one unions
             passed = table.drop_verdicts(low, drops)
             drops = [d for d, ok in zip(drops, passed) if ok]
+            find = table.search
         for dropped in drops:
             chosen = tuple(i for i in range(low, n) if i != dropped)
-            graph = table.graph(chosen)
+            graph = find(chosen)
             if graph is None or graph.edge_ratio >= _CAGE_MAX_EDGE_RATIO:
                 continue
             try:

@@ -17,11 +17,11 @@ generated on an integer point kernel: each point is a row of six
 integers (a, b per coordinate, value (a + b*tau)/den) over one shared
 denominator.  The start's rows and each fold's direction rows are built
 once; a step is integer arithmetic on a direction row and the length.
-All candidate points form one (N, 6) numpy array, and one pass computes
-every row's exact squared radius (an integer pair), reduced triples and
-floats, sorts on the radius and the floats (on the triples too only
-where distinct rows tie there), drops adjacent duplicates and cuts
-shells where the radius changes.  The array is int64 when a bound
+All candidate points form one (N, 6) numpy array.  Its few distinct
+coordinate values are reduced, turned into floats and ranked once; one
+sort of one integer per row, its exact squared radius (an integer pair)
+and its coordinates' ranks, orders the rows, brings duplicates together
+and cuts shells where the radius changes.  The array is int64 when a bound
 computed up front proves every product exact, and dtype=object (Python
 ints) otherwise, through the same numpy calls.  Shells carry float
 coordinates for the cage searches and build exact Vec3E points, golden
@@ -207,13 +207,6 @@ class PointArray:
                 f"depth {self.depth}, {len(self)} points)")
 
 
-def _reduced_triples(a, b, den: int):
-    """Each coordinate's (a, b, d) in lowest terms, as GoldenNumber
-    stores it: (N, 3) arrays of numerators and denominators."""
-    g = np.gcd(np.gcd(a, b), den)
-    return a // g, b // g, den // g
-
-
 def build_shells(rows, den: int) -> tuple[Shell, ...]:
     """Group integer point rows over `den` by exact squared radius, ascending.
 
@@ -222,60 +215,82 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     (sum a^2+b^2 + (sum (2a+b)b)*tau)/den^2.  Points inside a shell are
     ordered by float coordinates, exact reduced triples breaking ties: the
     order of (Vec3E.as_floats(), Vec3E.key()), so output is deterministic.
-    One sort on the radius and the floats orders the rows; only when two
-    distinct rows tie on all five keys does a second sort take the nine
-    triple entries as well.  Otherwise every tie is a duplicate row.
-    Every step is one numpy pass over all rows; only the shell radii
-    become GoldenNumbers.
+
+    Only the few distinct coordinate values are reduced, turned into
+    floats by GoldenNumber.__float__'s arithmetic and ranked.  One argsort
+    of one int64 per row, of its radius keys and its three ranks, orders
+    the rows and brings duplicates together; np.lexsort takes the same
+    keys when floats tie or a bound checked first says they do not fit.
     """
     if not len(rows):
         return ()
     a, b = rows[:, 0::2], rows[:, 1::2]
-    key0 = (a * a + b * b).sum(axis=1)
-    key1 = ((2 * a + b) * b).sum(axis=1)
-    # each coordinate's float by GoldenNumber.__float__'s own arithmetic
-    # on its reduced triple; only the rare second sort needs the triples
-    # again, so they are rebuilt there rather than held through the first
-    ra, rb, d = _reduced_triples(a, b, den)
-    floats = np.asarray((ra + rb * _TAU_FLOAT) / d, dtype=float)
-    del ra, rb, d
-    keys = (*floats.T[::-1], key1, key0)
-    order = np.lexsort(keys)
-    ordered = rows[order]
-    # tie[i]: sorted row i has the radius and floats of row i - 1
-    tie = np.zeros(len(order), dtype=bool)
-    tie[1:] = True
-    for key in keys:
-        k = key[order]
-        tie[1:] &= k[1:] == k[:-1]
-    tied = np.flatnonzero(tie)
-    if (ordered[tied] != ordered[tied - 1]).any():
-        # distinct rows tie: their reduced triples, compared as
-        # Vec3E.key() does, order them exactly
-        ra, rb, d = _reduced_triples(a, b, den)
-        order = np.lexsort((
-            *(t[:, c] for c in (2, 1, 0) for t in (d, rb, ra)), *keys))
-        ordered = rows[order]
-        tie[1:] = (ordered[1:] == ordered[:-1]).all(axis=1)
-    # otherwise every tie is between equal rows, so it marks a duplicate
-    fresh = ~tie
+    # a*width + b is one integer per (a, b) value; a lookup table while
+    # they span O(N) integers, else np.unique, gives the distinct ones
+    low_b = b.min()
+    width = int(b.max() - low_b) + 1
+    packed = (a * width + b).ravel()
+    low = packed.min()
+    span = int(packed.max() - low) + 1
+    if span <= 4 * len(packed):
+        packed = (packed - low).astype(np.int64, copy=False)
+        seen = np.zeros(span, dtype=bool)
+        seen[packed] = True
+        values = np.flatnonzero(seen)
+        lookup = np.empty(span, dtype=np.int64)
+        lookup[values] = np.arange(len(values))
+        index, values = lookup.take(packed), values.astype(rows.dtype) + low
+    else:
+        values, index = np.unique(packed, return_inverse=True)
+    index = index.reshape(-1, 3)
+    vb = (values - low_b) % width + low_b
+    va = (values - vb) // width
+    g = np.gcd(np.gcd(va, vb), den)
+    ra, rb, d = va // g, vb // g, den // g
+    vfloat = np.asarray((ra + rb * _TAU_FLOAT) / d, dtype=float)
+    # each value's rank by float, then by (an, bn, den) as Vec3E.key()
+    n = len(values)
+    by_value = np.lexsort((d, rb, ra, vfloat))
+    rank, ranked = np.argsort(by_value), vfloat[by_value]
+    tied = bool((ranked[1:] == ranked[:-1]).any())
+    # a row's two radius keys as one integer, key0*w1 + key1 - 3*low1,
+    # summed from its values' shares
+    s0, s1 = va * va + vb * vb, (2 * va + vb) * vb
+    low1 = int(s1.min())
+    w1 = 3 * (int(s1.max()) - low1) + 1
+    fits = not tied and (3 * int(s0.max()) + 1) * w1 * n ** 3 < 2 ** 63
+    share = (s0 if fits else s0.astype(object)) * w1 + s1 - low1
+    if fits:
+        # one int64 per row: its radius, then its three ranks base n
+        table = np.asarray(
+            share * n ** 3 + rank * np.array([[n * n], [n], [1]]),
+            dtype=np.int64)
+        key = sum(t.take(index[:, c]) for c, t in enumerate(table))
+        order = np.argsort(key)
+        key = key.take(order)
+        fresh = np.concatenate(([True], key[1:] != key[:-1]))
+        radius = key[fresh] // n ** 3
+    else:
+        # tied floats share a float rank, and exact ranks follow all three
+        ranks = [rank, np.searchsorted(ranked, vfloat)] if tied else [rank]
+        radius = share[index].sum(axis=1)
+        order = np.lexsort((*(c for t in ranks for c in t[index].T[::-1]),
+                            radius))
+        fresh = np.concatenate(([True], np.diff(index[order], axis=0).any(1)))
+        radius = radius[order[fresh]]
     keep = order[fresh]
-    rows, floats = ordered[fresh], floats[keep]
-    key0, key1 = key0[keep], key1[keep]
-    cuts = np.flatnonzero((key0[1:] != key0[:-1])
-                          | (key1[1:] != key1[:-1])) + 1
-    firsts = [0, *cuts.tolist()]
+    rows, floats = rows.take(keep, 0), vfloat.take(index.take(keep, 0))
+    firsts = [0, *(np.flatnonzero(radius[1:] != radius[:-1]) + 1).tolist()]
     # every radius is (k0 + k1*tau)/den^2: order them by the exact sign of
     # their numerators' difference
     spans = sorted(
-        zip(key0[firsts].tolist(), key1[firsts].tolist(), firsts,
-            [*firsts[1:], len(rows)]),
+        ((*divmod(r, w1), i, j) for r, i, j in zip(
+            radius[firsts].tolist(), firsts, [*firsts[1:], len(rows)])),
         key=cmp_to_key(lambda s, t: _gsign(s[0] - t[0], s[1] - t[1])),
     )
-    den2 = den * den
     return tuple(
-        Shell(GoldenNumber._make(k0, k1, den2), rows[i:j], den,
-              floats[i:j])
+        Shell(GoldenNumber._make(k0, k1 + 3 * low1, den * den), rows[i:j],
+              den, floats[i:j])
         for k0, k1, i, j in spans
     )
 

@@ -934,6 +934,44 @@ def test_no_probe_row_below_the_reach_is_computed(orbit_search_arrays,
             assert np.array_equal(a, table._probe_coords[reach:])
 
 
+def test_each_union_tried_is_gated_once(orbit_search_arrays, monkeypatch):
+    """`_gap` reads each union's probe rows at most once: a drop-one
+    union that its window's selection passed goes straight to its
+    search, with no second gather and gap test."""
+    probes, gated, searched = [], [], []
+    probe_rows, gap = cages._NearestTable.probe_rows, cages._gap
+    search = cages._NearestTable.search
+
+    def probe_spy(self, members):
+        probes.append((probe_rows(self, members), tuple(members)))
+        return probes[-1][0]
+
+    def gap_spy(rows):
+        gated.extend(members for probe, members in probes if probe is rows)
+        return gap(rows)
+
+    monkeypatch.setattr(cages._NearestTable, "probe_rows", probe_spy)
+    monkeypatch.setattr(cages, "_gap", gap_spy)
+    monkeypatch.setattr(cages._NearestTable, "search",
+                        lambda self, chosen: searched.append(tuple(chosen))
+                        or search(self, chosen))
+    found = 0
+    for array in orbit_search_arrays:
+        for table in (exact_table(array),
+                      cages._NearestTable([s.coords for s in array.shells])):
+            probes.clear(), gated.clear(), searched.clear()
+            finding = detect_cage(table)
+            tried = set(chosen for chosen, _ in candidate_unions(
+                [len(s.coords) for s in array.shells]))
+            assert len(gated) == len(set(gated)) == len(probes)
+            assert set(gated) <= tried and set(searched) <= tried
+            ungated = set(searched) - set(gated)
+            if finding is not None and finding.dropped_index is not None:
+                assert finding.shell_indices in ungated
+            found += len(ungated)
+    assert found == 10
+
+
 def assert_table_matches_dense(groups):
     """Every non-empty union of the shells, not only the ones detect_cage
     would try, gets the dense search's graph from the table."""

@@ -8,6 +8,9 @@ whole-array pass, and a digest pins the default scan's output.
 
 import hashlib
 import math
+import random
+import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -140,23 +143,30 @@ def test_builtin_start_rows_are_int64():
 
 
 @pytest.fixture
-def sort_keys(monkeypatch):
-    """The number of keys of every np.lexsort call, in call order."""
-    counts = []
-    real = np.lexsort
+def sorts(monkeypatch):
+    """Every np.lexsort and np.argsort call, in call order, as (number of
+    keys, key length); an argsort has one key."""
+    calls = []
+    for name in ("lexsort", "argsort"):
+        real = getattr(np, name)
 
-    def spy(keys, *args, **kwargs):
-        counts.append(len(keys))
-        return real(keys, *args, **kwargs)
+        def spy(keys, *args, real=real, name=name, **kwargs):
+            keys_list = keys if name == "lexsort" else [keys]
+            calls.append((len(keys_list), len(keys_list[-1])))
+            return real(keys, *args, **kwargs)
 
-    monkeypatch.setattr(np, "lexsort", spy)
-    return counts
+        monkeypatch.setattr(np, name, spy)
+    return calls
 
 
-def test_float_ties_are_broken_by_exact_triples(sort_keys):
+# two values, distinct from each other and from 0, that evaluate to 0.0
+FIB_X, FIB_Y = (-165580141, 102334155), (-267914296, 165580141)
+
+
+def test_float_ties_are_broken_by_exact_triples(sorts):
     # x and y differ exactly but both evaluate to 0.0, so (x, y, 0),
     # (y, x, 0) and (0, x, y) share a radius and their floats
-    x, y = (-165580141, 102334155), (-267914296, 165580141)
+    x, y = FIB_X, FIB_Y
     assert x[0] + x[1] * 1.618033988749895 == 0.0
     assert y[0] + y[1] * 1.618033988749895 == 0.0
     p, q, r = (*x, *y, 0, 0), (*y, *x, 0, 0), (0, 0, *x, *y)
@@ -165,19 +175,128 @@ def test_float_ties_are_broken_by_exact_triples(sort_keys):
     want3 = ref.build_shells({p, q, r}, 1)
     assert [row for shell in want3 for row in shell.rows] == [q, p, r]
     for dtype in (np.int64, object):
-        sort_keys.clear()
+        sorts.clear()
         assert_same(build_shells(np.array([p, q, p], dtype=dtype), 1), want)
         # duplicates of both tied rows interleaved, and a third row tied
         # with them on the same shell
         assert_same(build_shells(np.array([p, q, p, r, q, q], dtype=dtype),
                                  1), want3)
-        assert sort_keys == [5, 14, 5, 14]
+        # per call: the three values' sort and ranks, then one row sort
+        # on the radius, three float ranks and three exact ranks
+        assert sorts == [(4, 3), (1, 3), (7, 3), (4, 3), (1, 3), (7, 6)]
     big = (2 ** 60, 0, 2 ** 60 + 1, 0, 0, 0)
     swapped = (2 ** 60 + 1, 0, 2 ** 60, 0, 0, 0)
     rows = np.array([swapped, big, swapped], dtype=object)
-    sort_keys.clear()
+    sorts.clear()
     assert_same(build_shells(rows, 1), ref.build_shells({big, swapped}, 1))
-    assert sort_keys == [5, 14]
+    assert sorts == [(4, 3), (1, 3), (7, 3)]
+
+
+def test_float_ties_come_after_all_three_floats():
+    """Rows that tie on one coordinate's float but not on the next one's
+    go by the floats first; -1 and 1 sort among the tied values by float
+    and not by exact triple."""
+    values = [FIB_X, FIB_Y, (-1, 0), (0, 0), (1, 0)]
+    rows = {(*u, *v, *w) for u, v, w in permutations(values, 3)}
+    want = ref.build_shells(rows, 1)
+    listed = sorted(rows) * 2
+    random.Random(7).shuffle(listed)
+    for dtype in (np.int64, object):
+        assert_same(build_shells(np.array(listed, dtype=dtype), 1), want)
+
+
+# --- the row sort against the reference ----------------------------------
+
+def array_rows(name, fold, expr):
+    """An array's distinct rows and their denominator."""
+    start = builtin(name)
+    shells = generate_array(start, translation(start, fold, expr), 1).shells
+    return np.concatenate([s.rows for s in shells]), shells[0].den
+
+
+def interleaved(rows, seed=0):
+    """The rows twice over and every fifth row a third time, shuffled."""
+    listed = [*rows.tolist(), *rows.tolist(), *rows[::5].tolist()]
+    random.Random(seed).shuffle(listed)
+    return listed
+
+
+def assert_rows_match_reference(listed, den, sorts, row_sort):
+    """build_shells on the rows, in int64 and as Python ints, against the
+    reference; the row sort, the last sort of each call, has the keys
+    `row_sort` names: 1 for the packed argsort."""
+    want = ref.build_shells({tuple(row) for row in listed}, den)
+    for dtype in (np.int64, object):
+        sorts.clear()
+        assert_same(build_shells(np.array(listed, dtype=dtype), den), want)
+        assert sorts[-1] == (row_sort, len(listed))
+
+
+@pytest.fixture
+def unique_calls(monkeypatch):
+    calls = []
+    real = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs:
+                        calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("name,fold,expr", [
+    ("c60", 5, "3"), ("c80", 3, "(7+tau)/5"), ("dodecahedron", 2, "tau^2"),
+])
+def test_value_table_and_np_unique_match_reference(name, fold, expr, sorts,
+                                                   unique_calls):
+    rows, den = array_rows(name, fold, expr)
+    listed = interleaved(rows)
+    assert_rows_match_reference(listed, den, sorts, 1)
+    assert unique_calls == []
+    # one wide entry spreads the values past the lookup table's reach
+    wide = interleaved(np.vstack([rows, [[4000, 1, 0, 0, 0, 0]]]), 1)
+    assert_rows_match_reference(wide, den, sorts, 1)
+    assert len(unique_calls) == 2
+
+
+def test_rows_just_under_the_int64_bound_take_the_lexsort(sorts):
+    # the fold-5 icosahedron array at length 2^29 - 2 holds entries up to
+    # 2^29 - 1: int64 rows, whose packed sort key would not fit
+    rows, den = array_rows("icosahedron", 5, str(2 ** 29 - 2))
+    assert rows.dtype == np.int64
+    assert abs(rows).max() == engine._INT64_BOUND - 1
+    assert_rows_match_reference(interleaved(rows), den, sorts, 4)
+
+
+def test_python_int_rows_match_reference(sorts):
+    rows, den = array_rows("dodecahedron", 5, "tau^60")
+    assert rows.dtype == object
+    listed = interleaved(rows)
+    want = ref.build_shells({tuple(row) for row in listed}, den)
+    assert_same(build_shells(np.array(listed, dtype=object), den), want)
+    assert sorts[-1] == (4, len(listed))
+
+
+@pytest.mark.parametrize("den", [1, 2, 6])
+def test_radius_keys_are_packed_whole(den, sorts):
+    """Small rows with many radii that share key0, key1 or their sum:
+    (1, 0) and (0, 1) both give key0 = 1, for radii 1 and tau^2."""
+    rng = random.Random(den)
+    listed = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(400)]
+    listed += [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0]]
+    assert_rows_match_reference(listed, den, sorts, 1)
+
+
+def test_value_table_holds_O_N_entries():
+    """A wide entry does not size a table by its span: the peak stays
+    within a few hundred bytes per row."""
+    rows, den = array_rows("dodecahedron", 5, "1")
+    for wide in (None, [2 ** 20, 0, 0, 0, 0, 0], [0, 2 ** 20, 0, 0, 0, 0]):
+        listed = rows if wide is None else np.vstack([rows, [wide]])
+        tracemalloc.start()
+        try:
+            build_shells(listed, den)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * len(listed) + 32_768
 
 
 # --- work counts ----------------------------------------------------------
@@ -216,14 +335,34 @@ def test_build_shells_makes_one_golden_number_per_shell(monkeypatch):
         assert makes == shells < points
 
 
-def test_default_scan_rows_take_the_five_key_sort_only(sort_keys):
+def test_default_scan_rows_take_one_row_sort(sorts, monkeypatch):
+    """Each default scan row's points are ordered by one argsort of one
+    int64 key per point.  Only the distinct coordinate values, far fewer
+    than the 3N coordinates, are reduced and sorted, and no row takes
+    the float-tie keys."""
     start, rows = default_scan_rows()
     translations = [make_translation(start.symmetry, fold, length)
                     for fold, length in rows]
-    sort_keys.clear()
+    calls, reduced = [], []
+    real_build, real_gcd = engine.build_shells, np.gcd
+
+    def counted_build(rows, den):
+        sorts.clear(), reduced.clear()
+        shells = real_build(rows, den)
+        calls.append((len(rows), list(sorts), list(reduced)))
+        return shells
+
+    monkeypatch.setattr(engine, "build_shells", counted_build)
+    monkeypatch.setattr(np, "gcd", lambda *args: reduced.append(
+        max(map(np.size, args))) or real_gcd(*args))
     for t in translations:
         generate_array(start, t, 1)
-    assert sort_keys == [5] * len(rows)
+    assert len(calls) == len(rows)
+    for n_rows, sorted_keys, gcd_sizes in calls:
+        n_values = sorted_keys[0][1]
+        assert sorted_keys == [(4, n_values), (1, n_values), (1, n_rows)]
+        assert gcd_sizes == [n_values, n_values]
+        assert 3 * n_values < n_rows
 
 
 def test_scan_row_builds_no_vectors_and_no_step_products(monkeypatch):
