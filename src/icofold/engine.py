@@ -220,7 +220,8 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     floats by GoldenNumber.__float__'s arithmetic and ranked.  One argsort
     of one int64 per row, of its radius keys and its three ranks, orders
     the rows and brings duplicates together; np.lexsort takes the same
-    keys when floats tie or a bound checked first says they do not fit.
+    keys, the radius keys in the rows' dtype, when floats tie or a bound
+    checked first says they do not fit.
     """
     if not len(rows):
         return ()
@@ -234,10 +235,9 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     span = int(packed.max() - low) + 1
     if span <= 4 * len(packed):
         packed = (packed - low).astype(np.int64, copy=False)
-        seen = np.zeros(span, dtype=bool)
-        seen[packed] = True
-        values = np.flatnonzero(seen)
-        lookup = np.empty(span, dtype=np.int64)
+        lookup = np.zeros(span, dtype=np.int64)
+        lookup[packed] = 1
+        values = np.flatnonzero(lookup)
         lookup[values] = np.arange(len(values))
         index, values = lookup.take(packed), values.astype(rows.dtype) + low
     else:
@@ -253,44 +253,45 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     by_value = np.lexsort((d, rb, ra, vfloat))
     rank, ranked = np.argsort(by_value), vfloat[by_value]
     tied = bool((ranked[1:] == ranked[:-1]).any())
-    # a row's two radius keys as one integer, key0*w1 + key1 - 3*low1,
-    # summed from its values' shares
     s0, s1 = va * va + vb * vb, (2 * va + vb) * vb
     low1 = int(s1.min())
     w1 = 3 * (int(s1.max()) - low1) + 1
-    fits = not tied and (3 * int(s0.max()) + 1) * w1 * n ** 3 < 2 ** 63
-    share = (s0 if fits else s0.astype(object)) * w1 + s1 - low1
-    if fits:
-        # one int64 per row: its radius, then its three ranks base n
+    if not tied and (3 * int(s0.max()) + 1) * w1 * n ** 3 < 2 ** 63:
+        # one int64 per row: its radius keys as key0*w1 + key1 - 3*low1,
+        # summed from its values' shares, then its three ranks base n
         table = np.asarray(
-            share * n ** 3 + rank * np.array([[n * n], [n], [1]]),
-            dtype=np.int64)
+            (s0 * w1 + s1 - low1) * n ** 3
+            + rank * np.array([[n * n], [n], [1]]), dtype=np.int64)
         key = sum(t.take(index[:, c]) for c, t in enumerate(table))
         order = np.argsort(key)
         key = key.take(order)
         fresh = np.concatenate(([True], key[1:] != key[:-1]))
         radius = key[fresh] // n ** 3
+        firsts = [0, *(np.flatnonzero(radius[1:] != radius[:-1]) + 1).tolist()]
+        k0, k1 = np.divmod(radius[firsts], w1)
+        k1 += 3 * low1
     else:
         # tied floats share a float rank, and exact ranks follow all three
         ranks = [rank, np.searchsorted(ranked, vfloat)] if tied else [rank]
-        radius = share[index].sum(axis=1)
+        k0, k1 = s0[index].sum(axis=1), s1[index].sum(axis=1)
         order = np.lexsort((*(c for t in ranks for c in t[index].T[::-1]),
-                            radius))
+                            k1, k0))
         fresh = np.concatenate(([True], np.diff(index[order], axis=0).any(1)))
-        radius = radius[order[fresh]]
+        k0, k1 = k0[order[fresh]], k1[order[fresh]]
+        cut = (k0[1:] != k0[:-1]) | (k1[1:] != k1[:-1])
+        firsts = [0, *(np.flatnonzero(cut) + 1).tolist()]
+        k0, k1 = k0[firsts], k1[firsts]
     keep = order[fresh]
     rows, floats = rows.take(keep, 0), vfloat.take(index.take(keep, 0))
-    firsts = [0, *(np.flatnonzero(radius[1:] != radius[:-1]) + 1).tolist()]
     # every radius is (k0 + k1*tau)/den^2: order them by the exact sign of
     # their numerators' difference
     spans = sorted(
-        ((*divmod(r, w1), i, j) for r, i, j in zip(
-            radius[firsts].tolist(), firsts, [*firsts[1:], len(rows)])),
+        zip(k0.tolist(), k1.tolist(), firsts, [*firsts[1:], len(rows)]),
         key=cmp_to_key(lambda s, t: _gsign(s[0] - t[0], s[1] - t[1])),
     )
     return tuple(
-        Shell(GoldenNumber._make(k0, k1 + 3 * low1, den * den), rows[i:j],
-              den, floats[i:j])
+        Shell(GoldenNumber._make(k0, k1, den * den), rows[i:j], den,
+              floats[i:j])
         for k0, k1, i, j in spans
     )
 

@@ -182,14 +182,14 @@ def test_float_ties_are_broken_by_exact_triples(sorts):
         assert_same(build_shells(np.array([p, q, p, r, q, q], dtype=dtype),
                                  1), want3)
         # per call: the three values' sort and ranks, then one row sort
-        # on the radius, three float ranks and three exact ranks
-        assert sorts == [(4, 3), (1, 3), (7, 3), (4, 3), (1, 3), (7, 6)]
+        # on the two radius keys, three float ranks and three exact ranks
+        assert sorts == [(4, 3), (1, 3), (8, 3), (4, 3), (1, 3), (8, 6)]
     big = (2 ** 60, 0, 2 ** 60 + 1, 0, 0, 0)
     swapped = (2 ** 60 + 1, 0, 2 ** 60, 0, 0, 0)
     rows = np.array([swapped, big, swapped], dtype=object)
     sorts.clear()
     assert_same(build_shells(rows, 1), ref.build_shells({big, swapped}, 1))
-    assert sorts == [(4, 3), (1, 3), (7, 3)]
+    assert sorts == [(4, 3), (1, 3), (8, 3)]
 
 
 def test_float_ties_come_after_all_three_floats():
@@ -256,13 +256,21 @@ def test_value_table_and_np_unique_match_reference(name, fold, expr, sorts,
     assert len(unique_calls) == 2
 
 
-def test_rows_just_under_the_int64_bound_take_the_lexsort(sorts):
+def test_rows_just_under_the_int64_bound_take_the_lexsort(sorts,
+                                                         monkeypatch):
     # the fold-5 icosahedron array at length 2^29 - 2 holds entries up to
     # 2^29 - 1: int64 rows, whose packed sort key would not fit
     rows, den = array_rows("icosahedron", 5, str(2 ** 29 - 2))
     assert rows.dtype == np.int64
     assert abs(rows).max() == engine._INT64_BOUND - 1
-    assert_rows_match_reference(interleaved(rows), den, sorts, 4)
+    listed = interleaved(rows)
+    assert_rows_match_reference(listed, den, sorts, 5)
+    # int64 rows keep their two radius keys and three ranks in int64
+    keys = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: keys.append(k) or lexsort(k))
+    build_shells(np.array(listed), den)
+    assert [k.dtype for k in keys[-1]] == [np.dtype(np.int64)] * 5
 
 
 def test_python_int_rows_match_reference(sorts):
@@ -271,7 +279,7 @@ def test_python_int_rows_match_reference(sorts):
     listed = interleaved(rows)
     want = ref.build_shells({tuple(row) for row in listed}, den)
     assert_same(build_shells(np.array(listed, dtype=object), den), want)
-    assert sorts[-1] == (4, len(listed))
+    assert sorts[-1] == (5, len(listed))
 
 
 @pytest.mark.parametrize("den", [1, 2, 6])
