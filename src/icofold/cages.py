@@ -15,17 +15,18 @@ shells, or the one point set): a probe table keeps that point's four
 smallest squared distances into each group, and a union's probe rows
 are its members' entries.  Taking fewer rows only lowers the largest
 third-nearest distance and raises the smallest fourth-nearest, so a
-union fails any gap its probe rows fail.  The unions of one window of
-shells less one interior shell are held to that test together, from
-each probe row's eight smallest entries over the window; a single point
-set's probe rows are its groups' first points against all of its
-points.  A union that passes has its
-points stacked and searched a fixed number of rows at a time, keeping
-each point's four nearest; once the gap holds, the entries within the
-cutoff are exactly each point's three bonds, so no search holds an
-N x N matrix.  When the union's exact rows and a group mapping it onto
-itself are known, only one point per orbit is searched against all N
-points, and its bonds are carried to the rest of its orbit by the group.
+union fails any gap its probe rows fail.  Cage detection tests each
+window of shells in one call: its trailing union from the window's
+rows as they are, its unions less one interior shell together, from
+each probe row's eight smallest entries over the window.  A single
+point set's probe rows are its groups' first points against all of
+its points.  A union that passes has its points stacked and searched a
+fixed number of rows at a time, keeping each point's four nearest; once
+the gap holds, the entries within the cutoff are exactly each point's
+three bonds, so no search holds an N x N matrix.  When the union's
+exact rows and a group mapping it onto itself are known, only one point
+per orbit is searched against all N points, and its bonds are carried
+to the rest of its orbit by the group.
 
 Faces are traced from the rotation system: neighbors ordered by angle in
 each vertex's tangent plane, with the Euler characteristic as the guard
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -294,13 +296,14 @@ class _NearestTable:
     """The trivalence search over unions of point groups.
 
     A group is one exact shell, or one group of floats handed to
-    `detect_cage`.  The probe table refutes a union
-    before its points are searched.  Row a is group a's first point and
-    holds, in column b, that point's four smallest squared distances into
-    group b, with the point's distance to itself left out and `inf`
-    filling in when there are fewer than four, filled one column at a
-    time for the groups that some union reaches.  A union's probe rows
-    are its members' rows over its members' columns.
+    `detect_cage`.  The probe table refutes a union before its points
+    are searched.  Row a is group a's first point and holds, in column b,
+    that point's four smallest squared distances into group b, with the
+    point's distance to itself left out and `inf` filling in when there
+    are fewer than four, filled one column at a time for the groups that
+    some union reaches.  A union's probe rows are its members' rows over
+    its members' columns, and `verdicts` tests the unions of one window
+    of groups together, with one drop each or none.
 
     `exact`, when given, is (group, den, rows): each group's distinct
     integer rows over one `den`, in the order of its coordinates, and a
@@ -339,27 +342,26 @@ class _NearestTable:
             _four_columns(d2), 3, axis=1)[:, :4]
         self._probe_filled[b] = True
 
-    def probe_rows(self, members: list[int]) -> np.ndarray:
-        """The union's probe rows, four entries per member group, in the
-        order of `members`."""
-        self._fill_columns(members)
-        rows = self._probe_table[np.ix_(members, members)]
-        return rows.reshape(len(members), -1)
-
-    def drop_verdicts(self, low: int, drops: list[int]) -> np.ndarray:
+    def verdicts(self, low: int, drops: list) -> list[bool]:
         """Whether each union of the window of groups `low`.. less one of
-        the `drops`, each inside the window, passes its probe:
-        `_gap(probe_rows(members)) is not None` for each, bit for bit.
+        the `drops` (nothing, for a None) passes its probe: the gap test
+        on its probe rows, its non-empty members' rows over its members'
+        columns.  An empty group's row is never read, and its column holds
+        only `inf`.
 
-        A column holds four entries of a row, so a row's eight smallest
+        With nothing dropped, that is `_gap` of the window's rows.  Else a
+        column holds four entries of a row, so a row's eight smallest
         entries over the window hold its third- and fourth-smallest
         outside any one column; one selection of those eight serves every
-        drop.  Rows of empty groups are left out, as `graph` leaves them.
+        drop.
         """
         n = len(self.coords)
         self._fill_columns(range(low, n))
         k = n - low
         block = self._probe_table[low:, low:].reshape(k, 4 * k)
+        read = np.array([len(c) > 0 for c in self.coords[low:]])
+        if drops == [None]:
+            return [_gap(block[read]) is not None]
         nearest = np.argsort(block, axis=1)[:, :8]
         values = np.take_along_axis(block, nearest, axis=1)
         column = nearest // 4
@@ -369,40 +371,28 @@ class _NearestTable:
         rows = np.arange(k)
         third, fourth = (values[rows, np.argmax(kept & (rank == r), axis=2)]
                          for r in (3, 4))
-        read = (rows != drop) & np.array(
-            [len(c) > 0 for c in self.coords[low:]])
+        read = read & (rows != drop)
         c2 = np.where(read, third, -np.inf).max(axis=1)
         floor4 = np.where(read, fourth, np.inf).min(axis=1)
-        return floor4 - c2 > _RESOLUTION * np.maximum(1.0, c2)
-
-    def permutations(self, members: list[int]) -> np.ndarray | None:
-        """The generators' index permutations of the union's points, or
-        None when the table holds no exact rows or the union is not
-        invariant."""
-        if self._exact is None:
-            return None
-        group, den, rows = self._exact
-        return group.generator_permutations(
-            den, np.concatenate([rows[i] for i in members]))
-
-    def graph(self, chosen: tuple[int, ...]) -> CageGraph | None:
-        """The union's probe gate, then its `search`."""
-        members = [i for i in chosen if len(self.coords[i])]
-        if (sum(len(self.coords[i]) for i in members) < 4
-                or _gap(self.probe_rows(members)) is None):
-            return None
-        return self.search(members)
+        return (floor4 - c2 > _RESOLUTION * np.maximum(1.0, c2)).tolist()
 
     def search(self, chosen) -> CageGraph | None:
         """The bond graph of a union that passed its probe, or None; its
-        indices follow the points of `chosen`'s groups in order."""
+        indices follow the points of `chosen`'s groups in order.  From a
+        table with exact rows the graph keeps the union's (den, rows), and
+        the group when it maps the union onto itself."""
         coords = np.vstack([self.coords[i] for i in chosen])
-        permutations = self.permutations(chosen)
-        if permutations is None:
-            return _trivalent_graph(coords, _union_bonds(coords))
-        graph = _trivalent_graph(coords, _orbit_bonds(coords, permutations))
-        if graph is not None:
-            graph._symmetry = self._exact[0]
+        rows = permutations = None
+        if self._exact is not None:
+            group, den, shell_rows = self._exact
+            rows = np.concatenate([shell_rows[i] for i in chosen])
+            permutations = group.generator_permutations(den, rows)
+        graph = _trivalent_graph(coords, _union_bonds(coords)
+                                 if permutations is None
+                                 else _orbit_bonds(coords, permutations))
+        if graph is not None and rows is not None:
+            graph.rows = (den, rows)
+            graph._symmetry = None if permutations is None else group
         return graph
 
 
@@ -607,8 +597,8 @@ _CAGE_POINT_CAP = 2000
 
 def _candidate_windows(sizes: list[int]):
     """(low, drops) of every window of shells low.. to try, in order: its
-    trailing union when `drops` is None, else its unions less one of the
-    interior shells `drops`; every union holds `_CAGE_MIN_POINTS` to
+    trailing union when `drops` is [None], else its unions less one of
+    the interior shells `drops`; every union holds `_CAGE_MIN_POINTS` to
     `_CAGE_POINT_CAP` points."""
     n = len(sizes)
     for k in range(_CAGE_MIN_SHELLS, n + 1):
@@ -616,7 +606,7 @@ def _candidate_windows(sizes: list[int]):
         if total > _CAGE_POINT_CAP:
             break
         if total >= _CAGE_MIN_POINTS:
-            yield n - k, None
+            yield n - k, [None]
     for low in range(n - _CAGE_MIN_SHELLS - 1, -1, -1):
         total = sum(sizes[low:])
         if total - max(sizes[low + 1:n - 1]) > _CAGE_POINT_CAP:
@@ -639,9 +629,9 @@ def detect_cage(shell_groups) -> CageFinding | None:
 
     Each candidate of `_CAGE_MIN_POINTS` to `_CAGE_POINT_CAP` points
     takes its bond graph from a `_NearestTable` shared by all candidates
-    of this call: its probe rows first (once, a window's drop-one unions
-    all together), then, if they pass, a search of its stacked points in
-    O(N) memory.  A union whose graph is trivalent is then held to the
+    of this call: its probe rows first, a window's unions all in one
+    gate, then, if they pass, a search of its stacked points in O(N)
+    memory.  A union whose graph is trivalent is then held to the
     edge-ratio check and face tracing.
 
     `shell_groups` is a sequence of point sequences (or float (N, 3)
@@ -657,17 +647,9 @@ def detect_cage(shell_groups) -> CageFinding | None:
     windows = list(_candidate_windows([len(c) for c in table.coords]))
     table.reach = min((low for low, _ in windows), default=0)
     for low, drops in windows:
-        find = table.graph
-        if drops is None:
-            drops = [None]
-        elif len(drops) > 1:
-            # one selection gates all of the window's drop-one unions
-            passed = table.drop_verdicts(low, drops)
-            drops = [d for d, ok in zip(drops, passed) if ok]
-            find = table.search
-        for dropped in drops:
+        for dropped in compress(drops, table.verdicts(low, drops)):
             chosen = tuple(i for i in range(low, n) if i != dropped)
-            graph = find(chosen)
+            graph = table.search(chosen)
             if graph is None or graph.edge_ratio >= _CAGE_MAX_EDGE_RATIO:
                 continue
             try:

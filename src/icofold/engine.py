@@ -152,7 +152,7 @@ class Shell:
     def points(self) -> tuple[Vec3E, ...]:
         return row_vectors(self.den, self.rows.tolist())
 
-    @property
+    @cached_property
     def radius(self) -> float:
         return math.sqrt(float(self.radius2))
 
@@ -394,13 +394,9 @@ def outer_cage(array: PointArray) -> cages.CageFinding | None:
     """
     shells = array.shells
     den = shells[0].den if shells else 1
-    finding = cages.detect_cage(cages._NearestTable(
+    return cages.detect_cage(cages._NearestTable(
         [shell.coords for shell in shells],
         (array.start.symmetry, den, [shell.rows for shell in shells])))
-    if finding is not None:
-        finding.graph.rows = (den, np.concatenate(
-            [shells[i].rows for i in finding.shell_indices]))
-    return finding
 
 
 def _multiset_count(n_directions: int, depth: int) -> int:

@@ -3,8 +3,9 @@
 import functools
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, compress
 
+import cage_reference
 import numpy as np
 import pytest
 from face_reference import contact_signature_reference, export_off_reference
@@ -301,7 +302,7 @@ def dense_detect_cage(shell_groups, max_ratio=cages._CAGE_MAX_EDGE_RATIO):
         if not 20 <= len(points) <= cages._CAGE_POINT_CAP:
             return None
         graph = dense_threshold_search(points)
-        assert_same_graph(table.graph(chosen), graph, chosen)
+        assert_same_graph(cage_reference.graph(table, chosen), graph, chosen)
         if graph is None or graph.edge_ratio >= max_ratio:
             return None
         try:
@@ -484,7 +485,8 @@ def probe_rows(table, chosen):
     point), and where each member group's points start."""
     members = [i for i in chosen if len(table.coords[i])]
     offsets = np.cumsum([0] + [len(table.coords[i]) for i in members])
-    return table.probe_rows(members), offsets[:-1], offsets
+    return (cage_reference.probe_rows(table, members), offsets[:-1],
+            offsets)
 
 
 def dense_probe_rows(coords, where):
@@ -535,7 +537,8 @@ def test_table_matches_dense_search_on_trailing_unions(differential_arrays):
             assert_probe_rows_match_dense(rows, where, offsets, dense)
             assert third_and_fourth(rows) == third_and_fourth(dense)
             want = dense_threshold_search(coords)
-            assert_same_graph(table.graph(chosen), want, chosen)
+            assert_same_graph(cage_reference.graph(table, chosen), want,
+                              chosen)
             assert_same_graph(trivalence_threshold_search(coords), want,
                               chosen)
             unions += 1
@@ -582,7 +585,7 @@ def test_probe_refutes_only_where_the_dense_search_fails(name, refuted,
         if cages._gap(rows) is None:
             assert want is None
             counts[0] += 1
-        assert_same_graph(table.graph(chosen), want)
+        assert_same_graph(cage_reference.graph(table, chosen), want)
         counts[1] += want is not None
     assert counts == [refuted, trivalent]
 
@@ -617,8 +620,8 @@ def test_threshold_search_on_shells_matches_the_stacked_set():
             want = trivalence_threshold_search(np.vstack(shells))
             assert (got is None) == (want is None)
             # the table's probe of the same groups, which it replaced
-            assert_same_graph(got, cages._NearestTable(shells).graph(
-                tuple(range(len(shells)))))
+            assert_same_graph(got, cage_reference.graph(
+                cages._NearestTable(shells), tuple(range(len(shells)))))
             if want is not None:
                 assert got.edges == want.edges
                 assert got.cutoff.hex() == want.cutoff.hex()
@@ -685,9 +688,9 @@ def c80_fourth_iteration_shells():
 
 
 def test_probe_columns_are_computed_once_for_the_shells_tried(monkeypatch):
-    """Every candidate union is tried on this array (drop-one unions are
-    refuted a window at a time, without a `graph` call), and each probe
-    column is filled once, only for shells some union contains."""
+    """Every candidate union is tried on this array (its unions are
+    refuted a window at a time), and each probe column is filled once,
+    only for shells some union contains."""
     groups = c80_fourth_iteration_shells()
     columns = []
     fill = cages._NearestTable._probe_column
@@ -781,11 +784,11 @@ def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
         failing = detect_cage(table.coords) is None
         for chosen, _ in candidate_unions(list(map(len, array.shells))):
             members = list(chosen)
-            passed = cages._gap(table.probe_rows(members)) is not None
+            passed = cage_reference.passes_probe(table, members)
             if not (passed or failing):
                 continue
             coords = np.vstack([table.coords[i] for i in members])
-            permutations = table.permutations(members)
+            permutations = cage_reference.permutations(table, members)
             assert permutations is not None
             got = cages._orbit_bonds(coords, permutations)
             if not passed:
@@ -820,6 +823,11 @@ def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
         if want is not None:
             assert got.graph.edge_min == want.graph.edge_min
             assert got.graph.edge_max == want.graph.edge_max
+            # the search keeps the union's exact rows, in union order
+            den, rows = got.graph.rows
+            assert den == array.shells[0].den and np.array_equal(
+                rows, np.concatenate([array.shells[i].rows
+                                      for i in got.shell_indices]))
 
 
 def test_a_union_that_is_not_invariant_takes_the_chunked_search(
@@ -835,45 +843,44 @@ def test_a_union_that_is_not_invariant_takes_the_chunked_search(
                     outer.coords[:-1])
     shells = (*array.shells[:chosen[-1]], trimmed)
     table = exact_table(array, shells)
-    assert cages._gap(table.probe_rows(list(chosen))) is not None
-    assert table.permutations(list(chosen)) is None
-    assert table.permutations(list(chosen[:-1])) is not None
+    assert cage_reference.passes_probe(table, chosen)
+    assert cage_reference.permutations(table, list(chosen)) is None
+    assert cage_reference.permutations(table, list(chosen[:-1])) is not None
     calls = []
     for name in ("_union_bonds", "_orbit_bonds"):
         real = getattr(cages, name)
         monkeypatch.setattr(cages, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
-    got = table.graph(chosen)
+    got = cage_reference.graph(table, chosen)
     assert calls == ["_union_bonds"]
-    want = cages._NearestTable([s.coords for s in shells]).graph(chosen)
+    want = cage_reference.graph(
+        cages._NearestTable([s.coords for s in shells]), chosen)
     assert_same_graph(got, want)
     assert_same_graph(got, dense_threshold_search(
         np.vstack([s.coords for s in shells[chosen[0]:]])))
 
 
-# --- one selection per window -------------------------------------------
+# --- one gate per window ------------------------------------------------
 
-def assert_drop_verdicts_are_the_probes(table):
-    """Every drop-one candidate union of the table's groups, those of
-    windows with one drop included, gets from its window's selection the
-    verdict of its own probe rows, read from a separate table that fills
-    every row; returns the (refuted, passed) counts."""
+def assert_verdicts_are_the_probes(table):
+    """Every candidate union of the table's groups, trailing ones and
+    those of windows with one drop included, gets from its window's gate
+    the verdict of its own probe rows, read from a separate table that
+    fills every row; returns the counts, drop-one unions in row 0 and
+    trailing ones in row 1, refuted in column 0 and passed in column 1."""
     sizes = list(map(len, table.coords))
     windows = list(cages._candidate_windows(sizes))
     table.reach = min(low for low, _ in windows)
     reference = cages._NearestTable(table.coords)
-    counts = [0, 0]
+    counts = np.zeros((2, 2), dtype=int)
     for low, drops in windows:
-        if drops is None:
-            continue
-        passed = table.drop_verdicts(low, drops)
-        assert passed.shape == (len(drops),)
+        passed = table.verdicts(low, drops)
+        assert len(passed) == len(drops)
         for dropped, ok in zip(drops, passed):
-            members = [i for i in range(low, len(sizes))
-                       if i != dropped and sizes[i]]
-            want = cages._gap(reference.probe_rows(members)) is not None
-            assert ok == want, (low, dropped)
-            counts[want] += 1
+            chosen = [i for i in range(low, len(sizes)) if i != dropped]
+            want = cage_reference.passes_probe(reference, chosen)
+            assert ok is want, (low, dropped)
+            counts[int(dropped is None), int(want)] += 1
     return counts
 
 
@@ -881,12 +888,15 @@ def test_drop_verdicts_are_each_unions_probe(orbit_search_arrays):
     """On both onion families to their failing fourth iteration, the
     fold-5 dodecahedron family to its failing fifth and the catalog
     arrays, exact tables and floats-only ones alike."""
-    counts = np.zeros(2, dtype=int)
+    counts = np.zeros((2, 2), dtype=int)
     for array in orbit_search_arrays:
         for table in (exact_table(array),
                       cages._NearestTable([s.coords for s in array.shells])):
-            counts += assert_drop_verdicts_are_the_probes(table)
-    assert counts[0] > 1000 and counts[1] > 10
+            counts += assert_verdicts_are_the_probes(table)
+    refuted, passed = counts.sum(axis=0)
+    assert refuted > 1000 and passed > 10
+    # trailing unions both refuted and passed
+    assert counts[1].all()
 
 
 def test_drop_verdicts_leave_out_an_empty_group(orbit_search_arrays):
@@ -899,8 +909,8 @@ def test_drop_verdicts_leave_out_an_empty_group(orbit_search_arrays):
     assert want.dropped_index is not None
     at = want.shell_indices[1]
     holed = groups[:at] + [np.empty((0, 3))] + groups[at:]
-    refuted, passed = assert_drop_verdicts_are_the_probes(
-        cages._NearestTable(holed))
+    counts = assert_verdicts_are_the_probes(cages._NearestTable(holed))
+    refuted, passed = counts.sum(axis=0)
     assert refuted > 100 and passed > 0
     got = detect_cage(holed)
     assert got.graph.edges == want.graph.edges
@@ -935,23 +945,25 @@ def test_no_probe_row_below_the_reach_is_computed(orbit_search_arrays,
 
 
 def test_each_union_tried_is_gated_once(orbit_search_arrays, monkeypatch):
-    """`_gap` reads each union's probe rows at most once: a drop-one
-    union that its window's selection passed goes straight to its
-    search, with no second gather and gap test."""
-    probes, gated, searched = [], [], []
-    probe_rows, gap = cages._NearestTable.probe_rows, cages._gap
+    """One gate call per window gives each union tried its verdict, and
+    only a union it passed is searched, with no second gather and gap
+    test: `_gap` runs once per trailing union's gate and once per
+    search, and on nothing else."""
+    gated, passed, searched, gaps = [], set(), [], []
+    verdicts, gap = cages._NearestTable.verdicts, cages._gap
     search = cages._NearestTable.search
 
-    def probe_spy(self, members):
-        probes.append((probe_rows(self, members), tuple(members)))
-        return probes[-1][0]
+    def verdicts_spy(self, low, drops):
+        ok = verdicts(self, low, drops)
+        unions = [tuple(i for i in range(low, len(self.coords)) if i != d)
+                  for d in drops]
+        gated.extend(unions)
+        passed.update(compress(unions, ok))
+        return ok
 
-    def gap_spy(rows):
-        gated.extend(members for probe, members in probes if probe is rows)
-        return gap(rows)
-
-    monkeypatch.setattr(cages._NearestTable, "probe_rows", probe_spy)
-    monkeypatch.setattr(cages, "_gap", gap_spy)
+    monkeypatch.setattr(cages._NearestTable, "verdicts", verdicts_spy)
+    monkeypatch.setattr(cages, "_gap", lambda rows: gaps.append(1)
+                        or gap(rows))
     monkeypatch.setattr(cages._NearestTable, "search",
                         lambda self, chosen: searched.append(tuple(chosen))
                         or search(self, chosen))
@@ -959,16 +971,18 @@ def test_each_union_tried_is_gated_once(orbit_search_arrays, monkeypatch):
     for array in orbit_search_arrays:
         for table in (exact_table(array),
                       cages._NearestTable([s.coords for s in array.shells])):
-            probes.clear(), gated.clear(), searched.clear()
+            gated.clear(), passed.clear(), searched.clear(), gaps.clear()
             finding = detect_cage(table)
-            tried = set(chosen for chosen, _ in candidate_unions(
+            dropped = dict(candidate_unions(
                 [len(s.coords) for s in array.shells]))
-            assert len(gated) == len(set(gated)) == len(probes)
-            assert set(gated) <= tried and set(searched) <= tried
-            ungated = set(searched) - set(gated)
-            if finding is not None and finding.dropped_index is not None:
-                assert finding.shell_indices in ungated
-            found += len(ungated)
+            assert len(gated) == len(set(gated))
+            assert set(gated) <= set(dropped) and set(searched) <= passed
+            assert len(searched) == len(set(searched))
+            trailing = sum(dropped[chosen] is None for chosen in gated)
+            assert len(gaps) == trailing + len(searched)
+            if finding is not None:
+                assert finding.shell_indices == searched[-1]
+            found += sum(dropped[chosen] is not None for chosen in searched)
     assert found == 10
 
 
@@ -980,7 +994,8 @@ def assert_table_matches_dense(groups):
     for k in range(1, len(groups) + 1):
         for chosen in combinations(range(len(groups)), k):
             want = dense_threshold_search(union_points(groups, chosen))
-            assert_same_graph(table.graph(chosen), want, chosen)
+            assert_same_graph(cage_reference.graph(table, chosen), want,
+                              chosen)
             verdicts.add(want is not None)
     return verdicts
 
@@ -1010,7 +1025,8 @@ def test_table_takes_array_and_point_shells():
     assert assert_table_matches_dense(
         [coords_of(dod[:10]), dod[10:], ico * 3.0]) == {True, False}
     # a table graph holds floats only; outer_cage adds the exact points
-    graph = cages._NearestTable([dod[:10], dod[10:]]).graph((0, 1))
+    graph = cage_reference.graph(cages._NearestTable([dod[:10], dod[10:]]),
+                                 (0, 1))
     assert graph is not None and graph.points is None
     assert trivalence_threshold_search(dod).points is None
     start = builtin("c60")
@@ -1028,8 +1044,8 @@ def test_table_mixes_a_shell_with_itself_and_others():
     groups = [dod, dod, dod + (0, 0, 10.0), dod[:3]]
     assert assert_table_matches_dense(groups) == {True, False}
     table = cages._NearestTable(groups)
-    assert table.graph((0, 1)) is None
-    assert table.graph((0, 2)) is not None
+    assert cage_reference.graph(table, (0, 1)) is None
+    assert cage_reference.graph(table, (0, 2)) is not None
     # a copy's zero distance is a nearest entry; the point's own is not
     values, index = cages._union_rows(np.vstack(groups[:2]))
     assert values.shape == index.shape == (40, 4)
@@ -1043,7 +1059,8 @@ def test_table_bonds_coincident_points():
     # copies at distance 0, so the cutoff is 0 and bonds sit exactly on it
     dod = coords_of(builtin("dodecahedron").vertices)
     assert assert_table_matches_dense([dod] * 4) == {True, False}
-    graph = cages._NearestTable([dod] * 4).graph((0, 1, 2, 3))
+    graph = cage_reference.graph(cages._NearestTable([dod] * 4),
+                                 (0, 1, 2, 3))
     assert graph.cutoff == 0.0 and graph.edge_count == 120
 
 

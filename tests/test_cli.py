@@ -464,6 +464,35 @@ def test_closure_and_search_caps_exit_4_before_their_work(
     assert distances == [] and built == []
 
 
+def test_bond_scale_caps_its_pairwise_work_before_taking_it(
+        tmp_path, capsys, monkeypatch):
+    """`--bond-scale` measures the shortest pairwise distance, so it is
+    held to the bond search's cap: 3000 closed points exit 4 with the
+    search's text before any distance is taken, as `--emit off` does,
+    and plain XYZ still exports them."""
+    path = tmp_path / "generic.txt"
+    path.write_text("@closure on\n" + "".join(
+        f"{k + 1},{2 * k + 3},{3 * k + 7}\n" for k in range(25)))
+    distances = []
+    pairwise = cages._pairwise_squared
+    monkeypatch.setattr(cages, "_pairwise_squared", lambda a, b: distances
+                        .append(len(a) * len(b)) or pairwise(a, b))
+    argv = ["export", "--config", str(path), "--emit", "xyz"]
+    for extra in (["--bond-scale"], ["--emit", "off", "--bond-scale"]):
+        assert cli.run(argv + extra) == 4
+        assert capsys.readouterr().err == (
+            "error: bond search of 3000 points needs 9000000 pairwise "
+            "distances, over the limit of 8388608\n")
+    assert distances == []
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out.startswith("3000\n")
+    # at the cap itself the distances are taken
+    monkeypatch.setattr(cages, "_PAIR_BYTES_CAP", 32 * 3000 ** 2)
+    assert cli.run(argv + ["--bond-scale"]) == 0
+    capsys.readouterr()
+    assert sum(distances) == 3000 ** 2
+
+
 # --band-gap is gone from every command and export takes no translation
 # (--axis/--length): any such argument is unrecognised, exit 1, no work
 @pytest.mark.parametrize("gap", ["0", "0.5", "0.7", "-1", "nan"])
@@ -693,6 +722,13 @@ PINNED_STDOUT = [
     (["onion", "--config", "c80", "--axis", "5", "--length", "2",
       "--depth", "4"],
      "387a2c4d407d0491d89658166475828e8a01840dbbcb4707311217d56a652867"),
+    # two-bond-length families, whose last member drops a shell
+    (["onion", "--config", "c60", "--axis", "5", "--length", "(1+6*tau)/4",
+      "--depth", "4"],
+     "3fcfeb4ac675595edf760d392032ba6e9b12b88900564c281654f7028ad05895"),
+    (["onion", "--config", "dodecahedron", "--axis", "5", "--length",
+      "(-1+5*tau)/5", "--depth", "4"],
+     "aeb1dc17c31bcc0941409330721f0293588afb0d4288230358dba7605424fb21"),
     # single-shell threshold search edges and the depth-1 catalog findings
     (["export", "--config", "c80", "--emit", "off"],
      "8cb9a234e1a93dcf7f6504428d1a16011bf3c39db83bf2a5785c64bb9eb2d01c"),

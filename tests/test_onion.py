@@ -262,13 +262,13 @@ def test_members_are_checked_for_invariance_once(name, expr, counts,
     t = make_translation(start.symmetry, 5, parse_field_expr(expr))
     lookups, searched = [], []
     lookup = groups.PointGroup.generator_permutations
-    search = cages._NearestTable.permutations
+    search = cages._NearestTable.search
     monkeypatch.setattr(groups.PointGroup, "generator_permutations",
                         lambda self, den, rows: lookups.append(len(rows))
                         or lookup(self, den, rows))
-    monkeypatch.setattr(cages._NearestTable, "permutations",
-                        lambda self, members: searched.append(members)
-                        or search(self, members))
+    monkeypatch.setattr(cages._NearestTable, "search",
+                        lambda self, chosen: searched.append(chosen)
+                        or search(self, chosen))
     report = build_onion(start, t, 4)
     assert report.counts == counts
     assert len(searched) == len(lookups) > 0
@@ -280,3 +280,30 @@ def test_members_are_checked_for_invariance_once(name, expr, counts,
     StartConfig._from_rows("member", *finding.graph.rows, start.symmetry,
                            floats._symmetry is start.symmetry)
     assert lookups == [counts[1]]
+
+
+@pytest.mark.parametrize("name,expr,counts,dropped", [
+    ("c60", "(1+6*tau)/4", (60, 240, 300, 960), (None, None, 28)),
+    ("dodecahedron", "(-1+5*tau)/5", (20, 120, 300, 560), (None, None, 26)),
+])
+def test_two_bond_length_families(name, expr, counts, dropped):
+    """Two fold-5 families outside the formulas bond at two lengths, at
+    an edge ratio of about 1.48 just under the 1.5 cap.  Each reaches
+    its third member past the start only by dropping an interior shell,
+    and has no cage at iteration 4."""
+    start = builtin(name)
+    t = make_translation(start.symmetry, 5, parse_field_expr(expr))
+    report = build_onion(start, t, 4)
+    assert report.counts == counts
+    assert report.failure == "no trivalent outer cage at iteration 4"
+    assert math.isclose(report.family[0].edge_ratio, 1.0)
+    working = start
+    for j, member in enumerate(report.family[1:], 1):
+        assert 1.46 < member.edge_ratio < cages._CAGE_MAX_EDGE_RATIO
+        finding = outer_cage(generate_array(working, t, 1))
+        assert finding.vertex_count == member.count
+        assert finding.graph.edge_ratio == member.edge_ratio
+        assert finding.dropped_index == dropped[j - 1]
+        working = StartConfig.from_rows(f"{name}.onion{j}",
+                                        *finding.graph.rows, start.symmetry)
+    assert outer_cage(generate_array(working, t, 1)) is None
