@@ -392,7 +392,8 @@ class _NearestTable:
                                  else _orbit_bonds(coords, permutations))
         if graph is not None and rows is not None:
             graph.rows = (den, rows)
-            graph._symmetry = None if permutations is None else group
+            if permutations is not None:
+                graph._symmetry = group
         return graph
 
 

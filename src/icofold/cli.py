@@ -407,6 +407,8 @@ def _cmd_export(args) -> int:
     if args.emit == "csv":
         _deliver(export_csv(start.vertices), args.out)
         return EXIT_OK
+    if args.bond_scale:
+        cages._check_search_budget(len(start))
     comment = provenance_comment(start=start.name)
     _deliver(export_xyz(start.vertices, comment, args.bond_scale), args.out)
     return EXIT_OK

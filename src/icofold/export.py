@@ -102,7 +102,6 @@ def _scale_factor(rows: list[tuple[float, ...]], bond_scale: bool) -> float:
         return 1.0
     if len(rows) < 2:
         raise ExportError("bond scaling needs at least two points")
-    cages._check_search_budget(len(rows))
     dmin = _min_pairwise_distance(rows)
     if dmin <= 0.0:
         raise ExportError("bond scaling needs distinct points")

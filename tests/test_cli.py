@@ -468,22 +468,26 @@ def test_bond_scale_caps_its_pairwise_work_before_taking_it(
         tmp_path, capsys, monkeypatch):
     """`--bond-scale` measures the shortest pairwise distance, so it is
     held to the bond search's cap: 3000 closed points exit 4 with the
-    search's text before any distance is taken, as `--emit off` does,
-    and plain XYZ still exports them."""
+    search's text before any point is built or distance taken, as
+    `--emit off` does, and plain XYZ still exports them."""
     path = tmp_path / "generic.txt"
     path.write_text("@closure on\n" + "".join(
         f"{k + 1},{2 * k + 3},{3 * k + 7}\n" for k in range(25)))
-    distances = []
+    distances, built = [], []
     pairwise = cages._pairwise_squared
     monkeypatch.setattr(cages, "_pairwise_squared", lambda a, b: distances
                         .append(len(a) * len(b)) or pairwise(a, b))
+    rows_to_points = geometry.row_vectors
+    for module in (geometry, groups, configs, engine, cages):
+        monkeypatch.setattr(module, "row_vectors", lambda den, rows: built
+                            .append(len(rows)) or rows_to_points(den, rows))
     argv = ["export", "--config", str(path), "--emit", "xyz"]
     for extra in (["--bond-scale"], ["--emit", "off", "--bond-scale"]):
         assert cli.run(argv + extra) == 4
         assert capsys.readouterr().err == (
             "error: bond search of 3000 points needs 9000000 pairwise "
             "distances, over the limit of 8388608\n")
-    assert distances == []
+    assert distances == [] and built == []
     assert cli.run(argv) == 0
     assert capsys.readouterr().out.startswith("3000\n")
     # at the cap itself the distances are taken
