@@ -1,11 +1,89 @@
-"""Reference face reads: the float orientation test that OFF export ran
-on every face, and the pentagon contact that looked up each edge's far
-face in a dict over every directed edge.
+"""Reference face code: the per-vertex tangent order and the face walk
+that face tracing first ran, the float orientation test that OFF export
+ran on every face, and the pentagon contact that looked up each edge's
+far face in a dict over every directed edge.
 
 Kept as they were so the differential tests can compare the census'
-`across` table and the reversed clockwise walk against them: equal OFF
-bytes and equal contact signatures.
+faces, `across` table and counts against the walk, and its reversed
+clockwise faces against the float orientation: equal faces, equal
+`EulerError` text, equal OFF bytes and equal contact signatures.
 """
+
+import math
+from collections import Counter
+
+import numpy as np
+
+from icofold.cages import EulerError
+
+
+def tangent_order_reference(coords, v, neighbors):
+    """The neighbours of v counterclockwise in its tangent plane, one
+    vertex at a time, as face tracing first computed them."""
+    normal = coords[v]
+    length = np.linalg.norm(normal)
+    if length == 0:
+        raise EulerError("vertex at the origin has no tangent plane")
+    normal = normal / length
+    reference = np.array([1.0, 0.0, 0.0])
+    if abs(normal[0]) > 0.9:
+        reference = np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(reference, normal)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    angles = []
+    for u in neighbors:
+        w = coords[u] - coords[v]
+        angles.append(math.atan2(float(w @ e2), float(w @ e1)))
+    return [u for _, u in sorted(zip(angles, neighbors))]
+
+
+def face_census_reference(cage):
+    """Face tracing as first written: per-vertex tangent orders, and each
+    face started at the smallest directed edge not yet walked."""
+    ordered = [tangent_order_reference(cage.coords, v, nbrs)
+               for v, nbrs in enumerate(cage.adjacency())]
+    successor = {}
+    for v, ring in enumerate(ordered):
+        for idx, u in enumerate(ring):
+            successor[(u, v)] = (v, ring[(idx + 1) % len(ring)])
+    faces = []
+    remaining = set(successor)
+    while remaining:
+        start = min(remaining)
+        walk = [start]
+        remaining.discard(start)
+        step = successor[start]
+        while step != start:
+            walk.append(step)
+            remaining.discard(step)
+            step = successor[step]
+        faces.append(tuple(edge[0] for edge in walk))
+    euler = cage.vertex_count - cage.edge_count + len(faces)
+    if euler != 2:
+        raise EulerError(
+            f"V-E+F = {cage.vertex_count}-{cage.edge_count}+{len(faces)} "
+            f"= {euler}, expected 2"
+        )
+    return tuple(faces)
+
+
+def directed_edges(face):
+    return list(zip(face, face[1:] + face[:1]))
+
+
+def across_reference(faces):
+    """The face on the other side of each edge of each face, read from a
+    dict over every directed edge."""
+    owner = {edge: f for f, face in enumerate(faces)
+             for edge in directed_edges(face)}
+    return tuple(tuple(owner[(b, a)] for a, b in directed_edges(face))
+                 for face in faces)
+
+
+def counts_reference(faces):
+    """Faces per size, in ascending size."""
+    return dict(sorted(Counter(map(len, faces)).items()))
 
 
 def oriented_face(face, coords):

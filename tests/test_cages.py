@@ -8,7 +8,10 @@ from itertools import combinations, compress
 import cage_reference
 import numpy as np
 import pytest
-from face_reference import contact_signature_reference, export_off_reference
+from face_reference import (across_reference, contact_signature_reference,
+                            counts_reference, directed_edges,
+                            export_off_reference, face_census_reference,
+                            tangent_order_reference)
 
 from icofold import cages
 from icofold.cages import (
@@ -280,6 +283,19 @@ def union_points(groups, chosen):
     return tuple(p for i in chosen for p in groups[i])
 
 
+def assert_edge_tuples(graph):
+    """`edges` is the form the searches gave before they kept bonds as
+    an array: a tuple of (int, int) tuples, lower end first, sorted, one
+    per row of `pairs`."""
+    edges = graph.edges
+    assert type(edges) is tuple
+    assert all(type(e) is tuple and len(e) == 2
+               and type(e[0]) is int and type(e[1]) is int for e in edges)
+    assert all(i < j for i, j in edges) and list(edges) == sorted(edges)
+    assert edges == tuple(zip(graph.pairs[:, 0].tolist(),
+                              graph.pairs[:, 1].tolist()))
+
+
 def assert_same_graph(got, want, context=None):
     assert (got is None) == (want is None), context
     if want is None:
@@ -421,7 +437,10 @@ def test_threshold_search_matches_dense_search_on_point_sets():
     found = 0
     for points in sets:
         want = dense_threshold_search(points)
-        assert_same_graph(trivalence_threshold_search(points), want, points)
+        got = trivalence_threshold_search(points)
+        assert_same_graph(got, want, points)
+        if got is not None:
+            assert_edge_tuples(got)
         found += want is not None
     assert found == 5  # dodecahedron, c60, c80, one and two tetrahedra
 
@@ -802,9 +821,13 @@ def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
             searched += 1
             if want is None:
                 continue
-            assert got[1] == want[1], chosen
+            assert got[1].shape == want[1].shape, chosen
+            assert got[1].dtype == want[1].dtype == np.intp, chosen
+            assert np.array_equal(got[1], want[1]), chosen
             got, want = (cages.CageGraph(coords, edges, math.sqrt(c2))
                          for c2, edges in (got, want))
+            assert_edge_tuples(got)
+            assert_edge_tuples(want)
             assert got.edge_min.hex() == want.edge_min.hex()
             assert got.edge_max.hex() == want.edge_max.hex()
             assert math.isclose(got.cutoff, want.cutoff, rel_tol=1e-12)
@@ -821,6 +844,8 @@ def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
         assert chunked == []
         assert_same_finding(got, want)
         if want is not None:
+            assert_edge_tuples(got.graph)
+            assert_edge_tuples(want.graph)
             assert got.graph.edge_min == want.graph.edge_min
             assert got.graph.edge_max == want.graph.edge_max
             # the search keeps the union's exact rows, in union order
@@ -1065,27 +1090,6 @@ def test_table_bonds_coincident_points():
 
 # --- the batched rotation system against the per-vertex walk it replaces --
 
-def tangent_order_reference(coords, v, neighbors):
-    """The neighbours of v counterclockwise in its tangent plane, one
-    vertex at a time, as face tracing first computed them."""
-    normal = coords[v]
-    length = np.linalg.norm(normal)
-    if length == 0:
-        raise EulerError("vertex at the origin has no tangent plane")
-    normal = normal / length
-    reference = np.array([1.0, 0.0, 0.0])
-    if abs(normal[0]) > 0.9:
-        reference = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(reference, normal)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    angles = []
-    for u in neighbors:
-        w = coords[u] - coords[v]
-        angles.append(math.atan2(float(w @ e2), float(w @ e1)))
-    return [u for _, u in sorted(zip(angles, neighbors))]
-
-
 @pytest.mark.parametrize("n", [20, 80, 500, 5000])
 def test_written_out_cross_product_is_np_cross(n):
     rng = np.random.default_rng(n)
@@ -1100,42 +1104,55 @@ def test_written_out_cross_product_is_np_cross(n):
         == np.cross(normal, e1).tobytes()
 
 
-def face_census_reference(cage):
-    """Face tracing as first written: per-vertex tangent orders, and each
-    face started at the smallest directed edge not yet walked."""
-    ordered = [tangent_order_reference(cage.coords, v, nbrs)
-               for v, nbrs in enumerate(cage.adjacency())]
-    successor = {}
-    for v, ring in enumerate(ordered):
-        for idx, u in enumerate(ring):
-            successor[(u, v)] = (v, ring[(idx + 1) % len(ring)])
-    faces = []
-    remaining = set(successor)
-    while remaining:
-        start = min(remaining)
-        walk = [start]
-        remaining.discard(start)
-        step = successor[start]
-        while step != start:
-            walk.append(step)
-            remaining.discard(step)
-            step = successor[step]
-        faces.append(tuple(edge[0] for edge in walk))
-    euler = cage.vertex_count - cage.edge_count + len(faces)
-    if euler != 2:
-        raise EulerError(
-            f"V-E+F = {cage.vertex_count}-{cage.edge_count}+{len(faces)} "
-            f"= {euler}, expected 2"
-        )
-    return tuple(faces)
+def rotation_rings(graph):
+    """Each vertex's neighbours in ring order from the rotation system,
+    started where the per-vertex tangent order starts."""
+    source, after, twin = cages._rotation_system(graph)
+    target = source[twin]
+    rings = []
+    for v, neighbors in enumerate(graph.adjacency()):
+        first = tangent_order_reference(graph.coords, v, neighbors)[0]
+        edge = np.flatnonzero((source == v) & (target == first))[0]
+        ring = []
+        for _ in neighbors:
+            ring.append(int(target[edge]))
+            edge = after[edge]
+        rings.append(ring)
+    return rings
 
 
-def traced(faces_of, cage):
-    """The faces, or the EulerError text."""
+def test_rotation_system_breaks_angle_ties_by_neighbour_index():
+    """Four coincident dodecahedra, each point bonded to its three
+    copies: every edge has zero length, so every vertex's neighbours tie
+    on angle and the ring falls back to neighbour index, as in the
+    per-vertex order; and the plain dodecahedron."""
+    dod = coords_of(builtin("dodecahedron").vertices)
+    copies = cage_reference.graph(cages._NearestTable([dod] * 4),
+                                  (0, 1, 2, 3))
+    assert copies.edge_max == 0.0
+    for graph in (copies, cage_of("dodecahedron")):
+        want = [tangent_order_reference(graph.coords, v, neighbors)
+                for v, neighbors in enumerate(graph.adjacency())]
+        assert rotation_rings(graph) == want
+
+
+def traced(tables_of, cage):
+    """The faces, their `across` table and their counts, or the
+    EulerError text."""
     try:
-        return faces_of(cage)
+        return tables_of(cage)
     except EulerError as exc:
         return "EulerError: " + str(exc)
+
+
+def census_tables(cage):
+    census = face_census(cage)
+    return census.faces, census.across, census.counts
+
+
+def walk_tables(cage):
+    faces = face_census_reference(cage)
+    return faces, across_reference(faces), counts_reference(faces)
 
 
 @pytest.fixture(scope="module")
@@ -1174,7 +1191,8 @@ def sphere_graphs(onion_member_graphs):
 
 
 def test_face_census_matches_the_per_vertex_walk(sphere_graphs):
-    """Equal face tuples, in equal order, or equal EulerError text, on
+    """Equal face tuples, in equal order, equal `across` tables and
+    counts, or equal EulerError text, on
     every rotation of the small cages, every onion member, every
     trivalent outer band of the default dodecahedron scan, and graphs
     that fail: a vertex at the origin, two disjoint tetrahedra."""
@@ -1184,15 +1202,60 @@ def test_face_census_matches_the_per_vertex_walk(sphere_graphs):
     graphs = sphere_graphs + [cages.CageGraph(coords, dod.edges, dod.cutoff),
                               trivalence_threshold_search(two_tetrahedra())]
     assert len(graphs) == 360 + 8 + 102 + 2
-    outcomes = [traced(lambda g: face_census(g).faces, g) for g in graphs]
-    assert outcomes == [traced(face_census_reference, g) for g in graphs]
+    outcomes = [traced(census_tables, g) for g in graphs]
+    assert outcomes == [traced(walk_tables, g) for g in graphs]
     assert outcomes[-2] == "EulerError: vertex at the origin has no tangent plane"
     assert outcomes[-1].startswith("EulerError: V-E+F = 8-12+")
     assert sum(isinstance(o, str) for o in outcomes) == 2
 
 
-def directed_edges(face):
-    return list(zip(face, face[1:] + face[:1]))
+def nearest_neighbour_graph(name):
+    """The built-in's points, every pair at the nearest-neighbour
+    distance bonded."""
+    coords = coords_of(builtin(name).vertices)
+    d2 = dense_matrix(coords)
+    nearest = d2.min()
+    pairs = np.argwhere(np.triu(d2 <= nearest * (1 + 1e-9)))
+    return cages.CageGraph(coords, pairs, math.sqrt(nearest))
+
+
+def great_circle_polygon(n):
+    """n points evenly around the equator, each bonded to the next."""
+    angle = 2 * np.pi * np.arange(n) / n
+    coords = np.stack([np.cos(angle), np.sin(angle), np.zeros(n)], axis=1)
+    pairs = sorted((min(i, (i + 1) % n), max(i, (i + 1) % n))
+                   for i in range(n))
+    return cages.CageGraph(coords, pairs, float(np.linalg.norm(
+        coords[1] - coords[0])))
+
+
+def concentric_dodecahedra():
+    """Two dodecahedra, radii 1:2, each bonded alone: two components."""
+    dod = cage_of("dodecahedron")
+    return cages.CageGraph(np.vstack([dod.coords, 2.0 * dod.coords]),
+                           np.vstack([dod.pairs, dod.pairs + 20]),
+                           dod.cutoff)
+
+
+def test_face_census_matches_the_walk_off_the_fullerenes():
+    """The walk's faces, `across` tables and counts, or its EulerError
+    text, and the dict-read contact, where no fullerene goes: vertices of
+    degree 5 (icosahedron) and 4 (icosidodecahedron), two faces of 1000
+    edges, which take more doubling rounds than any fullerene face, and
+    two components, which fail."""
+    graphs = [nearest_neighbour_graph("icosahedron"),
+              nearest_neighbour_graph("icosidodecahedron"),
+              great_circle_polygon(1000), concentric_dodecahedra()]
+    assert [g.edge_count for g in graphs] == [30, 60, 1000, 60]
+    outcomes = [traced(census_tables, g) for g in graphs]
+    assert outcomes == [traced(walk_tables, g) for g in graphs]
+    assert [o[2] for o in outcomes[:3]] == [{3: 20}, {3: 20, 5: 12},
+                                            {1000: 2}]
+    assert outcomes[3] == "EulerError: V-E+F = 40-60+24 = 4, expected 2"
+    for graph in graphs[:3]:
+        census = face_census(graph)
+        assert (pentagon_contact_signature(census)
+                == contact_signature_reference(census))
 
 
 # 120 rotations each of C20 (no hexagon), C60 ("vertex") and C80
@@ -1244,6 +1307,44 @@ def test_face_census_crosses_a_fixed_number_of_times(onion_member_graphs,
         counts.append(len(calls))
     assert onion_member_graphs[3].vertex_count == 960
     assert counts[0] == counts[1] <= 2
+
+
+def spy_on_tuples(monkeypatch):
+    """Record each build of `FaceCensus.faces`/`across` and
+    `CageGraph.edges`, the tuple forms built on read."""
+    reads = []
+    for cls, name in ((cages.FaceCensus, "faces"),
+                      (cages.FaceCensus, "across"),
+                      (cages.CageGraph, "edges")):
+        build = vars(cls)[name].func
+
+        def spy(self, build=build, name=name):
+            reads.append(name)
+            return build(self)
+
+        monkeypatch.setattr(cls, name, property(spy))
+    return reads
+
+
+def test_onion_and_census_build_no_face_or_edge_tuple(monkeypatch):
+    """`build_onion` and a census operation (rotate, search, census,
+    contact) work on the arrays alone; OFF export reads the faces and
+    writes the bytes it wrote from tuples."""
+    reads = spy_on_tuples(monkeypatch)
+    start = builtin("c60")
+    t = make_translation(start.symmetry, 5, parse_field_expr("3"))
+    family = build_onion(start, t, 4).family
+    assert [shell.count for shell in family] == [60, 240, 540, 960]
+    element = full_group().elements[7]
+    graph = trivalence_threshold_search(
+        tuple(mat_apply(element, v) for v in builtin("c80").vertices))
+    census = face_census(graph)
+    assert census.counts == {5: 12, 6: 30}
+    assert pentagon_contact_signature(census) == "edge"
+    assert reads == []
+    text = export_off(graph, census)
+    assert reads == ["faces"]
+    assert text == export_off_reference(graph, census)
 
 
 # --- kustov_allowable ------------------------------------------------------

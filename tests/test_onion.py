@@ -177,7 +177,7 @@ def test_family_formula_rejects_bad_arguments():
 def test_report_requires_increasing_counts():
     start = builtin("c60")
     t = make_translation(start.symmetry, 5, parse_field_expr("3"))
-    census = FaceCensus((), ())
+    census = FaceCensus((), (), ())
     shells = tuple(
         OnionShell(i, 60, 5.0, census, 1.0, None, ())
         for i in range(2)
