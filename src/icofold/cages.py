@@ -130,8 +130,7 @@ class CageGraph:
 
     @cached_property
     def points(self):
-        return None if self.rows is None else row_vectors(
-            self.rows[0], self.rows[1].tolist())
+        return None if self.rows is None else row_vectors(*self.rows)
 
     @property
     def vertex_count(self) -> int:
@@ -237,12 +236,13 @@ def _bonds(values: np.ndarray) -> tuple[float, np.ndarray] | None:
     return c2, values <= (c2 + min(floor4, 4.0 * c2)) / 2.0
 
 
-def _edges(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The bonds (source, target) kept from their lower end, as a sorted
-    (E, 2) array; a bond shows at both of its ends."""
+def _edges(source: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
+    """The bonds (source, target) among n points kept from their lower
+    end, as a sorted (E, 2) array; a bond shows at both of its ends.  One
+    stable argsort of source*n + target orders them."""
     lower = source < target
     source, target = source[lower], target[lower]
-    order = np.lexsort((target, source))
+    order = np.argsort(source * n + target, kind="stable")
     return np.stack([source[order], target[order]], axis=1)
 
 
@@ -255,7 +255,7 @@ def _union_bonds(coords: np.ndarray) -> tuple[float, np.ndarray] | None:
         return None
     c2, bonds = found
     source, column = np.nonzero(bonds)
-    return c2, _edges(source, targets[source, column])
+    return c2, _edges(source, targets[source, column], len(coords))
 
 
 def _orbit_bonds(coords: np.ndarray, permutations: np.ndarray
@@ -302,7 +302,7 @@ def _orbit_bonds(coords: np.ndarray, permutations: np.ndarray
             reached[image[new]] = True
             fresh.append(image[new])
         frontier = np.concatenate(fresh)
-    return c2, _edges(np.repeat(np.arange(n), 3), neighbors.ravel())
+    return c2, _edges(np.repeat(np.arange(n), 3), neighbors.ravel(), n)
 
 
 class _NearestTable:

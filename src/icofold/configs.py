@@ -17,7 +17,7 @@ from math import gcd
 import numpy as np
 
 from .cages import PointBudgetError
-from .geometry import Vec3E, integer_rows, norm2, row_vectors
+from .geometry import Vec3E, distinct_vectors, integer_rows, norm2
 from .golden import (
     FieldParseError,
     GoldenNumber,
@@ -97,8 +97,7 @@ class StartConfig:
     @cached_property
     def vertices(self) -> tuple[Vec3E, ...]:
         """The vertices as exact points, ordered by Vec3E.key."""
-        den, rows = self.integer_rows
-        return tuple(sorted(row_vectors(den, rows.tolist()), key=Vec3E.key))
+        return distinct_vectors(*self.integer_rows)
 
     @cached_property
     def radius2_spectrum(self) -> tuple[GoldenNumber, ...]:

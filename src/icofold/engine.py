@@ -44,7 +44,7 @@ import numpy as np
 from . import cages
 from .cages import PointBudgetError
 from .configs import DEFAULT_POINT_CAP, StartConfig
-from .geometry import Vec3E, row_vectors
+from .geometry import Vec3E, _coordinate_values, row_vectors
 from .golden import _TAU_FLOAT, GoldenNumber, _gsign, format_golden
 from .groups import PointGroup
 
@@ -150,7 +150,7 @@ class Shell:
 
     @cached_property
     def points(self) -> tuple[Vec3E, ...]:
-        return row_vectors(self.den, self.rows.tolist())
+        return row_vectors(self.den, self.rows)
 
     @cached_property
     def radius(self) -> float:
@@ -216,8 +216,10 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     ordered by float coordinates, exact reduced triples breaking ties: the
     order of (Vec3E.as_floats(), Vec3E.key()), so output is deterministic.
 
-    Only the few distinct coordinate values are reduced, turned into
-    floats by GoldenNumber.__float__'s arithmetic and ranked.  One argsort
+    Only the few distinct coordinate values, which
+    geometry._coordinate_values finds as the point builders do, are
+    reduced, turned into floats by GoldenNumber.__float__'s arithmetic
+    and ranked.  One argsort
     of one int64 per row, of its radius keys and its three ranks, orders
     the rows and brings duplicates together; np.lexsort takes the same
     keys, the radius keys in the rows' dtype, when floats tie or a bound
@@ -225,31 +227,12 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     """
     if not len(rows):
         return ()
-    a, b = rows[:, 0::2], rows[:, 1::2]
-    # a*width + b is one integer per (a, b) value; a lookup table while
-    # they span O(N) integers, else np.unique, gives the distinct ones
-    low_b = b.min()
-    width = int(b.max() - low_b) + 1
-    packed = (a * width + b).ravel()
-    low = packed.min()
-    span = int(packed.max() - low) + 1
-    if span <= 4 * len(packed):
-        packed = (packed - low).astype(np.int64, copy=False)
-        lookup = np.zeros(span, dtype=np.int64)
-        lookup[packed] = 1
-        values = np.flatnonzero(lookup)
-        lookup[values] = np.arange(len(values))
-        index, values = lookup.take(packed), values.astype(rows.dtype) + low
-    else:
-        values, index = np.unique(packed, return_inverse=True)
-    index = index.reshape(-1, 3)
-    vb = (values - low_b) % width + low_b
-    va = (values - vb) // width
+    va, vb, index = _coordinate_values(rows)
     g = np.gcd(np.gcd(va, vb), den)
     ra, rb, d = va // g, vb // g, den // g
     vfloat = np.asarray((ra + rb * _TAU_FLOAT) / d, dtype=float)
     # each value's rank by float, then by (an, bn, den) as Vec3E.key()
-    n = len(values)
+    n = len(va)
     by_value = np.lexsort((d, rb, ra, vfloat))
     rank, ranked = np.argsort(by_value), vfloat[by_value]
     tied = bool((ranked[1:] == ranked[:-1]).any())

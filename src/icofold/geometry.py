@@ -11,13 +11,18 @@ only number type a Vec3E holds.
 `mat_apply` works on integers: a matrix keeps its entries as (a, b) pairs
 over one common denominator, and each output coordinate is one integer
 dot product in Q(tau) reduced once.  A group acts on whole point sets as
-(n, 6) integer rows (`integer_rows`, `row_vectors`) through one table of
-6x6 integer blocks (`action_table`) built from it.
+(n, 6) integer rows (`integer_rows`) through one table of 6x6 integer
+blocks (`action_table`) built from it.  Rows turn back into points row
+for row (`row_vectors`) or as their distinct points in key order
+(`distinct_vectors`); both reduce each distinct coordinate value once
+and share its one GoldenNumber among the points.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import lcm
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,6 +39,7 @@ __all__ = [
     "mat_det",
     "integer_rows",
     "row_vectors",
+    "distinct_vectors",
     "action_table",
 ]
 
@@ -249,20 +255,105 @@ def action_table(matrices) -> tuple[int, np.ndarray]:
     D, u_k the vector of the k-th unit row (1 or tau on one axis), so a
     row r over den maps to r @ T[i] over D*den.  A finite group's entries
     are small; entries past int64 raise OverflowError."""
-    units = row_vectors(1, np.eye(6, dtype=int).tolist())
+    units = row_vectors(1, np.eye(6, dtype=np.int64))
     den, rows = integer_rows(
         [mat_apply(m, u) for m in matrices for u in units])
     return den, rows.astype(np.int64).reshape(-1, 6, 6)
 
 
+def _coordinate_values(rows: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(va, vb, index): the distinct (a, b) coordinate values of nonempty
+    (n, 6) integer rows, and each coordinate's (n, 3) index into them.
+
+    (a - low_a)*width + (b - low_b) is one integer per value, in
+    [0, span) for span the box the values lie in.  It is taken in int64
+    when span < 2^63, which bounds it, both differences and width, and in
+    Python ints (dtype=object) otherwise; a lookup table while span is
+    O(n), else np.unique, gives the distinct ones.  `va` and `vb` take
+    that dtype.
+    """
+    a, b = rows[:, 0::2], rows[:, 1::2]
+    low_a, high_a = int(a.min()), int(a.max())
+    low_b, high_b = int(b.min()), int(b.max())
+    width = high_b - low_b + 1
+    span = (high_a - low_a + 1) * width
+    if span >= 2 ** 63:
+        a, b = a.astype(object), b.astype(object)
+    packed = (a - low_a) * width
+    packed += b - low_b
+    packed = packed.ravel()
+    if span <= 4 * len(packed):
+        packed = packed.astype(np.int64, copy=False)
+        lookup = np.zeros(span, dtype=np.int64)
+        lookup[packed] = 1
+        values = np.flatnonzero(lookup)
+        lookup[values] = np.arange(len(values))
+        index, values = lookup.take(packed), values.astype(a.dtype)
+    else:
+        values, index = np.unique(packed, return_inverse=True)
+    return (values // width + low_a, values % width + low_b,
+            index.reshape(-1, 3))
+
+
+# a GoldenNumber's canonical triple, the sort key of Vec3E.key's parts
+_TRIPLE = attrgetter("an", "bn", "den")
+
+
+def _coordinate_numbers(den: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(numbers, index): one GoldenNumber per distinct coordinate value of
+    (n, 6) rows over `den`, as an object array in the order of their
+    canonical triples, and each coordinate's (n, 3) rank among them."""
+    rows = np.asarray(rows).reshape(-1, 6)
+    if not len(rows):
+        return np.empty(0, dtype=object), np.empty((0, 3), dtype=np.intp)
+    va, vb, index = _coordinate_values(rows)
+    numbers = list(map(GoldenNumber._make, va.tolist(), vb.tolist(),
+                       repeat(den)))
+    by_key = sorted(range(len(numbers)),
+                    key=list(map(_TRIPLE, numbers)).__getitem__)
+    rank = np.empty(len(numbers), dtype=np.intp)
+    rank[by_key] = np.arange(len(numbers))
+    return (np.fromiter(map(numbers.__getitem__, by_key), dtype=object,
+                        count=len(numbers)), rank.take(index))
+
+
 def row_vectors(den: int, rows) -> tuple[Vec3E, ...]:
-    """The vectors of (a_x, b_x, a_y, b_y, a_z, b_z) rows of Python ints
-    over `den`: the inverse of integer_rows."""
-    make = GoldenNumber._make
-    return tuple(
-        Vec3E(make(ax, bx, den), make(ay, by, den), make(az, bz, den))
-        for ax, bx, ay, by, az, bz in rows
-    )
+    """The vectors of (a_x, b_x, a_y, b_y, a_z, b_z) integer rows over
+    `den`, row for row: the inverse of integer_rows.
+
+    Each distinct coordinate value is reduced once, and the vectors share
+    its one GoldenNumber.
+    """
+    numbers, index = _coordinate_numbers(den, rows)
+    return tuple(map(Vec3E, *numbers.take(index.T).tolist()))
+
+
+def distinct_vectors(den: int, rows) -> tuple[Vec3E, ...]:
+    """The distinct vectors of integer rows over `den`, ordered by
+    Vec3E.key, built as `row_vectors` builds them."""
+    numbers, index = _coordinate_numbers(den, rows)
+    return tuple(map(Vec3E, *numbers.take(
+        _distinct_ranks(index, len(numbers))).tolist()))
+
+
+def _distinct_ranks(index: np.ndarray, n: int) -> np.ndarray:
+    """The distinct rows of an (m, 3) array of ranks below n, in
+    lexicographic order, as a (3, k) array.
+
+    A row's ranks are the digits of one integer base n, int64 while n^3
+    fits and Python ints otherwise; one sort of those integers orders
+    the rows, and repeats are dropped.  With the numbers in key order,
+    lexicographic order on ranks is Vec3E.key order.
+    """
+    dtype = np.int64 if n ** 3 < 2 ** 63 else object
+    key = index @ np.array([n * n, n, 1], dtype=dtype)
+    key.sort()
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    key = key[fresh]
+    return np.stack([key // (n * n), key // n % n, key % n]).astype(
+        np.intp, copy=False)
 
 
 def mat_mul(a: Mat3G, b: Mat3G) -> Mat3G:

@@ -19,8 +19,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .geometry import (Mat3G, Vec3E, action_table, integer_rows, mat_mul,
-                       row_vectors)
+from .geometry import (Mat3G, Vec3E, action_table, distinct_vectors,
+                       integer_rows, mat_mul)
 from .golden import GoldenNumber, TAU
 
 __all__ = [
@@ -209,11 +209,10 @@ class PointGroup:
         return self.orbit_of_set((v,))
 
     def orbit_of_set(self, points) -> tuple[Vec3E, ...]:
-        """Union of the orbits of several points."""
+        """Union of the orbits of several points, ordered by Vec3E.key."""
         d, _, chunks = self._apply(*integer_rows(points))
-        images = {tuple(row) for chunk in chunks
-                  for row in chunk.reshape(-1, 6).tolist()}
-        return tuple(sorted(row_vectors(d, images), key=Vec3E.key))
+        return distinct_vectors(
+            d, np.concatenate([chunk.reshape(-1, 6) for chunk in chunks]))
 
     def stabilizer_order(self, v: Vec3E) -> int:
         """The number of elements that fix v."""

@@ -7,9 +7,54 @@ looked up one image at a time.
 Kept function for function on `mat_apply`, one element and one point at
 a time, so the differential tests compare keys, order, counts and
 verdicts with code that shares none of the action table.
+
+`row_vectors` and `distinct_vectors` are the per-row builders that
+`geometry.row_vectors` and `orbit_of_set` ran before points were built
+from their distinct coordinate values: three reductions per row, then a
+set of row tuples sorted by key.  `BUILDERS` names every module global
+through which the program builds points from integer rows, for spies.
 """
 
-from icofold.geometry import Vec3E, mat_apply
+from icofold import cages, configs, engine, geometry, groups
+from icofold.geometry import Vec3E, integer_rows, mat_apply
+from icofold.golden import GoldenNumber
+
+BUILDERS = ((geometry, "row_vectors"), (geometry, "distinct_vectors"),
+            (groups, "distinct_vectors"), (configs, "distinct_vectors"),
+            (engine, "row_vectors"), (cages, "row_vectors"))
+
+
+def spy_on_builders(monkeypatch, built):
+    """Patch every name in `BUILDERS` so that each call appends its row
+    count to `built` before it builds; a name that is gone fails the
+    patch."""
+    for module, name in BUILDERS:
+        real = getattr(geometry, name)
+        monkeypatch.setattr(module, name, lambda den, rows, real=real: (
+            built.append(len(rows)) or real(den, rows)))
+
+
+def row_vectors(den, rows):
+    """The vectors of integer rows over `den`, one row at a time."""
+    make = GoldenNumber._make
+    return tuple(
+        Vec3E(make(ax, bx, den), make(ay, by, den), make(az, bz, den))
+        for ax, bx, ay, by, az, bz in rows
+    )
+
+
+def distinct_vectors(den, rows):
+    """The distinct vectors of integer rows, through a set of row tuples
+    and a sort by key."""
+    return tuple(sorted(row_vectors(den, {tuple(row) for row in rows}),
+                        key=Vec3E.key))
+
+
+def batched_orbit_of_set(group, points):
+    """`orbit_of_set` on the batched action with the set-and-sort build."""
+    d, _, chunks = group._apply(*integer_rows(points))
+    return distinct_vectors(
+        d, [row for chunk in chunks for row in chunk.reshape(-1, 6).tolist()])
 
 
 def orbit_of_set(group, points):

@@ -1121,6 +1121,26 @@ def rotation_rings(graph):
     return rings
 
 
+def test_edges_are_ordered_as_the_two_key_lexsort():
+    """`_edges` sorts bonds on one integer, source*n + target, and gives
+    the array that np.lexsort((target, source)) gives: same rows, same
+    order, same dtype, on sorted and shuffled sources with repeats."""
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 20, 960):
+        source = np.repeat(np.arange(n), 3)
+        for shuffle in (False, True):
+            if shuffle:
+                source = rng.permutation(source)
+            target = rng.integers(0, n, size=len(source)).astype(np.intp)
+            lower = source < target
+            s, t = source[lower], target[lower]
+            order = np.lexsort((t, s))
+            want = np.stack([s[order], t[order]], axis=1)
+            got = cages._edges(source, target, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 def test_rotation_system_breaks_angle_ties_by_neighbour_index():
     """Four coincident dodecahedra, each point bonded to its three
     copies: every edge has zero length, so every vertex's neighbours tie

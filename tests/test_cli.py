@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from icofold import cages, cli, configs, engine, geometry, groups, verify
+import group_reference as ref
+from icofold import cages, cli, configs, engine, verify
 from icofold.configs import builtin
 from icofold.export import read_csv
 from icofold.golden import parse_field_expr
@@ -421,7 +422,6 @@ def test_closure_and_search_caps_exit_4_before_their_work(
         f"{k + 1},{2 * k + 3},{3 * k + 7}\n" for k in range(25)))
     applied, distances, built = [], [], []
     apply, pairwise = PointGroup._apply, cages._pairwise_squared
-    rows_to_points = geometry.row_vectors
 
     def apply_spy(self, den, rows, elements=slice(None)):
         applied.append(len(rows))
@@ -431,18 +431,13 @@ def test_closure_and_search_caps_exit_4_before_their_work(
         distances.append(len(a) * len(b))
         return pairwise(a, b)
 
-    def rows_spy(den, rows):
-        built.append(len(rows))
-        return rows_to_points(den, rows)
-
     # the group's action table and fold-5 steps are built once per process,
     # from unit rows; build them now so the spies see only the seed file's
     group = full_group()
     group._action, group.translation_orbit(5)
     monkeypatch.setattr(PointGroup, "_apply", apply_spy)
     monkeypatch.setattr(cages, "_pairwise_squared", pairwise_spy)
-    for module in (geometry, groups, configs, engine, cages):
-        monkeypatch.setattr(module, "row_vectors", rows_spy)
+    ref.spy_on_builders(monkeypatch, built)
     commands = (["configs", "--config", str(path)],
                 ["export", "--config", str(path), "--emit", "json"],
                 ["export", "--config", str(path), "--emit", "off"],
@@ -477,10 +472,7 @@ def test_bond_scale_caps_its_pairwise_work_before_taking_it(
     pairwise = cages._pairwise_squared
     monkeypatch.setattr(cages, "_pairwise_squared", lambda a, b: distances
                         .append(len(a) * len(b)) or pairwise(a, b))
-    rows_to_points = geometry.row_vectors
-    for module in (geometry, groups, configs, engine, cages):
-        monkeypatch.setattr(module, "row_vectors", lambda den, rows: built
-                            .append(len(rows)) or rows_to_points(den, rows))
+    ref.spy_on_builders(monkeypatch, built)
     argv = ["export", "--config", str(path), "--emit", "xyz"]
     for extra in (["--bond-scale"], ["--emit", "off", "--bond-scale"]):
         assert cli.run(argv + extra) == 4

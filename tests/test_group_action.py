@@ -47,6 +47,9 @@ GROUPS = {"I_h": full_group, "I": rotation_group, "shuffled": shuffled_group,
 # scales whose rows need Python ints (2^200, 2^255 numerators) or fit
 # int64 (2^32)
 BIG_SCALES = ("(2^200+1)/2^199", "2^32", "(2^255-1)/2^250")
+# scales whose I_h images are int64 rows with entries of both signs near
+# 2^30-2^32, so that their coordinate values pack near 2^63
+NEAR_INT64_SCALES = ("2^29", "2^29+2^28", "3*2^28+7", "(2^30+1)/3", "2^30")
 
 
 def seed_points():
@@ -72,13 +75,22 @@ def mixed_points():
     return [mixed_vec(rng) for _ in range(40)]
 
 
-def big_points():
+def scaled_bases(scales):
     bases = (*BASE_VECTORS.values(), Vec3E.from_golden(1, 2, TAU - 3))
-    return [v.scale(parse_field_expr(s)) for s in BIG_SCALES for v in bases]
+    return [v.scale(parse_field_expr(s)) for s in scales for v in bases]
+
+
+def big_points():
+    return scaled_bases(BIG_SCALES)
+
+
+def near_int64_points():
+    return scaled_bases(NEAR_INT64_SCALES)
 
 
 CASES = {"seeds": seed_points, "golden": golden_points,
-         "mixed": mixed_points, "big": big_points}
+         "mixed": mixed_points, "big": big_points,
+         "near int64": near_int64_points}
 
 
 def keys(points):

@@ -9,6 +9,7 @@ whole-array pass, and a digest pins the default scan's output.
 import hashlib
 import math
 import random
+import sys
 import tracemalloc
 from itertools import permutations
 
@@ -234,10 +235,20 @@ def assert_rows_match_reference(listed, den, sorts, row_sort):
 
 @pytest.fixture
 def unique_calls(monkeypatch):
+    """The np.unique calls made inside build_shells; building points from
+    shell rows makes its own."""
     calls = []
-    real = np.unique
-    monkeypatch.setattr(np, "unique", lambda *args, **kwargs:
-                        calls.append(1) or real(*args, **kwargs))
+    real, code = np.unique, engine.build_shells.__code__
+
+    def spy(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        if frame is not None:
+            calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
     return calls
 
 

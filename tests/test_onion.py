@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from icofold import cages, configs, engine, geometry, groups
+import group_reference as ref
+from icofold import cages, groups
 from icofold.cages import FaceCensus
 from icofold.configs import C80_EQUAL_RADIUS_SEED, StartConfig, builtin
 from icofold.engine import generate_array, make_translation, outer_cage
@@ -224,18 +225,13 @@ def test_members_past_the_start_build_no_points_until_read(monkeypatch):
         working = StartConfig(f"c60.onion{j}", graph.points, start.symmetry)
     start.vertices, start.radius2  # the start shell reads them
     built, made = [], []
-    real_rows, real_init = geometry.row_vectors, Vec3E.__init__
-
-    def rows_spy(den, rows):
-        built.append(len(rows))
-        return real_rows(den, rows)
+    real_init = Vec3E.__init__
 
     def init_spy(self, *args):
         made.append(1)
         real_init(self, *args)
 
-    for module in (geometry, groups, configs, engine, cages):
-        monkeypatch.setattr(module, "row_vectors", rows_spy)
+    ref.spy_on_builders(monkeypatch, built)
     monkeypatch.setattr(Vec3E, "__init__", init_spy)
     report = build_onion(start, t, 4)
     assert report.counts == (60, 240, 540, 960)
