@@ -20,13 +20,14 @@ window of shells in one call: its trailing union from the window's
 rows as they are, its unions less one interior shell together, from
 each probe row's eight smallest entries over the window.  A single
 point set's probe rows are its groups' first points against all of
-its points.  A union that passes has its points stacked and searched a
-fixed number of rows at a time, keeping each point's four nearest; once
-the gap holds, the entries within the cutoff are exactly each point's
-three bonds, so no search holds an N x N matrix.  When the union's
-exact rows and a group mapping it onto itself are known, only one point
-per orbit is searched against all N points, and its bonds are carried
-to the rest of its orbit by the group.
+its points.  A union that passes has its points stacked, and one
+search takes its representatives' four nearest against all N points, a
+fixed number of representatives at a time; once the gap holds, the
+entries within the cutoff are exactly each representative's three
+bonds, so no search holds an N x N matrix.  When the union's exact rows
+and a group mapping it onto itself are known, the representatives are
+one point per orbit, and their bonds are carried to the rest of each
+orbit by the group; otherwise every point is its own representative.
 
 A bond graph keeps its bonds as one sorted (E, 2) integer array from
 the search on; the tuple of pairs is built only when read.
@@ -101,13 +102,11 @@ class CageGraph:
 
     `pairs` is the bonds as an (E, 2) integer array, or any sequence of
     index pairs; `edges` is the same bonds as a tuple of pairs, built on
-    first read.  `points` are the exact points given, or else built on
-    first read from `rows`, their (den, integer rows) when known; None
-    for floats only.
+    first read.  `points` are the exact points, built on first read from
+    `rows`, their (den, integer rows) when known; None for floats only.
     """
 
-    def __init__(self, coords: np.ndarray, pairs, cutoff: float,
-                 points=None) -> None:
+    def __init__(self, coords: np.ndarray, pairs, cutoff: float) -> None:
         self.coords = coords
         self.pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         self.cutoff = cutoff
@@ -115,8 +114,6 @@ class CageGraph:
         # the group whose generators the search found mapping the points
         # onto themselves, else None
         self._symmetry = None
-        if points is not None:
-            self.points = tuple(points)
         pairs = self.pairs
         self.degrees = np.bincount(pairs.ravel(), minlength=len(coords))
         lengths = _lengths(coords.take(pairs[:, 0], axis=0)
@@ -189,27 +186,17 @@ def _four_columns(d2: np.ndarray) -> np.ndarray:
     return np.hstack([d2, np.full((len(d2), 4 - d2.shape[1]), np.inf)])
 
 
-def _distance_chunks(coords: np.ndarray):
-    """(first row, squared distances from that row and the next ones to
-    every point of `coords`), `_CHUNK_ROWS` rows at a time, with each
-    row's distance to itself set to `inf`."""
-    for start in range(0, len(coords), _CHUNK_ROWS):
-        d2 = _pairwise_squared(coords[start:start + _CHUNK_ROWS], coords)
-        rows = np.arange(len(d2))
-        d2[rows, rows + start] = np.inf
+def _distance_chunks(coords: np.ndarray, rows=None):
+    """(place in `rows` of a chunk's first row, squared distances from
+    that row and the next ones to every point of `coords`), `_CHUNK_ROWS`
+    rows at a time, with each row's distance to itself set to `inf`.
+    `rows` are point indices, every point in order when None."""
+    rows = np.arange(len(coords)) if rows is None else rows
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        d2 = _pairwise_squared(coords[chunk], coords)
+        d2[np.arange(len(chunk)), chunk] = np.inf
         yield start, d2
-
-
-def _union_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per point, its four smallest squared distances to the other points
-    of `coords` (at least four) and their indices, chunk by chunk."""
-    values = np.empty((len(coords), 4))
-    targets = np.empty((len(coords), 4), dtype=np.intp)
-    for start, d2 in _distance_chunks(coords):
-        index = np.argpartition(d2, 3, axis=1)[:, :4]
-        values[start:start + len(d2)] = np.take_along_axis(d2, index, axis=1)
-        targets[start:start + len(d2)] = index
-    return values, targets
 
 
 def _gap(rows: np.ndarray) -> tuple[float, float] | None:
@@ -246,54 +233,50 @@ def _edges(source: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
     return np.stack([source[order], target[order]], axis=1)
 
 
-def _union_bonds(coords: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """(c2, bond pairs) of the point set from every point's four nearest, or
-    None when it has no gap."""
-    values, targets = _union_rows(coords)
+def _bond_search(coords: np.ndarray, permutations=None
+                 ) -> tuple[float, np.ndarray] | None:
+    """(c2, bond pairs) of the point set from its representatives' four
+    nearest, or None when it has no gap.
+
+    `permutations`, when given, are the generators' index permutations of
+    the points, which map the set onto itself.  Every point is a group
+    image of its orbit's lowest index, its representative, and an
+    isometry that keeps the set carries bonds to bonds.  So only the
+    representatives' four nearest are taken, against all points,
+    `_CHUNK_ROWS` representatives at a time, and their bonds are carried
+    out along the generators, one breadth-first level at a time.  With
+    no generators every point is its own representative.
+    """
+    n = len(coords)
+    reps = label = np.arange(n)
+    if permutations is not None:
+        # each point takes the least label among it and its images, then
+        # its label's label; labels stay inside the orbit and reach its
+        # lowest index
+        while True:
+            least = np.minimum(label, label[permutations].min(axis=0))
+            least = least[least]
+            if np.array_equal(least, label):
+                break
+            label = least
+        reps = np.flatnonzero(label == reps)
+    values = np.empty((len(reps), 4))
+    targets = np.empty((len(reps), 4), dtype=np.intp)
+    for start, d2 in _distance_chunks(coords, reps):
+        index = np.argpartition(d2, 3, axis=1)[:, :4]
+        values[start:start + len(d2)] = np.take_along_axis(d2, index, axis=1)
+        targets[start:start + len(d2)] = index
     found = _bonds(values)
     if found is None:
         return None
     c2, bonds = found
-    source, column = np.nonzero(bonds)
-    return c2, _edges(source, targets[source, column], len(coords))
-
-
-def _orbit_bonds(coords: np.ndarray, permutations: np.ndarray
-                 ) -> tuple[float, np.ndarray] | None:
-    """`_union_bonds` of a point set that `permutations`, the generators'
-    index permutations of its points, map onto itself.
-
-    Every point is a group image of its orbit's lowest index, its
-    representative, and an isometry that keeps the set carries bonds to
-    bonds.  So only the representatives' four nearest are taken, against
-    all points, and their bonds are carried out along the generators,
-    one breadth-first level at a time.
-    """
-    n = len(coords)
-    label = np.arange(n)
-    while True:
-        # each point takes the least label among it and its images, then
-        # its label's label; labels stay inside the orbit and reach its
-        # lowest index
-        least = np.minimum(label, label[permutations].min(axis=0))
-        least = least[least]
-        if np.array_equal(least, label):
-            break
-        label = least
-    reps = np.flatnonzero(label == np.arange(n))
-    d2 = _pairwise_squared(coords[reps], coords)
-    d2[np.arange(len(reps)), reps] = np.inf
-    index = np.argpartition(d2, 3, axis=1)[:, :4]
-    found = _bonds(np.take_along_axis(d2, index, axis=1))
-    if found is None:
-        return None
-    c2, bonds = found
     neighbors = np.empty((n, 3), dtype=np.intp)
-    neighbors[reps] = index[bonds].reshape(-1, 3)
+    neighbors[reps] = targets[bonds].reshape(-1, 3)
     reached = np.zeros(n, dtype=bool)
     reached[reps] = True
     frontier = reps
-    while len(frontier):
+    # with every point its own representative, there is nothing to carry
+    while not reached.all():
         fresh = []
         for perm in permutations:
             image = perm[frontier]
@@ -400,9 +383,7 @@ class _NearestTable:
             group, den, shell_rows = self._exact
             rows = np.concatenate([shell_rows[i] for i in chosen])
             permutations = group.generator_permutations(den, rows)
-        graph = _trivalent_graph(coords, _union_bonds(coords)
-                                 if permutations is None
-                                 else _orbit_bonds(coords, permutations))
+        graph = _trivalent_graph(coords, _bond_search(coords, permutations))
         if graph is not None and rows is not None:
             graph.rows = (den, rows)
             if permutations is not None:
@@ -443,11 +424,10 @@ def trivalence_threshold_search(*groups) -> CageGraph | None:
         return None
     probes = np.cumsum([0] + [len(c) for c in coords[:-1]])
     coords = np.vstack(coords)
-    d2 = _pairwise_squared(coords[probes], coords)
-    d2[np.arange(len(probes)), probes] = np.inf
-    if _gap(d2) is None:
+    probe_rows = [d2 for _, d2 in _distance_chunks(coords, probes)]
+    if _gap(np.vstack(probe_rows)) is None:
         return None
-    return _trivalent_graph(coords, _union_bonds(coords))
+    return _trivalent_graph(coords, _bond_search(coords))
 
 
 def _check_search_budget(n: int) -> None:

@@ -143,8 +143,10 @@ class PointGroup:
         return tuple(sorted(seen.values(), key=Vec3E.key))
 
     @cached_property
-    def _action(self) -> tuple[int, np.ndarray]:
-        return action_table(self.elements)
+    def _action(self) -> tuple[int, np.ndarray, int]:
+        """(D, table, max|T|): the action table and its largest entry."""
+        d, table = action_table(self.elements)
+        return d, table, int(abs(table).max(initial=0))
 
     @cached_property
     def _generator_indices(self) -> list[int]:
@@ -157,12 +159,12 @@ class PointGroup:
         image rows over d of the next m <= _CHUNK rows (at least one
         chunk).  int64 when 6 * max|T| * max|row| < 2^63 bounds every sum
         (the identity's block D*I keeps `own` in bound too), Python ints
-        (dtype=object) otherwise.
+        (dtype=object) otherwise; max|T| is the whole table's, which no
+        subset of its elements passes.
         """
-        d, table = self._action
+        d, table, most = self._action
         table = table[elements]
-        bound = 6 * int(abs(table).max(initial=0)) \
-            * int(abs(rows).max(initial=0))
+        bound = 6 * most * int(abs(rows).max(initial=0))
         dtype = np.int64 if bound < 2 ** 63 else object
         table, rows = (a.astype(dtype, copy=False) for a in (table, rows))
         chunks = (rows[i:i + _CHUNK] @ table

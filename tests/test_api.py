@@ -62,6 +62,8 @@ PARAMETERS = [
     (engine.classify_length, ["start", "translation", "depth", "with_cage"]),
     (engine.classify_scan, ["start", "folds", "spec"]),
     (onion.build_onion, ["start", "translation", "iterations"]),
+    (cages.CageGraph, ["coords", "pairs", "cutoff"]),
+    (cages.trivalence_threshold_search, ["groups"]),
     (cages.detect_cage, ["shell_groups"]),
     (cages.similar_up_to_scale, ["a_points", "b_points"]),
     (verify.render_table, ["results"]),

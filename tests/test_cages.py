@@ -272,10 +272,9 @@ def dense_threshold_search(points):
     threshold = (c2 + min(floor4, 4.0 * c2)) / 2.0
     pairs = np.argwhere(np.triu(d2 <= threshold, k=1))
     edges = tuple(sorted((int(i), int(j)) for i, j in pairs))
-    graph = cages.CageGraph(
-        coords, edges, math.sqrt(c2),
-        points=points if not isinstance(points, np.ndarray) else None,
-    )
+    graph = cages.CageGraph(coords, edges, math.sqrt(c2))
+    if not isinstance(points, np.ndarray):
+        graph.points = tuple(points)
     return graph if graph.trivalent else None
 
 
@@ -470,7 +469,7 @@ def test_union_search_matches_dense_search_across_chunks(n):
     found = 0
     for coords in (rng.normal(size=(n, 3)), tetrahedra(rng, n // 4),
                    tetrahedra(rng, n // 4 + 1), copies):
-        values, index = cages._union_rows(coords)
+        values, index = cage_reference.union_rows(coords)
         dense = dense_matrix(coords)
         want = np.sort(dense, axis=1)[:, :4]
         assert np.sort(values, axis=1).tobytes() == want.tobytes()
@@ -481,6 +480,52 @@ def test_union_search_matches_dense_search_across_chunks(n):
         found += want is not None
     assert found == 3
     assert trivalence_threshold_search(copies).cutoff == 0.0
+
+
+def inverted_tetrahedra(rng, count):
+    """`count` randomly turned regular tetrahedra far apart on the +x
+    axis, then their mirror images through the origin: a trivalent set
+    that the inversion, point i to point i + 4 * count and back, maps
+    onto itself."""
+    tet = two_tetrahedra()[:4] - (0, 0, 10.0)
+    sets = []
+    for k in range(count):
+        turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        sets.append(tet @ turn + (10.0 * (k + 1), 0.0, 0.0))
+    half = np.vstack(sets)
+    return np.vstack([half, -half])
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_orbit_search_takes_representatives_in_chunks(n):
+    """The search from orbit representatives across chunk boundaries, on
+    the sets of the test above: under a trivial generator every point is
+    its own representative, and under the inversion half of them are.
+    `c2` and the pairs equal the all-points search's bit for bit, as do
+    those of the search with no generators."""
+    assert cages._CHUNK_ROWS == 64
+    rng = np.random.default_rng(n)
+    copies = np.roll(np.repeat(rng.normal(size=(n // 4 + 1, 3)), 4, axis=0),
+                     2, axis=0)
+    cases = [(coords, np.arange(len(coords))[None]) for coords in (
+        rng.normal(size=(n, 3)), tetrahedra(rng, n // 4),
+        tetrahedra(rng, n // 4 + 1), copies)]
+    mirrored = inverted_tetrahedra(rng, n // 4 + 1)
+    half = len(mirrored) // 2
+    cases.append((mirrored, np.roll(np.arange(2 * half), half)[None]))
+    found = 0
+    for coords, permutations in cases:
+        want = cage_reference.union_bonds(coords)
+        for got in (cages._bond_search(coords, permutations),
+                    cages._bond_search(coords)):
+            assert (got is None) == (want is None)
+            if want is None:
+                continue
+            assert got[0] == want[0]
+            assert got[1].dtype == want[1].dtype == np.intp
+            assert np.array_equal(got[1], want[1])
+        found += want is not None
+    assert found == 4
 
 
 def test_single_set_search_memory_is_linear():
@@ -727,22 +772,29 @@ def test_probe_columns_are_computed_once_for_the_shells_tried(monkeypatch):
     assert set(columns) == members and len(members) < len(groups)
 
 
+def spy_on_bond_search(monkeypatch):
+    """A list that records each `_bond_search` call as (its number of
+    points, whether it came without permutations)."""
+    calls = []
+    search = cages._bond_search
+
+    def spy(coords, permutations=None):
+        calls.append((len(coords), permutations is None))
+        return search(coords, permutations)
+
+    monkeypatch.setattr(cages, "_bond_search", spy)
+    return calls
+
+
 def test_probe_leaves_every_union_unsearched_on_a_negative_scan(
         monkeypatch):
-    calls = []
-    search = cages._union_rows
-
-    def spy(coords):
-        calls.append(len(coords))
-        return search(coords)
-
-    monkeypatch.setattr(cages, "_union_rows", spy)
+    calls = spy_on_bond_search(monkeypatch)
     rows = classify_scan(builtin("icosidodecahedron"), (2, 3, 5),
                          DEFAULT_SCAN_SPEC)
     assert len(rows) == 894 and calls == []
     # the spy sees a search the probe cannot refute
     assert trivalence_threshold_search(builtin("c60").vertices) is not None
-    assert calls == [60]
+    assert calls == [(60, True)]
 
 
 # --- one row per orbit against the chunked search -----------------------
@@ -809,14 +861,14 @@ def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
             coords = np.vstack([table.coords[i] for i in members])
             permutations = cage_reference.permutations(table, members)
             assert permutations is not None
-            got = cages._orbit_bonds(coords, permutations)
+            got = cages._bond_search(coords, permutations)
             if not passed:
                 # on a failing iteration every union is refuted by its
                 # probe, so the chunked search finds no gap there either
                 assert got is None, chosen
                 refuted += 1
                 continue
-            want = cages._union_bonds(coords)
+            want = cage_reference.union_bonds(coords)
             assert (got is None) == (want is None), chosen
             searched += 1
             if want is None:
@@ -833,15 +885,13 @@ def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
             assert math.isclose(got.cutoff, want.cutoff, rel_tol=1e-12)
             found += 1
     assert (searched, found, refuted) == (20, 19, 134 + 201 + 201)
-    chunked = []
-    union_rows = cages._union_rows
-    monkeypatch.setattr(cages, "_union_rows",
-                        lambda coords: chunked.append(1) or union_rows(coords))
+    calls = spy_on_bond_search(monkeypatch)
     for array in orbit_search_arrays:
         want = detect_cage([shell.coords for shell in array.shells])
-        chunked.clear()
+        calls.clear()
         got = outer_cage(array)
-        assert chunked == []
+        # every search outer_cage runs has the union's permutations
+        assert not any(unpermuted for _, unpermuted in calls)
         assert_same_finding(got, want)
         if want is not None:
             assert_edge_tuples(got.graph)
@@ -871,13 +921,9 @@ def test_a_union_that_is_not_invariant_takes_the_chunked_search(
     assert cage_reference.passes_probe(table, chosen)
     assert cage_reference.permutations(table, list(chosen)) is None
     assert cage_reference.permutations(table, list(chosen[:-1])) is not None
-    calls = []
-    for name in ("_union_bonds", "_orbit_bonds"):
-        real = getattr(cages, name)
-        monkeypatch.setattr(cages, name, lambda *args, real=real, name=name:
-                            calls.append(name) or real(*args))
+    calls = spy_on_bond_search(monkeypatch)
     got = cage_reference.graph(table, chosen)
-    assert calls == ["_union_bonds"]
+    assert [unpermuted for _, unpermuted in calls] == [True]
     want = cage_reference.graph(
         cages._NearestTable([s.coords for s in shells]), chosen)
     assert_same_graph(got, want)
@@ -1071,7 +1117,7 @@ def test_table_mixes_a_shell_with_itself_and_others():
     assert cage_reference.graph(table, (0, 1)) is None
     assert cage_reference.graph(table, (0, 2)) is not None
     # a copy's zero distance is a nearest entry; the point's own is not
-    values, index = cages._union_rows(np.vstack(groups[:2]))
+    values, index = cage_reference.union_rows(np.vstack(groups[:2]))
     assert values.shape == index.shape == (40, 4)
     assert not values.min(axis=1).any() and np.isfinite(values).all()
     copy = index[np.arange(40), values.argmin(axis=1)]

@@ -204,8 +204,8 @@ def test_off_of_a_float_graph_matches_the_exact_one():
 def test_off_requires_a_trivalent_cage():
     points = builtin("icosahedron").vertices[:4]
     coords = __import__("numpy").array([p.as_floats() for p in points])
-    square = CageGraph(coords, ((0, 1), (1, 2), (2, 3), (3, 0)), 1.0,
-                       points=points)
+    square = CageGraph(coords, ((0, 1), (1, 2), (2, 3), (3, 0)), 1.0)
+    square.points = points
     with pytest.raises(ExportError, match="trivalent"):
         export_off(square)
 
