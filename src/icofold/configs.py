@@ -17,7 +17,8 @@ from math import gcd
 import numpy as np
 
 from .cages import PointBudgetError
-from .geometry import Vec3E, distinct_vectors, integer_rows, norm2
+from .geometry import (Vec3E, _value_table, distinct_vectors, integer_rows,
+                       norm2)
 from .golden import (
     FieldParseError,
     GoldenNumber,
@@ -98,6 +99,14 @@ class StartConfig:
     def vertices(self) -> tuple[Vec3E, ...]:
         """The vertices as exact points, ordered by Vec3E.key."""
         return distinct_vectors(*self.integer_rows)
+
+    @cached_property
+    def value_table(self) -> tuple[int, list[int], list[int], np.ndarray]:
+        """(den, va, vb, index): the distinct coordinate values
+        (va[k] + vb[k]*tau)/den of nonempty `integer_rows`, in Python
+        ints, and the (3, n) index of each row's coordinates into them."""
+        den, rows = self.integer_rows
+        return (den, *_value_table(rows))
 
     @cached_property
     def radius2_spectrum(self) -> tuple[GoldenNumber, ...]:

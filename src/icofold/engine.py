@@ -15,15 +15,20 @@ in, so only they can produce coinciding points at all.
 Every start vertex and every such step lies in Q(tau)^3, so arrays are
 generated on an integer point kernel: each point is a row of six
 integers (a, b per coordinate, value (a + b*tau)/den) over one shared
-denominator.  The start's rows and each fold's direction rows are built
-once; a step is integer arithmetic on a direction row and the length.
-All candidate points form one (N, 6) numpy array.  Its few distinct
-coordinate values are reduced, turned into floats and ranked once; one
-sort of one integer per row, its exact squared radius (an integer pair)
-and its coordinates' ranks, orders the rows, brings duplicates together
-and cuts shells where the radius changes.  The array is int64 when a bound
-computed up front proves every product exact, and dtype=object (Python
-ints) otherwise, through the same numpy calls.  Shells carry float
+denominator.  An array is the Minkowski sum X + lambda*S_k of the start X
+and the sums S_k of at most k directions, and S_k does not depend on
+lambda: the group keeps it per (fold, depth), with its distinct
+coordinate values V, as the start keeps its own values U.  A length
+lambda = (p + q*tau)/e enters only as the integer matrix [[p, q],
+[q, p+q]] applied to those small value tables, so every coordinate of
+the array is one of the |U|*|V| pair sums u + lambda*v, and each
+candidate row is three indexes into that pair table.  The table's values
+are reduced, turned into floats and ranked once; one sort of one integer
+per row, its exact squared radius (an integer pair) and its coordinates'
+ranks, orders the rows, brings duplicates together and cuts shells
+where the radius changes.  The array is int64 when a bound computed up
+front proves every product exact, and dtype=object (Python ints)
+otherwise, through the same numpy calls.  Shells carry float
 coordinates for the cage searches and build exact Vec3E points, golden
 vectors like every other 3D point, only when asked.
 
@@ -36,7 +41,7 @@ gap value reproduces every known surface.
 from __future__ import annotations
 
 import math
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -44,8 +49,9 @@ import numpy as np
 from . import cages
 from .cages import PointBudgetError
 from .configs import DEFAULT_POINT_CAP, StartConfig
-from .geometry import Vec3E, _coordinate_values, row_vectors
-from .golden import _TAU_FLOAT, GoldenNumber, _gsign, format_golden
+from .geometry import (Vec3E, _coordinate_values, _distinct_sums,
+                       row_vectors)
+from .golden import _TAU_FLOAT, GoldenNumber, _gsigns, format_golden
 from .groups import PointGroup
 
 __all__ = [
@@ -60,7 +66,6 @@ __all__ = [
     "bands",
     "outer_cage",
     "generic_cardinality",
-    "is_nontrivial",
     "ScanSpec",
     "parse_scan_spec",
     "DEFAULT_SCAN_SPEC",
@@ -87,31 +92,18 @@ class EmptyScanError(ValueError):
 
 
 class AffineTranslation:
-    """A translation length attached to every axis direction of one fold."""
+    """A translation length attached to every axis direction of one fold.
+
+    `group` is the group whose axes the directions are; it keeps their
+    sums (PointGroup.direction_sums), which every length shares.
+    """
 
     def __init__(self, fold: int, length: GoldenNumber,
-                 directions: tuple[Vec3E, ...],
-                 direction_rows: tuple[int, np.ndarray]) -> None:
+                 group: PointGroup) -> None:
         self.fold = fold
         self.length = length
-        self.directions = directions
-        # (den, rows) of the directions, as PointGroup.translation_rows
-        self._direction_rows = direction_rows
-
-    @cached_property
-    def step_rows(self) -> tuple[int, np.ndarray]:
-        """The steps as integer rows over one denominator, Python ints.
-
-        (x + y*tau)(p + q*tau) = (xp + yq) + (xq + yp + yq)*tau, so every
-        step is integer arithmetic on a direction row and the length.
-        """
-        den, rows = self._direction_rows
-        p, q, e = self.length.an, self.length.bn, self.length.den
-        x, y = rows[:, 0::2], rows[:, 1::2]
-        steps = np.empty_like(rows)
-        steps[:, 0::2] = x * p + y * q
-        steps[:, 1::2] = x * q + y * (p + q)
-        return den * e, steps
+        self.group = group
+        self.directions = group.translation_orbit(fold)
 
     def __repr__(self) -> str:
         return (f"AffineTranslation(fold={self.fold}, "
@@ -126,8 +118,7 @@ def make_translation(group: PointGroup, fold: int,
         raise ValueError(f"unsupported fold {fold}; expected 2, 3, or 5")
     if length.sign() <= 0:
         raise ValueError("translation length must be positive")
-    return AffineTranslation(fold, length, group.translation_orbit(fold),
-                             group.translation_rows(fold))
+    return AffineTranslation(fold, length, group)
 
 
 class Shell:
@@ -211,23 +202,34 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     """Group integer point rows over `den` by exact squared radius, ascending.
 
     `rows` is an (N, 6) int64 or object array; duplicate rows are dropped.
+    geometry._coordinate_values finds its distinct coordinate values, as
+    the point builders do, and _table_shells does the rest.
+    """
+    if not len(rows):
+        return ()
+    va, vb, index = _coordinate_values(rows)
+    return _table_shells(den, va, vb, index.T, rows.dtype)
+
+
+def _table_shells(den: int, va: np.ndarray, vb: np.ndarray,
+                  index: np.ndarray, dtype) -> tuple[Shell, ...]:
+    """The shells of the rows whose coordinates are the distinct values
+    (va + vb*tau)/den, row i's at index[:, i], as rows of `dtype`.
+
     The squared radius of (a + b*tau)/den per coordinate is
     (sum a^2+b^2 + (sum (2a+b)b)*tau)/den^2.  Points inside a shell are
     ordered by float coordinates, exact reduced triples breaking ties: the
     order of (Vec3E.as_floats(), Vec3E.key()), so output is deterministic.
 
-    Only the few distinct coordinate values, which
-    geometry._coordinate_values finds as the point builders do, are
-    reduced, turned into floats by GoldenNumber.__float__'s arithmetic
-    and ranked.  One argsort
-    of one int64 per row, of its radius keys and its three ranks, orders
-    the rows and brings duplicates together; np.lexsort takes the same
-    keys, the radius keys in the rows' dtype, when floats tie or a bound
-    checked first says they do not fit.
+    Only the values are reduced, turned into floats by
+    GoldenNumber.__float__'s arithmetic and ranked.  One argsort of one
+    int64 per row, of its radius keys and its three ranks, orders the
+    rows and brings duplicates together; np.lexsort takes the same keys,
+    the radius keys in the values' dtype, when floats tie or a bound
+    checked first says they do not fit.  The shells go by float radius,
+    and golden._gsigns decides exactly between neighbours whose floats
+    lie too close to tell apart.
     """
-    if not len(rows):
-        return ()
-    va, vb, index = _coordinate_values(rows)
     g = np.gcd(np.gcd(va, vb), den)
     ra, rb, d = va // g, vb // g, den // g
     vfloat = np.asarray((ra + rb * _TAU_FLOAT) / d, dtype=float)
@@ -239,94 +241,111 @@ def build_shells(rows, den: int) -> tuple[Shell, ...]:
     s0, s1 = va * va + vb * vb, (2 * va + vb) * vb
     low1 = int(s1.min())
     w1 = 3 * (int(s1.max()) - low1) + 1
-    if not tied and (3 * int(s0.max()) + 1) * w1 * n ** 3 < 2 ** 63:
+    top0 = int(s0.max())
+    if not tied and (3 * top0 + 1) * w1 * n ** 3 < 2 ** 63:
         # one int64 per row: its radius keys as key0*w1 + key1 - 3*low1,
         # summed from its values' shares, then its three ranks base n
         table = np.asarray(
             (s0 * w1 + s1 - low1) * n ** 3
             + rank * np.array([[n * n], [n], [1]]), dtype=np.int64)
-        key = sum(t.take(index[:, c]) for c, t in enumerate(table))
+        key = sum(t.take(c) for t, c in zip(table, index))
         order = np.argsort(key)
         key = key.take(order)
         fresh = np.concatenate(([True], key[1:] != key[:-1]))
         radius = key[fresh] // n ** 3
-        firsts = [0, *(np.flatnonzero(radius[1:] != radius[:-1]) + 1).tolist()]
-        k0, k1 = np.divmod(radius[firsts], w1)
+        firsts = np.concatenate(([True], radius[1:] != radius[:-1]))
+        firsts = firsts.nonzero()[0]
+        k0, k1 = np.divmod(radius.take(firsts), w1)
         k1 += 3 * low1
     else:
         # tied floats share a float rank, and exact ranks follow all three
         ranks = [rank, np.searchsorted(ranked, vfloat)] if tied else [rank]
-        k0, k1 = s0[index].sum(axis=1), s1[index].sum(axis=1)
-        order = np.lexsort((*(c for t in ranks for c in t[index].T[::-1]),
+        k0, k1 = s0[index].sum(axis=0), s1[index].sum(axis=0)
+        order = np.lexsort((*(t[c] for t in ranks for c in index[::-1]),
                             k1, k0))
-        fresh = np.concatenate(([True], np.diff(index[order], axis=0).any(1)))
+        fresh = np.concatenate(([True], np.diff(index[:, order]).any(0)))
         k0, k1 = k0[order[fresh]], k1[order[fresh]]
-        cut = (k0[1:] != k0[:-1]) | (k1[1:] != k1[:-1])
-        firsts = [0, *(np.flatnonzero(cut) + 1).tolist()]
-        k0, k1 = k0[firsts], k1[firsts]
-    keep = order[fresh]
-    rows, floats = rows.take(keep, 0), vfloat.take(index.take(keep, 0))
-    # every radius is (k0 + k1*tau)/den^2: order them by the exact sign of
-    # their numerators' difference
-    spans = sorted(
-        zip(k0.tolist(), k1.tolist(), firsts, [*firsts[1:], len(rows)]),
-        key=cmp_to_key(lambda s, t: _gsign(s[0] - t[0], s[1] - t[1])),
-    )
+        firsts = np.concatenate(
+            ([True], (k0[1:] != k0[:-1]) | (k1[1:] != k1[:-1]))).nonzero()[0]
+        k0, k1 = k0.take(firsts), k1.take(firsts)
+    kept = np.ascontiguousarray(index.take(order[fresh], 1).T)
+    pair = np.empty((n, 2), dtype=dtype)
+    pair[:, 0], pair[:, 1] = va, vb
+    rows, floats = pair.take(kept, 0).reshape(-1, 6), vfloat.take(kept)
+    # Each radius (k0 + k1*tau)/den^2 as the sum of its first row's float
+    # squares.  A value's float is within 5u|m| of it, u = 2^-53 and
+    # m = (|va| + |vb|*tau)/den, where m^2 <= (1 + tau^2)(va^2 + vb^2)/den^2;
+    # so a radius is within 150u * top0/den^2 < 2^-45 * top0/den^2, and
+    # radii whose floats lie 2^-40 * top0/den^2 apart are in float order.
+    radius = np.square(floats.take(firsts, 0)).sum(1)
+    by = np.argsort(radius)
+    radius = radius.take(by)
+    near = ~(radius[1:] - radius[:-1] > 2.0 ** -40 * top0 / (den * den))
+    if near.any():
+        a, b = by[:-1][near], by[1:][near]
+        if (_gsigns(k0[b] - k0[a], k1[b] - k1[a]) < 0).any():
+            # near neighbours out of order: rank each run of near radii
+            # by the exact signs of all its differences
+            run = np.concatenate(([0], np.cumsum(~near)))
+            i, j = np.nonzero(run[:, None] == run)
+            below = _gsigns(k0[by[j]] - k0[by[i]],
+                            k1[by[j]] - k1[by[i]]) < 0
+            by = by[np.lexsort((np.bincount(i, below, len(by)), run))]
+    ends, den2 = [*firsts[1:].tolist(), len(rows)], den * den
+    firsts, k0, k1 = firsts.tolist(), k0.tolist(), k1.tolist()
     return tuple(
-        Shell(GoldenNumber._make(k0, k1, den * den), rows[i:j], den,
-              floats[i:j])
-        for k0, k1, i, j in spans
+        Shell(GoldenNumber._make(k0[s], k1[s], den2),
+              rows[firsts[s]:ends[s]], den, floats[firsts[s]:ends[s]])
+        for s in by.tolist()
     )
 
 
-def _offsets(steps: list[tuple[int, ...]], depth: int,
-             n_start: int) -> set[tuple[int, ...]]:
-    """All sums of at most `depth` steps, level by level.
+def _times(va: list[int], vb: list[int], p: int, q: int,
+           scale: int) -> tuple[list[int], list[int]]:
+    """(p + q*tau)*scale times every value va[k] + vb[k]*tau.
 
-    S_0 = {0} and S_j = S_{j-1} | (S_{j-1} + steps); only the sums new at
-    level j-1 need extending.  The point budget n_start * |S_j| is checked
-    at every level, so an oversized request stops before its last level.
+    (a + b*tau)(p + q*tau) = (ap + bq) + (aq + b(p+q))*tau: the length
+    acts on values as the integer matrix [[p, q], [q, p+q]].
     """
-    zero = (0,) * 6
-    seen = {zero}
-    frontier = [zero]
-    for j in range(depth + 1):
-        if j:
-            fresh = []
-            for s0, s1, s2, s3, s4, s5 in frontier:
-                for v0, v1, v2, v3, v4, v5 in steps:
-                    total = (s0 + v0, s1 + v1, s2 + v2, s3 + v3, s4 + v4,
-                             s5 + v5)
-                    if total not in seen:
-                        seen.add(total)
-                        fresh.append(total)
-            frontier = fresh
-        budget = n_start * len(seen)
-        if budget > DEFAULT_POINT_CAP:
-            raise PointBudgetError(f"{budget} candidate points exceed the "
-                                   f"cap of {DEFAULT_POINT_CAP}")
-    return seen
+    return ([(a * p + b * q) * scale for a, b in zip(va, vb)],
+            [(a * q + b * (p + q)) * scale for a, b in zip(va, vb)])
 
 
-def _kernel_rows(start: StartConfig, translation: AffineTranslation
-                 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Start and step rows over one denominator, in lowest terms.
+def _array_values(start: StartConfig, translation: AffineTranslation,
+                  depth: int) -> tuple[int, np.ndarray, np.ndarray,
+                                       np.ndarray, type]:
+    """(den, va, vb, index, dtype): the value table of the candidate rows
+    {x + lambda*s}, x a start row and s a sum of at most `depth`
+    directions (PointGroup.direction_sums), with the (3, N) index of
+    each row's coordinates into it, and the rows' dtype.
 
-    Dividing every row and the denominator by their common gcd gives the
-    lcm of the coordinates' own denominators, so shells keep one `den`
-    whichever way the rows were built.
+    Every coordinate of x + lambda*s is u + lambda*v, u a value of the
+    start's and v one of the sums', so the array's distinct values are
+    among the |U|*|V| pair sums, and a row's index is its two tables'
+    indexes looked up in the pair table.  The shared denominator and the
+    lowest terms come from the start's values and the single steps'
+    (the depth-1 sums), as they would from every row, in Python ints;
+    the rows are int64 when max|x| + depth*max|step| and the denominator
+    stay below 2^29, and Python ints (dtype=object) otherwise.
     """
-    den_x, base = start.integer_rows
-    den_s, steps = translation.step_rows
-    den = lcm(den_x, den_s)
-    # int64 start rows stay int64 while the scaled rows and den fit; den
-    # bounds the gcd the rows are divided by
-    if max(int(abs(base).max(initial=0)) * (den // den_x), den) >= 2 ** 63:
-        base = base.astype(object)
-    base = base * (den // den_x)
-    steps = steps * (den // den_s)
-    g = gcd(den, *base.ravel().tolist(), *steps.ravel().tolist())
-    return den // g, base // g, steps // g
+    group, fold, length = (translation.group, translation.fold,
+                           translation.length)
+    den_x, ua, ub, x_index = start.value_table
+    sums, steps = (group.direction_sums(fold, k) for k in (depth, 1))
+    den = lcm(den_x, sums.den * length.den)
+    p, q, scale = length.an, length.bn, den // (sums.den * length.den)
+    xa, xb = _times(ua, ub, 1, 0, den // den_x)
+    sa, sb = _times(sums.va, sums.vb, p, q, scale)
+    da, db = _times(steps.va, steps.vb, p, q, scale)
+    g = gcd(den, *xa, *xb, *da, *db)
+    den //= g
+    bound = (max(map(abs, xa + xb)) + depth * max(map(abs, da + db))) // g
+    dtype = np.int64 if max(bound, den) < _INT64_BOUND else object
+    va, vb, pairs = _distinct_sums(
+        *([v // g for v in table] for table in (sa, sb, xa, xb)), dtype)
+    index = pairs.take(sums.index[:, :, None] * len(xa)
+                       + x_index[:, None]).reshape(3, -1)
+    return den, va, vb, index, dtype
 
 
 def generate_array(start: StartConfig, translation: AffineTranslation,
@@ -334,20 +353,23 @@ def generate_array(start: StartConfig, translation: AffineTranslation,
     """Collect {x + (sum of at most `depth` translation vectors)} exactly.
 
     Every start vertex and translation vector lies in Q(tau)^3, so the
-    work runs on integer rows over one shared denominator: the candidate
-    points are one (|offsets| * |start|, 6) array of offset-plus-start
-    sums, int64 when no entry can reach 2^29 and Python ints otherwise.
+    work runs on integer rows over one shared denominator, built from
+    the distinct coordinate values (see _array_values): int64 when no
+    entry can reach 2^29 and Python ints otherwise.  The point budget
+    |start| * |sums| is checked at every level of the sums before the
+    next is built, so an oversized request stops before its last level.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    den, base, steps = _kernel_rows(start, translation)
-    offsets = _offsets(steps.tolist(), depth, len(base))
-    bound = (int(abs(base).max(initial=0))
-             + depth * int(abs(steps).max(initial=0)))
-    dtype = np.int64 if max(bound, den) < _INT64_BOUND else object
-    rows = (np.array(list(offsets), dtype=dtype)[:, None, :]
-            + base.astype(dtype)[None]).reshape(-1, 6)
-    return PointArray(start, translation, depth, build_shells(rows, den))
+    for level in range(depth + 1):
+        sums = translation.group.direction_sums(translation.fold, level)
+        budget = len(start) * len(sums.rows)
+        if budget > DEFAULT_POINT_CAP:
+            raise PointBudgetError(f"{budget} candidate points exceed the "
+                                   f"cap of {DEFAULT_POINT_CAP}")
+    shells = (_table_shells(*_array_values(start, translation, depth))
+              if len(start) else ())
+    return PointArray(start, translation, depth, shells)
 
 
 def bands(array: PointArray) -> tuple[Band, ...]:
@@ -391,12 +413,6 @@ def generic_cardinality(start: StartConfig, translation: AffineTranslation,
     """Array size when no points coincide: |X| * (1 + #directions) at depth 1."""
     return (len(start)
             * _multiset_count(len(translation.directions), depth))
-
-
-def is_nontrivial(start: StartConfig, translation: AffineTranslation) -> bool:
-    """True when the depth-1 array has coinciding points."""
-    actual = len(generate_array(start, translation, 1))
-    return actual < generic_cardinality(start, translation)
 
 
 class ScanSpec:

@@ -261,6 +261,11 @@ def action_table(matrices) -> tuple[int, np.ndarray]:
     return den, rows.astype(np.int64).reshape(-1, 6, 6)
 
 
+# a lookup table of this many int64 entries (32 KiB) costs less than
+# np.unique on however few values
+_LOOKUP_FLOOR = 4096
+
+
 def _coordinate_values(rows: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(va, vb, index): the distinct (a, b) coordinate values of nonempty
@@ -269,9 +274,7 @@ def _coordinate_values(rows: np.ndarray
     (a - low_a)*width + (b - low_b) is one integer per value, in
     [0, span) for span the box the values lie in.  It is taken in int64
     when span < 2^63, which bounds it, both differences and width, and in
-    Python ints (dtype=object) otherwise; a lookup table while span is
-    O(n), else np.unique, gives the distinct ones.  `va` and `vb` take
-    that dtype.
+    Python ints (dtype=object) otherwise; `va` and `vb` take that dtype.
     """
     a, b = rows[:, 0::2], rows[:, 1::2]
     low_a, high_a = int(a.min()), int(a.max())
@@ -282,18 +285,61 @@ def _coordinate_values(rows: np.ndarray
         a, b = a.astype(object), b.astype(object)
     packed = (a - low_a) * width
     packed += b - low_b
-    packed = packed.ravel()
-    if span <= 4 * len(packed):
-        packed = packed.astype(np.int64, copy=False)
-        lookup = np.zeros(span, dtype=np.int64)
-        lookup[packed] = 1
-        values = np.flatnonzero(lookup)
-        lookup[values] = np.arange(len(values))
-        index, values = lookup.take(packed), values.astype(a.dtype)
-    else:
-        values, index = np.unique(packed, return_inverse=True)
+    values, index = _distinct(packed.ravel(), span)
     return (values // width + low_a, values % width + low_b,
             index.reshape(-1, 3))
+
+
+def _value_table(rows: np.ndarray) -> tuple[list[int], list[int],
+                                            np.ndarray]:
+    """(va, vb, index): the distinct coordinate values of nonempty (n, 6)
+    integer rows as lists of Python ints, and the (3, n) index of each
+    row's coordinates into them; the form engine._array_values reads."""
+    va, vb, index = _coordinate_values(rows)
+    return va.tolist(), vb.tolist(), np.ascontiguousarray(index.T)
+
+
+def _distinct_sums(xa: list[int], xb: list[int], ya: list[int],
+                   yb: list[int], dtype) -> tuple[np.ndarray, np.ndarray,
+                                                  np.ndarray]:
+    """(va, vb, index): the distinct sums (xa[i] + ya[j], xb[i] + yb[j])
+    of two nonempty tables of values a + b*tau in Python ints, as arrays
+    of `dtype`, and each sum's (len(xa), len(ya)) index into them.
+
+    The sums pack as in _coordinate_values, and the packing adds up: a
+    sum's (a - low_a)*width + (b - low_b) is its two terms' packings,
+    each against its own table's least a and b, so the packed sums are
+    one np.add.outer of two small arrays.
+    """
+    tables = ((xa, xb), (ya, yb))
+    lows = [(min(a), min(b)) for a, b in tables]
+    low_a, low_b = lows[0][0] + lows[1][0], lows[0][1] + lows[1][1]
+    width = max(xb) + max(yb) - low_b + 1
+    span = (max(xa) + max(ya) - low_a + 1) * width
+    packed = np.add.outer(*(
+        np.array([(a - la) * width + b - lb for a, b in zip(*table)],
+                 dtype=np.int64 if span < 2 ** 63 else object)
+        for table, (la, lb) in zip(tables, lows)))
+    values, index = _distinct(packed.ravel(), span)
+    return ((values // width + low_a).astype(dtype, copy=False),
+            (values % width + low_b).astype(dtype, copy=False),
+            index.reshape(packed.shape))
+
+
+def _distinct(packed: np.ndarray, span: int) -> tuple[np.ndarray,
+                                                      np.ndarray]:
+    """(values, index): the distinct integers of the 1-d `packed`, all in
+    [0, span), ascending and in its dtype, and each entry's index into
+    them: through a lookup table while span is O(n) or below
+    _LOOKUP_FLOOR, else through np.unique."""
+    if span > max(4 * len(packed), _LOOKUP_FLOOR):
+        return np.unique(packed, return_inverse=True)
+    small = packed.astype(np.int64, copy=False)
+    lookup = np.zeros(span, dtype=np.int64)
+    lookup[small] = 1
+    values = lookup.nonzero()[0]
+    lookup[values] = np.arange(len(values))
+    return values.astype(packed.dtype, copy=False), lookup.take(small)
 
 
 # a GoldenNumber's canonical triple, the sort key of Vec3E.key's parts

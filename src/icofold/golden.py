@@ -20,6 +20,8 @@ import math
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 __all__ = [
     "FieldParseError",
     "GoldenNumber",
@@ -62,6 +64,21 @@ def _gsign(an: int, bn: int) -> int:
     if sb == 0 or ss == sb:
         return ss
     return ss if s * s > 5 * bn * bn else sb
+
+
+def _gsigns(an: np.ndarray, bn: np.ndarray) -> np.ndarray:
+    """_gsign of every (an, bn) of two integer arrays of one shape.
+
+    int64 entries below 2^29 keep s^2 and 5 b^2 below 2^63; larger ones
+    are decided in Python ints (dtype=object), as object input is.
+    """
+    if an.dtype != object and max(int(abs(an).max(initial=0)),
+                                  int(abs(bn).max(initial=0))) >= 2 ** 29:
+        an, bn = an.astype(object), bn.astype(object)
+    s = 2 * an + bn
+    ss, sb = np.sign(s), np.sign(bn)
+    return np.where(ss * sb < 0, np.where(s * s > 5 * bn * bn, ss, sb),
+                    np.where(ss == 0, sb, ss)).astype(np.int64)
 
 
 class GoldenNumber:

@@ -16,17 +16,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (Mat3G, Vec3E, action_table, distinct_vectors,
-                       integer_rows, mat_mul)
+from .geometry import (Mat3G, Vec3E, _value_table, action_table,
+                       distinct_vectors, integer_rows, mat_mul)
 from .golden import GoldenNumber, TAU
 
 __all__ = [
     "ClosureBoundError",
     "NonOrthogonalGeneratorError",
     "PointGroup",
+    "DirectionSums",
     "generate_closure",
     "rotation_group",
     "full_group",
@@ -71,6 +73,22 @@ BASE_VECTORS = {
     3: Vec3E.from_golden(1, 1, 1),
     2: Vec3E.from_golden(TAU, 0, 0),
 }
+
+
+class DirectionSums(NamedTuple):
+    """The sums of at most `depth` translation directions of one fold,
+    without the length: (n, 6) int64 `rows` over `den`, distinct, and
+    their value table, the distinct coordinate values
+    (va[k] + vb[k]*tau)/den in Python ints with the (3, n) `index` of
+    each row's coordinates into them.  `fresh` holds the rows first
+    reached at this depth."""
+
+    den: int
+    rows: np.ndarray
+    fresh: np.ndarray
+    va: list[int]
+    vb: list[int]
+    index: np.ndarray
 
 
 def _positive_representative(v: Vec3E) -> Vec3E:
@@ -128,6 +146,33 @@ class PointGroup:
         """translation_orbit(fold) as integer rows over one denominator
         (see geometry.integer_rows)."""
         return integer_rows(self.translation_orbit(fold))
+
+    @cache
+    def direction_sums(self, fold: int, depth: int) -> DirectionSums:
+        """All sums of at most `depth` rows of translation_rows(fold).
+
+        S_0 = {0} and S_j = S_{j-1} | (S_{j-1} + directions); only the
+        sums new at level j-1 need extending.  Each level is built from
+        the one below it, so a caller that asks for the levels in turn
+        can stop before one it must not build.  A translation of length
+        lambda steps by lambda times each direction, and multiplying by
+        lambda != 0 is one-to-one, so the sums serve every length.
+        """
+        den, steps = self.translation_rows(fold)
+        if not depth:
+            rows = fresh = np.zeros((1, 6), dtype=np.int64)
+        else:
+            below = self.direction_sums(fold, depth - 1)
+            reached = below.fresh[:, None] + steps.astype(np.int64)[None]
+            both = np.concatenate([below.rows, reached.reshape(-1, 6)])
+            # a stable sort puts a sum already below first among its equals
+            order = np.lexsort(both.T)
+            both = both[order]
+            first = np.ones(len(both), dtype=bool)
+            first[1:] = (both[1:] != both[:-1]).any(axis=1)
+            rows = both[first]
+            fresh = both[first & (order >= len(below.rows))]
+        return DirectionSums(den, rows, fresh, *_value_table(rows))
 
     @cache
     def axes(self, fold: int) -> tuple[Vec3E, ...]:

@@ -1,19 +1,110 @@
-"""Reference point kernel: the per-point loop that `engine.generate_array`
-and `engine.build_shells` ran before they became whole-array numpy passes.
+"""Reference point kernels: the per-point loop that `engine.generate_array`
+and `engine.build_shells` ran before they became whole-array numpy passes,
+and the whole-array front end that built every candidate row before
+arrays were built from their value tables.
 
-Kept function for function so the differential tests can compare shells
-bit for bit: exact squared radii, integer rows over the shared
-denominator, float coordinates and point keys.  Rows come from the exact
-Vec3E translation vectors (`translation_vectors`), as they did, so the
-reference shares none of the array kernel's row building.
+The per-point loop is kept function for function so the differential
+tests can compare shells bit for bit: exact squared radii, integer rows
+over the shared denominator, float coordinates and point keys.  Its rows
+come from the exact Vec3E translation vectors (`translation_vectors`),
+as they did, so it shares none of the array kernel's row building.
+
+The front end (`front_end_shells`) scales the start rows and the steps
+to one denominator and divides out their gcd (`_kernel_rows`), sums the
+steps level by level (`_offsets`), adds every sum to every start row and
+hands all N rows to `engine.build_shells`, which finds their distinct
+coordinate values over all 3N coordinates.
 """
 
 from math import gcd, lcm
 
 import numpy as np
 
-from icofold.engine import _offsets
+from icofold.cages import PointBudgetError
+from icofold.configs import DEFAULT_POINT_CAP
+from icofold.engine import build_shells as array_build_shells
 from icofold.golden import _TAU_FLOAT, GoldenNumber
+
+# the rows of a front-end array are int64 below this bound
+INT64_BOUND = 2 ** 29
+
+
+def _offsets(steps, depth, n_start):
+    """All sums of at most `depth` steps, level by level.
+
+    S_0 = {0} and S_j = S_{j-1} | (S_{j-1} + steps); only the sums new at
+    level j-1 need extending.  The point budget n_start * |S_j| is checked
+    at every level, so an oversized request stops before its last level.
+    """
+    zero = (0,) * 6
+    seen = {zero}
+    frontier = [zero]
+    for j in range(depth + 1):
+        if j:
+            fresh = []
+            for s0, s1, s2, s3, s4, s5 in frontier:
+                for v0, v1, v2, v3, v4, v5 in steps:
+                    total = (s0 + v0, s1 + v1, s2 + v2, s3 + v3, s4 + v4,
+                             s5 + v5)
+                    if total not in seen:
+                        seen.add(total)
+                        fresh.append(total)
+            frontier = fresh
+        budget = n_start * len(seen)
+        if budget > DEFAULT_POINT_CAP:
+            raise PointBudgetError(f"{budget} candidate points exceed the "
+                                   f"cap of {DEFAULT_POINT_CAP}")
+    return seen
+
+
+def step_rows(translation):
+    """The steps as integer rows over one denominator, Python ints:
+    (x + y*tau)(p + q*tau) = (xp + yq) + (xq + yp + yq)*tau."""
+    den, rows = translation.group.translation_rows(translation.fold)
+    p, q, e = translation.length.an, translation.length.bn, \
+        translation.length.den
+    x, y = rows[:, 0::2], rows[:, 1::2]
+    steps = np.empty_like(rows)
+    steps[:, 0::2] = x * p + y * q
+    steps[:, 1::2] = x * q + y * (p + q)
+    return den * e, steps
+
+
+def _kernel_rows(start, translation):
+    """Start and step rows over one denominator, in lowest terms.
+
+    Dividing every row and the denominator by their common gcd gives the
+    lcm of the coordinates' own denominators.
+    """
+    den_x, base = start.integer_rows
+    den_s, steps = step_rows(translation)
+    den = lcm(den_x, den_s)
+    # int64 start rows stay int64 while the scaled rows and den fit; den
+    # bounds the gcd the rows are divided by
+    if max(int(abs(base).max(initial=0)) * (den // den_x), den) >= 2 ** 63:
+        base = base.astype(object)
+    base = base * (den // den_x)
+    steps = steps * (den // den_s)
+    g = gcd(den, *base.ravel().tolist(), *steps.ravel().tolist())
+    return den // g, base // g, steps // g
+
+
+def front_end_rows(start, translation, depth):
+    """(rows, den): every candidate row x + s, s a sum of at most
+    `depth` steps, int64 when no entry can reach 2^29."""
+    den, base, steps = _kernel_rows(start, translation)
+    offsets = _offsets(steps.tolist(), depth, len(base))
+    bound = (int(abs(base).max(initial=0))
+             + depth * int(abs(steps).max(initial=0)))
+    dtype = np.int64 if max(bound, den) < INT64_BOUND else object
+    rows = (np.array(list(offsets), dtype=dtype)[:, None, :]
+            + base.astype(dtype)[None]).reshape(-1, 6)
+    return rows, den
+
+
+def front_end_shells(start, translation, depth):
+    """The array's shells through the raw-row entry point."""
+    return array_build_shells(*front_end_rows(start, translation, depth))
 
 
 class RefShell:

@@ -58,7 +58,6 @@ PARAMETERS = [
     (configs.StartConfig, ["name", "vertices", "symmetry"]),
     (engine.generate_array, ["start", "translation", "depth"]),
     (engine.bands, ["array"]),
-    (engine.is_nontrivial, ["start", "translation"]),
     (engine.classify_length, ["start", "translation", "depth", "with_cage"]),
     (engine.classify_scan, ["start", "folds", "spec"]),
     (onion.build_onion, ["start", "translation", "iterations"]),

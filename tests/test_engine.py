@@ -15,8 +15,8 @@ from icofold.configs import StartConfig, builtin
 from icofold.engine import (DEFAULT_BAND_GAP, DEFAULT_SCAN_SPEC,
                             EmptyScanError, PointBudgetError, ScanSpec, bands,
                             classify_length, classify_scan, generate_array,
-                            generic_cardinality, is_nontrivial,
-                            make_translation, outer_cage, parse_scan_spec)
+                            generic_cardinality, make_translation,
+                            outer_cage, parse_scan_spec)
 from icofold.geometry import Vec3E, mat_apply, norm2
 from icofold.golden import (GoldenNumber, ONE, TAU, format_golden,
                             parse_field_expr)
@@ -357,15 +357,21 @@ def test_generic_cardinality_counting_argument():
     t = translation(c60, 5, "17/7")
     assert generic_cardinality(c60, t) == 60 * 13 == 780
     assert len(generate_array(c60, t, 1)) == 780
-    assert not is_nontrivial(c60, t)
+    assert not nontrivial(c60, t)
+
+
+def nontrivial(start, t):
+    """The `nontrivial` field of a depth-1 classification row: the
+    array has coinciding points."""
+    return classify_length(start, t, 1, with_cage=False)["nontrivial"]
 
 
 def test_catalogued_nontrivial_length():
     c60 = builtin("c60")
-    assert is_nontrivial(c60, translation(c60, 5, "3"))
+    assert nontrivial(c60, translation(c60, 5, "3"))
     dodec = builtin("dodecahedron")
-    assert is_nontrivial(dodec, translation(dodec, 5, "1"))
-    assert is_nontrivial(dodec, translation(dodec, 3, "tau^2"))
+    assert nontrivial(dodec, translation(dodec, 5, "1"))
+    assert nontrivial(dodec, translation(dodec, 3, "tau^2"))
 
 
 # --- shells and bands ---------------------------------------------------

@@ -5,9 +5,12 @@ import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from icofold.golden import (
+    _gsign,
+    _gsigns,
     ONE,
     TAU,
     ZERO,
@@ -248,3 +251,24 @@ class TestParsing:
         samples += [rand_golden(rng) for _ in range(500)]
         for x in samples:
             assert parse_field_expr(format_golden(x)) == x
+
+
+@pytest.mark.parametrize("bound", [3, 2 ** 28, 2 ** 29, 2 ** 40, 2 ** 100])
+def test_vectorised_signs_match_the_scalar_rule(bound):
+    """_gsigns gives _gsign's answer entry for entry, on int64 arrays
+    below and past the 2^29 bound where it turns to Python ints, and on
+    object arrays; Fibonacci pairs put a + b*tau within 10^-17 of 0."""
+    rng = random.Random(bound)
+    pairs = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
+             for _ in range(500)]
+    fib = fibonacci(90)
+    pairs += [(0, 0), (3, 0), (0, -2), (-3, 2), (3, -2)]
+    pairs += [(s * -fib[k], s * fib[k - 1]) for k in (40, 41, 80, 89)
+              for s in (1, -1)]
+    an, bn = zip(*pairs)
+    want = [_gsign(a, b) for a, b in pairs]
+    dtypes = (np.int64, object) if bound < 2 ** 62 else (object,)
+    for dtype in dtypes:
+        got = _gsigns(np.array(an, dtype=dtype), np.array(bn, dtype=dtype))
+        assert got.dtype == np.int64
+        assert got.tolist() == want

@@ -1,31 +1,40 @@
-"""The numpy point kernel against the per-point loop it replaced.
+"""The numpy point kernel against the kernels it replaced.
 
-`kernel_reference` keeps the old `generate_array`/`build_shells` body;
-every case must give equal exact radii, rows, denominators, float bytes
-and point keys.  Work-count spies check that the kernel stays a
-whole-array pass, and a digest pins the default scan's output.
+`kernel_reference` keeps the per-point `generate_array`/`build_shells`
+loop and the whole-array front end that built all N candidate rows
+before arrays were built from value tables.  Every case must give equal
+exact radii, rows, denominators, dtypes and float bytes, and against the
+loop equal point keys.  Work-count spies check that the kernel stays a
+whole-array pass over the distinct values, a budget test and a retention
+test check the caches the factored front end keeps, and a digest pins
+the default scan's output.
 """
 
+import gc
 import hashlib
 import math
 import random
 import sys
 import tracemalloc
+import weakref
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 import kernel_reference as ref
-from icofold import engine
+from icofold import engine, onion
+from icofold.cages import PointBudgetError
 from icofold.configs import BUILTIN_NAMES, StartConfig, builtin
 from icofold.engine import (DEFAULT_SCAN_SPEC, build_shells, classify_length,
-                            classify_scan, generate_array, make_translation,
+                            classify_scan, generate_array,
+                            generic_cardinality, make_translation,
                             outer_cage)
 from icofold.export import canonical_json
-from icofold.geometry import Vec3E
+from icofold.geometry import Mat3G, Vec3E
 from icofold.golden import GoldenNumber, parse_field_expr
-from icofold.groups import BASE_VECTORS, full_group
+from icofold.groups import (BASE_VECTORS, GEN_B5, GEN_R3, full_group,
+                            generate_closure)
 
 
 def translation(config, fold, expr):
@@ -47,7 +56,23 @@ def assert_same(shells, want):
 def assert_same_array(start, t, depth):
     array = generate_array(start, t, depth)
     assert_same(array.shells, ref.generate_shells(start, t, depth))
+    assert_same_as_front_end(array.shells, start, t, depth)
     return array
+
+
+def assert_same_as_front_end(shells, start, t, depth):
+    """The shells equal those of all N candidate rows, built by the
+    reference front end and handed to build_shells: rows, their dtype,
+    float bytes, exact squared radii and denominators."""
+    want = ref.front_end_shells(start, t, depth)
+    assert len(shells) == len(want)
+    for shell, old in zip(shells, want):
+        assert shell.radius2.key() == old.radius2.key()
+        assert shell.den == old.den
+        assert shell.rows.dtype == old.rows.dtype
+        assert shell.rows.shape == old.rows.shape
+        assert shell.rows.tolist() == old.rows.tolist()
+        assert shell.coords.tobytes() == old.coords.tobytes()
 
 
 def row_dtype(array):
@@ -84,6 +109,14 @@ def test_kernel_matches_reference_on_onion_working_configs():
         assert_same_array(working, t, 1)
 
 
+def test_depth_0_arrays_keep_the_steps_denominator():
+    """At depth 0 an array is its start, but its rows stay over the
+    denominator the steps share, 7 here, as the front end's were."""
+    start = builtin("dodecahedron")
+    array = assert_same_array(start, translation(start, 5, "1/7"), 0)
+    assert len(array) == 20 and array.shells[0].den == 7
+
+
 def test_kernel_matches_reference_on_mixed_denominators():
     # coordinates over 3, 2 and 5 in one seed, images over 4, steps over 7
     group = full_group()
@@ -110,8 +143,12 @@ def test_kernel_matches_reference_at_the_int64_bound(n, dtype):
     # bound max|x| + max|step| is n + 1
     start = builtin("icosahedron")
     t = translation(start, 5, str(n))
-    den, base, steps = engine._kernel_rows(start, t)
+    den, base, steps = ref._kernel_rows(start, t)
     assert (den, abs(base).max() + abs(steps).max()) == (1, n + 1)
+    # the value table reaches the same bound and takes the same dtype
+    den, va, vb, _, table_dtype = engine._array_values(start, t, 1)
+    assert (den, max(abs(va).max(), abs(vb).max()), table_dtype) == (
+        1, n + 1, dtype)
     array = assert_same_array(start, t, 1)
     assert row_dtype(array) == dtype
     rows = np.concatenate([shell.rows for shell in array.shells])
@@ -134,7 +171,8 @@ def test_start_rows_are_int64_only_while_they_fit(scale, length,
     start = StartConfig("big", group.orbit(seed), group)
     assert start.integer_rows[1].dtype == start_dtype
     t = translation(start, 5, length)
-    assert engine._kernel_rows(start, t)[1].dtype == kernel_dtype
+    assert ref._kernel_rows(start, t)[1].dtype == kernel_dtype
+    assert engine._array_values(start, t, 1)[4] == object
     assert row_dtype(assert_same_array(start, t, 1)) == object
 
 
@@ -183,14 +221,34 @@ def test_float_ties_are_broken_by_exact_triples(sorts):
         assert_same(build_shells(np.array([p, q, p, r, q, q], dtype=dtype),
                                  1), want3)
         # per call: the three values' sort and ranks, then one row sort
-        # on the two radius keys, three float ranks and three exact ranks
-        assert sorts == [(4, 3), (1, 3), (8, 3), (4, 3), (1, 3), (8, 6)]
+        # on the two radius keys, three float ranks and three exact ranks,
+        # then the one shell's float radius
+        assert sorts == [(4, 3), (1, 3), (8, 3), (1, 1),
+                         (4, 3), (1, 3), (8, 6), (1, 1)]
     big = (2 ** 60, 0, 2 ** 60 + 1, 0, 0, 0)
     swapped = (2 ** 60 + 1, 0, 2 ** 60, 0, 0, 0)
     rows = np.array([swapped, big, swapped], dtype=object)
     sorts.clear()
     assert_same(build_shells(rows, 1), ref.build_shells({big, swapped}, 1))
-    assert sorts == [(4, 3), (1, 3), (8, 3)]
+    assert sorts == [(4, 3), (1, 3), (8, 3), (1, 1)]
+
+
+def test_radii_whose_floats_tie_are_ordered_exactly(sorts):
+    """0, x^2 and y^2 are three exact radii whose floats are all 0.0, and
+    y^2 < x^2 although x^2's radius keys are the smaller pair: the shells
+    follow the exact order, decided for the run of near radii at once."""
+    x, y = FIB_X, FIB_Y
+    rows = [(*x, 0, 0, 0, 0), (*y, 0, 0, 0, 0), (0,) * 6,
+            (1, 0, 0, 0, 0, 0), (0, 0, *x, 0, 0)]
+    want = ref.build_shells(set(rows), 1)
+    assert [float(shell.radius2) for shell in want] == [0.0, 0.0, 0.0, 1.0]
+    assert [shell.rows[0][:2] for shell in want[1:3]] == [y, x]
+    for dtype in (np.int64, object):
+        for listed in (rows, rows[::-1]):
+            sorts.clear()
+            assert_same(build_shells(np.array(listed, dtype=dtype), 1), want)
+            # the float sort of the four radii, then their exact ranks
+            assert sorts[-2:] == [(1, 4), (2, 4)]
 
 
 def test_float_ties_come_after_all_three_floats():
@@ -204,6 +262,135 @@ def test_float_ties_come_after_all_three_floats():
     random.Random(7).shuffle(listed)
     for dtype in (np.int64, object):
         assert_same(build_shells(np.array(listed, dtype=dtype), 1), want)
+
+
+# --- the factored front end against all N candidate rows ----------------
+
+def scan_translations(start):
+    lengths = DEFAULT_SCAN_SPEC.lengths(2 * math.sqrt(float(start.radius2)))
+    return [make_translation(start.symmetry, fold, length)
+            for fold in (2, 3, 5) for length in lengths]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_default_scan_arrays_match_the_front_end(name):
+    start = builtin(name)
+    for t in scan_translations(start):
+        shells = generate_array(start, t, 1).shells
+        assert_same_as_front_end(shells, start, t, 1)
+
+
+@pytest.mark.parametrize("name", ["dodecahedron", "icosidodecahedron"])
+def test_depth_2_scan_sample_matches_the_front_end(name):
+    start = builtin(name)
+    for t in scan_translations(start)[::97]:
+        shells = generate_array(start, t, 2).shells
+        assert_same_as_front_end(shells, start, t, 2)
+
+
+def test_onion_arrays_match_the_front_end(monkeypatch):
+    """Every array the c60 and c80 onions build up to iteration 4, whose
+    array has no trivalent outer cage, from members of up to 960 points
+    and 300 distinct coordinate values."""
+    seen = []
+
+    def checked(start, t, depth):
+        array = generate_array(start, t, depth)
+        assert_same_as_front_end(array.shells, start, t, depth)
+        seen.append(len(start))
+        return array
+
+    monkeypatch.setattr(onion, "generate_array", checked)
+    for name, expr in (("c60", "3"), ("c80", "2")):
+        start = builtin(name)
+        report = onion.build_onion(start, translation(start, 5, expr), 4)
+        assert report.failure == "no trivalent outer cage at iteration 4"
+    assert seen == [60, 240, 540, 960, 80, 180, 320, 500]
+
+
+def test_coinciding_pair_sums_are_one_value():
+    """At length 1 the icosahedron's values u and the fold-5 sums' values
+    v give u + v = u' + v' for many pairs: (0, 0) + (1, 0) is
+    (1, 0) + (0, 0).  Each sum is one value of the array's table, and
+    the array matches the front end."""
+    start = builtin("icosahedron")
+    t = translation(start, 5, "1")
+    _, ua, _, _ = start.value_table
+    sums = start.symmetry.direction_sums(5, 1)
+    den, va, vb, index, dtype = engine._array_values(start, t, 1)
+    assert len(va) < len(ua) * len(sums.va)
+    assert len({(a, b) for a, b in zip(va.tolist(), vb.tolist())}) == len(va)
+    assert index.shape == (3, len(start) * len(sums.rows))
+    assert_same_array(start, t, 1)
+
+
+def test_budget_is_checked_level_by_level_on_cached_sums():
+    """A small start fills a fresh group's sums to depth 4; a large start
+    at the same (fold, depth) still stops at the level the front end
+    stops at, with the same text, and at a depth past the cached levels
+    builds no level past the one that fails."""
+    group = generate_closure([GEN_R3, GEN_B5, -Mat3G.identity()])
+    small = StartConfig("small", group.orbit(BASE_VECTORS[5]), group)
+    seeds = [Vec3E.from_golden(k, 2 * k + 1, 3) for k in range(1, 24)]
+    large = StartConfig("large", group.orbit_of_set(seeds), group)
+    assert (len(small), len(large)) == (12, 2760)
+    length = parse_field_expr("1/3")
+    t = make_translation(group, 5, length)
+    generate_array(small, t, 4)
+    with pytest.raises(PointBudgetError) as want:
+        ref.front_end_rows(large, t, 4)
+    with pytest.raises(PointBudgetError) as got:
+        generate_array(large, t, 4)
+    # 2760 points times the 377 sums of at most three directions
+    assert str(got.value) == str(want.value) == (
+        "1040520 candidate points exceed the cap of 1000000")
+    sums = type(group).direction_sums
+    before = sums.cache_info().currsize
+    with pytest.raises(PointBudgetError):
+        generate_array(large, make_translation(group, 3, length), 9)
+    # fold 3's sums of at most 0, 1, 2 and 3 directions: 1, 21, 191 and
+    # 1035, and 2760 * 1035 is the first over the cap
+    assert sums.cache_info().currsize - before == 4
+
+
+def test_arrays_keep_no_start_alive():
+    """Thirty start configurations, onion members and closed seeds, each
+    with an array: once dropped, none is kept, and memory returns to
+    where it was."""
+    group = full_group()
+    t = translation(builtin("c60"), 5, "3")
+    report = onion.build_onion(builtin("c60"), t, 3)
+    members = [builtin("c60"), builtin("c80"),
+               *(StartConfig(f"member{i}", shell.points, group)
+                 for i, shell in enumerate(report.family[1:]))]
+    del report
+
+    def starts():
+        yield from members
+        for k in range(25):
+            seed = Vec3E.from_golden(k + 1, 2, k % 3)
+            yield StartConfig(f"seed{k}", group.orbit(seed), group)
+
+    def build_all(keep):
+        for start in starts():
+            generate_array(start, t, 1)
+            keep.append(weakref.ref(start))
+
+    build_all([])  # fill the group's caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = []
+        build_all(kept)
+        members.clear()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 30
+    assert [ref_() for ref_ in kept] == [None] * 30
+    assert grown < 64 * 1024
 
 
 # --- the row sort against the reference ----------------------------------
@@ -224,13 +411,14 @@ def interleaved(rows, seed=0):
 
 def assert_rows_match_reference(listed, den, sorts, row_sort):
     """build_shells on the rows, in int64 and as Python ints, against the
-    reference; the row sort, the last sort of each call, has the keys
-    `row_sort` names: 1 for the packed argsort."""
+    reference; the row sort, the third sort of each call after the
+    values' sort and ranks, has the keys `row_sort` names: 1 for the
+    packed argsort."""
     want = ref.build_shells({tuple(row) for row in listed}, den)
     for dtype in (np.int64, object):
         sorts.clear()
         assert_same(build_shells(np.array(listed, dtype=dtype), den), want)
-        assert sorts[-1] == (row_sort, len(listed))
+        assert sorts[2] == (row_sort, len(listed))
 
 
 @pytest.fixture
@@ -281,7 +469,7 @@ def test_rows_just_under_the_int64_bound_take_the_lexsort(sorts,
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda k: keys.append(k) or lexsort(k))
     build_shells(np.array(listed), den)
-    assert [k.dtype for k in keys[-1]] == [np.dtype(np.int64)] * 5
+    assert [k.dtype for k in keys[1]] == [np.dtype(np.int64)] * 5
 
 
 def test_python_int_rows_match_reference(sorts):
@@ -289,8 +477,9 @@ def test_python_int_rows_match_reference(sorts):
     assert rows.dtype == object
     listed = interleaved(rows)
     want = ref.build_shells({tuple(row) for row in listed}, den)
+    sorts.clear()
     assert_same(build_shells(np.array(listed, dtype=object), den), want)
-    assert sorts[-1] == (5, len(listed))
+    assert sorts[2] == (5, len(listed))
 
 
 @pytest.mark.parametrize("den", [1, 2, 6])
@@ -330,7 +519,7 @@ def default_scan_rows():
 def test_build_shells_makes_one_golden_number_per_shell(monkeypatch):
     start, rows = default_scan_rows()
     real_make = GoldenNumber._make.__func__
-    real_build = engine.build_shells
+    real_build = engine._table_shells
     made = []
     seen = []
 
@@ -338,14 +527,14 @@ def test_build_shells_makes_one_golden_number_per_shell(monkeypatch):
         made.append(args)
         return real_make(cls, *args)
 
-    def counted_build(rows, den):
+    def counted_build(den, va, vb, index, dtype):
         before = len(made)
-        shells = real_build(rows, den)
-        seen.append((len(rows), len(made) - before, len(shells)))
+        shells = real_build(den, va, vb, index, dtype)
+        seen.append((index.shape[1], len(made) - before, len(shells)))
         return shells
 
     monkeypatch.setattr(GoldenNumber, "_make", classmethod(counting_make))
-    monkeypatch.setattr(engine, "build_shells", counted_build)
+    monkeypatch.setattr(engine, "_table_shells", counted_build)
     for fold, length in rows:
         generate_array(start, make_translation(start.symmetry, fold, length),
                        1)
@@ -356,31 +545,34 @@ def test_build_shells_makes_one_golden_number_per_shell(monkeypatch):
 
 def test_default_scan_rows_take_one_row_sort(sorts, monkeypatch):
     """Each default scan row's points are ordered by one argsort of one
-    int64 key per point.  Only the distinct coordinate values, far fewer
-    than the 3N coordinates, are reduced and sorted, and no row takes
-    the float-tie keys."""
+    int64 key per point, and its shells by one argsort of their float
+    radii.  Only the distinct coordinate values, far fewer than the 3N
+    coordinates, are reduced and sorted; the front end takes one gcd
+    over the start's and the single steps' values, not over the N rows;
+    and no row takes the float-tie keys."""
     start, rows = default_scan_rows()
     translations = [make_translation(start.symmetry, fold, length)
                     for fold, length in rows]
-    calls, reduced = [], []
-    real_build, real_gcd = engine.build_shells, np.gcd
-
-    def counted_build(rows, den):
-        sorts.clear(), reduced.clear()
-        shells = real_build(rows, den)
-        calls.append((len(rows), list(sorts), list(reduced)))
-        return shells
-
-    monkeypatch.setattr(engine, "build_shells", counted_build)
+    for t in translations[:1] + translations[-1:]:  # fill the caches
+        generate_array(start, t, 1)
+    calls, reduced, front = [], [], []
+    real_gcd, real_front_gcd = np.gcd, engine.gcd
     monkeypatch.setattr(np, "gcd", lambda *args: reduced.append(
         max(map(np.size, args))) or real_gcd(*args))
+    monkeypatch.setattr(engine, "gcd", lambda *args: front.append(
+        len(args)) or real_front_gcd(*args))
     for t in translations:
-        generate_array(start, t, 1)
+        sorts.clear(), reduced.clear(), front.clear()
+        shells = generate_array(start, t, 1).shells
+        calls.append((generic_cardinality(start, t), list(sorts),
+                      list(reduced), list(front), len(shells)))
     assert len(calls) == len(rows)
-    for n_rows, sorted_keys, gcd_sizes in calls:
+    for n_rows, sorted_keys, gcd_sizes, front_gcds, n_shells in calls:
         n_values = sorted_keys[0][1]
-        assert sorted_keys == [(4, n_values), (1, n_values), (1, n_rows)]
+        assert sorted_keys == [(4, n_values), (1, n_values), (1, n_rows),
+                               (1, n_shells)]
         assert gcd_sizes == [n_values, n_values]
+        assert len(front_gcds) == 1 and 10 * front_gcds[0] < n_rows
         assert 3 * n_values < n_rows
 
 
