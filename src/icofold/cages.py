@@ -25,9 +25,9 @@ search takes its representatives' four nearest against all N points, a
 fixed number of representatives at a time; once the gap holds, the
 entries within the cutoff are exactly each representative's three
 bonds, so no search holds an N x N matrix.  When the union's exact rows
-and a group mapping it onto itself are known, the representatives are
-one point per orbit, and their bonds are carried to the rest of each
-orbit by the group; otherwise every point is its own representative.
+are known and groups.PointGroup.orbits finds them invariant, the
+representatives are one point per orbit and Orbits.carry takes their
+bonds to the rest; otherwise every point is its own representative.
 
 A bond graph keeps its bonds as one sorted (E, 2) integer array from
 the search on; the tuple of pairs is built only when read.
@@ -111,8 +111,7 @@ class CageGraph:
         self.pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         self.cutoff = cutoff
         self.rows: tuple[int, np.ndarray] | None = None
-        # the group whose generators the search found mapping the points
-        # onto themselves, else None
+        # the group the search found mapping the points onto themselves
         self._symmetry = None
         pairs = self.pairs
         self.degrees = np.bincount(pairs.ravel(), minlength=len(coords))
@@ -144,17 +143,6 @@ class CageGraph:
     @property
     def edge_ratio(self) -> float:
         return self.edge_max / self.edge_min if self.edge_min else math.inf
-
-    def degree_histogram(self) -> dict[int, int]:
-        values, counts = np.unique(self.degrees, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
-    def adjacency(self) -> list[list[int]]:
-        neighbors: list[list[int]] = [[] for _ in range(len(self.coords))]
-        for i, j in self.pairs.tolist():
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-        return neighbors
 
     def __repr__(self) -> str:
         return (f"CageGraph({self.vertex_count} vertices, "
@@ -233,33 +221,17 @@ def _edges(source: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
     return np.stack([source[order], target[order]], axis=1)
 
 
-def _bond_search(coords: np.ndarray, permutations=None
+def _bond_search(coords: np.ndarray, orbits=None
                  ) -> tuple[float, np.ndarray] | None:
-    """(c2, bond pairs) of the point set from its representatives' four
-    nearest, or None when it has no gap.
-
-    `permutations`, when given, are the generators' index permutations of
-    the points, which map the set onto itself.  Every point is a group
-    image of its orbit's lowest index, its representative, and an
-    isometry that keeps the set carries bonds to bonds.  So only the
-    representatives' four nearest are taken, against all points,
-    `_CHUNK_ROWS` representatives at a time, and their bonds are carried
-    out along the generators, one breadth-first level at a time.  With
-    no generators every point is its own representative.
-    """
+    """(c2, bond pairs) of the point set, or None when it has no gap, from
+    its representatives' four nearest against all points, `_CHUNK_ROWS`
+    representatives at a time.  Given the points' groups.Orbits under a
+    group that keeps the set, the representatives are one point per orbit
+    and `orbits.carry` takes their bonds to every point, since an
+    isometry that keeps the set carries bonds to bonds; else every point
+    is its own representative."""
     n = len(coords)
-    reps = label = np.arange(n)
-    if permutations is not None:
-        # each point takes the least label among it and its images, then
-        # its label's label; labels stay inside the orbit and reach its
-        # lowest index
-        while True:
-            least = np.minimum(label, label[permutations].min(axis=0))
-            least = least[least]
-            if np.array_equal(least, label):
-                break
-            label = least
-        reps = np.flatnonzero(label == reps)
+    reps = np.arange(n) if orbits is None else orbits.reps
     values = np.empty((len(reps), 4))
     targets = np.empty((len(reps), 4), dtype=np.intp)
     for start, d2 in _distance_chunks(coords, reps):
@@ -270,21 +242,9 @@ def _bond_search(coords: np.ndarray, permutations=None
     if found is None:
         return None
     c2, bonds = found
-    neighbors = np.empty((n, 3), dtype=np.intp)
-    neighbors[reps] = targets[bonds].reshape(-1, 3)
-    reached = np.zeros(n, dtype=bool)
-    reached[reps] = True
-    frontier = reps
-    # with every point its own representative, there is nothing to carry
-    while not reached.all():
-        fresh = []
-        for perm in permutations:
-            image = perm[frontier]
-            new = ~reached[image]
-            neighbors[image[new]] = perm[neighbors[frontier[new]]]
-            reached[image[new]] = True
-            fresh.append(image[new])
-        frontier = np.concatenate(fresh)
+    neighbors = targets[bonds].reshape(-1, 3)
+    if orbits is not None:
+        neighbors = orbits.carry(neighbors)
     return c2, _edges(np.repeat(np.arange(n), 3), neighbors.ravel(), n)
 
 
@@ -303,10 +263,9 @@ class _NearestTable:
 
     `exact`, when given, is (group, den, rows): each group's distinct
     integer rows over one `den`, in the order of its coordinates, and a
-    PointGroup.  A union that passes its probe and that the group's
-    generators map onto itself is searched from one row per orbit; any
-    other union, and every union of a table built from floats alone, is
-    searched from all of its points.
+    PointGroup.  A union that passes its probe is searched from one row
+    per orbit when `group.orbits` finds it invariant, and from all of
+    its points otherwise or when the table holds floats alone.
 
     `reach` is the lowest group of any union the table is to probe, 0
     unless set before the first probe; a column is filled from that row
@@ -374,20 +333,19 @@ class _NearestTable:
 
     def search(self, chosen) -> CageGraph | None:
         """The bond graph of a union that passed its probe, or None; its
-        indices follow the points of `chosen`'s groups in order.  From a
-        table with exact rows the graph keeps the union's (den, rows), and
-        the group when it maps the union onto itself."""
+        indices follow the points of `chosen`'s groups in order.  From
+        exact rows it keeps the union's (den, rows), and the group when
+        the union is invariant."""
         coords = np.vstack([self.coords[i] for i in chosen])
-        rows = permutations = None
-        if self._exact is not None:
-            group, den, shell_rows = self._exact
-            rows = np.concatenate([shell_rows[i] for i in chosen])
-            permutations = group.generator_permutations(den, rows)
-        graph = _trivalent_graph(coords, _bond_search(coords, permutations))
-        if graph is not None and rows is not None:
+        if self._exact is None:
+            return _trivalent_graph(coords, _bond_search(coords))
+        group, den, shell_rows = self._exact
+        rows = np.concatenate([shell_rows[i] for i in chosen])
+        orbits = group.orbits(den, rows)
+        graph = _trivalent_graph(coords, _bond_search(coords, orbits))
+        if graph is not None:
             graph.rows = (den, rows)
-            if permutations is not None:
-                graph._symmetry = group
+            graph._symmetry = None if orbits is None else group
         return graph
 
 

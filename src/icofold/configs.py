@@ -88,8 +88,7 @@ class StartConfig:
         self.name = name
         self.integer_rows: tuple[int, np.ndarray] = (den // g, rows)
         self.symmetry = symmetry
-        if not invariant and symmetry.generator_permutations(
-                *self.integer_rows) is None:
+        if not invariant and symmetry.orbits(*self.integer_rows) is None:
             raise ConfigError(
                 f"vertex set of '{name}' is not invariant "
                 f"under the symmetry group"

@@ -49,8 +49,7 @@ import numpy as np
 from . import cages
 from .cages import PointBudgetError
 from .configs import DEFAULT_POINT_CAP, StartConfig
-from .geometry import (Vec3E, _coordinate_values, _distinct_sums,
-                       row_vectors)
+from .geometry import Vec3E, _distinct_sums, row_vectors
 from .golden import _TAU_FLOAT, GoldenNumber, _gsigns, format_golden
 from .groups import PointGroup
 
@@ -198,23 +197,12 @@ class PointArray:
                 f"depth {self.depth}, {len(self)} points)")
 
 
-def build_shells(rows, den: int) -> tuple[Shell, ...]:
-    """Group integer point rows over `den` by exact squared radius, ascending.
-
-    `rows` is an (N, 6) int64 or object array; duplicate rows are dropped.
-    geometry._coordinate_values finds its distinct coordinate values, as
-    the point builders do, and _table_shells does the rest.
-    """
-    if not len(rows):
-        return ()
-    va, vb, index = _coordinate_values(rows)
-    return _table_shells(den, va, vb, index.T, rows.dtype)
-
-
-def _table_shells(den: int, va: np.ndarray, vb: np.ndarray,
-                  index: np.ndarray, dtype) -> tuple[Shell, ...]:
-    """The shells of the rows whose coordinates are the distinct values
-    (va + vb*tau)/den, row i's at index[:, i], as rows of `dtype`.
+def build_shells(den: int, va: np.ndarray, vb: np.ndarray,
+                 index: np.ndarray, dtype) -> tuple[Shell, ...]:
+    """Group rows by exact squared radius, ascending, dropping duplicates:
+    the rows whose coordinates are the distinct values (va + vb*tau)/den,
+    row i's at index[:, i] of the (3, N) `index`, as rows of `dtype`
+    (int64 or object).
 
     The squared radius of (a + b*tau)/den per coordinate is
     (sum a^2+b^2 + (sum (2a+b)b)*tau)/den^2.  Points inside a shell are
@@ -367,7 +355,7 @@ def generate_array(start: StartConfig, translation: AffineTranslation,
         if budget > DEFAULT_POINT_CAP:
             raise PointBudgetError(f"{budget} candidate points exceed the "
                                    f"cap of {DEFAULT_POINT_CAP}")
-    shells = (_table_shells(*_array_values(start, translation, depth))
+    shells = (build_shells(*_array_values(start, translation, depth))
               if len(start) else ())
     return PointArray(start, translation, depth, shells)
 

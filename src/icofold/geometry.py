@@ -33,10 +33,8 @@ __all__ = [
     "Mat3G",
     "dot",
     "norm2",
-    "dist2",
     "mat_apply",
     "mat_mul",
-    "mat_det",
     "integer_rows",
     "row_vectors",
     "distinct_vectors",
@@ -171,10 +169,6 @@ class Mat3G:
                       [r[0][1], r[1][1], r[2][1]],
                       [r[0][2], r[1][2], r[2][2]]])
 
-    def trace(self) -> GoldenNumber:
-        r = self.rows
-        return r[0][0] + r[1][1] + r[2][2]
-
     def is_orthogonal(self) -> bool:
         return mat_mul(self.transpose(), self) == Mat3G.identity()
 
@@ -189,10 +183,6 @@ def dot(u: Vec3E, v: Vec3E) -> GoldenNumber:
 
 def norm2(v: Vec3E) -> GoldenNumber:
     return dot(v, v)
-
-
-def dist2(u: Vec3E, v: Vec3E) -> GoldenNumber:
-    return norm2(u - v)
 
 
 def mat_apply(m: Mat3G, v: Vec3E) -> Vec3E:
@@ -411,12 +401,3 @@ def mat_mul(a: Mat3G, b: Mat3G) -> Mat3G:
         ]
         for i in range(3)
     ])
-
-
-def mat_det(m: Mat3G) -> GoldenNumber:
-    r = m.rows
-    return (
-        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-    )

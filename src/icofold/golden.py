@@ -233,10 +233,6 @@ class GoldenNumber:
         """Exact sign in {-1, 0, +1}, decided in integer arithmetic."""
         return _gsign(self.an, self.bn)
 
-    def conj(self) -> "GoldenNumber":
-        """Galois conjugate tau -> 1 - tau (a ring homomorphism)."""
-        return GoldenNumber._make(self.an + self.bn, -self.bn, self.den)
-
     def is_zero(self) -> bool:
         return self.an == 0 and self.bn == 0
 

@@ -28,6 +28,7 @@ __all__ = [
     "ClosureBoundError",
     "NonOrthogonalGeneratorError",
     "PointGroup",
+    "Orbits",
     "DirectionSums",
     "generate_closure",
     "rotation_group",
@@ -91,6 +92,49 @@ class DirectionSums(NamedTuple):
     index: np.ndarray
 
 
+class Orbits:
+    """Orbits of n distinct rows that the generators map onto themselves
+    (PointGroup.orbits): `permutations[g, i]` is the row generator g takes
+    row i to; `label`, each row's orbit as its least index, and `reps`,
+    the rows that are their own label, ascending, are built when read."""
+
+    def __init__(self, permutations: np.ndarray) -> None:
+        self.permutations = permutations
+
+    @cached_property
+    def label(self) -> np.ndarray:
+        # least label of each row and its images, then that label's label
+        label = np.arange(self.permutations.shape[1])
+        while True:
+            least = np.minimum(label, label[self.permutations].min(axis=0))
+            least = least[least]
+            if np.array_equal(least, label):
+                return label
+            label = least
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        return np.flatnonzero(self.label == np.arange(len(self.label)))
+
+    def carry(self, targets: np.ndarray) -> np.ndarray:
+        """Every row's k row indices: `targets` holds the representatives',
+        in `reps` order, and a generator taking row r to s maps r's to s's."""
+        reached = self.label == np.arange(len(self.label))
+        carried = np.empty((len(reached), targets.shape[1]), targets.dtype)
+        frontier = self.reps
+        carried[frontier] = targets
+        while not reached.all():
+            fresh = []
+            for perm in self.permutations:
+                image = perm[frontier]
+                new = ~reached[image]
+                carried[image[new]] = perm[carried[frontier[new]]]
+                reached[image[new]] = True
+                fresh.append(image[new])
+            frontier = np.concatenate(fresh)
+        return carried
+
+
 def _positive_representative(v: Vec3E) -> Vec3E:
     for component in v:
         s = component.sign()
@@ -109,8 +153,8 @@ class PointGroup:
     A group built from its elements alone takes all of them.
 
     The group acts on points only in `_apply`, on integer rows through a
-    (|G|, 6, 6) table built on first use (geometry.action_table); orbits,
-    stabilizers and StartConfig's invariance check are one call on it.
+    (|G|, 6, 6) table built on first use (geometry.action_table);
+    `orbit`, `stabilizer_order` and `orbits` are one call on it.
     """
 
     def __init__(self, name: str, elements: tuple[Mat3G, ...],
@@ -216,11 +260,9 @@ class PointGroup:
                   for i in range(0, max(len(rows), 1), _CHUNK))
         return d * den, rows * d, chunks
 
-    def generator_permutations(self, den: int,
-                               rows: np.ndarray) -> np.ndarray | None:
-        """Where each generator takes each of the distinct (n, 6) integer
-        rows over `den`: a (generators, n) index array, or None when some
-        image is not one of the rows.
+    def orbits(self, den: int, rows: np.ndarray) -> Orbits | None:
+        """The orbits of the distinct (n, 6) integer rows over `den` under
+        the generators, or None when some image is not one of the rows.
 
         The rows are sorted once and each generator's images once: the
         images of distinct rows are distinct, so they are the rows exactly
@@ -249,7 +291,7 @@ class PointGroup:
             if not np.array_equal(image[by_image], ordered):
                 return None
             found[g, by_image] = order
-        return found
+        return Orbits(found)
 
     def orbit(self, v: Vec3E) -> tuple[Vec3E, ...]:
         """The exact orbit of v, deduplicated, in a deterministic order."""

@@ -4,12 +4,16 @@ cage detection ran it on each trailing union and one-drop window before
 one gate call per window took its place.  And the all-points bond
 search: every point's four nearest, chunk by chunk, then its bonds, as
 floats-only sets and unions that are not invariant were searched before
-one search from orbit representatives served every set.
+one search from orbit representatives served every set.  And that
+search as it ran before orbits moved to `groups`: least-label
+propagation over the generators' permutations, then a breadth-first
+carry of the representatives' bonds, both inside the search.
 
 Kept as they were so the differential tests can hold
 `_NearestTable.verdicts` to each union's own probe, compare the table's
 graph of any union, not only those detection tries, against the dense
-search, and hold `_bond_search` to the all-points search.
+search, and hold `_bond_search` to the all-points search and to its
+own loops over the permutations (`bond_search`).
 """
 
 import numpy as np
@@ -40,14 +44,13 @@ def graph(table, chosen):
     return table.search(members)
 
 
-def permutations(table, members):
-    """The generators' index permutations of the union's points, or None
-    when the table holds no exact rows or the union is not invariant."""
+def orbits(table, members):
+    """The groups.Orbits of the union's points, or None when the table
+    holds no exact rows or the union is not invariant."""
     if table._exact is None:
         return None
     group, den, rows = table._exact
-    return group.generator_permutations(
-        den, np.concatenate([rows[i] for i in members]))
+    return group.orbits(den, np.concatenate([rows[i] for i in members]))
 
 
 def union_rows(coords):
@@ -72,3 +75,57 @@ def union_bonds(coords):
     c2, bonds = found
     source, column = np.nonzero(bonds)
     return c2, cages._edges(source, targets[source, column], len(coords))
+
+
+def bond_search(coords, permutations=None):
+    """(c2, bond pairs) of the point set from its representatives' four
+    nearest, or None when it has no gap.
+
+    `permutations`, when given, are the generators' index permutations of
+    the points, which map the set onto itself.  Every point is a group
+    image of its orbit's lowest index, its representative, and an
+    isometry that keeps the set carries bonds to bonds.  So only the
+    representatives' four nearest are taken, against all points,
+    `_CHUNK_ROWS` representatives at a time, and their bonds are carried
+    out along the generators, one breadth-first level at a time.  With
+    no generators every point is its own representative.
+    """
+    n = len(coords)
+    reps = label = np.arange(n)
+    if permutations is not None:
+        # each point takes the least label among it and its images, then
+        # its label's label; labels stay inside the orbit and reach its
+        # lowest index
+        while True:
+            least = np.minimum(label, label[permutations].min(axis=0))
+            least = least[least]
+            if np.array_equal(least, label):
+                break
+            label = least
+        reps = np.flatnonzero(label == reps)
+    values = np.empty((len(reps), 4))
+    targets = np.empty((len(reps), 4), dtype=np.intp)
+    for start, d2 in cages._distance_chunks(coords, reps):
+        index = np.argpartition(d2, 3, axis=1)[:, :4]
+        values[start:start + len(d2)] = np.take_along_axis(d2, index, axis=1)
+        targets[start:start + len(d2)] = index
+    found = cages._bonds(values)
+    if found is None:
+        return None
+    c2, bonds = found
+    neighbors = np.empty((n, 3), dtype=np.intp)
+    neighbors[reps] = targets[bonds].reshape(-1, 3)
+    reached = np.zeros(n, dtype=bool)
+    reached[reps] = True
+    frontier = reps
+    # with every point its own representative, there is nothing to carry
+    while not reached.all():
+        fresh = []
+        for perm in permutations:
+            image = perm[frontier]
+            new = ~reached[image]
+            neighbors[image[new]] = perm[neighbors[frontier[new]]]
+            reached[image[new]] = True
+            fresh.append(image[new])
+        frontier = np.concatenate(fresh)
+    return c2, cages._edges(np.repeat(np.arange(n), 3), neighbors.ravel(), n)

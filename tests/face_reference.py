@@ -1,7 +1,8 @@
 """Reference face code: the per-vertex tangent order and the face walk
 that face tracing first ran, the float orientation test that OFF export
 ran on every face, and the pentagon contact that looked up each edge's
-far face in a dict over every directed edge.
+far face in a dict over every directed edge.  `adjacency` lists each
+vertex's neighbours, as `CageGraph.adjacency` did.
 
 Kept as they were so the differential tests can compare the census'
 faces, `across` table and counts against the walk, and its reversed
@@ -15,6 +16,15 @@ from collections import Counter
 import numpy as np
 
 from icofold.cages import EulerError
+
+
+def adjacency(cage):
+    """Each vertex's neighbours, in the order of the graph's bonds."""
+    neighbors = [[] for _ in range(len(cage.coords))]
+    for i, j in cage.pairs.tolist():
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    return neighbors
 
 
 def tangent_order_reference(coords, v, neighbors):
@@ -42,7 +52,7 @@ def face_census_reference(cage):
     """Face tracing as first written: per-vertex tangent orders, and each
     face started at the smallest directed edge not yet walked."""
     ordered = [tangent_order_reference(cage.coords, v, nbrs)
-               for v, nbrs in enumerate(cage.adjacency())]
+               for v, nbrs in enumerate(adjacency(cage))]
     successor = {}
     for v, ring in enumerate(ordered):
         for idx, u in enumerate(ring):

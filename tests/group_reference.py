@@ -2,7 +2,8 @@
 `PointGroup.orbit_of_set`, `PointGroup.stabilizer_order` and the
 `StartConfig` invariance check ran before they became one batched
 product on integer rows, and the generator permutations of a point set
-looked up one image at a time.
+looked up one image at a time, with its orbits found by a breadth-first
+search over them (`orbit_labels`).
 
 Kept function for function on `mat_apply`, one element and one point at
 a time, so the differential tests compare keys, order, counts and
@@ -13,6 +14,8 @@ verdicts with code that shares none of the action table.
 from their distinct coordinate values: three reductions per row, then a
 set of row tuples sorted by key.  `BUILDERS` names every module global
 through which the program builds points from integer rows, for spies.
+`mat_det` is the cofactor determinant that `geometry` exported while no
+program path called it.
 """
 
 from icofold import cages, configs, engine, geometry, groups
@@ -88,3 +91,35 @@ def generator_permutations(group, points):
     if any(i is None for row in table for i in row):
         return None
     return table
+
+
+def orbit_labels(table):
+    """(label, reps) of the points a `generator_permutations` table maps:
+    each point's orbit as its least index, and the points that are their
+    own label, ascending.  Each point not yet reached, in index order,
+    starts a breadth-first search over the table."""
+    label = [None] * len(table[0])
+    for i in range(len(label)):
+        if label[i] is not None:
+            continue
+        label[i] = i
+        frontier = [i]
+        while frontier:
+            fresh = []
+            for j in frontier:
+                for row in table:
+                    if label[row[j]] is None:
+                        label[row[j]] = i
+                        fresh.append(row[j])
+            frontier = fresh
+    return label, [i for i, own in enumerate(label) if own == i]
+
+
+def mat_det(m):
+    """The determinant of a Mat3G by cofactors."""
+    r = m.rows
+    return (
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+    )

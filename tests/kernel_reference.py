@@ -12,8 +12,8 @@ as they did, so it shares none of the array kernel's row building.
 The front end (`front_end_shells`) scales the start rows and the steps
 to one denominator and divides out their gcd (`_kernel_rows`), sums the
 steps level by level (`_offsets`), adds every sum to every start row and
-hands all N rows to `engine.build_shells`, which finds their distinct
-coordinate values over all 3N coordinates.
+hands all N rows to `engine.build_shells` through `row_shells`, which
+finds their distinct coordinate values over all 3N coordinates.
 """
 
 from math import gcd, lcm
@@ -23,6 +23,7 @@ import numpy as np
 from icofold.cages import PointBudgetError
 from icofold.configs import DEFAULT_POINT_CAP
 from icofold.engine import build_shells as array_build_shells
+from icofold.geometry import _coordinate_values
 from icofold.golden import _TAU_FLOAT, GoldenNumber
 
 # the rows of a front-end array are int64 below this bound
@@ -102,9 +103,16 @@ def front_end_rows(start, translation, depth):
     return rows, den
 
 
+def row_shells(rows, den):
+    """`engine.build_shells` of (N, 6) rows over `den`, through the value
+    table of all their 3N coordinates."""
+    va, vb, index = _coordinate_values(rows)
+    return array_build_shells(den, va, vb, index.T, rows.dtype)
+
+
 def front_end_shells(start, translation, depth):
-    """The array's shells through the raw-row entry point."""
-    return array_build_shells(*front_end_rows(start, translation, depth))
+    """The array's shells from all N candidate rows."""
+    return row_shells(*front_end_rows(start, translation, depth))
 
 
 class RefShell:

@@ -10,7 +10,7 @@ import pkgutil
 import pytest
 
 import icofold
-from icofold import cages, cli, configs, engine, export, onion, verify
+from icofold import cages, cli, configs, engine, export, groups, onion, verify
 
 MODULES = ["icofold"] + [
     f"icofold.{info.name}" for info in pkgutil.iter_modules(icofold.__path__)
@@ -57,6 +57,8 @@ def test_command_options_are_pinned():
 PARAMETERS = [
     (configs.StartConfig, ["name", "vertices", "symmetry"]),
     (engine.generate_array, ["start", "translation", "depth"]),
+    (engine.build_shells, ["den", "va", "vb", "index", "dtype"]),
+    (groups.PointGroup.orbits, ["self", "den", "rows"]),
     (engine.bands, ["array"]),
     (engine.classify_length, ["start", "translation", "depth", "with_cage"]),
     (engine.classify_scan, ["start", "folds", "spec"]),

@@ -8,10 +8,12 @@ from itertools import combinations, compress
 import cage_reference
 import numpy as np
 import pytest
-from face_reference import (across_reference, contact_signature_reference,
+from face_reference import (across_reference, adjacency,
+                            contact_signature_reference,
                             counts_reference, directed_edges,
                             export_off_reference, face_census_reference,
                             tangent_order_reference)
+from kernel_reference import row_shells
 
 from icofold import cages
 from icofold.cages import (
@@ -24,13 +26,12 @@ from icofold.cages import (
     trivalence_threshold_search,
 )
 from icofold.configs import BUILTIN_NAMES, StartConfig, builtin
-from icofold.engine import (DEFAULT_SCAN_SPEC, Shell, bands, build_shells,
-                            classify_scan, generate_array, make_translation,
-                            outer_cage)
+from icofold.engine import (DEFAULT_SCAN_SPEC, Shell, bands, classify_scan,
+                            generate_array, make_translation, outer_cage)
 from icofold.export import export_off
 from icofold.geometry import integer_rows, mat_apply
 from icofold.golden import parse_field_expr
-from icofold.groups import full_group
+from icofold.groups import Orbits, full_group
 from icofold.onion import build_onion
 
 
@@ -63,7 +64,8 @@ def test_c60_threshold_search():
     assert graph.vertex_count == 60
     assert graph.edge_count == 90
     assert graph.trivalent
-    assert graph.degree_histogram() == {3: 60}
+    values, counts = np.unique(graph.degrees, return_counts=True)
+    assert dict(zip(values.tolist(), counts.tolist())) == {3: 60}
     # every bond of the built-in c60 has exact length 2
     assert graph.cutoff == pytest.approx(2.0, rel=1e-12)
     assert graph.edge_min == pytest.approx(2.0, rel=1e-12)
@@ -502,7 +504,8 @@ def test_orbit_search_takes_representatives_in_chunks(n):
     the sets of the test above: under a trivial generator every point is
     its own representative, and under the inversion half of them are.
     `c2` and the pairs equal the all-points search's bit for bit, as do
-    those of the search with no generators."""
+    those of the search with no generators and of the search that
+    labelled orbits and carried bonds in its own loops."""
     assert cages._CHUNK_ROWS == 64
     rng = np.random.default_rng(n)
     copies = np.roll(np.repeat(rng.normal(size=(n // 4 + 1, 3)), 4, axis=0),
@@ -516,8 +519,9 @@ def test_orbit_search_takes_representatives_in_chunks(n):
     found = 0
     for coords, permutations in cases:
         want = cage_reference.union_bonds(coords)
-        for got in (cages._bond_search(coords, permutations),
-                    cages._bond_search(coords)):
+        for got in (cages._bond_search(coords, Orbits(permutations)),
+                    cages._bond_search(coords),
+                    cage_reference.bond_search(coords, permutations)):
             assert (got is None) == (want is None)
             if want is None:
                 continue
@@ -665,7 +669,7 @@ def onion_member_shells():
         for member in build_onion(start, t, 4).family:
             den, rows = integer_rows(member.points)
             members.append(tuple(shell.coords
-                                 for shell in build_shells(rows, den)))
+                                 for shell in row_shells(rows, den)))
     return members
 
 
@@ -774,13 +778,13 @@ def test_probe_columns_are_computed_once_for_the_shells_tried(monkeypatch):
 
 def spy_on_bond_search(monkeypatch):
     """A list that records each `_bond_search` call as (its number of
-    points, whether it came without permutations)."""
+    points, whether it came without orbits)."""
     calls = []
     search = cages._bond_search
 
-    def spy(coords, permutations=None):
-        calls.append((len(coords), permutations is None))
-        return search(coords, permutations)
+    def spy(coords, orbits=None):
+        calls.append((len(coords), orbits is None))
+        return search(coords, orbits)
 
     monkeypatch.setattr(cages, "_bond_search", spy)
     return calls
@@ -859,9 +863,9 @@ def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
             if not (passed or failing):
                 continue
             coords = np.vstack([table.coords[i] for i in members])
-            permutations = cage_reference.permutations(table, members)
-            assert permutations is not None
-            got = cages._bond_search(coords, permutations)
+            orbits = cage_reference.orbits(table, members)
+            assert orbits is not None
+            got = cages._bond_search(coords, orbits)
             if not passed:
                 # on a failing iteration every union is refuted by its
                 # probe, so the chunked search finds no gap there either
@@ -890,7 +894,7 @@ def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
         want = detect_cage([shell.coords for shell in array.shells])
         calls.clear()
         got = outer_cage(array)
-        # every search outer_cage runs has the union's permutations
+        # every search outer_cage runs has the union's orbits
         assert not any(unpermuted for _, unpermuted in calls)
         assert_same_finding(got, want)
         if want is not None:
@@ -903,6 +907,33 @@ def test_orbit_search_matches_the_chunked_search(orbit_search_arrays,
             assert den == array.shells[0].den and np.array_equal(
                 rows, np.concatenate([array.shells[i].rows
                                       for i in got.shell_indices]))
+
+
+def test_outer_cage_searches_match_the_label_and_carry_loops(
+        orbit_search_arrays, monkeypatch):
+    """Every union `outer_cage` searches, on the onion arrays to their
+    failing iteration and on the catalog, gets from `groups.Orbits` the
+    `c2` and bond pairs, bit for bit, of the search that labelled orbits
+    and carried bonds in its own loops."""
+    searched = []
+    search = cages._bond_search
+
+    def spy(coords, orbits=None):
+        found = search(coords, orbits)
+        searched.append((coords, orbits, found))
+        return found
+
+    monkeypatch.setattr(cages, "_bond_search", spy)
+    for array in orbit_search_arrays:
+        outer_cage(array)
+    assert len(searched) == 17
+    for coords, orbits, got in searched:
+        want = cage_reference.bond_search(coords, orbits.permutations)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0] == want[0]
+            assert got[1].dtype == want[1].dtype == np.intp
+            assert np.array_equal(got[1], want[1])
 
 
 def test_a_union_that_is_not_invariant_takes_the_chunked_search(
@@ -919,8 +950,8 @@ def test_a_union_that_is_not_invariant_takes_the_chunked_search(
     shells = (*array.shells[:chosen[-1]], trimmed)
     table = exact_table(array, shells)
     assert cage_reference.passes_probe(table, chosen)
-    assert cage_reference.permutations(table, list(chosen)) is None
-    assert cage_reference.permutations(table, list(chosen[:-1])) is not None
+    assert cage_reference.orbits(table, list(chosen)) is None
+    assert cage_reference.orbits(table, list(chosen[:-1])) is not None
     calls = spy_on_bond_search(monkeypatch)
     got = cage_reference.graph(table, chosen)
     assert [unpermuted for _, unpermuted in calls] == [True]
@@ -1156,7 +1187,7 @@ def rotation_rings(graph):
     source, after, twin = cages._rotation_system(graph)
     target = source[twin]
     rings = []
-    for v, neighbors in enumerate(graph.adjacency()):
+    for v, neighbors in enumerate(adjacency(graph)):
         first = tangent_order_reference(graph.coords, v, neighbors)[0]
         edge = np.flatnonzero((source == v) & (target == first))[0]
         ring = []
@@ -1198,7 +1229,7 @@ def test_rotation_system_breaks_angle_ties_by_neighbour_index():
     assert copies.edge_max == 0.0
     for graph in (copies, cage_of("dodecahedron")):
         want = [tangent_order_reference(graph.coords, v, neighbors)
-                for v, neighbors in enumerate(graph.adjacency())]
+                for v, neighbors in enumerate(adjacency(graph))]
         assert rotation_rings(graph) == want
 
 

@@ -9,7 +9,7 @@ from icofold import configs
 from icofold.configs import BUILTIN_NAMES, ConfigError, StartConfig, builtin, load_custom
 from icofold.engine import (PointBudgetError, generate_array, make_translation,
                             outer_cage)
-from icofold.geometry import Mat3G, Vec3E, dist2, integer_rows, mat_apply, norm2
+from icofold.geometry import Mat3G, Vec3E, integer_rows, mat_apply, norm2
 from icofold.golden import GoldenNumber, TAU, parse_field_expr
 from icofold.groups import GEN_B5, GEN_R3, PointGroup, full_group
 
@@ -115,7 +115,7 @@ class TestBuiltins:
         vertices = config.vertices
         four = GoldenNumber(4)
         for v in vertices:
-            gaps = [dist2(v, w) for w in vertices if w is not v]
+            gaps = [norm2(v - w) for w in vertices if w is not v]
             at_edge = sum(1 for d in gaps if d == four)
             assert at_edge == 3
             assert all((d - four).sign() >= 0 for d in gaps)

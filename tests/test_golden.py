@@ -159,15 +159,19 @@ class TestGoldenAlgebra:
             assert abs(got - want) < Decimal("1e-40")
 
     def test_conjugation_is_a_ring_homomorphism(self):
+        def conj(x):
+            """The Galois conjugate tau -> 1 - tau."""
+            return GoldenNumber._make(x.an + x.bn, -x.bn, x.den)
+
         rng = random.Random(406)
-        assert TAU.conj() == ONE - TAU
+        assert conj(TAU) == ONE - TAU
         for _ in range(2000):
             x = rand_golden(rng)
             y = rand_golden(rng)
-            assert (x + y).conj() == x.conj() + y.conj()
-            assert (x * y).conj() == x.conj() * y.conj()
-            assert x.conj().conj() == x
-            norm = x * x.conj()
+            assert conj(x + y) == conj(x) + conj(y)
+            assert conj(x * y) == conj(x) * conj(y)
+            assert conj(conj(x)) == x
+            norm = x * conj(x)
             assert norm.bn == 0  # x*conj(x) = a^2+ab-b^2 is rational
 
 

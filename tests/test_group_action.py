@@ -1,11 +1,13 @@
 """The batched group action against the per-element loops it replaced.
 
 `group_reference` keeps the old `orbit_of_set`, `stabilizer_order` and
-invariance loops on `mat_apply`.  Every case must give equal keys, order,
-counts and verdicts, in int64 and in Python ints, for the full group, the
-rotations, a group whose elements come in another order and a small group
-over another denominator.  A spy checks that once a group's table exists,
-its action makes no `mat_apply` call.
+invariance loops on `mat_apply`, and the generators' permutations looked
+up one image at a time with their orbits found breadth-first.  Every
+case must give equal keys, order, counts, verdicts, permutations, orbit
+labels and representatives, in int64 and in Python ints, for the full
+group, the rotations, a group whose elements come in another order and a
+small group over another denominator.  A spy checks that once a group's
+table exists, its action makes no `mat_apply` call.
 """
 
 import random
@@ -153,20 +155,60 @@ def test_invariance_verdicts_match_the_loops(group_name):
     assert {got for _, got in verdicts} == {True, False}
 
 
+def test_invariance_check_reads_no_orbit_labels(monkeypatch):
+    """StartConfig.from_rows asks `orbits` only whether the rows are
+    invariant, and never builds labels; a cage search reads them."""
+    reads = []
+    label = groups.Orbits.label
+    monkeypatch.setattr(groups.Orbits, "label", property(
+        lambda self: reads.append(len(self.permutations[0]))
+        or label.func(self)))
+    start = builtin("c80")
+    member = StartConfig.from_rows("member", *start.integer_rows,
+                                   start.symmetry)
+    with pytest.raises(ConfigError):
+        StartConfig.from_rows("less", start.integer_rows[0],
+                              start.integer_rows[1][1:], start.symmetry)
+    assert len(member) == 80 and reads == []
+    t = make_translation(start.symmetry, 5, parse_field_expr("2"))
+    assert outer_cage(generate_array(member, t, 1)).vertex_count == 180
+    assert 180 in reads
+
+
 def permutations(group, vertices):
-    found = group.generator_permutations(*integer_rows(vertices))
-    return None if found is None else found.tolist()
+    found = group.orbits(*integer_rows(vertices))
+    return None if found is None else found.permutations.tolist()
+
+
+def orbit_count(found, table):
+    """The number of orbits, once `found`'s labels and representatives
+    equal those the reference finds breadth-first over its per-image
+    permutations `table`."""
+    label, reps = ref.orbit_labels(table)
+    assert found.label.tolist() == label
+    assert found.reps.tolist() == reps
+    return len(reps)
 
 
 @pytest.mark.parametrize("group_name", GROUPS)
 def test_generator_permutations_match_the_loops(group_name):
+    """On the invariant sets, the built-ins first, labels and
+    representatives match too; under the groups of order 60 and 120, c80
+    holds two orbits and each other built-in one."""
     group = GROUPS[group_name]()
     verdicts = set()
+    counts = []
     for vertices in vertex_sets(group):
         want = ref.generator_permutations(group, vertices)
         assert permutations(group, vertices) == want
         verdicts.add(want is None)
+        if want is not None:
+            counts.append(orbit_count(
+                group.orbits(*integer_rows(vertices)), want))
     assert verdicts == {True, False}
+    if group.order >= 60:
+        assert counts[:len(BUILTIN_NAMES)] == [
+            1 + (name == "c80") for name in BUILTIN_NAMES]
 
 
 def test_generator_permutations_sort_by_one_key_or_by_six():
@@ -204,19 +246,23 @@ def onion_array_shells():
 
 def test_generator_permutations_of_onion_array_shells():
     """Every shell of the onion arrays, shells of several orbits among
-    them, maps as the per-image lookup says; without its last row it
-    maps nowhere."""
+    them, maps as the per-image lookup says, with the reference's orbit
+    labels and representatives; without its last row it maps nowhere."""
     group = full_group()
     several = 0
+    orbit_counts = []
     for shell in onion_array_shells():
         want = ref.generator_permutations(group, shell.points)
         assert want is not None
-        assert group.generator_permutations(shell.den,
-                                            shell.rows).tolist() == want
-        assert group.generator_permutations(shell.den,
-                                            shell.rows[:-1]) is None
+        assert group.orbits(shell.den,
+                            shell.rows).permutations.tolist() == want
+        assert group.orbits(shell.den, shell.rows[:-1]) is None
         several += len(group.orbit(shell.points[0])) < len(shell)
+        orbit_counts.append(
+            orbit_count(group.orbits(shell.den, shell.rows), want))
     assert len(onion_array_shells()) == 9 + 22 + 11 + 18 and several == 7
+    # the seven hold two orbits at one radius
+    assert sorted(orbit_counts)[-8:] == [1] + [2] * 7
 
 
 def test_chunk_boundaries_do_not_change_results(monkeypatch):

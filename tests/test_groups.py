@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from icofold.geometry import Mat3G, Vec3E, mat_apply, mat_det, mat_mul, norm2
+from group_reference import mat_det
+from icofold.geometry import Mat3G, Vec3E, mat_apply, mat_mul, norm2
 from icofold.golden import GoldenNumber, ONE, TAU
 from icofold.groups import (
     ClosureBoundError,

@@ -26,7 +26,7 @@ import kernel_reference as ref
 from icofold import engine, onion
 from icofold.cages import PointBudgetError
 from icofold.configs import BUILTIN_NAMES, StartConfig, builtin
-from icofold.engine import (DEFAULT_SCAN_SPEC, build_shells, classify_length,
+from icofold.engine import (DEFAULT_SCAN_SPEC, classify_length,
                             classify_scan, generate_array,
                             generic_cardinality, make_translation,
                             outer_cage)
@@ -153,7 +153,7 @@ def test_kernel_matches_reference_at_the_int64_bound(n, dtype):
     assert row_dtype(array) == dtype
     rows = np.concatenate([shell.rows for shell in array.shells])
     for other in (np.int64, object):
-        assert_same(build_shells(rows[::-1].astype(other), den),
+        assert_same(ref.row_shells(rows[::-1].astype(other), den),
                     ref.build_shells([tuple(r) for r in rows.tolist()], den))
 
 
@@ -215,10 +215,10 @@ def test_float_ties_are_broken_by_exact_triples(sorts):
     assert [row for shell in want3 for row in shell.rows] == [q, p, r]
     for dtype in (np.int64, object):
         sorts.clear()
-        assert_same(build_shells(np.array([p, q, p], dtype=dtype), 1), want)
+        assert_same(ref.row_shells(np.array([p, q, p], dtype=dtype), 1), want)
         # duplicates of both tied rows interleaved, and a third row tied
         # with them on the same shell
-        assert_same(build_shells(np.array([p, q, p, r, q, q], dtype=dtype),
+        assert_same(ref.row_shells(np.array([p, q, p, r, q, q], dtype=dtype),
                                  1), want3)
         # per call: the three values' sort and ranks, then one row sort
         # on the two radius keys, three float ranks and three exact ranks,
@@ -229,7 +229,7 @@ def test_float_ties_are_broken_by_exact_triples(sorts):
     swapped = (2 ** 60 + 1, 0, 2 ** 60, 0, 0, 0)
     rows = np.array([swapped, big, swapped], dtype=object)
     sorts.clear()
-    assert_same(build_shells(rows, 1), ref.build_shells({big, swapped}, 1))
+    assert_same(ref.row_shells(rows, 1), ref.build_shells({big, swapped}, 1))
     assert sorts == [(4, 3), (1, 3), (8, 3), (1, 1)]
 
 
@@ -246,7 +246,7 @@ def test_radii_whose_floats_tie_are_ordered_exactly(sorts):
     for dtype in (np.int64, object):
         for listed in (rows, rows[::-1]):
             sorts.clear()
-            assert_same(build_shells(np.array(listed, dtype=dtype), 1), want)
+            assert_same(ref.row_shells(np.array(listed, dtype=dtype), 1), want)
             # the float sort of the four radii, then their exact ranks
             assert sorts[-2:] == [(1, 4), (2, 4)]
 
@@ -261,7 +261,7 @@ def test_float_ties_come_after_all_three_floats():
     listed = sorted(rows) * 2
     random.Random(7).shuffle(listed)
     for dtype in (np.int64, object):
-        assert_same(build_shells(np.array(listed, dtype=dtype), 1), want)
+        assert_same(ref.row_shells(np.array(listed, dtype=dtype), 1), want)
 
 
 # --- the factored front end against all N candidate rows ----------------
@@ -410,23 +410,24 @@ def interleaved(rows, seed=0):
 
 
 def assert_rows_match_reference(listed, den, sorts, row_sort):
-    """build_shells on the rows, in int64 and as Python ints, against the
-    reference; the row sort, the third sort of each call after the
-    values' sort and ranks, has the keys `row_sort` names: 1 for the
-    packed argsort."""
+    """build_shells of the rows (`ref.row_shells`), in int64 and as
+    Python ints, against the reference; the row sort, the third sort of
+    each call after the values' sort and ranks, has the keys `row_sort`
+    names: 1 for the packed argsort."""
     want = ref.build_shells({tuple(row) for row in listed}, den)
     for dtype in (np.int64, object):
         sorts.clear()
-        assert_same(build_shells(np.array(listed, dtype=dtype), den), want)
+        assert_same(ref.row_shells(np.array(listed, dtype=dtype), den), want)
         assert sorts[2] == (row_sort, len(listed))
 
 
 @pytest.fixture
 def unique_calls(monkeypatch):
-    """The np.unique calls made inside build_shells; building points from
-    shell rows makes its own."""
+    """The np.unique calls made inside `ref.row_shells`, which finds the
+    rows' values and calls build_shells; building points from shell rows
+    makes its own."""
     calls = []
-    real, code = np.unique, engine.build_shells.__code__
+    real, code = np.unique, ref.row_shells.__code__
 
     def spy(*args, **kwargs):
         frame = sys._getframe(1)
@@ -468,7 +469,7 @@ def test_rows_just_under_the_int64_bound_take_the_lexsort(sorts,
     keys = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda k: keys.append(k) or lexsort(k))
-    build_shells(np.array(listed), den)
+    ref.row_shells(np.array(listed), den)
     assert [k.dtype for k in keys[1]] == [np.dtype(np.int64)] * 5
 
 
@@ -478,7 +479,7 @@ def test_python_int_rows_match_reference(sorts):
     listed = interleaved(rows)
     want = ref.build_shells({tuple(row) for row in listed}, den)
     sorts.clear()
-    assert_same(build_shells(np.array(listed, dtype=object), den), want)
+    assert_same(ref.row_shells(np.array(listed, dtype=object), den), want)
     assert sorts[2] == (5, len(listed))
 
 
@@ -500,7 +501,7 @@ def test_value_table_holds_O_N_entries():
         listed = rows if wide is None else np.vstack([rows, [wide]])
         tracemalloc.start()
         try:
-            build_shells(listed, den)
+            ref.row_shells(listed, den)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -519,7 +520,7 @@ def default_scan_rows():
 def test_build_shells_makes_one_golden_number_per_shell(monkeypatch):
     start, rows = default_scan_rows()
     real_make = GoldenNumber._make.__func__
-    real_build = engine._table_shells
+    real_build = engine.build_shells
     made = []
     seen = []
 
@@ -534,7 +535,7 @@ def test_build_shells_makes_one_golden_number_per_shell(monkeypatch):
         return shells
 
     monkeypatch.setattr(GoldenNumber, "_make", classmethod(counting_make))
-    monkeypatch.setattr(engine, "_table_shells", counted_build)
+    monkeypatch.setattr(engine, "build_shells", counted_build)
     for fold, length in rows:
         generate_array(start, make_translation(start.symmetry, fold, length),
                        1)

@@ -257,9 +257,9 @@ def test_members_are_checked_for_invariance_once(name, expr, counts,
     start = builtin(name)
     t = make_translation(start.symmetry, 5, parse_field_expr(expr))
     lookups, searched = [], []
-    lookup = groups.PointGroup.generator_permutations
+    lookup = groups.PointGroup.orbits
     search = cages._NearestTable.search
-    monkeypatch.setattr(groups.PointGroup, "generator_permutations",
+    monkeypatch.setattr(groups.PointGroup, "orbits",
                         lambda self, den, rows: lookups.append(len(rows))
                         or lookup(self, den, rows))
     monkeypatch.setattr(cages._NearestTable, "search",
