@@ -88,6 +88,8 @@ class StartConfig:
         self.name = name
         self.integer_rows: tuple[int, np.ndarray] = (den // g, rows)
         self.symmetry = symmetry
+        # engine's pair tables per (fold, depth), filled on first use
+        self._pair_tables: dict = {}
         if not invariant and symmetry.orbits(*self.integer_rows) is None:
             raise ConfigError(
                 f"vertex set of '{name}' is not invariant "

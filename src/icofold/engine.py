@@ -32,6 +32,16 @@ otherwise, through the same numpy calls.  Shells carry float
 coordinates for the cage searches and build exact Vec3E points, golden
 vectors like every other 3D point, only when asked.
 
+A scan row (classify_length with with_cage=False) is read off the
+start's pair table where it can be: the orbits of the pairs X x S_k
+under the start's group, the classes of orbits that share a shell at
+every lambda, and the lengths at which two pairs of one class meet.  At
+any other length where no two classes share a radius, no two points of
+the array meet, so its shells are the classes and their counts the
+classes' sizes, and one row per orbit of the outer band decides the
+trivalence gap when it refutes it.  Every other row is read off the
+array.
+
 Shells partition an array by exact squared radius; bands cluster shells
 whose float radii sit within a relative gap.  The cage surfaces the bands
 approximate are detected separately (cages.detect_cage) because no single
@@ -50,8 +60,9 @@ from . import cages
 from .cages import PointBudgetError
 from .configs import DEFAULT_POINT_CAP, StartConfig
 from .geometry import Vec3E, _distinct_sums, row_vectors
-from .golden import _TAU_FLOAT, GoldenNumber, _gsigns, format_golden
-from .groups import PointGroup
+from .golden import (_TAU_FLOAT, GoldenNumber, _gmul, _gsigns,
+                     format_golden)
+from .groups import Orbits, PointGroup
 
 __all__ = [
     "PointBudgetError",
@@ -197,6 +208,41 @@ class PointArray:
                 f"depth {self.depth}, {len(self)} points)")
 
 
+def _value_floats(a: np.ndarray, b: np.ndarray, den: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(floats, a', b', den'): the values (a + b*tau)/den in lowest terms
+    (a' + b'*tau)/den' and their floats, by GoldenNumber.__float__'s
+    arithmetic."""
+    g = np.gcd(np.gcd(a, b), den)
+    a, b, den = a // g, b // g, den // g
+    return np.asarray((a + b * _TAU_FLOAT) / den, dtype=float), a, b, den
+
+
+def _exact_order(floats: np.ndarray, k0: np.ndarray, k1: np.ndarray,
+                 slack: float) -> np.ndarray:
+    """The ascending order of exact values (k0 + k1*tau)/den from their
+    floats, when floats more than `slack` apart are in exact order.
+
+    Float order stands unless two neighbours within `slack` are out of
+    exact order; then each run of such neighbours is ranked by the
+    golden._gsigns of all its differences.
+    """
+    by = np.argsort(floats)
+    floats = floats.take(by)
+    near = ~(floats[1:] - floats[:-1] > slack)
+    if near.any():
+        a, b = by[:-1][near], by[1:][near]
+        if (_gsigns(k0[b] - k0[a], k1[b] - k1[a]) < 0).any():
+            # near neighbours out of order: rank each run of near values
+            # by the exact signs of all its differences
+            run = np.concatenate(([0], np.cumsum(~near)))
+            i, j = np.nonzero(run[:, None] == run)
+            below = _gsigns(k0[by[j]] - k0[by[i]],
+                            k1[by[j]] - k1[by[i]]) < 0
+            by = by[np.lexsort((np.bincount(i, below, len(by)), run))]
+    return by
+
+
 def build_shells(den: int, va: np.ndarray, vb: np.ndarray,
                  index: np.ndarray, dtype) -> tuple[Shell, ...]:
     """Group rows by exact squared radius, ascending, dropping duplicates:
@@ -218,9 +264,7 @@ def build_shells(den: int, va: np.ndarray, vb: np.ndarray,
     and golden._gsigns decides exactly between neighbours whose floats
     lie too close to tell apart.
     """
-    g = np.gcd(np.gcd(va, vb), den)
-    ra, rb, d = va // g, vb // g, den // g
-    vfloat = np.asarray((ra + rb * _TAU_FLOAT) / d, dtype=float)
+    vfloat, ra, rb, d = _value_floats(va, vb, den)
     # each value's rank by float, then by (an, bn, den) as Vec3E.key()
     n = len(va)
     by_value = np.lexsort((d, rb, ra, vfloat))
@@ -265,20 +309,8 @@ def build_shells(den: int, va: np.ndarray, vb: np.ndarray,
     # m = (|va| + |vb|*tau)/den, where m^2 <= (1 + tau^2)(va^2 + vb^2)/den^2;
     # so a radius is within 150u * top0/den^2 < 2^-45 * top0/den^2, and
     # radii whose floats lie 2^-40 * top0/den^2 apart are in float order.
-    radius = np.square(floats.take(firsts, 0)).sum(1)
-    by = np.argsort(radius)
-    radius = radius.take(by)
-    near = ~(radius[1:] - radius[:-1] > 2.0 ** -40 * top0 / (den * den))
-    if near.any():
-        a, b = by[:-1][near], by[1:][near]
-        if (_gsigns(k0[b] - k0[a], k1[b] - k1[a]) < 0).any():
-            # near neighbours out of order: rank each run of near radii
-            # by the exact signs of all its differences
-            run = np.concatenate(([0], np.cumsum(~near)))
-            i, j = np.nonzero(run[:, None] == run)
-            below = _gsigns(k0[by[j]] - k0[by[i]],
-                            k1[by[j]] - k1[by[i]]) < 0
-            by = by[np.lexsort((np.bincount(i, below, len(by)), run))]
+    by = _exact_order(np.square(floats.take(firsts, 0)).sum(1), k0, k1,
+                      2.0 ** -40 * top0 / (den * den))
     ends, den2 = [*firsts[1:].tolist(), len(rows)], den * den
     firsts, k0, k1 = firsts.tolist(), k0.tolist(), k1.tolist()
     return tuple(
@@ -297,6 +329,21 @@ def _times(va: list[int], vb: list[int], p: int, q: int,
     """
     return ([(a * p + b * q) * scale for a, b in zip(va, vb)],
             [(a * q + b * (p + q)) * scale for a, b in zip(va, vb)])
+
+
+def _scaled_values(x_values: tuple, sums, length: GoldenNumber
+                   ) -> tuple[int, list[int], list[int], list[int],
+                              list[int]]:
+    """(den, xa, xb, sa, sb): the values of a start's value_table and
+    `length` times the values of the direction sums `sums`, over one
+    denominator, in Python ints; a coordinate of x + lambda*s is
+    (xa[i] + sa[j] + (xb[i] + sb[j])*tau)/den, i and j its indexes into
+    the two tables."""
+    den_x, ua, ub, _ = x_values
+    den = lcm(den_x, sums.den * length.den)
+    return (den, *_times(ua, ub, 1, 0, den // den_x),
+            *_times(sums.va, sums.vb, length.an, length.bn,
+                    den // (sums.den * length.den)))
 
 
 def _array_values(start: StartConfig, translation: AffineTranslation,
@@ -318,13 +365,11 @@ def _array_values(start: StartConfig, translation: AffineTranslation,
     """
     group, fold, length = (translation.group, translation.fold,
                            translation.length)
-    den_x, ua, ub, x_index = start.value_table
     sums, steps = (group.direction_sums(fold, k) for k in (depth, 1))
-    den = lcm(den_x, sums.den * length.den)
-    p, q, scale = length.an, length.bn, den // (sums.den * length.den)
-    xa, xb = _times(ua, ub, 1, 0, den // den_x)
-    sa, sb = _times(sums.va, sums.vb, p, q, scale)
-    da, db = _times(steps.va, steps.vb, p, q, scale)
+    den, xa, xb, sa, sb = _scaled_values(start.value_table, sums, length)
+    # the single steps share the sums' denominator
+    da, db = _times(steps.va, steps.vb, length.an, length.bn,
+                    den // (steps.den * length.den))
     g = gcd(den, *xa, *xb, *da, *db)
     den //= g
     bound = (max(map(abs, xa + xb)) + depth * max(map(abs, da + db))) // g
@@ -332,8 +377,20 @@ def _array_values(start: StartConfig, translation: AffineTranslation,
     va, vb, pairs = _distinct_sums(
         *([v // g for v in table] for table in (sa, sb, xa, xb)), dtype)
     index = pairs.take(sums.index[:, :, None] * len(xa)
-                       + x_index[:, None]).reshape(3, -1)
+                       + start.value_table[3][:, None]).reshape(3, -1)
     return den, va, vb, index, dtype
+
+
+def _check_point_budget(start: StartConfig, translation: AffineTranslation,
+                        depth: int) -> None:
+    """Refuse |start| * |sums| candidate points over DEFAULT_POINT_CAP at
+    every level of the sums, before the next level is built."""
+    for level in range(depth + 1):
+        sums = translation.group.direction_sums(translation.fold, level)
+        budget = len(start) * len(sums.rows)
+        if budget > DEFAULT_POINT_CAP:
+            raise PointBudgetError(f"{budget} candidate points exceed the "
+                                   f"cap of {DEFAULT_POINT_CAP}")
 
 
 def generate_array(start: StartConfig, translation: AffineTranslation,
@@ -349,15 +406,19 @@ def generate_array(start: StartConfig, translation: AffineTranslation,
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    for level in range(depth + 1):
-        sums = translation.group.direction_sums(translation.fold, level)
-        budget = len(start) * len(sums.rows)
-        if budget > DEFAULT_POINT_CAP:
-            raise PointBudgetError(f"{budget} candidate points exceed the "
-                                   f"cap of {DEFAULT_POINT_CAP}")
+    _check_point_budget(start, translation, depth)
     shells = (build_shells(*_array_values(start, translation, depth))
               if len(start) else ())
     return PointArray(start, translation, depth, shells)
+
+
+def _band_ends(radii: list[float]) -> list[int]:
+    """The end of each band of ascending shell radii: a band ends where
+    the next radius lies over DEFAULT_BAND_GAP above it, relatively."""
+    cuts = [i for i in range(1, len(radii))
+            if radii[i] > 0
+            and (radii[i] - radii[i - 1]) / radii[i] > DEFAULT_BAND_GAP]
+    return [*cuts, len(radii)]
 
 
 def bands(array: PointArray) -> tuple[Band, ...]:
@@ -365,15 +426,8 @@ def bands(array: PointArray) -> tuple[Band, ...]:
     shell_list = array.shells
     if not shell_list:
         return ()
-    groups: list[list[Shell]] = [[shell_list[0]]]
-    previous = shell_list[0].radius
-    for shell in shell_list[1:]:
-        radius = shell.radius
-        if radius > 0 and (radius - previous) / radius > DEFAULT_BAND_GAP:
-            groups.append([])
-        groups[-1].append(shell)
-        previous = radius
-    return tuple(Band(tuple(group)) for group in groups)
+    ends = _band_ends([shell.radius for shell in shell_list])
+    return tuple(Band(shell_list[a:b]) for a, b in zip([0, *ends], ends))
 
 
 def outer_cage(array: PointArray) -> cages.CageFinding | None:
@@ -496,6 +550,15 @@ def parse_scan_spec(text: str) -> ScanSpec:
 DEFAULT_SCAN_SPEC = ScanSpec()
 
 
+def _band_entry(rmin: float, rmax: float, count: int) -> dict:
+    return {
+        "rmin": round(rmin, 9),
+        "rmax": round(rmax, 9),
+        "count": count,
+        "trivalent": False,
+    }
+
+
 def _band_report(band: Band, is_outer: bool) -> dict:
     """Describe one band; the trivalence flag is asked of the outer band.
 
@@ -505,12 +568,7 @@ def _band_report(band: Band, is_outer: bool) -> dict:
     sub-orbits (scaled dodecahedra and the like) that say nothing about
     the extension, so they report trivalent: false by definition.
     """
-    entry = {
-        "rmin": round(band.rmin, 9),
-        "rmax": round(band.rmax, 9),
-        "count": len(band),
-        "trivalent": False,
-    }
+    entry = _band_entry(band.rmin, band.rmax, len(band))
     cage = None
     if is_outer:
         cage = cages.trivalence_threshold_search(
@@ -550,18 +608,199 @@ def cage_report(finding: cages.CageFinding | None,
     }
 
 
-def classify_length(start: StartConfig, translation: AffineTranslation,
-                    depth: int = 1, with_cage: bool = True) -> dict:
-    """One classification row: cardinalities plus band and cage findings.
+def _dots(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The golden dot products (a, b) of two (n, 6) integer row arrays,
+    row by row."""
+    a, b = _gmul(u[:, 0::2], u[:, 1::2], v[:, 0::2], v[:, 1::2])
+    return a.sum(axis=1), b.sum(axis=1)
 
-    `with_cage=False` skips the cage search (scans over hundreds of
-    lengths use the cheaper per-band trivalence flags instead).
+
+def _meeting_lengths(u: np.ndarray, v: np.ndarray, du: int,
+                     dv: int) -> set[tuple[int, int, int]]:
+    """The keys of every lambda > 0 with u = lambda*v, over the rows of two
+    (n, 6) arrays of Python ints over `du` and `dv`.
+
+    Nonzero u and v are parallel exactly when their three 2x2 minors
+    u_c*v_d - u_d*v_c vanish, taken in int64 when 6*max|u|*max|v| fits
+    and in Python ints otherwise.  Then lambda = (u_c/v_c)*(dv/du) for
+    the first coordinate with v_c != 0, divided through the conjugate:
+    (a + b*tau)/(c + d*tau) = ((a(c+d) - bd) + (bc - ad)*tau)/N, with
+    N = c^2 + cd - d^2 the norm of c + d*tau.
     """
-    array = generate_array(start, translation, depth)
+    top = int(abs(u).max(initial=0)) * int(abs(v).max(initial=0))
+    if 6 * top < 2 ** 63:
+        u, v = u.astype(np.int64), v.astype(np.int64)
+    parallel = u.any(axis=1) & v.any(axis=1)
+    for c, d in ((0, 1), (0, 2), (1, 2)):
+        left = _gmul(u[:, 2 * c], u[:, 2 * c + 1],
+                     v[:, 2 * d], v[:, 2 * d + 1])
+        right = _gmul(u[:, 2 * d], u[:, 2 * d + 1],
+                      v[:, 2 * c], v[:, 2 * c + 1])
+        parallel &= (left[0] == right[0]) & (left[1] == right[1])
+    found = set()
+    for u_row, v_row in zip(u[parallel].tolist(), v[parallel].tolist()):
+        k = next(k for k in (0, 2, 4) if v_row[k] or v_row[k + 1])
+        (a, b), (c, d) = u_row[k:k + 2], v_row[k:k + 2]
+        length = GoldenNumber._make((a * (c + d) - b * d) * dv,
+                                    (b * c - a * d) * dv,
+                                    (c * c + c * d - d * d) * du)
+        if length.sign() > 0:
+            found.add(length.key())
+    return found
+
+
+class _PairTable:
+    """The points x_i + lambda*s_j of a start X and the direction sums S of
+    one fold and depth, as pairs (i, j), for every lambda at once.
+
+    A group that keeps X and S maps x + lambda*s to gx + lambda*gs, so its
+    generators permute the pairs; the start's and the sums' orbit
+    permutations (PointGroup.orbits) compose into the pairs' groups.Orbits.
+    The squared radius of x + lambda*s is |x|^2 + 2*lambda*x.s +
+    lambda^2*|s|^2, so orbits whose representatives share (|x|^2, x.s,
+    |s|^2) share a shell at every lambda: they form a class.  `quad`
+    holds each class's coefficients as integers: with lambda = (p +
+    q*tau)/e its radius is quad @ (e^2, ep, eq, p^2 + q^2, 2pq + q^2)
+    over (dx*ds*e)^2, dx and ds the rows' denominators; `sizes` holds
+    its number of pairs, and `points` the (3, size) index of its pairs'
+    coordinates into the |U|*|V| pair values u + lambda*v, its `n_reps`
+    representatives first.
+
+    Two pairs can only meet at a lambda that puts them on one shell.
+    Pairs of two classes do so only where the classes share a radius.
+    Two pairs of one class meet only where one of its representatives
+    meets a pair of the class, since a group element maps any meeting
+    onto one: `coincidences` holds those lambdas > 0, as GoldenNumber keys.
+    """
+
+    def __init__(self, start: StartConfig, sums, x_orbits: Orbits,
+                 s_orbits: Orbits) -> None:
+        self.dx, x_rows = start.integer_rows
+        self.ds, s_rows = sums.den, sums.rows
+        n_s = len(s_rows)
+        orbits = Orbits((x_orbits.permutations[:, :, None] * n_s
+                         + s_orbits.permutations[:, None]).reshape(
+                             len(x_orbits.permutations), -1))
+        label, reps = orbits.label, orbits.reps
+        x_rows, s_rows = x_rows.astype(object), s_rows.astype(object)
+        x, s = x_rows[reps // n_s], s_rows[reps % n_s]
+        dx, ds = self.dx, self.ds
+        a0, a1 = (t * ds * ds for t in _dots(x, x))
+        b0, b1 = (t * 2 * dx * ds for t in _dots(x, s))
+        c0, c1 = (t * dx * dx for t in _dots(s, s))
+        quad = np.stack([np.stack([a0, b0, b1, c0, c1], axis=1),
+                         np.stack([a1, b1, b0 + b1, c1, c0 + c1], axis=1)])
+        classes: dict[tuple, int] = {}
+        orbit_class = np.array(
+            [classes.setdefault(key, len(classes))
+             for key in map(tuple, np.concatenate(quad, axis=1).tolist())],
+            dtype=np.intp)
+        first = np.unique(orbit_class, return_index=True)[1]
+        self.quad = quad[:, first]
+        self.qmax = int(abs(self.quad).max())
+        if self.qmax < 2 ** 62:
+            self.quad = self.quad.astype(np.int64)
+        pair_class = orbit_class[np.searchsorted(reps, label)]
+        self.sizes = np.bincount(pair_class)
+        self.n_reps = np.bincount(orbit_class).tolist()
+        # each class's pairs, its representatives first
+        by_class = np.lexsort((label != np.arange(len(label)), pair_class))
+        members = np.split(by_class, np.cumsum(self.sizes)[:-1])
+        x_index = start.value_table[3]
+        n_v = len(sums.va)
+        self.points = [x_index[:, m // n_s] * n_v + sums.index[:, m % n_s]
+                       for m in members]
+        self.x_values, self.sums = start.value_table, sums
+        self.n_pairs = len(label)
+        left = np.concatenate([np.repeat(m[:r], len(m))
+                               for m, r in zip(members, self.n_reps)])
+        right = np.concatenate([np.tile(m, r)
+                                for m, r in zip(members, self.n_reps)])
+        self.coincidences = frozenset(_meeting_lengths(
+            x_rows[left // n_s] - x_rows[right // n_s],
+            s_rows[right % n_s] - s_rows[left % n_s], dx, ds))
+
+    def shells(self, length: GoldenNumber
+               ) -> tuple[np.ndarray, list[float]] | None:
+        """(classes, radii): the classes in ascending exact radius at
+        `length` and their float radii, as Shell.radius gives them; None
+        when two classes share a radius.
+
+        The radii are integer pairs over one denominator, in int64 under
+        a checked bound and in Python ints above it; each is reduced to
+        lowest terms before its float is taken, as GoldenNumber's is.
+        """
+        p, q, e = length.an, length.bn, length.den
+        weights = [e * e, e * p, e * q, p * p + q * q, 2 * p * q + q * q]
+        den2 = (self.dx * self.ds * e) ** 2
+        quad = self.quad
+        if (quad.dtype == object or den2 >= 2 ** 63
+                or 5 * self.qmax * max(map(abs, weights)) >= 2 ** 63):
+            quad, weights = quad.astype(object), np.array(weights, object)
+        else:
+            weights = np.array(weights, dtype=np.int64)
+        k0, k1 = quad @ weights
+        floats = _value_floats(k0, k1, den2)[0]
+        # a float lies within 5u*(|k0| + |k1|*tau)/den2 of its radius,
+        # u = 2^-53, so floats further apart than this are in exact order
+        top = int(abs(k0).max()) + 2 * int(abs(k1).max())
+        order = _exact_order(floats, k0, k1, 2.0 ** -40 * (top / den2))
+        # in exact order, two equal radii leave two equal neighbours
+        a, b = order[:-1], order[1:]
+        if ((k0[a] == k0[b]) & (k1[a] == k1[b])).any():
+            return None
+        return order, np.sqrt(floats.take(order)).tolist()
+
+    def coords(self, length: GoldenNumber, band: np.ndarray) -> np.ndarray:
+        """The float coordinates of the pairs of the classes `band`, in
+        `points` order: the floats of the values u + lambda*v reduced to
+        lowest terms, bit-identical to their Shell.coords."""
+        den, xa, xb, sa, sb = _scaled_values(self.x_values, self.sums,
+                                             length)
+        top = max(map(abs, xa + xb)) + max(map(abs, sa + sb))
+        dtype = np.int64 if max(top, den) < 2 ** 62 else object
+        a = np.add.outer(np.array(xa, dtype), np.array(sa, dtype)).ravel()
+        b = np.add.outer(np.array(xb, dtype), np.array(sb, dtype)).ravel()
+        return _value_floats(a, b, den)[0].take(
+            np.concatenate([self.points[k] for k in band], axis=1)).T
+
+    def refutes(self, length: GoldenNumber, band: np.ndarray) -> bool:
+        """Whether the points of the classes `band` fail the gap test on
+        their representatives' rows: each representative's squared
+        distances to every point of the band but itself.  The band is
+        invariant, so its other rows repeat these distances, and a
+        failed gap fails the whole search."""
+        coords = self.coords(length, band)
+        starts = np.cumsum([0] + [self.sizes[k] for k in band[:-1]])
+        reps = np.concatenate([np.arange(n, n + self.n_reps[k])
+                               for n, k in zip(starts, band)])
+        d2 = cages._pairwise_squared(coords[reps], coords)
+        d2[np.arange(len(reps)), reps] = np.inf
+        return cages._gap(d2) is None
+
+
+def _pair_table(start: StartConfig, fold: int,
+                depth: int) -> _PairTable | None:
+    """The start's pair table for a fold and depth under its symmetry,
+    built on first use and kept on the start; None when the group does
+    not keep the start's rows or the sums' rows."""
+    tables = start._pair_tables
+    if (fold, depth) not in tables:
+        group = start.symmetry
+        sums = group.direction_sums(fold, depth)
+        x_orbits = group.orbits(*start.integer_rows)
+        s_orbits = group.orbits(sums.den, sums.rows)
+        tables[fold, depth] = (
+            None if x_orbits is None or s_orbits is None
+            else _PairTable(start, sums, x_orbits, s_orbits))
+    return tables[fold, depth]
+
+
+def _row(start: StartConfig, translation: AffineTranslation, depth: int,
+         actual: int, band_entries: list[dict]) -> dict:
+    """A classification row of `actual` points and these bands."""
     generic = generic_cardinality(start, translation, depth)
-    actual = len(array)
-    split = bands(array)
-    row = {
+    return {
         "start": start.name,
         "fold": translation.fold,
         "length": format_golden(translation.length),
@@ -570,11 +809,65 @@ def classify_length(start: StartConfig, translation: AffineTranslation,
         "generic": generic,
         "actual": actual,
         "nontrivial": actual < generic,
-        "bands": [
-            _band_report(band, i == len(split) - 1)
-            for i, band in enumerate(split)
-        ],
+        "bands": band_entries,
     }
+
+
+def _table_row(start: StartConfig, translation: AffineTranslation,
+               depth: int) -> dict | None:
+    """The `with_cage=False` row from the pair table, or None for a row
+    the array must decide: a coincidence length, two classes on one
+    shell, an outer band whose representatives hold a gap, a translation
+    whose group is not the start's symmetry, a length that is not
+    positive (the table holds the positive coincidence lengths only), or
+    an empty start.
+
+    With no two points meeting, the array holds every pair once: shells
+    are classes and counts sums of class sizes.
+    """
+    if (depth < 0 or not len(start) or translation.length.sign() <= 0
+            or translation.group is not start.symmetry):
+        return None
+    _check_point_budget(start, translation, depth)
+    table = _pair_table(start, translation.fold, depth)
+    length = translation.length
+    if table is None or length.key() in table.coincidences:
+        return None
+    shells = table.shells(length)
+    if shells is None:
+        return None
+    order, radii = shells
+    ends = _band_ends(radii)
+    firsts = [0, *ends[:-1]]
+    sizes = table.sizes.take(order).tolist()
+    counts = [sum(sizes[a:b]) for a, b in zip(firsts, ends)]
+    cages._check_search_budget(counts[-1])
+    if counts[-1] >= 4 and not table.refutes(length, order[firsts[-1]:]):
+        return None
+    return _row(start, translation, depth, table.n_pairs, [
+        _band_entry(radii[a], radii[b - 1], n)
+        for a, b, n in zip(firsts, ends, counts)])
+
+
+def classify_length(start: StartConfig, translation: AffineTranslation,
+                    depth: int = 1, with_cage: bool = True) -> dict:
+    """One classification row: cardinalities plus band and cage findings.
+
+    `with_cage=False` skips the cage search (scans over hundreds of
+    lengths use the cheaper per-band trivalence flags instead), and
+    answers from the start's pair table (_PairTable) where no two points
+    of the array meet and the outer band's representatives refute the
+    trivalence gap; every other row is read off the array.
+    """
+    row = None if with_cage else _table_row(start, translation, depth)
+    if row is not None:
+        return row
+    array = generate_array(start, translation, depth)
+    split = bands(array)
+    row = _row(start, translation, depth, len(array), [
+        _band_report(band, i == len(split) - 1)
+        for i, band in enumerate(split)
+    ])
     if with_cage:
         row["cage"] = cage_report(outer_cage(array), array)
     return row

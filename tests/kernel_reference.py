@@ -14,6 +14,13 @@ to one denominator and divides out their gcd (`_kernel_rows`), sums the
 steps level by level (`_offsets`), adds every sum to every start row and
 hands all N rows to `engine.build_shells` through `row_shells`, which
 finds their distinct coordinate values over all 3N coordinates.
+
+`array_row` is `engine.classify_length(..., with_cage=False)` as it was
+before scan rows were read off the start's pair table: every row from
+its generated array, its bands (`bands`, the loop `engine.bands` ran)
+and the outer band's threshold search.
+It holds `generate_array` by its own name, so a spy on
+`engine.generate_array` sees only the engine's calls.
 """
 
 from math import gcd, lcm
@@ -22,9 +29,11 @@ import numpy as np
 
 from icofold.cages import PointBudgetError
 from icofold.configs import DEFAULT_POINT_CAP
+from icofold.engine import (DEFAULT_BAND_GAP, Band, _band_report,
+                            generate_array, generic_cardinality)
 from icofold.engine import build_shells as array_build_shells
 from icofold.geometry import _coordinate_values
-from icofold.golden import _TAU_FLOAT, GoldenNumber
+from icofold.golden import _TAU_FLOAT, GoldenNumber, format_golden
 
 # the rows of a front-end array are int64 below this bound
 INT64_BOUND = 2 ** 29
@@ -206,3 +215,41 @@ def generate_shells(start, translation, depth):
         for x0, x1, x2, x3, x4, x5 in base
     }
     return build_shells(rows, den)
+
+
+def bands(array):
+    """Split the ascending shells at relative radius gaps over 0.11."""
+    shell_list = array.shells
+    if not shell_list:
+        return ()
+    groups = [[shell_list[0]]]
+    previous = shell_list[0].radius
+    for shell in shell_list[1:]:
+        radius = shell.radius
+        if radius > 0 and (radius - previous) / radius > DEFAULT_BAND_GAP:
+            groups.append([])
+        groups[-1].append(shell)
+        previous = radius
+    return tuple(Band(tuple(group)) for group in groups)
+
+
+def array_row(start, translation, depth=1):
+    """One `with_cage=False` classification row from the generated array."""
+    array = generate_array(start, translation, depth)
+    generic = generic_cardinality(start, translation, depth)
+    actual = len(array)
+    split = bands(array)
+    return {
+        "start": start.name,
+        "fold": translation.fold,
+        "length": format_golden(translation.length),
+        "length_float": round(float(translation.length), 9),
+        "depth": depth,
+        "generic": generic,
+        "actual": actual,
+        "nontrivial": actual < generic,
+        "bands": [
+            _band_report(band, i == len(split) - 1)
+            for i, band in enumerate(split)
+        ],
+    }
