@@ -187,14 +187,17 @@ def _distance_chunks(coords: np.ndarray, rows=None):
         yield start, d2
 
 
-def _gap(rows: np.ndarray) -> tuple[float, float] | None:
-    """The rows' largest third- and smallest fourth-smallest entries."""
-    merged = np.partition(rows, (2, 3), axis=1)
-    c2 = float(merged[:, 2].max())
+def _gap(rows: np.ndarray, error: float = 0.0) -> tuple[float, float] | None:
+    """The rows' largest third- and smallest fourth-smallest entries, or
+    None when they hold no gap; given an `error`, None only when they miss
+    the gap by more than it."""
+    # each row's three smallest entries come before its fourth-smallest
+    merged = np.partition(rows, 3, axis=1)
+    c2 = float(merged[:, :3].max())
     floor4 = float(merged[:, 3].min())
     # the largest third-nearest distance must lie strictly below the
     # smallest fourth-nearest, by more than float noise
-    if not floor4 - c2 > _RESOLUTION * max(1.0, c2):
+    if not floor4 - c2 > _RESOLUTION * max(1.0, c2) - error:
         return None
     return c2, floor4
 

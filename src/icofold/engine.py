@@ -38,9 +38,10 @@ under the start's group, the classes of orbits that share a shell at
 every lambda, and the lengths at which two pairs of one class meet.  At
 any other length where no two classes share a radius, no two points of
 the array meet, so its shells are the classes and their counts the
-classes' sizes, and one row per orbit of the outer band decides the
-trivalence gap when it refutes it.  Every other row is read off the
-array.
+classes' sizes.  The outer band's trivalence gap is refuted from one
+row per orbit, each squared distance a quadratic in lambda whose
+coefficients the table keeps, when it fails by more than a stated
+bound on the float error.  Every other row is read off the array.
 
 Shells partition an array by exact squared radius; bands cluster shells
 whose float radii sit within a relative gap.  The cage surfaces the bands
@@ -95,6 +96,9 @@ DEFAULT_BAND_GAP = 0.11
 # the larger squared-radius key, sum (2a+b)b, is at most 9*B^2 < 2^63, and
 # every entry converts to float exactly.
 _INT64_BOUND = 2 ** 29
+# A pair table refutes an outer band only when its gap misses by more
+# than this times the band's squared magnitude (_PairTable.refutes).
+_REFUTE_ERROR = 345 * 2.0 ** -53
 
 
 class EmptyScanError(ValueError):
@@ -508,6 +512,7 @@ def parse_scan_spec(text: str) -> ScanSpec:
         return (int(lo), int(hi))
 
     spec = ScanSpec()
+    seen = set()
     try:
         for part in text.split(","):
             part = part.strip()
@@ -518,6 +523,9 @@ def parse_scan_spec(text: str) -> ScanSpec:
                 raise ValueError(f"expected name=value, got '{part}'")
             name = name.strip()
             value = value.strip()
+            if name in seen:
+                raise ValueError(f"field '{name}' is given twice")
+            seen.add(name)
             if name == "a":
                 spec.a_range = int_range(value)
             elif name == "b":
@@ -609,10 +617,18 @@ def cage_report(finding: cages.CageFinding | None,
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The golden dot products (a, b) of two (n, 6) integer row arrays,
-    row by row."""
-    a, b = _gmul(u[:, 0::2], u[:, 1::2], v[:, 0::2], v[:, 1::2])
-    return a.sum(axis=1), b.sum(axis=1)
+    """The golden dot products (a, b) of two integer row arrays of shape
+    (..., 6), row by row."""
+    a, b = _gmul(u[..., 0::2], u[..., 1::2], v[..., 0::2], v[..., 1::2])
+    return a.sum(axis=-1), b.sum(axis=-1)
+
+
+def _magnitudes(den: int, rows: np.ndarray) -> np.ndarray:
+    """The (n, 3) component magnitudes (|a| + |b|*tau)/den of the
+    coordinates of (n, 6) integer rows over `den`, as floats."""
+    rows = abs(rows)
+    return np.asarray((rows[:, 0::2] + rows[:, 1::2] * _TAU_FLOAT) / den,
+                      dtype=float)
 
 
 def _meeting_lengths(u: np.ndarray, v: np.ndarray, du: int,
@@ -662,8 +678,8 @@ class _PairTable:
     holds each class's coefficients as integers: with lambda = (p +
     q*tau)/e its radius is quad @ (e^2, ep, eq, p^2 + q^2, 2pq + q^2)
     over (dx*ds*e)^2, dx and ds the rows' denominators; `sizes` holds
-    its number of pairs, and `points` the (3, size) index of its pairs'
-    coordinates into the |U|*|V| pair values u + lambda*v, its `n_reps`
+    its number of pairs, and `pairs` every pair's (i, j) as two index
+    arrays, class by class from `firsts` on, each class's `n_reps`
     representatives first.
 
     Two pairs can only meet at a lambda that puts them on one shell.
@@ -671,6 +687,14 @@ class _PairTable:
     Two pairs of one class meet only where one of its representatives
     meets a pair of the class, since a group element maps any meeting
     onto one: `coincidences` holds those lambdas > 0, as GoldenNumber keys.
+
+    The squared distance from a representative x_a + lambda*s_b to a pair
+    x_i + lambda*s_j is A + lambda*(B + lambda*C), with A = |x_a - x_i|^2,
+    B = 2(x_a - x_i).(s_b - s_j) and C = |s_b - s_j|^2 free of lambda:
+    `refutes` reads a band's trivalence gap from their floats (`_rows`),
+    and bounds its error by `magnitudes`, each class's largest sums over
+    its pairs of m(x_c)^2, m(x_c)*m(s_c) and m(s_c)^2, m the component
+    magnitude (`_magnitudes`).
     """
 
     def __init__(self, start: StartConfig, sums, x_orbits: Orbits,
@@ -703,15 +727,11 @@ class _PairTable:
         pair_class = orbit_class[np.searchsorted(reps, label)]
         self.sizes = np.bincount(pair_class)
         self.n_reps = np.bincount(orbit_class).tolist()
-        # each class's pairs, its representatives first
-        by_class = np.lexsort((label != np.arange(len(label)), pair_class))
-        members = np.split(by_class, np.cumsum(self.sizes)[:-1])
-        x_index = start.value_table[3]
-        n_v = len(sums.va)
-        self.points = [x_index[:, m // n_s] * n_v + sums.index[:, m % n_s]
-                       for m in members]
-        self.x_values, self.sums = start.value_table, sums
         self.n_pairs = len(label)
+        # each class's pairs, its representatives first
+        columns = np.lexsort((label != np.arange(len(label)), pair_class))
+        self.firsts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
+        members = np.split(columns, self.firsts[1:])
         left = np.concatenate([np.repeat(m[:r], len(m))
                                for m, r in zip(members, self.n_reps)])
         right = np.concatenate([np.tile(m, r)
@@ -719,6 +739,17 @@ class _PairTable:
         self.coincidences = frozenset(_meeting_lengths(
             x_rows[left // n_s] - x_rows[right // n_s],
             s_rows[right % n_s] - s_rows[left % n_s], dx, ds))
+        self.pairs = i, j = np.divmod(columns, n_s)
+        mx, ms = _magnitudes(dx, x_rows)[i], _magnitudes(ds, s_rows)[j]
+        self.magnitudes = np.maximum.reduceat(
+            [np.square(mx).sum(1), (mx * ms).sum(1), np.square(ms).sum(1)],
+            self.firsts, axis=1)
+        # A, B/2 and C sum three golden products of differences up to
+        # 2*top, each part at most 3*(2*top)^2: int64 while that fits
+        top = max(int(abs(x_rows).max()), int(abs(s_rows).max()))
+        dtype = np.int64 if 36 * top * top < 2 ** 63 else object
+        self._x, self._s = x_rows.astype(dtype), s_rows.astype(dtype)
+        self._blocks: dict[int, np.ndarray] = {}
 
     def shells(self, length: GoldenNumber
                ) -> tuple[np.ndarray, list[float]] | None:
@@ -751,32 +782,71 @@ class _PairTable:
             return None
         return order, np.sqrt(floats.take(order)).tolist()
 
-    def coords(self, length: GoldenNumber, band: np.ndarray) -> np.ndarray:
-        """The float coordinates of the pairs of the classes `band`, in
-        `points` order: the floats of the values u + lambda*v reduced to
-        lowest terms, bit-identical to their Shell.coords."""
-        den, xa, xb, sa, sb = _scaled_values(self.x_values, self.sums,
-                                             length)
-        top = max(map(abs, xa + xb)) + max(map(abs, sa + sb))
-        dtype = np.int64 if max(top, den) < 2 ** 62 else object
-        a = np.add.outer(np.array(xa, dtype), np.array(sa, dtype)).ravel()
-        b = np.add.outer(np.array(xb, dtype), np.array(sb, dtype)).ravel()
-        return _value_floats(a, b, den)[0].take(
-            np.concatenate([self.points[k] for k in band], axis=1)).T
+    def _rows(self, k: int) -> np.ndarray:
+        """(3, n_reps[k], n_pairs): the floats of A, B and C from class k's
+        representatives to every pair, in `pairs` order, with A = inf at
+        a representative's own column.  Built on first use: c80's fold-2
+        depth-2 table holds 274 representatives against 28,880 pairs,
+        190 MB of floats, and a scan reads only the bands it meets."""
+        block = self._blocks.get(k)
+        if block is None:
+            first, (i, j) = self.firsts[k], self.pairs
+            own = np.arange(self.n_reps[k])
+            u = self._x[i[first + own]][:, None] - self._x[i]
+            v = self._s[j[first + own]][:, None] - self._s[j]
+            dx, ds = self.dx, self.ds
+            (a0, a1), (b0, b1), (c0, c1) = (_dots(u, u), _dots(u, v),
+                                            _dots(v, v))
+            block = np.array([(a0 + a1 * _TAU_FLOAT) / float(dx * dx),
+                              2 * (b0 + b1 * _TAU_FLOAT) / float(dx * ds),
+                              (c0 + c1 * _TAU_FLOAT) / float(ds * ds)],
+                             dtype=float)
+            block[0, own, first + own] = np.inf
+            self._blocks[k] = block
+        return block
 
     def refutes(self, length: GoldenNumber, band: np.ndarray) -> bool:
         """Whether the points of the classes `band` fail the gap test on
-        their representatives' rows: each representative's squared
-        distances to every point of the band but itself.  The band is
-        invariant, so its other rows repeat these distances, and a
-        failed gap fails the whole search."""
-        coords = self.coords(length, band)
-        starts = np.cumsum([0] + [self.sizes[k] for k in band[:-1]])
-        reps = np.concatenate([np.arange(n, n + self.n_reps[k])
-                               for n, k in zip(starts, band)])
-        d2 = cages._pairwise_squared(coords[reps], coords)
-        d2[np.arange(len(reps)), reps] = np.inf
-        return cages._gap(d2) is None
+        their representatives' rows, so that the array's threshold search
+        of the band fails it too.  A representative's row holds its
+        squared distances to every point of the band but itself, each
+        A + lambda*(B + lambda*C) from the floats of `_rows`.  The band
+        is invariant, so its other rows repeat these distances, and a
+        failed gap fails the whole search.
+
+        The bound.  Let u = 2^-53 and m(v) = (|a| + |b|*tau)/den for a
+        value v = (a + b*tau)/den: m(v) >= |v|, m is subadditive and
+        submultiplicative, and a float (a + b*fl(tau))/den lies within
+        6u*m(v) of v however large a, b and den are; golden components
+        can cancel, so m(v) may be far above |v|.  Let
+        R^2 = max sum_c (m(x_c) + m(lambda)*m(s_c))^2 over the band's
+        pairs x + lambda*s (`magnitude2`), and for two points p
+        and q let W = sum_c (m(p_c) + m(q_c))^2 <= 4R^2.  An entry
+        evaluated here lies within 22u*W of the exact squared distance,
+        and the entry the array's search takes by cages._pairwise_squared
+        from the points' coordinate floats within 17u*W, both to first
+        order in u; so the two lie within e = 41u*W <= 164u*R^2 of each
+        other outright.  The third- and fourth-smallest entries move by
+        e at most, so the gap by 2e.  A band is refuted only when its
+        gap misses by more than _REFUTE_ERROR * R^2 = 345u*R^2, which
+        covers (2 + 10^-9)*e and the test's own rounding; then the
+        array's rows miss it too.  Any other band takes the array path.
+        """
+        inside = np.zeros(len(self.sizes), dtype=bool)
+        inside[band] = True
+        a, b, c = np.concatenate([self._rows(k) for k in band], axis=1).take(
+            np.repeat(inside, self.sizes).nonzero()[0], axis=2)
+        lam = float(length)
+        return cages._gap(a + lam * (b + lam * c), _REFUTE_ERROR
+                          * self.magnitude2(length, band)) is None
+
+    def magnitude2(self, length: GoldenNumber, band: np.ndarray) -> float:
+        """The R^2 of `refutes`: the largest sum_c (m(x_c) +
+        m(lambda)*m(s_c))^2 over the pairs x + lambda*s of the classes
+        `band`, from `magnitudes`."""
+        m = (abs(length.an) + abs(length.bn) * _TAU_FLOAT) / length.den
+        x2, xs, s2 = self.magnitudes[:, band]
+        return float((x2 + m * (2 * xs + m * s2)).max())
 
 
 def _pair_table(start: StartConfig, fold: int,

@@ -21,12 +21,19 @@ its generated array, its bands (`bands`, the loop `engine.bands` ran)
 and the outer band's threshold search.
 It holds `generate_array` by its own name, so a spy on
 `engine.generate_array` sees only the engine's calls.
+
+`table_refutes` is the pair table's band refutation as it was before it
+read distances off lambda-free coefficients: the band's coordinate
+floats built for each length from the value tables (`table_coords`),
+bit-identical to the array's, and one `_pairwise_squared` of its
+representatives against them.
 """
 
 from math import gcd, lcm
 
 import numpy as np
 
+from icofold import cages, engine
 from icofold.cages import PointBudgetError
 from icofold.configs import DEFAULT_POINT_CAP
 from icofold.engine import (DEFAULT_BAND_GAP, Band, _band_report,
@@ -253,3 +260,42 @@ def array_row(start, translation, depth=1):
             for i, band in enumerate(split)
         ],
     }
+
+
+def band_columns(table, band):
+    """The pair table's columns of the classes `band`, in band order."""
+    return np.concatenate([np.arange(table.firsts[k],
+                                     table.firsts[k] + table.sizes[k])
+                           for k in band])
+
+
+def table_coords(start, fold, depth, length, band):
+    """The float coordinates of the pairs of the classes `band` of the
+    start's pair table, in `band_columns` order: the floats of the values
+    u + lambda*v reduced to lowest terms, bit-identical to their
+    Shell.coords."""
+    table = engine._pair_table(start, fold, depth)
+    sums = start.symmetry.direction_sums(fold, depth)
+    den, xa, xb, sa, sb = engine._scaled_values(start.value_table, sums,
+                                                length)
+    top = max(map(abs, xa + xb)) + max(map(abs, sa + sb))
+    dtype = np.int64 if max(top, den) < 2 ** 62 else object
+    a = np.add.outer(np.array(xa, dtype), np.array(sa, dtype)).ravel()
+    b = np.add.outer(np.array(xb, dtype), np.array(sb, dtype)).ravel()
+    i, j = table.pairs
+    points = start.value_table[3][:, i] * len(sums.va) + sums.index[:, j]
+    return engine._value_floats(a, b, den)[0].take(
+        points[:, band_columns(table, band)]).T
+
+
+def table_refutes(start, fold, depth, length, band):
+    """Whether the representatives' rows of the classes `band`, from their
+    coordinate floats, fail the gap test."""
+    table = engine._pair_table(start, fold, depth)
+    coords = table_coords(start, fold, depth, length, band)
+    starts = np.cumsum([0] + [table.sizes[k] for k in band[:-1]])
+    reps = np.concatenate([np.arange(n, n + table.n_reps[k])
+                           for n, k in zip(starts, band)])
+    d2 = cages._pairwise_squared(coords[reps], coords)
+    d2[np.arange(len(reps)), reps] = np.inf
+    return cages._gap(d2) is None

@@ -442,6 +442,8 @@ def test_parse_scan_spec_rejects_unknown_field():
     ("max=nan", "max must be positive"),
     ("max=0", "max must be positive"),
     ("max=-2.5", "max must be positive"),
+    ("a=1..2,a=3..4", "field 'a' is given twice"),
+    ("c=1;2, c=3", "field 'c' is given twice"),
 ])
 def test_parse_scan_spec_rejects_empty_ranges_and_bad_cutoffs(text, message):
     with pytest.raises(ValueError, match=message):
