@@ -299,3 +299,17 @@ def table_refutes(start, fold, depth, length, band):
     d2 = cages._pairwise_squared(coords[reps], coords)
     d2[np.arange(len(reps)), reps] = np.inf
     return cages._gap(d2) is None
+
+
+def kernel_block_refutes(table, length, band, rows=None):
+    """Whether the lambda-free rows `rows`, (class, representative) pairs
+    of the classes `band`, fail the gap test on the band's points with
+    `_PairTable.refutes`'s allowance; by default every representative's
+    row, which is the refutation without its probe row."""
+    if rows is None:
+        rows = [(k, r) for k in band for r in range(table.n_reps[k])]
+    a, b, c = np.stack([table._rows(k)[:, r] for k, r in rows],
+                       axis=1)[:, :, band_columns(table, band)]
+    lam = float(length)
+    return cages._gap(a + lam * (b + lam * c), engine._REFUTE_ERROR
+                      * table.magnitude2(length, band)) is None

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -11,7 +12,7 @@ from kernel_reference import translation_vectors
 
 from icofold.cages import as_coords
 
-from icofold.configs import StartConfig, builtin
+from icofold.configs import BUILTIN_NAMES, StartConfig, builtin
 from icofold.engine import (DEFAULT_BAND_GAP, DEFAULT_SCAN_SPEC,
                             EmptyScanError, PointBudgetError, ScanSpec, bands,
                             classify_length, classify_scan, generate_array,
@@ -460,6 +461,45 @@ def test_scan_lengths_positive_unique_sorted():
     wanted = {parse_field_expr(e).key()
               for e in ("1", "2", "tau", "1/2", "tau/2")}
     assert wanted <= {v.key() for v in lengths}
+
+
+def fraction_lengths(spec, cutoff):
+    """The scan lengths as GoldenNumbers of two Fractions each, in exact
+    order: the construction `ScanSpec.lengths` replaced."""
+    seen = {}
+    for c in spec.c_values:
+        for a in range(spec.a_range[0], spec.a_range[1] + 1):
+            for b in range(spec.b_range[0], spec.b_range[1] + 1):
+                value = GoldenNumber(Fraction(a, c), Fraction(b, c))
+                if value.sign() > 0 and float(value) <= cutoff:
+                    seen.setdefault(value.key(), value)
+    return sorted(seen.values())
+
+
+# F(41) - F(40)*tau = tau^-40: its float is 0.0, so float order alone
+# puts tau^-40/1 before tau^-40/5
+FIBONACCI_SPEC = ScanSpec((165580141, 165580142), (-102334155, -102334155),
+                          (1, 2, 3, 4, 5), cutoff=2.0)
+
+
+@pytest.mark.parametrize("spec,cutoff", [
+    *[(DEFAULT_SCAN_SPEC, 2.0 * math.sqrt(float(builtin(name).radius2)))
+      for name in BUILTIN_NAMES],
+    (ScanSpec((-3, 9), (-4, 2), (1, 3, 7)), 5.0),
+    (FIBONACCI_SPEC, FIBONACCI_SPEC.cutoff),
+])
+def test_scan_lengths_equal_the_fraction_construction(spec, cutoff):
+    want = [v.key() for v in fraction_lengths(spec, cutoff)]
+    assert [v.key() for v in spec.lengths(cutoff)] == want
+
+
+def test_scan_lengths_stay_exact_where_floats_tie():
+    """The grid meets the five lengths tau^-40/c with c ascending, and
+    their floats tie at 0.0, so float order alone would reverse them."""
+    lengths = FIBONACCI_SPEC.lengths(FIBONACCI_SPEC.cutoff)
+    assert [float(v) for v in lengths[:5]] == [0.0] * 5
+    assert [v.den for v in lengths[:5]] == [5, 4, 3, 2, 1]
+    assert all(a < b for a, b in zip(lengths, lengths[1:]))
 
 
 def test_default_scan_covers_catalogued_lengths():

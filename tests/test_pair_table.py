@@ -320,19 +320,47 @@ def table_path_bands(start, fold, depth, lengths):
             yield length, band
 
 
+def probe_refutes(table, length, band):
+    """Whether the probe row of `refutes`, the first representative of
+    the band's outermost class, refutes the band on its own."""
+    return ref.kernel_block_refutes(table, length, band, [(band[-1], 0)])
+
+
+def assert_probe_is_a_shortcut(table, length, band):
+    """The probe refutes only bands the full block refutes, and `refutes`
+    answers as the full block, reading the outermost class's block alone
+    when the probe refutes and then every class's of the band; returns
+    (refutes, probe)."""
+    reads = []
+    real = table._rows
+    table._rows = lambda k: reads.append(k) or real(k)
+    try:
+        got = table.refutes(length, band)
+    finally:
+        del table._rows
+    full = ref.kernel_block_refutes(table, length, band)
+    probe = probe_refutes(table, length, band)
+    assert got == full and (full or not probe), str(length)
+    assert reads == [band[-1]] + ([] if probe else list(band))
+    return got, probe
+
+
 def assert_refutes_as_the_reference(start, depth, lengths):
-    """The kernel refutes exactly the bands the coordinate floats refute;
-    returns how many bands it decided and how many it refuted."""
-    decided = refuted = 0
+    """The kernel refutes exactly the bands the coordinate floats refute,
+    and its probe row only bands its full block refutes; returns how many
+    bands it decided, how many it refuted and how many of those the probe
+    settled."""
+    decided = refuted = probed = 0
     for fold in (2, 3, 5):
         table = engine._pair_table(start, fold, depth)
         for length, band in table_path_bands(start, fold, depth, lengths):
-            got = table.refutes(length, band)
+            got, probe = assert_probe_is_a_shortcut(table, length, band)
             assert got == ref.table_refutes(start, fold, depth, length,
                                             band), (fold, str(length))
             decided += 1
             refuted += got
-    return decided, refuted
+            probed += probe
+    return decided, refuted, probed
 
 
 # rows of the depth-2 sample decided by `refutes`; no row of the c60 and
@@ -340,12 +368,18 @@ def assert_refutes_as_the_reference(start, depth, lengths):
 DEPTH_2_DECIDED = {"icosahedron": 10, "dodecahedron": 6,
                    "icosidodecahedron": 4, "c60": 0, "c80": 0}
 
+# (bands the probe row settles, bands refuted) on each default scan
+PROBE_SETTLES = {"icosahedron": (810, 946), "dodecahedron": (513, 803),
+                 "icosidodecahedron": (772, 864), "c60": (531, 1031),
+                 "c80": (549, 1177)}
+
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_kernel_refutes_the_bands_the_coordinates_refute(name):
     start = builtin(name)
-    assert assert_refutes_as_the_reference(
-        start, 1, scan_lengths(start))[1] > 0
+    _, refuted, probed = assert_refutes_as_the_reference(
+        start, 1, scan_lengths(start))
+    assert (probed, refuted) == PROBE_SETTLES[name]
     assert assert_refutes_as_the_reference(
         start, 2, scan_lengths(start)[::60])[0] == DEPTH_2_DECIDED[name]
 
@@ -353,7 +387,9 @@ def test_kernel_refutes_the_bands_the_coordinates_refute(name):
 @pytest.mark.parametrize("name", ["icosidodecahedron", "c60"])
 def test_kernel_never_refutes_what_the_coordinates_hold(name):
     """On a start scaled past int64 the kernel may leave a band to the
-    array that the coordinate floats refute, never the other way."""
+    array that the coordinate floats refute, never the other way.  At
+    the unscaled lengths only the allowance keeps the probe row from
+    refuting bands the array holds."""
     base = builtin(name)
     k = GoldenNumber(Fraction(2 ** 70 + 3, 11), Fraction(5 ** 30, 13))
     start = StartConfig(name, [v.scale(k) for v in base.vertices],
@@ -363,8 +399,39 @@ def test_kernel_never_refutes_what_the_coordinates_hold(name):
         table = engine._pair_table(start, fold, 1)
         for length, band in table_path_bands(
                 start, fold, 1, lengths + [k * x for x in lengths]):
-            if table.refutes(length, band):
+            if assert_probe_is_a_shortcut(table, length, band)[0]:
                 assert ref.table_refutes(start, fold, 1, length, band)
+
+
+def test_full_block_is_gathered_only_where_the_probe_holds(monkeypatch):
+    """On the default icosidodecahedron scan `refutes` reads one block
+    for the 772 bands its probe row refutes, and gathers every class's
+    block of the band only for the 92 others."""
+    start = builtin("icosidodecahedron")
+    table_class = engine._PairTable
+    real_rows, real_refutes = table_class._rows, table_class.refutes
+    reads, gathered, settled = [], [], []
+
+    def rows(self, k):
+        reads[-1] += 1
+        return real_rows(self, k)
+
+    def refutes(self, length, band):
+        reads.append(0)
+        got = real_refutes(self, length, band)
+        n = reads[-1]
+        assert n == 1 or n == 1 + len(band)
+        (settled if n == 1 else gathered).append(
+            probe_refutes(self, length, band))
+        return got
+
+    monkeypatch.setattr(table_class, "_rows", rows)
+    monkeypatch.setattr(table_class, "refutes", refutes)
+    for fold in (2, 3, 5):
+        for length in scan_lengths(start):
+            table_row(start, make_translation(start.symmetry, fold, length))
+    assert len(settled) == 772 and all(settled)
+    assert len(gathered) == 92 and not any(gathered)
 
 
 U = 2.0 ** -53
