@@ -22,8 +22,9 @@ each probe row's eight smallest entries over the window.  A single
 point set's probe rows are its groups' first points against all of
 its points.  A union that passes has its points stacked, and one
 search takes its representatives' four nearest against all N points, a
-fixed number of representatives at a time; once the gap holds, the
-entries within the cutoff are exactly each representative's three
+fixed number of representatives at a time, by four argmin passes over
+each chunk that mask each pick with inf in place; once the gap holds,
+the entries within the cutoff are exactly each representative's three
 bonds, so no search holds an N x N matrix.  When the union's exact rows
 are known and groups.PointGroup.orbits finds them invariant, the
 representatives are one point per orbit and Orbits.carry takes their
@@ -224,23 +225,47 @@ def _edges(source: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
     return np.stack([source[order], target[order]], axis=1)
 
 
+def _four_nearest(coords: np.ndarray, rows=None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of `rows` (every point when None), its four smallest
+    squared distances to the other points of `coords`, ascending, and
+    their columns, `_CHUNK_ROWS` rows at a time.
+
+    Four argmin passes over each chunk: each takes every row's smallest
+    entry left and sets it to `inf` in place, on the chunk that
+    `_distance_chunks` has just built.  The four values are the same
+    multiset as any selection's of the four smallest; among equal
+    entries the lowest column comes first.  A row with fewer than four
+    other points takes `inf` for the rest, at columns that may repeat;
+    such an entry never bonds.
+    """
+    count = len(coords) if rows is None else len(rows)
+    values = np.empty((4, count))
+    targets = np.empty((4, count), dtype=np.intp)
+    for start, d2 in _distance_chunks(coords, rows):
+        stop = start + len(d2)
+        flat = d2.reshape(-1)  # a view: the chunk is C-contiguous
+        offsets = np.arange(0, d2.size, d2.shape[1])
+        for k in range(4):
+            column = d2.argmin(axis=1)
+            targets[k, start:stop] = column
+            column += offsets
+            values[k, start:stop] = flat[column]
+            flat[column] = np.inf
+    return values.T, targets.T
+
+
 def _bond_search(coords: np.ndarray, orbits=None
                  ) -> tuple[float, np.ndarray] | None:
     """(c2, bond pairs) of the point set, or None when it has no gap, from
-    its representatives' four nearest against all points, `_CHUNK_ROWS`
-    representatives at a time.  Given the points' groups.Orbits under a
-    group that keeps the set, the representatives are one point per orbit
-    and `orbits.carry` takes their bonds to every point, since an
-    isometry that keeps the set carries bonds to bonds; else every point
-    is its own representative."""
+    its representatives' four nearest against all points (`_four_nearest`).
+    Given the points' groups.Orbits under a group that keeps the set, the
+    representatives are one point per orbit and `orbits.carry` takes
+    their bonds to every point, since an isometry that keeps the set
+    carries bonds to bonds; else every point is its own representative."""
     n = len(coords)
-    reps = np.arange(n) if orbits is None else orbits.reps
-    values = np.empty((len(reps), 4))
-    targets = np.empty((len(reps), 4), dtype=np.intp)
-    for start, d2 in _distance_chunks(coords, reps):
-        index = np.argpartition(d2, 3, axis=1)[:, :4]
-        values[start:start + len(d2)] = np.take_along_axis(d2, index, axis=1)
-        targets[start:start + len(d2)] = index
+    values, targets = _four_nearest(
+        coords, None if orbits is None else orbits.reps)
     found = _bonds(values)
     if found is None:
         return None

@@ -1,19 +1,23 @@
 """Reference per-union probe gate: one union's probe rows gathered from
 the table with `np.ix_` and held to `_gap`, then the table's search, as
 cage detection ran it on each trailing union and one-drop window before
-one gate call per window took its place.  And the all-points bond
-search: every point's four nearest, chunk by chunk, then its bonds, as
-floats-only sets and unions that are not invariant were searched before
-one search from orbit representatives served every set.  And that
-search as it ran before orbits moved to `groups`: least-label
-propagation over the generators' permutations, then a breadth-first
-carry of the representatives' bonds, both inside the search.
+one gate call per window took its place.  And the four-nearest
+selection the bond search made before `cages._four_nearest`: one
+`np.argpartition` per chunk and `np.take_along_axis` for its values
+(`union_rows`).  And the all-points bond search: every point's four
+nearest, chunk by chunk, then its bonds, as floats-only sets and unions
+that are not invariant were searched before one search from orbit
+representatives served every set.  And that search as it ran before
+orbits moved to `groups`: least-label propagation over the generators'
+permutations, then a breadth-first carry of the representatives'
+bonds, both inside the search.
 
 Kept as they were so the differential tests can hold
 `_NearestTable.verdicts` to each union's own probe, compare the table's
 graph of any union, not only those detection tries, against the dense
-search, and hold `_bond_search` to the all-points search and to its
-own loops over the permutations (`bond_search`).
+search, and hold `_bond_search` and its selection to the argpartition
+selection, the all-points search and its own loops over the
+permutations (`bond_search`).
 """
 
 import numpy as np
@@ -53,12 +57,15 @@ def orbits(table, members):
     return group.orbits(den, np.concatenate([rows[i] for i in members]))
 
 
-def union_rows(coords):
-    """Per point, its four smallest squared distances to the other points
-    of `coords` (at least four) and their indices, chunk by chunk."""
-    values = np.empty((len(coords), 4))
-    targets = np.empty((len(coords), 4), dtype=np.intp)
-    for start, d2 in cages._distance_chunks(coords):
+def union_rows(coords, rows=None):
+    """Per point of `rows` (every point when None), its four smallest
+    squared distances to the other points of `coords` (at least four)
+    and their indices, chunk by chunk, from one `np.argpartition` per
+    chunk: the selection `cages._four_nearest` replaced."""
+    count = len(coords) if rows is None else len(rows)
+    values = np.empty((count, 4))
+    targets = np.empty((count, 4), dtype=np.intp)
+    for start, d2 in cages._distance_chunks(coords, rows):
         index = np.argpartition(d2, 3, axis=1)[:, :4]
         values[start:start + len(d2)] = np.take_along_axis(d2, index, axis=1)
         targets[start:start + len(d2)] = index
@@ -85,8 +92,8 @@ def bond_search(coords, permutations=None):
     the points, which map the set onto itself.  Every point is a group
     image of its orbit's lowest index, its representative, and an
     isometry that keeps the set carries bonds to bonds.  So only the
-    representatives' four nearest are taken, against all points,
-    `_CHUNK_ROWS` representatives at a time, and their bonds are carried
+    representatives' four nearest are taken, against all points, by
+    `union_rows`, and their bonds are carried
     out along the generators, one breadth-first level at a time.  With
     no generators every point is its own representative.
     """
@@ -103,12 +110,7 @@ def bond_search(coords, permutations=None):
                 break
             label = least
         reps = np.flatnonzero(label == reps)
-    values = np.empty((len(reps), 4))
-    targets = np.empty((len(reps), 4), dtype=np.intp)
-    for start, d2 in cages._distance_chunks(coords, reps):
-        index = np.argpartition(d2, 3, axis=1)[:, :4]
-        values[start:start + len(d2)] = np.take_along_axis(d2, index, axis=1)
-        targets[start:start + len(d2)] = index
+    values, targets = union_rows(coords, reps)
     found = cages._bonds(values)
     if found is None:
         return None

@@ -460,8 +460,10 @@ def tetrahedra(rng, count):
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
 def test_union_search_matches_dense_search_across_chunks(n):
     """Sets that end just short of, on and just past a chunk boundary:
-    each point's four nearest entries are the dense matrix row's four
-    smallest, bit for bit, and the graphs agree."""
+    each point's four nearest entries, from the search's own selection
+    and from the argpartition one it replaced, are the dense matrix
+    row's four smallest, bit for bit, and the graphs agree: the search's
+    own bonds and the reference's as well."""
     assert cages._CHUNK_ROWS == 64
     rng = np.random.default_rng(n)
     # four coincident copies of each point, rolled so that one group of
@@ -471,14 +473,21 @@ def test_union_search_matches_dense_search_across_chunks(n):
     found = 0
     for coords in (rng.normal(size=(n, 3)), tetrahedra(rng, n // 4),
                    tetrahedra(rng, n // 4 + 1), copies):
-        values, index = cage_reference.union_rows(coords)
         dense = dense_matrix(coords)
         want = np.sort(dense, axis=1)[:, :4]
-        assert np.sort(values, axis=1).tobytes() == want.tobytes()
-        assert np.take_along_axis(dense, index, axis=1).tobytes() \
-            == values.tobytes()
+        selected = cages._four_nearest(coords)
+        # the search's own selection comes out ascending
+        assert selected[0].tobytes() == want.tobytes()
+        for values, index in (selected, cage_reference.union_rows(coords)):
+            assert np.sort(values, axis=1).tobytes() == want.tobytes()
+            assert np.take_along_axis(dense, index, axis=1).tobytes() \
+                == values.tobytes()
         want = dense_threshold_search(coords)
         assert_same_graph(trivalence_threshold_search(coords), want)
+        assert_same_graph(cages._trivalent_graph(
+            coords, cages._bond_search(coords)), want)
+        assert_same_graph(cages._trivalent_graph(
+            coords, cage_reference.union_bonds(coords)), want)
         found += want is not None
     assert found == 3
     assert trivalence_threshold_search(copies).cutoff == 0.0
