@@ -20,15 +20,17 @@ window of shells in one call: its trailing union from the window's
 rows as they are, its unions less one interior shell together, from
 each probe row's eight smallest entries over the window.  A single
 point set's probe rows are its groups' first points against all of
-its points.  A union that passes has its points stacked, and one
-search takes its representatives' four nearest against all N points, a
-fixed number of representatives at a time, by four argmin passes over
-each chunk that mask each pick with inf in place; once the gap holds,
-the entries within the cutoff are exactly each representative's three
-bonds, so no search holds an N x N matrix.  When the union's exact rows
-are known and groups.PointGroup.orbits finds them invariant, the
-representatives are one point per orbit and Orbits.carry takes their
-bonds to the rest; otherwise every point is its own representative.
+its points, taken only when its search spans more than one chunk.  A
+union that passes has its points stacked, and one search takes its
+representatives' four nearest against all N points, a fixed number of
+representatives at a time, by four argmin passes over each chunk that
+mask each pick with inf in place; the four come out ascending, so once
+the gap between the third and fourth holds, each representative's
+first three are exactly its bonds, and no search holds an N x N
+matrix.  When the union's exact rows are known and
+groups.PointGroup.orbits finds them invariant, the representatives are
+one point per orbit and Orbits.carry takes their bonds to the rest;
+otherwise every point is its own representative.
 
 A bond graph keeps its bonds as one sorted (E, 2) integer array from
 the search on; the tuple of pairs is built only when read.
@@ -45,11 +47,12 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import compress, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
-from .geometry import row_vectors
+from .geometry import Vec3E, row_vectors
+from .golden import _TAU_FLOAT
 
 __all__ = [
     "PointBudgetError",
@@ -88,9 +91,21 @@ class EulerError(ValueError):
 
 
 def as_coords(points) -> np.ndarray:
-    """Float (N,3) coordinates from Vec3E sequences or array-likes."""
+    """Float (N,3) coordinates from Vec3E sequences or array-likes.
+
+    A sequence of Vec3E alone is converted in one pass over the
+    coordinates' (an, bn, den) triples by GoldenNumber.__float__'s own
+    operations, (an + bn*tau)/den, so each float is bit for bit the
+    one it gives.
+    """
     if isinstance(points, np.ndarray):
         return np.asarray(points, dtype=float).reshape(-1, 3)
+    points = tuple(points)
+    if set(map(type, points)) <= {Vec3E}:
+        keys = np.fromiter(chain.from_iterable(map(Vec3E.key, points)),
+                           dtype=float, count=9 * len(points))
+        an, bn, den = keys.reshape(-1, 3, 3).transpose(2, 0, 1)
+        return (an + bn * _TAU_FLOAT) / den
     rows = [
         p.as_floats() if hasattr(p, "as_floats") else tuple(p)
         for p in points
@@ -105,6 +120,8 @@ class CageGraph:
     index pairs; `edges` is the same bonds as a tuple of pairs, built on
     first read.  `points` are the exact points, built on first read from
     `rows`, their (den, integer rows) when known; None for floats only.
+    `edge_min` and `edge_max`, the shortest and longest bond (0.0 with
+    no bonds), are measured on first read.
     """
 
     def __init__(self, coords: np.ndarray, pairs, cutoff: float) -> None:
@@ -114,12 +131,24 @@ class CageGraph:
         self.rows: tuple[int, np.ndarray] | None = None
         # the group the search found mapping the points onto themselves
         self._symmetry = None
+        self.degrees = np.bincount(self.pairs.ravel(), minlength=len(coords))
+
+    @cached_property
+    def _edge_range(self) -> tuple[float, float]:
         pairs = self.pairs
-        self.degrees = np.bincount(pairs.ravel(), minlength=len(coords))
-        lengths = _lengths(coords.take(pairs[:, 0], axis=0)
-                           - coords.take(pairs[:, 1], axis=0))
-        self.edge_min = float(lengths.min()) if len(lengths) else 0.0
-        self.edge_max = float(lengths.max()) if len(lengths) else 0.0
+        if not len(pairs):
+            return 0.0, 0.0
+        lengths = _lengths(self.coords.take(pairs[:, 0], axis=0)
+                           - self.coords.take(pairs[:, 1], axis=0))
+        return float(lengths.min()), float(lengths.max())
+
+    @property
+    def edge_min(self) -> float:
+        return self._edge_range[0]
+
+    @property
+    def edge_max(self) -> float:
+        return self._edge_range[1]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -139,7 +168,7 @@ class CageGraph:
 
     @property
     def trivalent(self) -> bool:
-        return len(self.degrees) > 0 and bool(np.all(self.degrees == 3))
+        return len(self.degrees) > 0 and bool((self.degrees == 3).all())
 
     @property
     def edge_ratio(self) -> float:
@@ -191,28 +220,22 @@ def _distance_chunks(coords: np.ndarray, rows=None):
 def _gap(rows: np.ndarray, error: float = 0.0) -> tuple[float, float] | None:
     """The rows' largest third- and smallest fourth-smallest entries, or
     None when they hold no gap; given an `error`, None only when they miss
-    the gap by more than it."""
+    the gap by more than it (`_gap_between`)."""
     # each row's three smallest entries come before its fourth-smallest
     merged = np.partition(rows, 3, axis=1)
-    c2 = float(merged[:, :3].max())
-    floor4 = float(merged[:, 3].min())
-    # the largest third-nearest distance must lie strictly below the
-    # smallest fourth-nearest, by more than float noise
+    return _gap_between(merged[:, :3].max(), merged[:, 3].min(), error)
+
+
+def _gap_between(c2, floor4, error: float = 0.0
+                 ) -> tuple[float, float] | None:
+    """(c2, floor4) as floats when the largest third-nearest squared
+    distance c2 lies strictly below the smallest fourth-nearest floor4 by
+    more than float noise, less `error`; else None.  The search and every
+    `_gap` of rows make this one decision."""
+    c2, floor4 = float(c2), float(floor4)
     if not floor4 - c2 > _RESOLUTION * max(1.0, c2) - error:
         return None
     return c2, floor4
-
-
-def _bonds(values: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """(c2, which of the rows' entries are bonds) when the rows hold a
-    gap, else None.  The threshold lies below every fourth-nearest
-    distance, so each row's entries within it are exactly that point's
-    three bonds."""
-    gap = _gap(values)
-    if gap is None:
-        return None
-    c2, floor4 = gap
-    return c2, values <= (c2 + min(floor4, 4.0 * c2)) / 2.0
 
 
 def _edges(source: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
@@ -221,7 +244,7 @@ def _edges(source: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
     stable argsort of source*n + target orders them."""
     lower = source < target
     source, target = source[lower], target[lower]
-    order = np.argsort(source * n + target, kind="stable")
+    order = (source * n + target).argsort(kind="stable")
     return np.stack([source[order], target[order]], axis=1)
 
 
@@ -262,18 +285,22 @@ def _bond_search(coords: np.ndarray, orbits=None
     Given the points' groups.Orbits under a group that keeps the set, the
     representatives are one point per orbit and `orbits.carry` takes
     their bonds to every point, since an isometry that keeps the set
-    carries bonds to bonds; else every point is its own representative."""
+    carries bonds to bonds; else every point is its own representative.
+
+    The rows ascend, so their third and fourth columns hold the gap, and
+    once it holds each row's first three targets are its bonds: the
+    cutoff (c2 + min(floor4, 4*c2))/2 lies at or above c2 and below
+    floor4, so exactly those entries fall within it."""
     n = len(coords)
     values, targets = _four_nearest(
         coords, None if orbits is None else orbits.reps)
-    found = _bonds(values)
-    if found is None:
+    gap = _gap_between(values[:, 2].max(), values[:, 3].min())
+    if gap is None:
         return None
-    c2, bonds = found
-    neighbors = targets[bonds].reshape(-1, 3)
+    neighbors = targets[:, :3]
     if orbits is not None:
         neighbors = orbits.carry(neighbors)
-    return c2, _edges(np.repeat(np.arange(n), 3), neighbors.ravel(), n)
+    return gap[0], _edges(np.repeat(np.arange(n), 3), neighbors.ravel(), n)
 
 
 class _NearestTable:
@@ -402,17 +429,21 @@ def trivalence_threshold_search(*groups) -> CageGraph | None:
     The probe rows are the groups' first points against every point: a
     point's third and fourth nearest in the set are among the four
     nearest it has in each group, so this is the probe `detect_cage`'s
-    table makes of the same groups.
+    table makes of the same groups.  It runs only when the search spans
+    more than one chunk of `_CHUNK_ROWS` rows: on one chunk it could
+    save no more than that chunk, and its rows are rows of the search,
+    whose gap test fails whenever theirs does.
     """
     _check_search_budget(sum(map(len, groups)))
-    coords = [c for c in map(as_coords, groups) if len(c)]
-    if sum(map(len, coords)) < 4:
+    groups = [c for c in map(as_coords, groups) if len(c)]
+    if sum(map(len, groups)) < 4:
         return None
-    probes = np.cumsum([0] + [len(c) for c in coords[:-1]])
-    coords = np.vstack(coords)
-    probe_rows = [d2 for _, d2 in _distance_chunks(coords, probes)]
-    if _gap(np.vstack(probe_rows)) is None:
-        return None
+    coords = np.vstack(groups)
+    if len(coords) > _CHUNK_ROWS:
+        probes = np.cumsum([0] + [len(c) for c in groups[:-1]])
+        probe_rows = [d2 for _, d2 in _distance_chunks(coords, probes)]
+        if _gap(np.vstack(probe_rows)) is None:
+            return None
     return _trivalent_graph(coords, _bond_search(coords))
 
 
@@ -522,7 +553,7 @@ def _rotation_system(
     # bond k runs both ways: as edge k and, reversed, as edge k + E
     source = np.concatenate([pairs[:, 0], pairs[:, 1]])
     target = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.argsort(source * len(coords) + target, kind="stable")
+    order = (source * len(coords) + target).argsort(kind="stable")
     place = np.empty_like(order)
     place[order] = np.arange(len(order))
     # order - E is the twin's index into the concatenation, from its end
@@ -541,8 +572,8 @@ def _rotation_system(
     key = np.empty(len(source), dtype=complex)
     key.real = source
     key.imag = angle
-    ring = np.argsort(key, kind="stable")
-    stop = np.cumsum(cage.degrees)[source]
+    ring = key.argsort(kind="stable")
+    stop = cage.degrees.cumsum()[source]
     step = np.arange(1, len(ring) + 1)
     step = np.where(step < stop, step, stop - cage.degrees[source])
     after = np.empty_like(ring)
@@ -595,10 +626,10 @@ def face_census(cage: CageGraph) -> FaceCensus:
         to_tail += to_tail[jump]
         jump = jump[jump]
     # face ids in order of start, and each edge's place in the flat walk
-    face = np.cumsum(head)[start] - 1
+    face = head.cumsum()[start] - 1
     sizes = np.bincount(face, minlength=count)
     walk = np.empty_like(edge)
-    walk[np.cumsum(sizes)[face] - 1 - to_tail] = edge
+    walk[sizes.cumsum()[face] - 1 - to_tail] = edge
     return FaceCensus(sizes, source[walk], face[twin[walk]])
 
 
@@ -754,7 +785,7 @@ def pentagon_contact_signature(census: FaceCensus) -> str | None:
     hexagon = census.sizes == 6
     if not hexagon.any():
         return None
-    first = np.cumsum(census.sizes) - census.sizes
+    first = census.sizes.cumsum() - census.sizes
     pentagon = census.sizes[census.far[first[hexagon][:, None]
                                        + np.arange(6)]] == 5
     twice = np.hstack([pentagon, pentagon])

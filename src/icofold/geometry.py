@@ -15,7 +15,9 @@ dot product in Q(tau) reduced once.  A group acts on whole point sets as
 blocks (`action_table`) built from it.  Rows turn back into points row
 for row (`row_vectors`) or as their distinct points in key order
 (`distinct_vectors`); both reduce each distinct coordinate value once
-and share its one GoldenNumber among the points.
+and share its one GoldenNumber among the points.  These three build
+their vectors through `Vec3E._make`, which skips the type checks of
+coordinates they have just made as GoldenNumbers.
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ class Vec3E:
         self.x = x
         self.y = y
         self.z = z
+
+    @classmethod
+    def _make(cls, x: GoldenNumber, y: GoldenNumber,
+              z: GoldenNumber) -> "Vec3E":
+        """The vector of three GoldenNumbers, without checking their type."""
+        self = object.__new__(cls)
+        self.x = x
+        self.y = y
+        self.z = z
+        return self
 
     @classmethod
     def from_golden(cls, x, y, z, k: GoldenNumber = ONE) -> "Vec3E":
@@ -210,7 +222,7 @@ def mat_apply(m: Mat3G, v: Vec3E) -> Vec3E:
                                   pz * kz, qz * kz)
     sx, sy, sz = px + qx, py + qy, pz + qz
     make = GoldenNumber._make
-    return Vec3E(
+    return Vec3E._make(
         make(a0 * px + b0 * qx + a1 * py + b1 * qy + a2 * pz + b2 * qz,
              a0 * qx + b0 * sx + a1 * qy + b1 * sy + a2 * qz + b2 * sz, den),
         make(a3 * px + b3 * qx + a4 * py + b4 * qy + a5 * pz + b5 * qz,
@@ -362,14 +374,14 @@ def row_vectors(den: int, rows) -> tuple[Vec3E, ...]:
     its one GoldenNumber.
     """
     numbers, index = _coordinate_numbers(den, rows)
-    return tuple(map(Vec3E, *numbers.take(index.T).tolist()))
+    return tuple(map(Vec3E._make, *numbers.take(index.T).tolist()))
 
 
 def distinct_vectors(den: int, rows) -> tuple[Vec3E, ...]:
     """The distinct vectors of integer rows over `den`, ordered by
     Vec3E.key, built as `row_vectors` builds them."""
     numbers, index = _coordinate_numbers(den, rows)
-    return tuple(map(Vec3E, *numbers.take(
+    return tuple(map(Vec3E._make, *numbers.take(
         _distinct_ranks(index, len(numbers))).tolist()))
 
 

@@ -12,12 +12,20 @@ orbits moved to `groups`: least-label propagation over the generators'
 permutations, then a breadth-first carry of the representatives'
 bonds, both inside the search.
 
+And the bond mask the search took from those unsorted rows (`bonds`):
+`_gap` partitions the rows again and every entry within the cutoff is
+a bond, where `_bond_search` now reads the gap and the bonds from the
+columns of its ascending rows.  And the threshold search that probed
+every point set before its search, one chunk or more
+(`trivalence_threshold_search`).
+
 Kept as they were so the differential tests can hold
 `_NearestTable.verdicts` to each union's own probe, compare the table's
 graph of any union, not only those detection tries, against the dense
-search, and hold `_bond_search` and its selection to the argpartition
+search, hold `_bond_search` and its selection to the argpartition
 selection, the all-points search and its own loops over the
-permutations (`bond_search`).
+permutations (`bond_search`), and hold the threshold search to its
+probe-first form.
 """
 
 import numpy as np
@@ -72,15 +80,27 @@ def union_rows(coords, rows=None):
     return values, targets
 
 
+def bonds(values):
+    """(c2, which of the rows' entries are bonds) when the rows hold a
+    gap, else None.  The threshold lies below every fourth-nearest
+    distance, so each row's entries within it are exactly that point's
+    three bonds."""
+    gap = cages._gap(values)
+    if gap is None:
+        return None
+    c2, floor4 = gap
+    return c2, values <= (c2 + min(floor4, 4.0 * c2)) / 2.0
+
+
 def union_bonds(coords):
     """(c2, bond pairs) of the point set from every point's four nearest,
     or None when it has no gap."""
     values, targets = union_rows(coords)
-    found = cages._bonds(values)
+    found = bonds(values)
     if found is None:
         return None
-    c2, bonds = found
-    source, column = np.nonzero(bonds)
+    c2, mask = found
+    source, column = np.nonzero(mask)
     return c2, cages._edges(source, targets[source, column], len(coords))
 
 
@@ -111,12 +131,12 @@ def bond_search(coords, permutations=None):
             label = least
         reps = np.flatnonzero(label == reps)
     values, targets = union_rows(coords, reps)
-    found = cages._bonds(values)
+    found = bonds(values)
     if found is None:
         return None
-    c2, bonds = found
+    c2, mask = found
     neighbors = np.empty((n, 3), dtype=np.intp)
-    neighbors[reps] = targets[bonds].reshape(-1, 3)
+    neighbors[reps] = targets[mask].reshape(-1, 3)
     reached = np.zeros(n, dtype=bool)
     reached[reps] = True
     frontier = reps
@@ -131,3 +151,19 @@ def bond_search(coords, permutations=None):
             fresh.append(image[new])
         frontier = np.concatenate(fresh)
     return c2, cages._edges(np.repeat(np.arange(n), 3), neighbors.ravel(), n)
+
+
+def trivalence_threshold_search(*groups):
+    """`cages.trivalence_threshold_search` with its probe on every point
+    set: the groups' first points against every point, held to `_gap`
+    before the search, however few the points."""
+    cages._check_search_budget(sum(map(len, groups)))
+    coords = [c for c in map(cages.as_coords, groups) if len(c)]
+    if sum(map(len, coords)) < 4:
+        return None
+    probes = np.cumsum([0] + [len(c) for c in coords[:-1]])
+    coords = np.vstack(coords)
+    probe_rows = [d2 for _, d2 in cages._distance_chunks(coords, probes)]
+    if cages._gap(np.vstack(probe_rows)) is None:
+        return None
+    return cages._trivalent_graph(coords, cages._bond_search(coords))

@@ -4,7 +4,9 @@
 operations of each workload go through that workload's own `record`
 check: one `scan` row, one `onion` family, and one cage case and one
 orbit case of `census`.  A change to the API of `src/` that the
-benchmark calls fails here, before a benchmark run.
+benchmark calls fails here, before a benchmark run.  One whole `census`
+pass, every case, must also give its digest, which does not depend on
+the seed.
 """
 
 import importlib.util
@@ -12,6 +14,11 @@ import random
 from pathlib import Path
 
 import pytest
+
+# the `census` digest at the commit that added this check; seeds 0, 5 and
+# 7 all give it
+CENSUS_DIGEST = (
+    "8a5e9193c630b3e72bc8b868f6155e657500dde9f873481ef0f3b0c50d6cbe0d")
 
 WORKLOADS_PY = (Path(__file__).resolve().parents[1] / "perfbench"
                 / "workloads.py")
@@ -27,9 +34,12 @@ def workloads():
 
 
 def assert_records_ok(workload, items):
+    records = []
     for item in items:
         ok, record = workload.record(item, workload.run(item))
         assert ok, record
+        records.append(record)
+    return records
 
 
 def test_scan_row(workloads):
@@ -49,3 +59,12 @@ def test_census_cage_and_orbit_cases(workloads):
         first.setdefault(item[0], item)
     assert sorted(first) == ["cage", "orbit"]
     assert_records_ok(census, first.values())
+
+
+def test_census_pass_gives_its_digest(workloads):
+    """Every case of a `census` pass, 167 rotations of each small cage and
+    501 orbit cases, as one benchmark pass runs them."""
+    census = workloads.Census(random.Random(0))
+    assert len(census.items) == 1002
+    records = assert_records_ok(census, census.items)
+    assert census.digest(census.items, records) == CENSUS_DIGEST

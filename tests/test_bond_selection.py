@@ -1,13 +1,19 @@
 """The bond search's four-nearest selection (`cages._four_nearest`, four
 argmin passes per chunk) against the argpartition selection it replaced
-(`cage_reference.union_rows`), and `cages._bond_search` against the
-search built on that selection (`cage_reference.bond_search`).
+(`cage_reference.union_rows`), `cages._bond_search` against the search
+built on that selection (`cage_reference.bond_search`) and against the
+bond mask of its own rows (`cage_reference.bonds`), and
+`cages.trivalence_threshold_search`, which probes only sets of more
+than one chunk, against its probe-first form
+(`cage_reference.trivalence_threshold_search`).
 
 Each row's four values must be the reference's, sorted, byte for byte,
 so `_gap`'s c2 and floor4, the cutoff and the bond mask cannot move; the
 columns chosen for a row's finite values must hold them and be
 distinct; and (c2, bond pairs), or None, must be the reference's bit
-for bit.
+for bit.  The bonds read from each row's first three columns must be
+the mask's, and the threshold search's graph, or None, the probe-first
+search's.
 """
 
 import functools
@@ -22,7 +28,7 @@ from icofold.configs import BUILTIN_NAMES, builtin
 from icofold.engine import DEFAULT_SCAN_SPEC, classify_scan, make_translation
 from icofold.geometry import integer_rows, mat_apply
 from icofold.golden import parse_field_expr
-from icofold.groups import full_group
+from icofold.groups import Orbits, full_group
 from icofold.onion import build_onion
 
 
@@ -147,19 +153,67 @@ def tetrahedra(rng, count):
     return rng.permutation(np.vstack(sets))
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 129])
-def test_sets_across_chunks_select_as_argpartition(n):
-    """Random points, and coincident copies rolled so that one group of
-    four copies straddles every chunk boundary (its bonds sit at cutoff 0
-    among entries that tie)."""
-    assert cages._CHUNK_ROWS == 64
+def chunk_boundary_sets(n):
+    """Random points, tetrahedra, and coincident copies rolled so that
+    one group of four copies straddles every chunk boundary (its bonds
+    sit at cutoff 0 among entries that tie), drawn from seed n."""
     rng = np.random.default_rng(n)
     copies = np.roll(np.repeat(rng.normal(size=(n // 4 + 1, 3)), 4, axis=0),
                      2, axis=0)
+    return rng.normal(size=(n, 3)), tetrahedra(rng, n // 4), copies
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_sets_across_chunks_select_as_argpartition(n):
+    assert cages._CHUNK_ROWS == 64
     found = [assert_selection_matches(coords)
-             for coords in (rng.normal(size=(n, 3)), tetrahedra(rng, n // 4),
-                            copies)]
+             for coords in chunk_boundary_sets(n)]
     assert found == [False, True, True]
+
+
+def assert_column_bonds_match_the_mask(coords, orbits=None):
+    """`_bond_search`'s c2 and bonds, read from the columns of its
+    ascending rows, against `cage_reference.bonds`' mask on the same
+    `_four_nearest` rows; True when they have a gap."""
+    reps = None if orbits is None else orbits.reps
+    values, targets = cages._four_nearest(coords, reps)
+    want = cage_reference.bonds(values)
+    got = cages._bond_search(coords, orbits)
+    assert (got is None) == (want is None)
+    if want is None:
+        return False
+    c2, mask = want
+    # the entries within the cutoff are each row's first three
+    assert mask[:, :3].all() and not mask[:, 3].any()
+    neighbors = targets[mask].reshape(-1, 3)
+    if orbits is not None:
+        neighbors = orbits.carry(neighbors)
+    n = len(coords)
+    pairs = cages._edges(np.repeat(np.arange(n), 3), neighbors.ravel(), n)
+    assert np.float64(got[0]).tobytes() == np.float64(c2).tobytes()
+    assert got[1].tobytes() == pairs.tobytes()
+    return True
+
+
+def with_inverse(coords):
+    """The points moved off the origin and joined by their images through
+    it, and the orbits of that inversion: row i and row i + m swap.
+    Negation is exact, so every distance holds its bits in the image."""
+    half = coords + (1000.0, 0.0, 0.0)
+    m = len(half)
+    swap = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
+    return np.vstack([half, -half]), Orbits(swap[None, :])
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_column_bonds_match_the_mask_across_chunks(n):
+    """Every point its own representative, and one representative per
+    orbit of the inversion, as many as the set has points."""
+    for coords, found in zip(chunk_boundary_sets(n), (False, True, True)):
+        assert assert_column_bonds_match_the_mask(coords) is found
+        doubled, orbits = with_inverse(coords)
+        assert np.array_equal(orbits.reps, np.arange(len(coords)))
+        assert assert_column_bonds_match_the_mask(doubled, orbits) is found
 
 
 def test_four_points_select_as_argpartition():
@@ -182,3 +236,72 @@ def test_ties_select_as_argpartition():
                      for z in (-1.0, 1.0)])
     assert assert_selection_matches(cube) is True
     assert math.isclose(cages._bond_search(cube)[0], 4.0)
+
+
+def assert_search_matches_probe_first(*groups):
+    """The threshold search against the probe-first reference on the
+    same groups: the same bond pairs and cutoff bit for bit, or None
+    from both; True when they find a graph."""
+    got = cages.trivalence_threshold_search(*groups)
+    want = cage_reference.trivalence_threshold_search(*groups)
+    assert (got is None) == (want is None)
+    if want is None:
+        return False
+    assert got.pairs.tobytes() == want.pairs.tobytes()
+    assert got.cutoff.hex() == want.cutoff.hex()
+    return True
+
+
+@pytest.mark.parametrize("name", ["dodecahedron", "c60", "c80"])
+def test_rotated_cages_search_as_probe_first(name):
+    """All 120 I_h images of each small cage, the `census` benchmark's
+    and `verify`'s face census under rotation cases."""
+    vertices = builtin(name).vertices
+    for element in full_group().elements:
+        rotated = tuple(mat_apply(element, v) for v in vertices)
+        assert assert_search_matches_probe_first(rotated)
+
+
+# per built-in: default-scan outer bands of at most one chunk of points,
+# and how many of them hold a trivalent graph
+SMALL_OUTER_BANDS = {
+    "icosahedron": (11, 0),
+    "dodecahedron": (6, 0),
+    "icosidodecahedron": (0, 0),
+    "c60": (0, 0),
+    "c80": (0, 0),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_small_outer_bands_search_as_probe_first(name):
+    """Each band's shells as separate groups, as the scan passes them."""
+    bands = [shells for shells in array_path_outer_bands(name)
+             if sum(map(len, shells)) <= cages._CHUNK_ROWS]
+    found = sum(assert_search_matches_probe_first(*shells)
+                for shells in bands)
+    assert (len(bands), found) == SMALL_OUTER_BANDS[name]
+
+
+def test_small_sets_search_as_probe_first():
+    """Two tetrahedra far apart hold a graph; the icosahedron and the
+    icosidodecahedron (four and two nearest neighbours) fail the gap."""
+    rng = np.random.default_rng(8)
+    assert assert_search_matches_probe_first(tetrahedra(rng, 2))
+    for name in ("icosahedron", "icosidodecahedron"):
+        assert not assert_search_matches_probe_first(builtin(name).vertices)
+
+
+def test_random_sets_search_as_probe_first():
+    """Seeded random sets of 4 to 65 points, each also split into up to
+    four groups at random places, so that several first points probe."""
+    rng = np.random.default_rng(33)
+    found = []
+    for n in range(4, 66):
+        coords = rng.normal(size=(n, 3))
+        cuts = np.sort(rng.integers(0, n, size=rng.integers(0, 4)))
+        found.append(assert_search_matches_probe_first(coords))
+        found.append(assert_search_matches_probe_first(
+            *np.split(coords, cuts)))
+    # only the four-point sets, each row's three others, hold a gap
+    assert found[:2] == [True, True] and sum(found) == 2

@@ -1057,10 +1057,10 @@ def test_no_probe_row_below_the_reach_is_computed(orbit_search_arrays,
 def test_each_union_tried_is_gated_once(orbit_search_arrays, monkeypatch):
     """One gate call per window gives each union tried its verdict, and
     only a union it passed is searched, with no second gather and gap
-    test: `_gap` runs once per trailing union's gate and once per
-    search, and on nothing else."""
+    test: the gap decision (`_gap_between`) is made once per trailing
+    union's gate and once per search, and on nothing else."""
     gated, passed, searched, gaps = [], set(), [], []
-    verdicts, gap = cages._NearestTable.verdicts, cages._gap
+    verdicts, gap = cages._NearestTable.verdicts, cages._gap_between
     search = cages._NearestTable.search
 
     def verdicts_spy(self, low, drops):
@@ -1072,8 +1072,8 @@ def test_each_union_tried_is_gated_once(orbit_search_arrays, monkeypatch):
         return ok
 
     monkeypatch.setattr(cages._NearestTable, "verdicts", verdicts_spy)
-    monkeypatch.setattr(cages, "_gap", lambda rows: gaps.append(1)
-                        or gap(rows))
+    monkeypatch.setattr(cages, "_gap_between", lambda *args: gaps.append(1)
+                        or gap(*args))
     monkeypatch.setattr(cages._NearestTable, "search",
                         lambda self, chosen: searched.append(tuple(chosen))
                         or search(self, chosen))

@@ -225,14 +225,19 @@ def test_members_past_the_start_build_no_points_until_read(monkeypatch):
         working = StartConfig(f"c60.onion{j}", graph.points, start.symmetry)
     start.vertices, start.radius2  # the start shell reads them
     built, made = [], []
-    real_init = Vec3E.__init__
+    real_init, real_make = Vec3E.__init__, Vec3E._make.__func__
 
     def init_spy(self, *args):
         made.append(1)
         real_init(self, *args)
 
+    def make_spy(cls, *args):
+        made.append(1)
+        return real_make(cls, *args)
+
     ref.spy_on_builders(monkeypatch, built)
     monkeypatch.setattr(Vec3E, "__init__", init_spy)
+    monkeypatch.setattr(Vec3E, "_make", classmethod(make_spy))
     report = build_onion(start, t, 4)
     assert report.counts == (60, 240, 540, 960)
     assert built == [] and made == []
