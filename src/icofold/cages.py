@@ -20,10 +20,11 @@ window of shells in one call: its trailing union from the window's
 rows as they are, its unions less one interior shell together, from
 each probe row's eight smallest entries over the window.  A single
 point set's probe rows are its groups' first points against all of
-its points, taken only when its search spans more than one chunk.  A
-union that passes has its points stacked, and one search takes its
-representatives' four nearest against all N points, a fixed number of
-representatives at a time, by four argmin passes over each chunk that
+its points, taken only for a set of more than 64 points.  A union that
+passes has its points stacked, and one search takes its
+representatives' four nearest against all N points, a chunk of
+representatives at a time (all of them, for up to 90 points; 64 from
+128 points on), by four argmin passes over each chunk that
 mask each pick with inf in place; the four come out ascending, so once
 the gap between the third and fourth holds, each representative's
 first three are exactly its bonds, and no search holds an N x N
@@ -36,7 +37,8 @@ A bond graph keeps its bonds as one sorted (E, 2) integer array from
 the search on; the tuple of pairs is built only when read.
 
 Faces are traced from the rotation system: neighbors ordered by angle in
-each vertex's tangent plane, with the Euler characteristic as the guard
+each vertex's tangent plane, measured in a frame set by its first
+neighbor, with the Euler characteristic as the guard
 against a band that is not a topological sphere.  The faces are the
 cycles of one permutation of the directed edges, found by pointer
 doubling over arrays, not by a walk; the census keeps them flat, and
@@ -71,9 +73,11 @@ __all__ = [
 # relative separation two float distances need before they count as
 # different candidate cutoffs; exact-equal distances land ~1e-13 apart
 _RESOLUTION = 1e-9
-# rows of squared distances a search holds at once: 16 * 64 * N bytes for
-# N points (more rows per chunk only raise the peak)
+# rows of squared distances a search holds at once for N points:
+# _CHUNK_ROWS, 16 * 64 * N bytes, or as many as _CHUNK_ENTRIES entries
+# hold when that is more (N below 128); more rows only raise the peak
 _CHUNK_ROWS = 64
+_CHUNK_ENTRIES = 8192
 # Bounds the distance work of one point set's search: when its probe rows
 # do not refute the gap, it takes all N^2 squared distances of its N
 # points, a fixed number of rows at a time, so its memory grows as N but
@@ -206,12 +210,18 @@ def _four_columns(d2: np.ndarray) -> np.ndarray:
 
 def _distance_chunks(coords: np.ndarray, rows=None):
     """(place in `rows` of a chunk's first row, squared distances from
-    that row and the next ones to every point of `coords`), `_CHUNK_ROWS`
-    rows at a time, with each row's distance to itself set to `inf`.
-    `rows` are point indices, every point in order when None."""
+    that row and the next ones to every point of `coords`), with each
+    row's distance to itself set to `inf`.  `rows` are point indices,
+    every point in order when None.
+
+    A chunk takes max(`_CHUNK_ROWS`, `_CHUNK_ENTRIES` // N) rows for N
+    points: 64 rows from 128 points on, so the peak grows as N, and one
+    chunk for a set of up to 90 points, which then pays each numpy call
+    once.  Each row's entries are the same in any chunk."""
     rows = np.arange(len(coords)) if rows is None else rows
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
+    step = max(_CHUNK_ROWS, _CHUNK_ENTRIES // max(len(coords), 1))
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
         d2 = _pairwise_squared(coords[chunk], coords)
         d2[np.arange(len(chunk)), chunk] = np.inf
         yield start, d2
@@ -252,7 +262,7 @@ def _four_nearest(coords: np.ndarray, rows=None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Per point of `rows` (every point when None), its four smallest
     squared distances to the other points of `coords`, ascending, and
-    their columns, `_CHUNK_ROWS` rows at a time.
+    their columns, one chunk of `_distance_chunks` at a time.
 
     Four argmin passes over each chunk: each takes every row's smallest
     entry left and sets it to `inf` in place, on the chunk that
@@ -429,10 +439,13 @@ def trivalence_threshold_search(*groups) -> CageGraph | None:
     The probe rows are the groups' first points against every point: a
     point's third and fourth nearest in the set are among the four
     nearest it has in each group, so this is the probe `detect_cage`'s
-    table makes of the same groups.  It runs only when the search spans
-    more than one chunk of `_CHUNK_ROWS` rows: on one chunk it could
-    save no more than that chunk, and its rows are rows of the search,
-    whose gap test fails whenever theirs does.
+    table makes of the same groups.  It runs only on sets of more than
+    `_CHUNK_ROWS` points.  Its rows are rows of the search, whose gap
+    test fails whenever theirs does, so skipping it changes no result;
+    on at most `_CHUNK_ROWS` points the search costs little more than
+    the probe, while a larger set that fails the gap, as most of the
+    default scan's outer bands of 80 and more points do, is refuted
+    from a few rows.
     """
     _check_search_budget(sum(map(len, groups)))
     groups = [c for c in map(as_coords, groups) if len(c)]
@@ -515,14 +528,17 @@ def _lengths(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows * rows).sum(axis=1))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b of (N, 3) arrays, by np.cross's own formula."""
-    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    out = np.empty_like(a)
-    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
-    return out
+def _cross(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a x b for two vectors each given as its three coordinate arrays,
+    by np.cross's own formula, as three coordinate arrays."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _dot(a, b) -> np.ndarray:
+    """a . b for two vectors each given as its three coordinate arrays."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _rotation_system(
@@ -534,22 +550,17 @@ def _rotation_system(
     An edge's id is its place in ascending (source, target) order.  A
     vertex's neighbors run counterclockwise in its tangent plane, viewed
     from outside the sphere (radial direction as plane normal), ties by
-    neighbor index.  All tangent frames and edge angles are computed in
-    one pass over (N, 3) and (2E, 3) arrays.
+    neighbor index.  The tangent frame of a vertex at n comes from the
+    edge f to its first neighbor: e2 = n x f and e1 = e2 x n.  Neither
+    is normalized; (e1, e2, n) is right-handed, and scaling the two axes
+    by positive factors keeps every angle in its place around the
+    circle, so the rings' cyclic order is the one a unit frame gives.
+    Frames and angles are computed per edge, one coordinate array at a
+    time, so a vertex without edges needs no frame.
     """
     coords, pairs = cage.coords, cage.pairs
-    length = _lengths(coords)
-    if not length.all():
+    if not np.einsum("ij,ij->i", coords, coords).all():
         raise EulerError("vertex at the origin has no tangent plane")
-    normal = coords / length[:, None]
-    # the x axis as reference, unless the normal lies almost along it
-    along_x = np.abs(normal[:, 0]) > 0.9
-    reference = np.zeros_like(normal)
-    reference[:, 0] = ~along_x
-    reference[:, 1] = along_x
-    e1 = _cross(reference, normal)
-    e1 /= _lengths(e1)[:, None]
-    e2 = _cross(normal, e1)
     # bond k runs both ways: as edge k and, reversed, as edge k + E
     source = np.concatenate([pairs[:, 0], pairs[:, 1]])
     target = np.concatenate([pairs[:, 1], pairs[:, 0]])
@@ -558,26 +569,31 @@ def _rotation_system(
     place[order] = np.arange(len(order))
     # order - E is the twin's index into the concatenation, from its end
     # when negative
-    twin = place[order - len(pairs)]
-    source, target = source[order], target[order]
-    # take() gathers rows as [] does, in a third of its time
-    w = coords.take(target, axis=0) - coords.take(source, axis=0)
-    angle = np.arctan2(np.einsum("ij,ij->i", w, e2.take(source, axis=0)),
-                       np.einsum("ij,ij->i", w, e1.take(source, axis=0)))
+    twin = place.take(order - len(pairs))
+    source, target = source.take(order), target.take(order)
+    # each vertex's edges fill the places first..stop-1, in both the
+    # (source, target) order and the ring order
+    stop = cage.degrees.cumsum().take(source)
+    first = stop - cage.degrees.take(source)
+    # (3, 2E): each edge's source and its vector w, one row per axis;
+    # take() gathers as [] does, in a third of its time
+    normal = coords.T.take(source, axis=1)
+    w = coords.T.take(target, axis=1) - normal
+    e2 = _cross(normal, w.take(first, axis=1))
+    e1 = _cross(e2, normal)
+    angle = np.arctan2(_dot(w, e2), _dot(w, e1))
     # ring order sorts by (source, angle) as complex numbers, which sort
     # lexicographically on finite parts; a stable sort, so equal angles
     # keep the target order.  The edges are in source order already, which
     # the sort finds in runs: 25 us for C960, against 210 us for lexsort.
-    # Each vertex's edges fill the same block of places in both orders.
     key = np.empty(len(source), dtype=complex)
     key.real = source
     key.imag = angle
     ring = key.argsort(kind="stable")
-    stop = cage.degrees.cumsum()[source]
     step = np.arange(1, len(ring) + 1)
-    step = np.where(step < stop, step, stop - cage.degrees[source])
+    step = np.where(step < stop, step, first)
     after = np.empty_like(ring)
-    after[ring] = ring[step]
+    after[ring] = ring.take(step)
     return source, after, twin
 
 
@@ -599,14 +615,14 @@ def face_census(cage: CageGraph) -> FaceCensus:
     source, after, twin = _rotation_system(cage)
     # a face entering v along u -> v leaves along the neighbor after u in
     # v's ring
-    successor = after[twin]
+    successor = after.take(twin)
     edge = np.arange(len(source))
     start, jump, rounds = edge, successor, 1
     while True:
-        start = np.minimum(start, start[jump])
-        if (start[successor] == start).all():
+        start = np.minimum(start, start.take(jump))
+        if (start.take(successor) == start).all():
             break
-        jump = jump[jump]
+        jump = jump.take(jump)
         rounds += 1
     head = start == edge
     count = int(np.count_nonzero(head))
@@ -619,18 +635,18 @@ def face_census(cage: CageGraph) -> FaceCensus:
     # each edge's distance to its face's last edge, the one whose
     # successor is the head; as many jumps as doubling rounds reach past
     # every face's length
-    tail = head[successor]
+    tail = head.take(successor)
     jump = np.where(tail, edge, successor)
     to_tail = np.where(tail, 0, 1)
     for _ in range(rounds):
-        to_tail += to_tail[jump]
-        jump = jump[jump]
+        to_tail += to_tail.take(jump)
+        jump = jump.take(jump)
     # face ids in order of start, and each edge's place in the flat walk
-    face = head.cumsum()[start] - 1
+    face = head.cumsum().take(start) - 1
     sizes = np.bincount(face, minlength=count)
     walk = np.empty_like(edge)
-    walk[sizes.cumsum()[face] - 1 - to_tail] = edge
-    return FaceCensus(sizes, source[walk], face[twin[walk]])
+    walk[sizes.cumsum().take(face) - 1 - to_tail] = edge
+    return FaceCensus(sizes, source.take(walk), face.take(twin.take(walk)))
 
 
 class CageFinding:
@@ -772,6 +788,10 @@ def similar_up_to_scale(a_points, b_points) -> bool:
     return census_marker(cage_a) == census_marker(cage_b)
 
 
+# _TURNS[d - 1][i] is edge i + d of a hexagon, d = 1, 2, 3
+_TURNS = tuple(tuple((i + d) % 6 for i in range(6)) for d in (1, 2, 3))
+
+
 def pentagon_contact_signature(census: FaceCensus) -> str | None:
     """How pentagon pairs meet across a shared hexagon.
 
@@ -780,17 +800,17 @@ def pentagon_contact_signature(census: FaceCensus) -> str | None:
     "edge": three steps apart (opposite edges, pentagons edge-on);
     "mixed" when both occur, None when no hexagon borders two pentagons.
     A hexagon's pentagon edges are one row of a (hexagons, 6) mask, and
-    edges d steps apart are the row against itself turned by d.
+    edges d steps apart are the row against itself turned by d; one AND
+    against the row turned by 1, 2 and 3 tests all three.
     """
     hexagon = census.sizes == 6
     if not hexagon.any():
         return None
     first = census.sizes.cumsum() - census.sizes
-    pentagon = census.sizes[census.far[first[hexagon][:, None]
-                                       + np.arange(6)]] == 5
-    twice = np.hstack([pentagon, pentagon])
-    separations = {d for d in (1, 2, 3)
-                   if (pentagon & twice[:, d:d + 6]).any()}
+    pentagon = census.sizes.take(census.far.take(
+        first[hexagon][:, None] + np.arange(6))) == 5
+    met = (pentagon[:, None] & pentagon.take(_TURNS, axis=1)).any(axis=(0, 2))
+    separations = {d for d, seen in zip((1, 2, 3), met.tolist()) if seen}
     if not separations:
         return None
     if separations == {2}:

@@ -10,20 +10,21 @@ only number type a Vec3E holds.
 
 `mat_apply` works on integers: a matrix keeps its entries as (a, b) pairs
 over one common denominator, and each output coordinate is one integer
-dot product in Q(tau) reduced once.  A group acts on whole point sets as
-(n, 6) integer rows (`integer_rows`) through one table of 6x6 integer
-blocks (`action_table`) built from it.  Rows turn back into points row
-for row (`row_vectors`) or as their distinct points in key order
+dot product in Q(tau) reduced once, built in line without type checks.
+A group acts on whole point sets as (n, 6) integer rows
+(`integer_rows`) through one table of 6x6 integer blocks
+(`action_table`) built from it.  Rows turn back into points row for
+row (`row_vectors`) or as their distinct points in key order
 (`distinct_vectors`); both reduce each distinct coordinate value once
-and share its one GoldenNumber among the points.  These three build
-their vectors through `Vec3E._make`, which skips the type checks of
+and share its one GoldenNumber among the points.  Both build their
+vectors through `Vec3E._make`, which skips the type checks of
 coordinates they have just made as GoldenNumbers.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 
 import numpy as np
@@ -42,6 +43,9 @@ __all__ = [
     "distinct_vectors",
     "action_table",
 ]
+
+# object.__new__, bound once: mat_apply builds its results with it
+_new = object.__new__
 
 
 class Vec3E:
@@ -204,7 +208,9 @@ def mat_apply(m: Mat3G, v: Vec3E) -> Vec3E:
     p + q*tau, and (a + b*tau)(p + q*tau) = (ap + bq) + (aq + b(p+q))*tau
     by tau^2 = tau + 1, so each output coordinate is an integer pair over
     D*L.  Its canonical triple is unique, so the result equals the one
-    GoldenNumber arithmetic gives, key for key.
+    GoldenNumber arithmetic gives, key for key.  D*L is positive, so one
+    gcd reduces each pair, and the numbers and the vector are built in
+    line, as GoldenNumber._make and Vec3E._make build them.
     """
     (d, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5,
      a6, b6, a7, b7, a8, b8) = m._integer_entries()
@@ -221,15 +227,23 @@ def mat_apply(m: Mat3G, v: Vec3E) -> Vec3E:
         px, qx, py, qy, pz, qz = (px * kx, qx * kx, py * ky, qy * ky,
                                   pz * kz, qz * kz)
     sx, sy, sz = px + qx, py + qy, pz + qz
-    make = GoldenNumber._make
-    return Vec3E._make(
-        make(a0 * px + b0 * qx + a1 * py + b1 * qy + a2 * pz + b2 * qz,
-             a0 * qx + b0 * sx + a1 * qy + b1 * sy + a2 * qz + b2 * sz, den),
-        make(a3 * px + b3 * qx + a4 * py + b4 * qy + a5 * pz + b5 * qz,
-             a3 * qx + b3 * sx + a4 * qy + b4 * sy + a5 * qz + b5 * sz, den),
-        make(a6 * px + b6 * qx + a7 * py + b7 * qy + a8 * pz + b8 * qz,
-             a6 * qx + b6 * sx + a7 * qy + b7 * sy + a8 * qz + b8 * sz, den),
-    )
+    out = _new(Vec3E)
+    an = a0 * px + b0 * qx + a1 * py + b1 * qy + a2 * pz + b2 * qz
+    bn = a0 * qx + b0 * sx + a1 * qy + b1 * sy + a2 * qz + b2 * sz
+    g = gcd(an, bn, den)
+    c = out.x = _new(GoldenNumber)
+    c.an, c.bn, c.den = an // g, bn // g, den // g
+    an = a3 * px + b3 * qx + a4 * py + b4 * qy + a5 * pz + b5 * qz
+    bn = a3 * qx + b3 * sx + a4 * qy + b4 * sy + a5 * qz + b5 * sz
+    g = gcd(an, bn, den)
+    c = out.y = _new(GoldenNumber)
+    c.an, c.bn, c.den = an // g, bn // g, den // g
+    an = a6 * px + b6 * qx + a7 * py + b7 * qy + a8 * pz + b8 * qz
+    bn = a6 * qx + b6 * sx + a7 * qy + b7 * sy + a8 * qz + b8 * sz
+    g = gcd(an, bn, den)
+    c = out.z = _new(GoldenNumber)
+    c.an, c.bn, c.den = an // g, bn // g, den // g
+    return out
 
 
 def integer_rows(vectors) -> tuple[int, np.ndarray]:

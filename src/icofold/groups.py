@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -152,9 +153,10 @@ class PointGroup:
     point set they map into itself is invariant under the whole group.
     A group built from its elements alone takes all of them.
 
-    The group acts on points only in `_apply`, on integer rows through a
-    (|G|, 6, 6) table built on first use (geometry.action_table);
-    `orbit`, `stabilizer_order` and `orbits` are one call on it.
+    The group acts on points only through a (|G|, 6, 6) table of
+    integer blocks built on first use (geometry.action_table): on rows
+    in `_apply`, which `orbits` and `orbit_of_set` call, and on one
+    point in `_point_images`, which `orbit` and `stabilizer_order` call.
     """
 
     def __init__(self, name: str, elements: tuple[Mat3G, ...],
@@ -293,9 +295,26 @@ class PointGroup:
             found[g, by_image] = order
         return Orbits(found)
 
+    def _point_images(self, v: Vec3E) -> tuple[int, np.ndarray, np.ndarray]:
+        """(d, own, images) of one point, as `_apply` gives them for its
+        one integer row: the row over d as a (6,) array and its image
+        under every element as (|G|, 6) rows over d, under the same int64
+        or Python-int rule.  The row is read off v's coordinates without
+        integer_rows' object array, and the images are one matmul."""
+        d, table, most = self._action
+        x, y, z = v.x, v.y, v.z
+        den = lcm(x.den, y.den, z.den)
+        row = [n * (den // c.den) for c in (x, y, z) for n in (c.an, c.bn)]
+        dtype = (np.int64 if 6 * most * max(map(abs, row)) < 2 ** 63
+                 else object)
+        row = np.array(row, dtype=dtype)
+        return d * den, row * d, row @ table.astype(dtype, copy=False)
+
     def orbit(self, v: Vec3E) -> tuple[Vec3E, ...]:
-        """The exact orbit of v, deduplicated, in a deterministic order."""
-        return self.orbit_of_set((v,))
+        """The exact orbit of v, deduplicated, in a deterministic order:
+        orbit_of_set((v,))."""
+        d, _, images = self._point_images(v)
+        return distinct_vectors(d, images)
 
     def orbit_of_set(self, points) -> tuple[Vec3E, ...]:
         """Union of the orbits of several points, ordered by Vec3E.key."""
@@ -305,8 +324,8 @@ class PointGroup:
 
     def stabilizer_order(self, v: Vec3E) -> int:
         """The number of elements that fix v."""
-        _, own, chunks = self._apply(*integer_rows((v,)))
-        return int(np.count_nonzero((next(chunks)[:, 0] == own).all(axis=1)))
+        _, own, images = self._point_images(v)
+        return int(np.count_nonzero((images == own).all(axis=1)))
 
     def element_order(self, m: Mat3G) -> int:
         identity = Mat3G.identity()

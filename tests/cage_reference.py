@@ -12,6 +12,10 @@ orbits moved to `groups`: least-label propagation over the generators'
 permutations, then a breadth-first carry of the representatives'
 bonds, both inside the search.
 
+And the squared-distance chunks as every search took them before small
+sets came in one chunk: 64 rows at a time whatever the set's size
+(`distance_chunks`); the references below read theirs from it.
+
 And the bond mask the search took from those unsorted rows (`bonds`):
 `_gap` partitions the rows again and every entry within the cutoff is
 a bond, where `_bond_search` now reads the gap and the bonds from the
@@ -65,6 +69,18 @@ def orbits(table, members):
     return group.orbits(den, np.concatenate([rows[i] for i in members]))
 
 
+def distance_chunks(coords, rows=None):
+    """(place in `rows` of a chunk's first row, squared distances from
+    that row and the next ones to every point of `coords`), 64 rows at a
+    time, with each row's distance to itself set to `inf`."""
+    rows = np.arange(len(coords)) if rows is None else rows
+    for start in range(0, len(rows), 64):
+        chunk = rows[start:start + 64]
+        d2 = cages._pairwise_squared(coords[chunk], coords)
+        d2[np.arange(len(chunk)), chunk] = np.inf
+        yield start, d2
+
+
 def union_rows(coords, rows=None):
     """Per point of `rows` (every point when None), its four smallest
     squared distances to the other points of `coords` (at least four)
@@ -73,7 +89,7 @@ def union_rows(coords, rows=None):
     count = len(coords) if rows is None else len(rows)
     values = np.empty((count, 4))
     targets = np.empty((count, 4), dtype=np.intp)
-    for start, d2 in cages._distance_chunks(coords, rows):
+    for start, d2 in distance_chunks(coords, rows):
         index = np.argpartition(d2, 3, axis=1)[:, :4]
         values[start:start + len(d2)] = np.take_along_axis(d2, index, axis=1)
         targets[start:start + len(d2)] = index
@@ -163,7 +179,7 @@ def trivalence_threshold_search(*groups):
         return None
     probes = np.cumsum([0] + [len(c) for c in coords[:-1]])
     coords = np.vstack(coords)
-    probe_rows = [d2 for _, d2 in cages._distance_chunks(coords, probes)]
+    probe_rows = [d2 for _, d2 in distance_chunks(coords, probes)]
     if cages._gap(np.vstack(probe_rows)) is None:
         return None
     return cages._trivalent_graph(coords, cages._bond_search(coords))

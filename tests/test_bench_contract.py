@@ -4,9 +4,9 @@
 operations of each workload go through that workload's own `record`
 check: one `scan` row, one `onion` family, and one cage case and one
 orbit case of `census`.  A change to the API of `src/` that the
-benchmark calls fails here, before a benchmark run.  One whole `census`
-pass, every case, must also give its digest, which does not depend on
-the seed.
+benchmark calls fails here, before a benchmark run.  One whole pass of
+each workload, every operation after the workload's `warm_up`, must
+also give its digest, which does not depend on the seed.
 """
 
 import importlib.util
@@ -19,6 +19,10 @@ import pytest
 # 7 all give it
 CENSUS_DIGEST = (
     "8a5e9193c630b3e72bc8b868f6155e657500dde9f873481ef0f3b0c50d6cbe0d")
+# the `onion` digest at the commit that added this check; seeds 0, 1 and
+# 5 all give it
+ONION_DIGEST = (
+    "96c9bdd5930bef006720b6c48be8cc1dd34671782b97157135765705cb9edf55")
 
 WORKLOADS_PY = (Path(__file__).resolve().parents[1] / "perfbench"
                 / "workloads.py")
@@ -61,10 +65,31 @@ def test_census_cage_and_orbit_cases(workloads):
     assert_records_ok(census, first.values())
 
 
+def assert_pass_gives(workload, digest):
+    """One whole pass after `warm_up`, as the benchmark runs it: every
+    record ok, and the pass's digest."""
+    workload.warm_up()
+    records = assert_records_ok(workload, workload.items)
+    assert workload.digest(workload.items, records) == digest
+
+
+def test_scan_pass_gives_its_digest(workloads):
+    """All 894 rows of the default icosidodecahedron scan."""
+    scan = workloads.Scan(random.Random(0))
+    assert len(scan.items) == 894
+    assert_pass_gives(scan, workloads.SCAN_DIGEST)
+
+
+def test_onion_pass_gives_its_digest(workloads):
+    """Both families, C60 and C80, four iterations each."""
+    onion = workloads.Onion(random.Random(0))
+    assert sorted(onion.items) == ["c60", "c80"]
+    assert_pass_gives(onion, ONION_DIGEST)
+
+
 def test_census_pass_gives_its_digest(workloads):
     """Every case of a `census` pass, 167 rotations of each small cage and
     501 orbit cases, as one benchmark pass runs them."""
     census = workloads.Census(random.Random(0))
     assert len(census.items) == 1002
-    records = assert_records_ok(census, census.items)
-    assert census.digest(census.items, records) == CENSUS_DIGEST
+    assert_pass_gives(census, CENSUS_DIGEST)

@@ -153,9 +153,19 @@ def tetrahedra(rng, count):
     return rng.permutation(np.vstack(sets))
 
 
+def with_inverse(coords):
+    """The points moved off the origin and joined by their images through
+    it, and the orbits of that inversion: row i and row i + m swap.
+    Negation is exact, so every distance holds its bits in the image."""
+    half = coords + (1000.0, 0.0, 0.0)
+    m = len(half)
+    swap = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
+    return np.vstack([half, -half]), Orbits(swap[None, :])
+
+
 def chunk_boundary_sets(n):
     """Random points, tetrahedra, and coincident copies rolled so that
-    one group of four copies straddles every chunk boundary (its bonds
+    one group of four copies straddles every 64-row boundary (its bonds
     sit at cutoff 0 among entries that tie), drawn from seed n."""
     rng = np.random.default_rng(n)
     copies = np.roll(np.repeat(rng.normal(size=(n // 4 + 1, 3)), 4, axis=0),
@@ -163,11 +173,38 @@ def chunk_boundary_sets(n):
     return rng.normal(size=(n, 3)), tetrahedra(rng, n // 4), copies
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 129])
-def test_sets_across_chunks_select_as_argpartition(n):
+# set sizes around the chunk boundaries: sets of up to 90 points are one
+# chunk, larger ones take 8192 // n rows a chunk until that falls to 64
+# (91 points: 90 + 1 rows; 128: 64 + 64; 129: three chunks; 200: four)
+CHUNK_BOUNDARY_SIZES = [63, 64, 65, 90, 91, 128, 129, 200]
+
+
+def chunks_of(coords, rows=None):
+    """The number of rows of each chunk the search takes."""
+    return [len(d2) for _, d2 in cages._distance_chunks(coords, rows)]
+
+
+def test_chunks_span_the_boundary_sizes():
     assert cages._CHUNK_ROWS == 64
-    found = [assert_selection_matches(coords)
-             for coords in chunk_boundary_sets(n)]
+    spans = {n: chunks_of(np.zeros((n, 3))) for n in CHUNK_BOUNDARY_SIZES}
+    assert spans == {63: [63], 64: [64], 65: [65], 90: [90], 91: [90, 1],
+                     128: [64, 64], 129: [64, 64, 1],
+                     200: [64, 64, 64, 8]}
+    # one row per orbit of the inversion: the chunks follow the points
+    assert chunks_of(np.zeros((126, 3)), np.arange(63)) == [63]
+    assert chunks_of(np.zeros((180, 3)), np.arange(90)) == [64, 26]
+
+
+@pytest.mark.parametrize("n", CHUNK_BOUNDARY_SIZES)
+def test_sets_across_chunks_select_as_argpartition(n):
+    """Every point its own representative, and one representative per
+    orbit of the inversion, against the reference's 64-row chunks."""
+    assert cages._CHUNK_ROWS == 64
+    found = []
+    for coords in chunk_boundary_sets(n):
+        found.append(assert_selection_matches(coords))
+        doubled, orbits = with_inverse(coords)
+        assert assert_selection_matches(doubled, orbits) is found[-1]
     assert found == [False, True, True]
 
 
@@ -195,17 +232,7 @@ def assert_column_bonds_match_the_mask(coords, orbits=None):
     return True
 
 
-def with_inverse(coords):
-    """The points moved off the origin and joined by their images through
-    it, and the orbits of that inversion: row i and row i + m swap.
-    Negation is exact, so every distance holds its bits in the image."""
-    half = coords + (1000.0, 0.0, 0.0)
-    m = len(half)
-    swap = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
-    return np.vstack([half, -half]), Orbits(swap[None, :])
-
-
-@pytest.mark.parametrize("n", [63, 64, 65, 129])
+@pytest.mark.parametrize("n", CHUNK_BOUNDARY_SIZES)
 def test_column_bonds_match_the_mask_across_chunks(n):
     """Every point its own representative, and one representative per
     orbit of the inversion, as many as the set has points."""

@@ -457,9 +457,10 @@ def tetrahedra(rng, count):
     return rng.permutation(np.vstack(sets))
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 129])
+@pytest.mark.parametrize("n", [63, 64, 65, 90, 91, 128, 129, 200])
 def test_union_search_matches_dense_search_across_chunks(n):
-    """Sets that end just short of, on and just past a chunk boundary:
+    """Sets that end just short of, on and just past a chunk boundary
+    (64 rows, or one chunk for up to 90 points):
     each point's four nearest entries, from the search's own selection
     and from the argpartition one it replaced, are the dense matrix
     row's four smallest, bit for bit, and the graphs agree: the search's
@@ -1184,9 +1185,10 @@ def test_written_out_cross_product_is_np_cross(n):
     reference = np.zeros_like(normal)
     reference[np.arange(n) % 2 == 0, 0] = 1.0
     reference[np.arange(n) % 2 == 1, 1] = 1.0
-    e1 = cages._cross(reference, normal)
+    # `_cross` takes and gives three coordinate arrays, one per axis
+    e1 = np.stack(cages._cross(reference.T, normal.T), axis=1)
     assert e1.tobytes() == np.cross(reference, normal).tobytes()
-    assert cages._cross(normal, e1).tobytes() \
+    assert np.stack(cages._cross(normal.T, e1.T), axis=1).tobytes() \
         == np.cross(normal, e1).tobytes()
 
 
@@ -1313,6 +1315,36 @@ def test_face_census_matches_the_per_vertex_walk(sphere_graphs):
     assert outcomes[-2] == "EulerError: vertex at the origin has no tangent plane"
     assert outcomes[-1].startswith("EulerError: V-E+F = 8-12+")
     assert sum(isinstance(o, str) for o in outcomes) == 2
+
+
+def degenerate_graphs():
+    """Graphs with few or no bonds, and the dodecahedron with an isolated
+    vertex first and last: vertices whose rotation system has no edge."""
+    dod = cage_of("dodecahedron")
+    lone = np.array([[0.0, 0.0, 5.0]])
+    return [
+        cages.CageGraph(np.array([[1.0, 0, 0], [0, 1.0, 0]]), [], 0.0),
+        cages.CageGraph(np.eye(3), [], 0.0),
+        cages.CageGraph(np.array([[1.0, 0, 0], [0, 1.0, 0]]), [(0, 1)], 1.0),
+        cages.CageGraph(np.vstack([lone, dod.coords]), dod.pairs + 1,
+                        dod.cutoff),
+        cages.CageGraph(np.vstack([dod.coords, lone]), dod.pairs,
+                        dod.cutoff),
+    ]
+
+
+def test_face_census_matches_the_walk_on_degenerate_graphs():
+    """Equal faces, `across` tables and counts, or equal EulerError text:
+    no bonds among two points (an empty census) and among three, one
+    bond (one 2-gon), and a cage with a vertex that has no edge."""
+    graphs = degenerate_graphs()
+    outcomes = [traced(census_tables, g) for g in graphs]
+    assert outcomes == [traced(walk_tables, g) for g in graphs]
+    assert outcomes[:3] == [((), (), {}),
+                            "EulerError: V-E+F = 3-0+0 = 3, expected 2",
+                            (((0, 1),), ((0, 0),), {2: 1})]
+    assert outcomes[3] == outcomes[4] \
+        == "EulerError: V-E+F = 21-30+12 = 3, expected 2"
 
 
 def nearest_neighbour_graph(name):

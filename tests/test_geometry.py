@@ -8,8 +8,9 @@ import pytest
 
 from ext_reference import ExtNumber
 from icofold.golden import ONE, GoldenNumber, TAU
-from icofold.configs import builtin
+from icofold.configs import BUILTIN_NAMES, builtin
 from group_reference import mat_det
+from icofold import geometry
 from icofold.geometry import (Mat3G, Vec3E, dot, integer_rows, mat_apply,
                               mat_mul, norm2)
 from icofold.groups import GEN_B5, GEN_R3, full_group
@@ -192,6 +193,20 @@ class TestIntegerAction:
             for v in points:
                 assert mat_apply(g, v).key() == mat_apply_reference(g, v).key()
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_matches_golden_arithmetic_on_builtin_vertices(self, name):
+        """Every I_h element on every vertex of the built-in, and on the
+        vertices scaled by (2^70 + 3)/11 + (5^30/13)*tau, whose
+        numerators pass int64 and whose reductions divide by more than
+        the matrices' denominator 2."""
+        k = GoldenNumber(Fraction(2 ** 70 + 3, 11), Fraction(5 ** 30, 13))
+        vertices = builtin(name).vertices
+        scaled = [v.scale(k) for v in vertices]
+        assert max(abs(c.an) for p in scaled for c in p) > 2 ** 64
+        for g in full_group():
+            for v in (*vertices, *scaled):
+                assert mat_apply(g, v).key() == mat_apply_reference(g, v).key()
+
     def test_matches_golden_arithmetic_off_the_group(self):
         rng = random.Random(429)
 
@@ -209,6 +224,7 @@ class TestIntegerAction:
         assert mat_apply(half, v).key() == mat_apply_reference(half, v).key()
 
     def test_one_reduction_per_coordinate(self, monkeypatch):
+        """One gcd per output coordinate, and no other reduction."""
         g = full_group().elements[57]
         # one common denominator, and three different ones
         points = [Vec3E.from_golden(1, TAU, 2 - TAU),
@@ -216,13 +232,16 @@ class TestIntegerAction:
         wants = [mat_apply_reference(g, v).key() for v in points]
         mat_apply(g, points[0])  # builds the matrix's integer entries
         calls = []
-        make = GoldenNumber._make.__func__
 
-        def spy(cls, an, bn, den):
-            calls.append(den)
-            return make(cls, an, bn, den)
+        def spy(*args):
+            calls.append(args)
+            return math.gcd(*args)
 
-        monkeypatch.setattr(GoldenNumber, "_make", classmethod(spy))
+        def make(*args):
+            raise AssertionError("mat_apply builds its numbers in line")
+
+        monkeypatch.setattr(geometry, "gcd", spy)
+        monkeypatch.setattr(GoldenNumber, "_make", make)
         for v, want in zip(points, wants):
             calls.clear()
             assert mat_apply(g, v).key() == want

@@ -120,11 +120,19 @@ def test_axis_and_zero_stabilizers_are_covered():
 
 
 def test_big_rows_take_both_dtypes():
+    """The rows of one point take the dtype `_apply` gives them, on the
+    set path and on the one-point path of `orbit` and `stabilizer_order`,
+    with equal images."""
     group = full_group()
     for scale, dtype in zip(BIG_SCALES, (object, np.int64, object)):
         v = BASE_VECTORS[5].scale(parse_field_expr(scale))
-        _, _, chunks = group._apply(*integer_rows([v]))
-        assert next(chunks).dtype == dtype
+        d, own, chunks = group._apply(*integer_rows([v]))
+        images = next(chunks)
+        assert images.dtype == dtype
+        got_d, got_own, got = group._point_images(v)
+        assert got.dtype == got_own.dtype == dtype
+        assert got_d == d and got_own.tolist() == own[0].tolist()
+        assert got.tolist() == images[:, 0].tolist()
 
 
 def vertex_sets(group):
