@@ -22,9 +22,8 @@ each probe row's eight smallest entries over the window.  A single
 point set's probe rows are its groups' first points against all of
 its points, taken only for a set of more than 64 points.  A union that
 passes has its points stacked, and one search takes its
-representatives' four nearest against all N points, a chunk of
-representatives at a time (all of them, for up to 90 points; 64 from
-128 points on), by four argmin passes over each chunk that
+representatives' four nearest against all N points, 64
+representatives at a time, by four argmin passes over each chunk that
 mask each pick with inf in place; the four come out ascending, so once
 the gap between the third and fourth holds, each representative's
 first three are exactly its bonds, and no search holds an N x N
@@ -49,12 +48,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import compress, islice
 
 import numpy as np
 
-from .geometry import Vec3E, row_vectors
-from .golden import _TAU_FLOAT
+from .geometry import row_vectors
 
 __all__ = [
     "PointBudgetError",
@@ -73,11 +71,9 @@ __all__ = [
 # relative separation two float distances need before they count as
 # different candidate cutoffs; exact-equal distances land ~1e-13 apart
 _RESOLUTION = 1e-9
-# rows of squared distances a search holds at once for N points:
-# _CHUNK_ROWS, 16 * 64 * N bytes, or as many as _CHUNK_ENTRIES entries
-# hold when that is more (N below 128); more rows only raise the peak
+# rows of squared distances a search holds at once: 16 * 64 * N bytes for
+# N points (more rows per chunk only raise the peak)
 _CHUNK_ROWS = 64
-_CHUNK_ENTRIES = 8192
 # Bounds the distance work of one point set's search: when its probe rows
 # do not refute the gap, it takes all N^2 squared distances of its N
 # points, a fixed number of rows at a time, so its memory grows as N but
@@ -95,21 +91,9 @@ class EulerError(ValueError):
 
 
 def as_coords(points) -> np.ndarray:
-    """Float (N,3) coordinates from Vec3E sequences or array-likes.
-
-    A sequence of Vec3E alone is converted in one pass over the
-    coordinates' (an, bn, den) triples by GoldenNumber.__float__'s own
-    operations, (an + bn*tau)/den, so each float is bit for bit the
-    one it gives.
-    """
+    """Float (N,3) coordinates from Vec3E sequences or array-likes."""
     if isinstance(points, np.ndarray):
         return np.asarray(points, dtype=float).reshape(-1, 3)
-    points = tuple(points)
-    if set(map(type, points)) <= {Vec3E}:
-        keys = np.fromiter(chain.from_iterable(map(Vec3E.key, points)),
-                           dtype=float, count=9 * len(points))
-        an, bn, den = keys.reshape(-1, 3, 3).transpose(2, 0, 1)
-        return (an + bn * _TAU_FLOAT) / den
     rows = [
         p.as_floats() if hasattr(p, "as_floats") else tuple(p)
         for p in points
@@ -124,8 +108,8 @@ class CageGraph:
     index pairs; `edges` is the same bonds as a tuple of pairs, built on
     first read.  `points` are the exact points, built on first read from
     `rows`, their (den, integer rows) when known; None for floats only.
-    `edge_min` and `edge_max`, the shortest and longest bond (0.0 with
-    no bonds), are measured on first read.
+    `edge_min` and `edge_max` are the shortest and longest bond (0.0 with
+    no bonds).
     """
 
     def __init__(self, coords: np.ndarray, pairs, cutoff: float) -> None:
@@ -135,24 +119,12 @@ class CageGraph:
         self.rows: tuple[int, np.ndarray] | None = None
         # the group the search found mapping the points onto themselves
         self._symmetry = None
-        self.degrees = np.bincount(self.pairs.ravel(), minlength=len(coords))
-
-    @cached_property
-    def _edge_range(self) -> tuple[float, float]:
         pairs = self.pairs
-        if not len(pairs):
-            return 0.0, 0.0
-        lengths = _lengths(self.coords.take(pairs[:, 0], axis=0)
-                           - self.coords.take(pairs[:, 1], axis=0))
-        return float(lengths.min()), float(lengths.max())
-
-    @property
-    def edge_min(self) -> float:
-        return self._edge_range[0]
-
-    @property
-    def edge_max(self) -> float:
-        return self._edge_range[1]
+        self.degrees = np.bincount(pairs.ravel(), minlength=len(coords))
+        lengths = _lengths(coords.take(pairs[:, 0], axis=0)
+                           - coords.take(pairs[:, 1], axis=0))
+        self.edge_min = float(lengths.min()) if len(lengths) else 0.0
+        self.edge_max = float(lengths.max()) if len(lengths) else 0.0
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -210,18 +182,12 @@ def _four_columns(d2: np.ndarray) -> np.ndarray:
 
 def _distance_chunks(coords: np.ndarray, rows=None):
     """(place in `rows` of a chunk's first row, squared distances from
-    that row and the next ones to every point of `coords`), with each
-    row's distance to itself set to `inf`.  `rows` are point indices,
-    every point in order when None.
-
-    A chunk takes max(`_CHUNK_ROWS`, `_CHUNK_ENTRIES` // N) rows for N
-    points: 64 rows from 128 points on, so the peak grows as N, and one
-    chunk for a set of up to 90 points, which then pays each numpy call
-    once.  Each row's entries are the same in any chunk."""
+    that row and the next ones to every point of `coords`), `_CHUNK_ROWS`
+    rows at a time, with each row's distance to itself set to `inf`.
+    `rows` are point indices, every point in order when None."""
     rows = np.arange(len(coords)) if rows is None else rows
-    step = max(_CHUNK_ROWS, _CHUNK_ENTRIES // max(len(coords), 1))
-    for start in range(0, len(rows), step):
-        chunk = rows[start:start + step]
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
         d2 = _pairwise_squared(coords[chunk], coords)
         d2[np.arange(len(chunk)), chunk] = np.inf
         yield start, d2

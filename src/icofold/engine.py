@@ -487,19 +487,8 @@ class ScanSpec:
                     if value.sign() <= 0 or float(value) > cutoff:
                         continue
                     seen.setdefault(value.key(), value)
-        # each value as (k0 + k1*tau)/den over one common denominator; its
-        # float lies within 5u*(|k0| + |k1|*tau)/den of it, u = 2^-53, so
-        # floats further apart than the slack below are in exact order
-        values = list(seen.values())
-        den = lcm(*self.c_values)
-        k0 = [v.an * (den // v.den) for v in values]
-        k1 = [v.bn * (den // v.den) for v in values]
-        top = max(map(abs, k0), default=0) + 2 * max(map(abs, k1), default=0)
-        dtype = np.int64 if top < 2 ** 62 else object
-        order = _exact_order(np.array([float(v) for v in values]),
-                             np.array(k0, dtype), np.array(k1, dtype),
-                             2.0 ** -40 * (top / den))
-        return [values[i] for i in order.tolist()]
+        # GoldenNumber's order is exact, and the keys are distinct
+        return sorted(seen.values())
 
 
 def _check_grid(a_range, b_range, c_count: int) -> None:

@@ -141,12 +141,16 @@ def export_off(graph: cages.CageGraph,
     """OFF text for a trivalent cage with outward-oriented faces.
 
     The census traces each face clockwise as seen from outside, so each
-    is written reversed.
+    is written reversed.  A graph whose faces do not close into a sphere
+    is refused with ExportError.
     """
     if not graph.trivalent:
         raise ExportError("not a trivalent cage; OFF export needs one")
     if census is None:
-        census = cages.face_census(graph)
+        try:
+            census = cages.face_census(graph)
+        except cages.EulerError as exc:
+            raise ExportError(f"not a spherical cage; {exc}") from exc
     rows = graph.coords.tolist()
     factor = _scale_factor(rows, bond_scale)
     faces = sorted(_canonical_face(face[::-1]) for face in census.faces)

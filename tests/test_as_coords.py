@@ -1,5 +1,4 @@
-"""`cages.as_coords` converts a sequence of Vec3E in one pass over the
-coordinates' (an, bn, den) triples; its floats must be the ones each
+"""`cages.as_coords` converts a sequence of Vec3E to the floats each
 point's `as_floats` gives, bit for bit, wherever Python's int-to-float
 conversion and GoldenNumber.__float__'s arithmetic reach.
 """
@@ -24,7 +23,7 @@ def per_point(points):
     return np.array(rows, dtype=float).reshape(-1, 3)
 
 
-def assert_bulk_matches(points):
+def assert_matches_per_point(points):
     got = as_coords(points)
     want = per_point(points)
     assert got.shape == want.shape and got.dtype == np.float64
@@ -34,7 +33,7 @@ def assert_bulk_matches(points):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_vertices(name):
-    assert_bulk_matches(builtin(name).vertices)
+    assert_matches_per_point(builtin(name).vertices)
 
 
 @pytest.mark.parametrize("name", ["icosidodecahedron", "c60"])
@@ -45,7 +44,7 @@ def test_points_scaled_past_int64(name):
     k = GoldenNumber(Fraction(2 ** 70 + 3, 11), Fraction(5 ** 30, 13))
     points = [v.scale(k) for v in builtin(name).vertices]
     assert max(abs(c.an) for p in points for c in p) > 2 ** 64
-    assert_bulk_matches(points)
+    assert_matches_per_point(points)
 
 
 def test_mixed_denominators_zeros_and_negatives():
@@ -60,7 +59,7 @@ def test_mixed_denominators_zeros_and_negatives():
     points = [Vec3E(component(), component(), component())
               for _ in range(200)]
     points.append(Vec3E.from_golden(0, 0, 0))
-    assert_bulk_matches(points)
+    assert_matches_per_point(points)
     # a generator is read once, as a sequence is
     assert as_coords(iter(points)).tobytes() == per_point(points).tobytes()
 
@@ -77,7 +76,7 @@ def test_vectors_mixed_with_plain_triples():
     points = list(builtin("dodecahedron").vertices)
     points[3] = (0.5, -1.25, 2.0)
     points[11] = [1, 2, 3]
-    got = assert_bulk_matches(points)
+    got = assert_matches_per_point(points)
     assert got[3].tolist() == [0.5, -1.25, 2.0]
     assert got[11].tolist() == [1.0, 2.0, 3.0]
     plain = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]

@@ -173,9 +173,8 @@ def chunk_boundary_sets(n):
     return rng.normal(size=(n, 3)), tetrahedra(rng, n // 4), copies
 
 
-# set sizes around the chunk boundaries: sets of up to 90 points are one
-# chunk, larger ones take 8192 // n rows a chunk until that falls to 64
-# (91 points: 90 + 1 rows; 128: 64 + 64; 129: three chunks; 200: four)
+# set sizes around the 64-row chunk boundaries (65 points: 64 + 1 rows;
+# 128: 64 + 64; 129: three chunks; 200: four)
 CHUNK_BOUNDARY_SIZES = [63, 64, 65, 90, 91, 128, 129, 200]
 
 
@@ -187,8 +186,8 @@ def chunks_of(coords, rows=None):
 def test_chunks_span_the_boundary_sizes():
     assert cages._CHUNK_ROWS == 64
     spans = {n: chunks_of(np.zeros((n, 3))) for n in CHUNK_BOUNDARY_SIZES}
-    assert spans == {63: [63], 64: [64], 65: [65], 90: [90], 91: [90, 1],
-                     128: [64, 64], 129: [64, 64, 1],
+    assert spans == {63: [63], 64: [64], 65: [64, 1], 90: [64, 26],
+                     91: [64, 27], 128: [64, 64], 129: [64, 64, 1],
                      200: [64, 64, 64, 8]}
     # one row per orbit of the inversion: the chunks follow the points
     assert chunks_of(np.zeros((126, 3)), np.arange(63)) == [63]

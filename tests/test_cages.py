@@ -459,12 +459,11 @@ def tetrahedra(rng, count):
 
 @pytest.mark.parametrize("n", [63, 64, 65, 90, 91, 128, 129, 200])
 def test_union_search_matches_dense_search_across_chunks(n):
-    """Sets that end just short of, on and just past a chunk boundary
-    (64 rows, or one chunk for up to 90 points):
-    each point's four nearest entries, from the search's own selection
-    and from the argpartition one it replaced, are the dense matrix
-    row's four smallest, bit for bit, and the graphs agree: the search's
-    own bonds and the reference's as well."""
+    """Sets that end just short of, on and just past a 64-row chunk
+    boundary: each point's four nearest entries, from the search's own
+    selection and from the argpartition one it replaced, are the dense
+    matrix row's four smallest, bit for bit, and the graphs agree: the
+    search's own bonds and the reference's as well."""
     assert cages._CHUNK_ROWS == 64
     rng = np.random.default_rng(n)
     # four coincident copies of each point, rolled so that one group of

@@ -285,6 +285,19 @@ def test_export_off_needs_cage(capsys):
     assert "no trivalent" in capsys.readouterr().err
 
 
+def test_export_off_of_a_bond_graph_that_is_no_sphere_exits_3(tmp_path,
+                                                              capsys):
+    """A 120-point orbit that bonds trivalently into V - E + F = 0."""
+    seed = tmp_path / "torus.txt"
+    seed.write_text("@closure on\n(1+tau)/3,(-3+3*tau)/5,(2+2*tau)/5\n",
+                    encoding="utf-8")
+    code = cli.run(["export", "--config", str(seed), "--emit", "off"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: not a spherical cage; "
+                            "V-E+F = 120-180+60 = 0, expected 2\n")
+
+
 # --- seed files -------------------------------------------------------------------
 
 def test_seed_file_roundtrip(tmp_path, capsys):

@@ -91,6 +91,37 @@ def test_pruned_iteration_matches_full_expansion(c80_family):
         assert {p.key() for p in shell.points} == {p.key() for p in full}
 
 
+@pytest.mark.parametrize("name,expr", [("c60", "3"), ("c80", "2")])
+def test_members_lie_in_one_affine_array(name, expr):
+    """Members 1..k are subsets of the start's own depth-k array, for k up
+    to 3: the whole onion is one point array of the translation, and
+    the member search only picks among its points.  Points are compared
+    as integer rows (a_x, b_x, a_y, b_y, a_z, b_z) over one denominator;
+    member k + 1 shares no point with the depth-k array."""
+    report = grow(name, expr, 3)
+    assert report.complete and len(report.family) == 4
+
+    def integer_rows(keys, den):
+        # each key holds (an, bn, den) per coordinate
+        return {tuple(key[i + j] * (den // key[i + 2])
+                      for i in (0, 3, 6) for j in (0, 1)) for key in keys}
+
+    members = [[p.key() for p in shell.points] for shell in report.family]
+    for k in (1, 2, 3):
+        array = generate_array(report.start, report.translation, k)
+        den = math.lcm(*(key[i] for keys in members[1:] for key in keys
+                         for i in (2, 5, 8)), array.shells[0].den)
+        assert {shell.den for shell in array.shells} == {array.shells[0].den}
+        rows = set()
+        for shell in array.shells:
+            rows.update(map(tuple, (shell.rows * (den // shell.den)).tolist()))
+        assert len(rows) == len(array)
+        for keys in members[1:k + 1]:
+            assert integer_rows(keys, den) <= rows
+        if k < 3:
+            assert not integer_rows(members[k + 1], den) & rows
+
+
 # --- partial and failed families ---------------------------------------------
 
 def test_partial_family_keeps_completed_members():
