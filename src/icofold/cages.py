@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 
 import numpy as np
 
@@ -173,13 +173,6 @@ def _pairwise_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _four_columns(d2: np.ndarray) -> np.ndarray:
-    """`d2` with `inf` padding columns up to four; padding never bonds."""
-    if d2.shape[1] >= 4:
-        return d2
-    return np.hstack([d2, np.full((len(d2), 4 - d2.shape[1]), np.inf)])
-
-
 def _distance_chunks(coords: np.ndarray, rows=None):
     """(place in `rows` of a chunk's first row, squared distances from
     that row and the next ones to every point of `coords`), `_CHUNK_ROWS`
@@ -283,83 +276,81 @@ class _NearestTable:
     """The trivalence search over unions of point groups.
 
     A group is one exact shell, or one group of floats handed to
-    `detect_cage`.  The probe table refutes a union before its points
-    are searched.  Row a is group a's first point and holds, in column b,
+    `detect_cage`, which builds the table from the lowest group any union
+    reaches.  The probe table refutes a union before its points are
+    searched.  Row a is group a's first point and holds, in column b,
     that point's four smallest squared distances into group b, with the
     point's distance to itself left out and `inf` filling in when there
-    are fewer than four, filled one column at a time for the groups that
-    some union reaches.  A union's probe rows are its members' rows over
-    its members' columns, and `verdicts` tests the unions of one window
-    of groups together, with one drop each or none.
+    are fewer than four.  A window reads the columns from its lowest
+    group on, so the filled columns are those from one frontier on.  A
+    union's probe rows are its members' rows over its members' columns,
+    and `verdicts` tests the unions of one window of groups together,
+    with one drop each or none.
 
     `exact`, when given, is (group, den, rows): each group's distinct
     integer rows over one `den`, in the order of its coordinates, and a
     PointGroup.  A union that passes its probe is searched from one row
     per orbit when `group.orbits` finds it invariant, and from all of
     its points otherwise or when the table holds floats alone.
-
-    `reach` is the lowest group of any union the table is to probe, 0
-    unless set before the first probe; a column is filled from that row
-    on, since no union reads the rows before it.
     """
+
+    # _KEPT_AT[p]: where a row's third- and fourth-smallest kept entries
+    # sit among its eight smallest, ascending, when p's bits mark those out
+    _KEPT_AT = np.array([([j for j in range(8) if not p >> j & 1]
+                          + [0] * 4)[2:4] for p in range(256)])
 
     def __init__(self, groups, exact=None) -> None:
         self.coords = [as_coords(g) for g in groups]
         self._exact = exact
-        self.reach = 0
-        # an empty group's probe row is never read
-        self._probe_coords = np.array(
-            [c[0] if len(c) else np.zeros(3) for c in self.coords]
-        ).reshape(-1, 3)
+        # an empty group's probe lies at infinity and its own column holds
+        # three -inf, so its row moves no gap
+        self._probe_coords = np.array([c[0] if len(c) else [np.inf] * 3
+                                       for c in self.coords]).reshape(-1, 3)
         n = len(self.coords)
-        self._probe_table = np.empty((n, n, 4))
-        self._probe_filled = [False] * n
+        self._probe_table = np.full((n, n, 4), np.inf)
+        empty = [a for a, c in enumerate(self.coords) if not len(c)]
+        self._probe_table[empty, empty, :3] = -np.inf
+        self._frontier = n  # the first filled column
 
-    def _fill_columns(self, columns) -> None:
-        for b in columns:
-            if not self._probe_filled[b]:
-                self._probe_column(b)
-
-    def _probe_column(self, b: int) -> None:
-        low = self.reach
-        d2 = _pairwise_squared(self._probe_coords[low:], self.coords[b])
-        d2[b - low, :1] = np.inf  # the probe itself
-        self._probe_table[low:, b] = np.partition(
-            _four_columns(d2), 3, axis=1)[:, :4]
-        self._probe_filled[b] = True
+    def _fill(self, low: int) -> None:
+        """Fill the probe columns from `low` up to the frontier, if any."""
+        for b in range(low, self._frontier):
+            d2 = _pairwise_squared(self._probe_coords, self.coords[b])
+            d2[b, :1] = np.inf  # the probe itself
+            if d2.shape[1] > 4:
+                d2.partition(3, axis=1)
+            self._probe_table[:, b, :d2.shape[1]] = d2[:, :4]
+        self._frontier = min(low, self._frontier)
 
     def verdicts(self, low: int, drops: list) -> list[bool]:
         """Whether each union of the window of groups `low`.. less one of
         the `drops` (nothing, for a None) passes its probe: the gap test
         on its probe rows, its non-empty members' rows over its members'
-        columns.  An empty group's row is never read, and its column holds
-        only `inf`.
+        columns.  An empty group's column holds only `inf`, and its row
+        has three `-inf` and then `inf`, so it raises no third-smallest
+        entry and lowers no fourth.
 
         With nothing dropped, that is `_gap` of the window's rows.  Else a
         column holds four entries of a row, so a row's eight smallest
         entries over the window hold its third- and fourth-smallest
-        outside any one column; one selection of those eight serves every
-        drop.
+        outside any one column.  One sort serves every drop: which of the
+        eight lie in the dropped column, as the bits of a byte, tells where
+        the row's third- and fourth-smallest kept entries sit (`_KEPT_AT`).
         """
-        n = len(self.coords)
-        self._fill_columns(range(low, n))
-        k = n - low
+        self._fill(low)
+        k = len(self.coords) - low
         block = self._probe_table[low:, low:].reshape(k, 4 * k)
-        read = np.array([len(c) > 0 for c in self.coords[low:]])
         if drops == [None]:
-            return [_gap(block[read]) is not None]
-        nearest = np.argsort(block, axis=1)[:, :8]
-        values = np.take_along_axis(block, nearest, axis=1)
-        column = nearest // 4
-        drop = np.asarray(drops)[:, None] - low
-        kept = column != drop[:, :, None]
-        rank = np.cumsum(kept, axis=2)
-        rows = np.arange(k)
-        third, fourth = (values[rows, np.argmax(kept & (rank == r), axis=2)]
-                         for r in (3, 4))
-        read = read & (rows != drop)
-        c2 = np.where(read, third, -np.inf).max(axis=1)
-        floor4 = np.where(read, fourth, np.inf).min(axis=1)
+            return [_gap(block) is not None]
+        rows = np.arange(k)[:, None, None]
+        nearest = block.argsort(axis=1)[:, :8]
+        drop = np.array(drops) - low
+        dropped = np.packbits((nearest >> 2)[:, :, None] == drop, axis=1,
+                              bitorder="little")[:, 0]
+        # (k, drops, 2): each row's third and fourth kept entry per drop
+        at = block[rows, nearest[rows, self._KEPT_AT[dropped]]]
+        at[drop, np.arange(len(drop))] = -np.inf, np.inf  # dropped rows
+        c2, floor4 = at[..., 0].max(axis=0), at[..., 1].min(axis=0)
         return (floor4 - c2 > _RESOLUTION * np.maximum(1.0, c2)).tolist()
 
     def search(self, chosen) -> CageGraph | None:
@@ -656,18 +647,20 @@ def _candidate_windows(sizes: list[int]):
     the interior shells `drops`; every union holds `_CAGE_MIN_POINTS` to
     `_CAGE_POINT_CAP` points."""
     n = len(sizes)
-    for k in range(_CAGE_MIN_SHELLS, n + 1):
-        total = sum(sizes[n - k:])
-        if total > _CAGE_POINT_CAP:
+    # tail[low] is the point total of the shells low..
+    tail = list(accumulate(reversed(sizes), initial=0))[::-1]
+    for low in range(n - _CAGE_MIN_SHELLS, -1, -1):
+        if tail[low] > _CAGE_POINT_CAP:
             break
-        if total >= _CAGE_MIN_POINTS:
-            yield n - k, [None]
+        if tail[low] >= _CAGE_MIN_POINTS:
+            yield low, [None]
+    interior = 0  # the largest interior shell of the window
     for low in range(n - _CAGE_MIN_SHELLS - 1, -1, -1):
-        total = sum(sizes[low:])
-        if total - max(sizes[low + 1:n - 1]) > _CAGE_POINT_CAP:
+        interior = max(interior, sizes[low + 1])
+        if tail[low] - interior > _CAGE_POINT_CAP:
             break
-        drops = [d for d in range(low + 1, n - 1)
-                 if _CAGE_MIN_POINTS <= total - sizes[d] <= _CAGE_POINT_CAP]
+        drops = [d for d in range(low + 1, n - 1) if _CAGE_MIN_POINTS
+                 <= tail[low] - sizes[d] <= _CAGE_POINT_CAP]
         if drops:
             yield low, drops
 
@@ -683,9 +676,9 @@ def detect_cage(shell_groups) -> CageFinding | None:
     a fallback, again smallest first.
 
     Each candidate of `_CAGE_MIN_POINTS` to `_CAGE_POINT_CAP` points
-    takes its bond graph from a `_NearestTable` shared by all candidates
-    of this call: its probe rows first, a window's unions all in one
-    gate, then, if they pass, a search of its stacked points in O(N)
+    takes its bond graph from a `_NearestTable` of the shells any
+    candidate reaches: its probe rows first, a window's unions all in
+    one gate, then, if they pass, a search of its stacked points in O(N)
     memory.  A union whose graph is trivalent is then held to the
     edge-ratio check and face tracing.
 
@@ -695,16 +688,23 @@ def detect_cage(shell_groups) -> CageFinding | None:
     `_CAGE_MAX_EDGE_RATIO`, and traces into a valid sphere
     (V - E + F = 2); None when no candidate qualifies.
     """
-    # engine.outer_cage passes a table that holds its shells' exact rows
-    table = (shell_groups if isinstance(shell_groups, _NearestTable)
-             else _NearestTable(shell_groups))
-    n = len(table.coords)
-    windows = list(_candidate_windows([len(c) for c in table.coords]))
-    table.reach = min((low for low, _ in windows), default=0)
+    return _detect_cage(list(shell_groups))
+
+
+def _detect_cage(shell_groups: list, exact=None) -> CageFinding | None:
+    """`detect_cage` on a list of shells, `exact` as the table's for all."""
+    n = len(shell_groups)
+    windows = list(_candidate_windows([len(g) for g in shell_groups]))
+    reach = min((low for low, _ in windows), default=n)
+    if exact is not None:
+        exact = *exact[:2], exact[2][reach:]
+    table = _NearestTable(shell_groups[reach:], exact)
     for low, drops in windows:
-        for dropped in compress(drops, table.verdicts(low, drops)):
+        passed = table.verdicts(
+            low - reach, [d if d is None else d - reach for d in drops])
+        for dropped in compress(drops, passed):
             chosen = tuple(i for i in range(low, n) if i != dropped)
-            graph = table.search(chosen)
+            graph = table.search([i - reach for i in chosen])
             if graph is None or graph.edge_ratio >= _CAGE_MAX_EDGE_RATIO:
                 continue
             try:

@@ -445,9 +445,9 @@ def outer_cage(array: PointArray) -> cages.CageFinding | None:
     """
     shells = array.shells
     den = shells[0].den if shells else 1
-    return cages.detect_cage(cages._NearestTable(
+    return cages._detect_cage(
         [shell.coords for shell in shells],
-        (array.start.symmetry, den, [shell.rows for shell in shells])))
+        (array.start.symmetry, den, [shell.rows for shell in shells]))
 
 
 def _multiset_count(n_directions: int, depth: int) -> int:

@@ -39,8 +39,9 @@ from icofold import cages
 
 def probe_rows(table, members):
     """The union's probe rows, four entries per member group, in the
-    order of `members`."""
-    table._fill_columns(members)
+    order of `members`; the table fills its columns from the lowest
+    member on, as a window gate from there does."""
+    table._fill(min(members))
     rows = table._probe_table[np.ix_(members, members)]
     return rows.reshape(len(members), -1)
 

@@ -712,16 +712,17 @@ def test_probe_gap_matches_the_dense_probe_rows_on_every_union_tried(
     """Every union detect_cage tries up to the one it finds, drop-one
     unions included (also those its window's selection refutes), gets
     the dense probe rows' third- and fourth-nearest entries and gap from
-    a table whose probe rows start at the reach, as detect_cage's do."""
+    a table of the shells from the reach on, as detect_cage's is."""
     unions = dropped = 0
     for array in differential_arrays:
         groups = [shell.coords for shell in array.shells]
         finding = detect_cage(groups)
         sizes = list(map(len, groups))
-        table = cages._NearestTable(groups)
-        table.reach = min(low for low, _ in cages._candidate_windows(sizes))
+        reach = reach_of(sizes)
+        table = cages._NearestTable(groups[reach:])
         for chosen, _ in candidate_unions(sizes):
-            rows, where, offsets = probe_rows(table, chosen)
+            rows, where, offsets = probe_rows(table,
+                                              [i - reach for i in chosen])
             dense = dense_probe_rows(np.vstack([groups[i] for i in chosen]),
                                      where)
             assert_probe_rows_match_dense(rows, where, offsets, dense)
@@ -764,23 +765,46 @@ def c80_fourth_iteration_shells():
     return [shell.coords for shell in generate_array(working, t, 1).shells]
 
 
+def spy_on_tables(monkeypatch):
+    """A list that records each `_NearestTable` built."""
+    tables = []
+    init = cages._NearestTable.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        tables.append(self)
+
+    monkeypatch.setattr(cages._NearestTable, "__init__", spy)
+    return tables
+
+
+def reach_of(sizes):
+    """The lowest shell of any union detect_cage tries."""
+    return min(low for low, _ in cages._candidate_windows(sizes))
+
+
 def test_probe_columns_are_computed_once_for_the_shells_tried(monkeypatch):
     """Every candidate union is tried on this array (its unions are
     refuted a window at a time), and each probe column is filled once,
-    only for shells some union contains."""
+    by one distance call from the table's probes to its shell, only for
+    shells some union contains."""
     groups = c80_fourth_iteration_shells()
-    columns = []
-    fill = cages._NearestTable._probe_column
+    tables, columns = spy_on_tables(monkeypatch), []
+    pairwise = cages._pairwise_squared
 
-    def fill_spy(self, b):
-        columns.append(b)
-        return fill(self, b)
+    def pairwise_spy(a, b):
+        if tables and a is tables[-1]._probe_coords:
+            coords = tables[-1].coords
+            # the table holds the last shells
+            columns.append(len(groups) - len(coords) + next(
+                i for i, c in enumerate(coords) if c is b))
+        return pairwise(a, b)
 
-    monkeypatch.setattr(cages._NearestTable, "_probe_column", fill_spy)
+    monkeypatch.setattr(cages, "_pairwise_squared", pairwise_spy)
     assert detect_cage(groups) is None
     members = {i for chosen, _ in candidate_unions(
         list(map(len, groups))) for i in chosen}
-    assert len(columns) == len(set(columns))
+    assert len(tables) == 1 and len(columns) == len(set(columns))
     # only the shells some tried union contains, not all of them
     assert set(columns) == members and len(members) < len(groups)
 
@@ -812,13 +836,19 @@ def test_probe_leaves_every_union_unsearched_on_a_negative_scan(
 
 # --- one row per orbit against the chunked search -----------------------
 
-def exact_table(array, shells=None):
-    """The table `outer_cage` builds: the shells' floats, their exact rows
-    and the start's symmetry."""
+def exact_of(array, shells=None):
+    """What `outer_cage` hands its search with the shells' floats: the
+    start's symmetry and the shells' exact rows."""
     shells = array.shells if shells is None else shells
-    return cages._NearestTable(
-        [shell.coords for shell in shells],
-        (array.start.symmetry, shells[0].den, [s.rows for s in shells]))
+    return array.start.symmetry, shells[0].den, [s.rows for s in shells]
+
+
+def exact_table(array, shells=None):
+    """A table of every shell of the array with their exact rows, as
+    `outer_cage` builds one over the shells it reaches."""
+    shells = array.shells if shells is None else shells
+    return cages._NearestTable([shell.coords for shell in shells],
+                               exact_of(array, shells))
 
 
 def onion_iteration_arrays(name, expr, iterations):
@@ -973,19 +1003,24 @@ def test_a_union_that_is_not_invariant_takes_the_chunked_search(
 
 # --- one gate per window ------------------------------------------------
 
-def assert_verdicts_are_the_probes(table):
-    """Every candidate union of the table's groups, trailing ones and
-    those of windows with one drop included, gets from its window's gate
-    the verdict of its own probe rows, read from a separate table that
-    fills every row; returns the counts, drop-one unions in row 0 and
-    trailing ones in row 1, refuted in column 0 and passed in column 1."""
-    sizes = list(map(len, table.coords))
+def assert_verdicts_are_the_probes(groups, exact=None):
+    """Every candidate union of the groups, trailing ones and those of
+    windows with one drop included, gets from its window's gate, on a
+    table of the groups from the reach on as detect_cage builds, the
+    verdict of its own probe rows, read from a separate table of every
+    group; returns the counts, drop-one unions in row 0 and trailing
+    ones in row 1, refuted in column 0 and passed in column 1."""
+    sizes = list(map(len, groups))
     windows = list(cages._candidate_windows(sizes))
-    table.reach = min(low for low, _ in windows)
-    reference = cages._NearestTable(table.coords)
+    reach = reach_of(sizes)
+    if exact is not None:
+        exact = (*exact[:2], exact[2][reach:])
+    table = cages._NearestTable(groups[reach:], exact)
+    reference = cages._NearestTable(groups)
     counts = np.zeros((2, 2), dtype=int)
     for low, drops in windows:
-        passed = table.verdicts(low, drops)
+        passed = table.verdicts(
+            low - reach, [d if d is None else d - reach for d in drops])
         assert len(passed) == len(drops)
         for dropped, ok in zip(drops, passed):
             chosen = [i for i in range(low, len(sizes)) if i != dropped]
@@ -1001,9 +1036,9 @@ def test_drop_verdicts_are_each_unions_probe(orbit_search_arrays):
     arrays, exact tables and floats-only ones alike."""
     counts = np.zeros((2, 2), dtype=int)
     for array in orbit_search_arrays:
-        for table in (exact_table(array),
-                      cages._NearestTable([s.coords for s in array.shells])):
-            counts += assert_verdicts_are_the_probes(table)
+        for exact in (exact_of(array), None):
+            counts += assert_verdicts_are_the_probes(
+                [s.coords for s in array.shells], exact)
     # drop-one unions both refuted and passed
     assert counts[0, 0] > 1000 and counts[0, 1] > 10
     # trailing unions both refuted and passed
@@ -1020,7 +1055,7 @@ def test_drop_verdicts_leave_out_an_empty_group(orbit_search_arrays):
     assert want.dropped_index is not None
     at = want.shell_indices[1]
     holed = groups[:at] + [np.empty((0, 3))] + groups[at:]
-    counts = assert_verdicts_are_the_probes(cages._NearestTable(holed))
+    counts = assert_verdicts_are_the_probes(holed)
     assert counts[0, 0] > 100 and counts[0, 1] > 0
     got = detect_cage(holed)
     assert got.graph.edges == want.graph.edges
@@ -1030,28 +1065,35 @@ def test_drop_verdicts_leave_out_an_empty_group(orbit_search_arrays):
 def test_no_probe_row_below_the_reach_is_computed(orbit_search_arrays,
                                                   monkeypatch):
     """On the failing fourth iterations, where every candidate union is
-    tried, each probe column's distances are taken from the probes of
-    the lowest shell of any candidate union on: 18 of 73 probes for
-    c60, 22 of 40 for c80."""
+    tried, `outer_cage`'s table holds only the shells from the lowest
+    shell of any candidate union on, and each probe column's distances
+    are taken from their probes alone: 18 of 73 shells for c60, 22 of
+    40 for c80."""
+    tables, probed = spy_on_tables(monkeypatch), []
     pairwise = cages._pairwise_squared
 
     def pairwise_spy(a, b):
-        if np.shares_memory(a, table._probe_coords):
+        if tables and np.shares_memory(a, tables[-1]._probe_coords):
             probed.append(a)
         return pairwise(a, b)
 
     monkeypatch.setattr(cages, "_pairwise_squared", pairwise_spy)
     for array, rows in ((orbit_search_arrays[3], 18),
                         (orbit_search_arrays[7], 22)):
+        shells = array.shells
         reach = min(chosen[0] for chosen, _ in candidate_unions(
-            [len(s.coords) for s in array.shells]))
-        assert len(array.shells) - reach == rows
-        table, probed = exact_table(array), []
-        assert detect_cage(table) is None
-        # one column per shell from the reach on, each from those probes
-        assert table.reach == reach and len(probed) == rows
+            [len(s.coords) for s in shells]))
+        assert len(shells) - reach == rows
+        tables.clear(), probed.clear()
+        assert outer_cage(array) is None
+        (table,) = tables
+        assert len(table.coords) == rows
+        for got, shell in zip(table.coords, shells[reach:]):
+            assert np.array_equal(got, shell.coords)
+        # one column per reached shell, each from their probes alone
+        assert len(probed) == rows
         for a in probed:
-            assert np.array_equal(a, table._probe_coords[reach:])
+            assert np.array_equal(a, [s.coords[0] for s in shells[reach:]])
 
 
 def test_each_union_tried_is_gated_once(orbit_search_arrays, monkeypatch):
@@ -1063,10 +1105,16 @@ def test_each_union_tried_is_gated_once(orbit_search_arrays, monkeypatch):
     verdicts, gap = cages._NearestTable.verdicts, cages._gap_between
     search = cages._NearestTable.search
 
+    def shell_indices(table, indices):
+        """Table indices as shell indices: the table holds the last
+        shells of the array."""
+        reach = len(array.shells) - len(table.coords)
+        return tuple(reach + i for i in indices)
+
     def verdicts_spy(self, low, drops):
         ok = verdicts(self, low, drops)
-        unions = [tuple(i for i in range(low, len(self.coords)) if i != d)
-                  for d in drops]
+        unions = [shell_indices(self, (i for i in range(low, len(self.coords))
+                                       if i != d)) for d in drops]
         gated.extend(unions)
         passed.update(compress(unions, ok))
         return ok
@@ -1075,14 +1123,15 @@ def test_each_union_tried_is_gated_once(orbit_search_arrays, monkeypatch):
     monkeypatch.setattr(cages, "_gap_between", lambda *args: gaps.append(1)
                         or gap(*args))
     monkeypatch.setattr(cages._NearestTable, "search",
-                        lambda self, chosen: searched.append(tuple(chosen))
+                        lambda self, chosen: searched.append(
+                            shell_indices(self, chosen))
                         or search(self, chosen))
     found = 0
     for array in orbit_search_arrays:
-        for table in (exact_table(array),
-                      cages._NearestTable([s.coords for s in array.shells])):
+        for exact in (exact_of(array), None):
             gated.clear(), passed.clear(), searched.clear(), gaps.clear()
-            finding = detect_cage(table)
+            finding = cages._detect_cage(
+                [s.coords for s in array.shells], exact)
             dropped = dict(candidate_unions(
                 [len(s.coords) for s in array.shells]))
             assert len(gated) == len(set(gated))

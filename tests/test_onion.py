@@ -339,3 +339,41 @@ def test_two_bond_length_families(name, expr, counts, dropped):
         working = StartConfig.from_rows(f"{name}.onion{j}",
                                         *finding.graph.rows, start.symmetry)
     assert outer_cage(generate_array(working, t, 1)) is None
+
+
+def shells_less(first, last, dropped=None):
+    """(shell indices first..last less `dropped`, `dropped`)."""
+    return tuple(i for i in range(first, last + 1) if i != dropped), dropped
+
+
+@pytest.mark.parametrize("name,expr,unions,gates", [
+    ("c60", "3", (shells_less(6, 8), shells_less(17, 21),
+                  shells_less(37, 45, 40), None), (2, 4, 23, 31)),
+    ("c80", "2", (shells_less(8, 10), shells_less(13, 17, 14),
+                  shells_less(22, 28, 25), None), (2, 20, 25, 39)),
+])
+def test_benchmarked_onion_members_come_from_pinned_unions(
+        name, expr, unions, gates, monkeypatch):
+    """The union each member of the benchmarked onions is read off, as
+    (shell indices, dropped index), with no cage at iteration 4, and the
+    number of windows gated on each iteration's array: a gate that
+    reorders or skips windows changes one of them."""
+    found, gated = [], []
+    detect, verdicts = cages._detect_cage, cages._NearestTable.verdicts
+
+    def detect_spy(*args):
+        gated.append(0)
+        finding = detect(*args)
+        found.append(finding and (finding.shell_indices,
+                                  finding.dropped_index))
+        return finding
+
+    def verdicts_spy(self, low, drops):
+        gated[-1] += 1
+        return verdicts(self, low, drops)
+
+    monkeypatch.setattr(cages, "_detect_cage", detect_spy)
+    monkeypatch.setattr(cages._NearestTable, "verdicts", verdicts_spy)
+    report = grow(name, expr, 4)
+    assert len(report.family) == 4
+    assert found == list(unions) and gated == list(gates)
